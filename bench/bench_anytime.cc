@@ -92,7 +92,6 @@ int main() {
       1, params.stage1_samples / (8 * rows_per_block)));
   options.max_batch_queries = 1;
   options.max_queue_wait_seconds = 0.0005;
-  options.eager_delivery = true;
   std::printf("store: %lld rows, %lld blocks; chunk_blocks %d, stage-1 m "
               "%lld\n\n",
               static_cast<long long>(rows),

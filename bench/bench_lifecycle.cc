@@ -1,32 +1,25 @@
-// Query lifecycle: eager delivery vs retire-time delivery, and thread
-// boundedness under store churn.
+// Query lifecycle: eager delivery and thread boundedness under store
+// churn.
 //
 // Part 1 — time-to-first-result. Submits bursts of B queries with
 // distinct per-user targets (so batchmates finish at different times);
-// each burst fills exactly one shared-scan batch. Per batch, the time
-// from submission until the FIRST future becomes ready is measured
-// under two QueryScheduler configurations:
-//
-//   retire  eager_delivery = false — every future of a batch is
-//           fulfilled when the batch retires (PR 3 behaviour): the
-//           first result arrives when the LAST machine finishes;
-//   eager   eager_delivery = true  — a future is fulfilled the moment
-//           its machine completes mid-scan (this PR's tentpole): the
-//           first result arrives when the FASTEST machine finishes.
+// each burst fills exactly one shared-scan batch. The scheduler
+// fulfills a future the moment its machine completes mid-scan, so per
+// batch the FIRST result arrives when the FASTEST machine finishes,
+// not when the batch retires.
 //
 // Delivery instants are taken from the scheduler's own per-item
 // stamps (SchedulerItem::total_seconds — the moment the promise is
-// fulfilled under eager delivery), not from an external waiter clock:
-// on a single-core host a waiter thread is not scheduled while the
-// scan runs, so any wall-clock probe observes "first ready ~= batch
-// end" regardless of when fulfillment happened. Per batch, eager
-// time-to-first-result = min(total_seconds) and retire-time delivery
-// of the SAME execution = max(total_seconds) (every future of a batch
-// resolves once its last machine finishes — the wall-clock span of the
-// real retire-mode run, also reported, validates this). The gap is
-// structural — any batch whose members vary in duration has
-// fastest-machine < batch-retire — so eager p50 must be strictly below
-// retire p50 on every host; the magnitude (not the sign) is what
+// fulfilled), not from an external waiter clock: on a single-core host
+// a waiter thread is not scheduled while the scan runs, so any
+// wall-clock probe observes "first ready ~= batch end" regardless of
+// when fulfillment happened. Per batch, time-to-first-result =
+// min(total_seconds), the last machine's completion = max(total_seconds),
+// and the batch span is the wall clock from submitting the burst until
+// every future was read. The gap is structural — any batch whose
+// members vary in duration has fastest-machine < batch span — so the
+// p50 time-to-first-result must be strictly below the p50 batch span of
+// the same run on every host; the magnitude (not the sign) is what
 // varies with hardware.
 //
 // Part 2 — thread boundedness. 32 short-lived stores churn through the
@@ -100,12 +93,6 @@ BurstResult RunBursts(const std::vector<std::vector<BoundQuery>>& bursts,
   return out;
 }
 
-double Mean(const std::vector<double>& values) {
-  double sum = 0;
-  for (double v : values) sum += v;
-  return values.empty() ? 0 : sum / static_cast<double>(values.size());
-}
-
 /// A tiny two-attribute store for the churn experiment: Z(12 values)
 /// uniform, X(8 values) conditional on Z.
 std::shared_ptr<ColumnStore> MakeChurnStore(int64_t rows, uint64_t seed) {
@@ -128,7 +115,7 @@ int main() {
   PrintHeader("Query lifecycle: eager delivery and bounded threads",
               config);
 
-  // --- Part 1: time-to-first-result, eager vs retire-time delivery.
+  // --- Part 1: time-to-first-result under eager delivery.
   PaperQuery flights_spec;
   for (const PaperQuery& s : PaperQueries()) {
     if (s.id == "flights-q1") flights_spec = s;
@@ -141,8 +128,7 @@ int main() {
 
   // Bursts of kBurst queries with varied targets: each fills exactly
   // one shared-scan batch (max_batch_queries == kBurst launches it the
-  // instant the burst is in), so both modes execute identical batch
-  // compositions and only the fulfillment instants differ.
+  // instant the burst is in).
   const int kBurst = 8;
   const int num_batches = 12 * std::max(1, config.runs);
   TrafficOptions topt;
@@ -190,39 +176,22 @@ int main() {
   base.max_batch_queries = kBurst;  // a burst == one batch
   base.max_queue_wait_seconds = 5.0;
 
-  // One eager run carries both policies' delivery instants: eager
-  // fulfills each future at its machine's completion (min per batch =
-  // time-to-first-result), retire-time delivery of the identical
-  // execution fulfills everything once the last machine finishes (max
-  // per batch). A real retire-mode run is measured too: its wall span
-  // validates the derived retire numbers and its eager counter stays 0.
-  SchedulerOptions eager_options = base;
-  eager_options.eager_delivery = true;
-  BurstResult eager_run = RunBursts(bursts, eager_options);
-  SchedulerOptions retire_options = base;
-  retire_options.eager_delivery = false;
-  BurstResult retire_run = RunBursts(bursts, retire_options);
-  FASTMATCH_CHECK(retire_run.eager_delivered == 0);
+  BurstResult run = RunBursts(bursts, base);
 
-  const double eager_p50 = Percentile(eager_run.first_delivery, 0.50);
-  const double eager_p99 = Percentile(eager_run.first_delivery, 0.99);
-  const double retire_p50 = Percentile(eager_run.last_delivery, 0.50);
-  const double retire_p99 = Percentile(eager_run.last_delivery, 0.99);
-  std::printf("%10s %12s %12s %14s %8s %8s\n", "mode", "p50 TTFR (s)",
-              "p99 TTFR (s)", "batch span (s)", "eager", "batches");
-  std::printf("%10s %12.4f %12.4f %14.4f %8lld %8lld\n", "retire",
-              retire_p50, retire_p99, Mean(retire_run.wall_span),
-              static_cast<long long>(retire_run.eager_delivered),
-              static_cast<long long>(retire_run.batches));
-  std::printf("%10s %12.4f %12.4f %14.4f %8lld %8lld\n", "eager", eager_p50,
-              eager_p99, Mean(eager_run.wall_span),
-              static_cast<long long>(eager_run.eager_delivered),
-              static_cast<long long>(eager_run.batches));
+  const double first_p50 = Percentile(run.first_delivery, 0.50);
+  const double first_p99 = Percentile(run.first_delivery, 0.99);
+  const double last_p50 = Percentile(run.last_delivery, 0.50);
+  const double span_p50 = Percentile(run.wall_span, 0.50);
+  std::printf("%12s %12s %12s %14s %8s %8s\n", "p50 TTFR (s)", "p99 TTFR (s)",
+              "p50 last (s)", "p50 span (s)", "eager", "batches");
+  std::printf("%12.4f %12.4f %12.4f %14.4f %8lld %8lld\n", first_p50, first_p99,
+              last_p50, span_p50, static_cast<long long>(run.eager_delivered),
+              static_cast<long long>(run.batches));
   std::fflush(stdout);
 
-  const double p50_ratio = retire_p50 > 0 ? eager_p50 / retire_p50 : 0;
+  const double p50_ratio = span_p50 > 0 ? first_p50 / span_p50 : 0;
   std::printf(
-      "\neager/retire p50 time-to-first-result ratio: %.3f (must be "
+      "\np50 time-to-first-result / p50 batch span: %.3f (must be "
       "strictly < 1: the first result of a batch stops waiting for its "
       "stragglers)\n\n",
       p50_ratio);
@@ -325,7 +294,7 @@ int main() {
       baseline_threads, peak, thread_bound, pool.size(), kStoresPerWave,
       peak <= thread_bound ? "yes" : "NO");
   std::printf(
-      "\nShape: eager p50 < retire p50; peak threads track the pool and "
-      "live pipelines, not the 32 churned stores.\n");
+      "\nShape: p50 time-to-first-result < p50 batch span; peak threads "
+      "track the pool and live pipelines, not the 32 churned stores.\n");
   return peak <= thread_bound && p50_ratio < 1.0 ? 0 : 1;
 }

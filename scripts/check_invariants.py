@@ -32,9 +32,8 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                member must be named in the "Concurrency & lock
                hierarchy" section of docs/ARCHITECTURE.md: a new lock
                cannot enter the codebase without a documented place in
-               the ordering. (Mutex-free layers — storage partitions,
-               the batch executors' single-driver design — stay out by
-               construction.)
+               the ordering. (Mutex-free layers — the batch executor's
+               single-driver design — stay out by construction.)
 
   lock-free-resolve  In src/service/, promise fulfillment and progress
                publication — set_value / Resolve / FulfillAdmitted /
@@ -48,11 +47,11 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                `// lint: resolve-ok` escapes with a justification.
 
   pinned-scan  Engine code (src/engine/) must not read a store's live
-               geometry — `store->num_rows()` / `store->num_blocks()`
-               and the partition-set equivalents — because stores grow:
-               two live reads can straddle an append and describe two
-               different relations. Scans read geometry from the
-               StorePin they captured at creation (pin().num_rows etc.).
+               geometry — `store->num_rows()` / `store->num_blocks()` —
+               because stores grow: two live reads can straddle an
+               append and describe two different relations. Scans read
+               geometry from the StorePin they captured at creation
+               (pin().num_rows etc.).
                `// lint: pin-ok` escapes with a justification (e.g. a
                deliberately unpinned admission-time estimate).
 
@@ -110,7 +109,7 @@ LOCK_DECL = re.compile(r"\bMutexLock\s+[A-Za-z_]\w*\s*\(")
 # name suggests a growable store do.
 PINNED_SCAN = re.compile(
     r"\b(?P<recv>[A-Za-z_]\w*)\s*(?:\.|->)\s*(num_rows|num_blocks)\s*\(")
-PINNED_SCAN_RECEIVERS = ("store", "partitions", "source")
+PINNED_SCAN_RECEIVERS = ("store",)
 
 
 def read(path: Path) -> str:

@@ -16,23 +16,13 @@ BatchExecutor::BatchExecutor(std::shared_ptr<const ColumnStore> store,
       pin_(pin),
       num_blocks_(pin_.num_blocks),
       consumed_(num_blocks_) {
-  // Degenerate partition list and segment table: the whole store at
-  // offset 0. The sharded factory overwrites both before any query is
-  // bound.
-  Partition whole;
-  whole.store = store_;
-  whole.pin = pin_;
-  parts_.push_back(std::move(whole));
-  ScanSegment all;
-  all.logical_begin = 0;
-  all.part = 0;
-  all.local_begin = 0;
-  all.blocks = num_blocks_;
-  segments_.push_back(all);
+  if (options_.shared_pool == nullptr) {
+    options_.shared_pool = &SharedWorkerPool::Process();
+  }
 }
 
-Status BatchExecutor::ValidateBatch(const std::vector<BoundQuery>& queries,
-                                    const BatchOptions& options) {
+Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
+    const std::vector<BoundQuery>& queries, BatchOptions options) {
   if (queries.empty()) {
     return Status::InvalidArgument("batch has no queries");
   }
@@ -52,11 +42,16 @@ Status BatchExecutor::ValidateBatch(const std::vector<BoundQuery>& queries,
           "batch queries must share one ColumnStore");
     }
   }
-  return Status::OK();
-}
-
-Status BatchExecutor::CheckResumeGeometry(const BatchOptions& options,
-                                          const StorePin& pin) {
+  // Resolve the batch's pin BEFORE construction: a versioned resume
+  // re-pins the donor's generation (the resumed scan runs in the
+  // donor's block space even if the store has since grown); otherwise
+  // pin the current generation.
+  StorePin pin;
+  if (options.resume.has_value() && options.resume->generation != 0) {
+    FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(options.resume->generation));
+  } else {
+    pin = store->Pin();
+  }
   if (pin.num_rows == 0) {
     return Status::FailedPrecondition("empty store");
   }
@@ -70,11 +65,8 @@ Status BatchExecutor::CheckResumeGeometry(const BatchOptions& options,
       return Status::InvalidArgument("resume cursor out of range");
     }
   }
-  return Status::OK();
-}
-
-Status BatchExecutor::Initialize(BatchExecutor* executor,
-                                 const std::vector<BoundQuery>& queries) {
+  auto executor = std::unique_ptr<BatchExecutor>(
+      new BatchExecutor(store, pin, std::move(options)));
   if (executor->options_.resume.has_value()) {
     executor->consumed_ = executor->options_.resume->consumed;
     executor->consumed_blocks_ = executor->consumed_.Popcount();
@@ -105,34 +97,6 @@ Status BatchExecutor::Initialize(BatchExecutor* executor,
   }
   executor->stats_.num_templates =
       static_cast<int>(executor->templates_.size());
-  executor->stats_.num_partitions = static_cast<int>(executor->parts_.size());
-  return Status::OK();
-}
-
-Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
-    const std::vector<BoundQuery>& queries, BatchOptions options) {
-  FASTMATCH_RETURN_IF_ERROR(ValidateBatch(queries, options));
-  for (const BoundQuery& q : queries) {
-    if (q.partitions != nullptr) {
-      return Status::InvalidArgument(
-          "query carries a partition set; use ShardedBatchExecutor::Create");
-    }
-  }
-  const std::shared_ptr<const ColumnStore>& store = queries.front().store;
-  // Resolve the batch's pin BEFORE construction: a versioned resume
-  // re-pins the donor's generation (the resumed scan runs in the
-  // donor's block space even if the store has since grown); otherwise
-  // pin the current generation.
-  StorePin pin;
-  if (options.resume.has_value() && options.resume->generation != 0) {
-    FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(options.resume->generation));
-  } else {
-    pin = store->Pin();
-  }
-  FASTMATCH_RETURN_IF_ERROR(CheckResumeGeometry(options, pin));
-  auto executor = std::unique_ptr<BatchExecutor>(
-      new BatchExecutor(store, pin, std::move(options)));
-  FASTMATCH_RETURN_IF_ERROR(Initialize(executor.get(), queries));
   return executor;
 }
 
@@ -167,24 +131,20 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
     TemplateState ts;
     ts.z_attr = query.z_attr;
     ts.x_attrs = query.x_attrs;
-    // One reader per partition; the degenerate single-partition list
-    // makes this the whole-store reader of the unpartitioned path.
-    // Each reader pins its partition's batch generation, so every block
-    // read resolves against the batch's frozen geometry no matter how
-    // the store grows mid-scan.
-    for (const Partition& part : parts_) {
-      FASTMATCH_ASSIGN_OR_RETURN(auto view,
-                                 part.store->PinViewAt(part.pin.generation));
-      FASTMATCH_ASSIGN_OR_RETURN(
-          auto io, IoManager::Create(part.store, query.z_attr, query.x_attrs,
-                                     std::move(view)));
-      ts.ios.push_back(std::move(io));
-    }
-    const IoManager& domain = *ts.ios.front();
-    ts.cum = CountMatrix(domain.num_candidates(), domain.num_groups());
-    ts.exhausted.assign(domain.num_candidates(), false);
-    ts.unmet_seen.assign(domain.num_candidates(), false);
-    SizeShards(&ts);  // no-op before Start
+    // The reader pins the batch generation, so every block read
+    // resolves against the batch's frozen geometry no matter how the
+    // store grows mid-scan.
+    FASTMATCH_ASSIGN_OR_RETURN(auto view, store_->PinViewAt(pin_.generation));
+    FASTMATCH_ASSIGN_OR_RETURN(
+        ts.io, IoManager::Create(store_, query.z_attr, query.x_attrs,
+                                 std::move(view)));
+    const int candidates = ts.io->num_candidates();
+    const int groups = ts.io->num_groups();
+    ts.cum = CountMatrix(candidates, groups);
+    ts.exhausted.assign(candidates, false);
+    ts.unmet_seen.assign(candidates, false);
+    ts.shards.assign(static_cast<size_t>(options_.num_threads),
+                     CountMatrix(candidates, groups));
     templates_.push_back(std::move(ts));
   }
   TemplateState& ts = templates_[t];
@@ -215,75 +175,8 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
   qs->tmpl = t;
   Stage1Prior prior;
   const Stage1Prior* prior_ptr = nullptr;
-  // Merged warm-parts counts; declared at function scope because Begin
-  // reads prior.counts synchronously (and copies when overlapping).
-  CountMatrix merged_parts;
-  if (!query.stage1_warm_parts.empty()) {
-    if (partitions_ == nullptr) {
-      return Status::InvalidArgument(
-          "stage1_warm_parts requires a partitioned batch");
-    }
-    if (query.stage1_warm != nullptr) {
-      return Status::InvalidArgument(
-          "query carries both stage1_warm and stage1_warm_parts");
-    }
-    if (query.stage1_warm_parts.size() != parts_.size()) {
-      return Status::InvalidArgument(
-          "stage1_warm_parts size does not match the partition count");
-    }
-    // Generation guard: every partition snapshot must have been drawn
-    // at that partition's pinned generation (0 = legacy/unversioned,
-    // accepted as-is). One stale partition poisons the merge — the
-    // merged prior's row positions would straddle generations — so any
-    // mismatch drops the whole warm set and the query runs cold.
-    bool stale = false;
-    for (size_t p = 0; p < parts_.size(); ++p) {
-      const std::shared_ptr<const Stage1Snapshot>& part =
-          query.stage1_warm_parts[p];
-      if (part != nullptr && part->scan.generation != 0 &&
-          part->scan.generation != parts_[p].pin.generation) {
-        stale = true;
-        break;
-      }
-    }
-    if (stale) ++stats_.stale_warm_dropped;
-    const IoManager& domain = *ts.ios.front();
-    merged_parts = CountMatrix(domain.num_candidates(), domain.num_groups());
-    int64_t rows = 0;
-    for (const std::shared_ptr<const Stage1Snapshot>& part :
-         query.stage1_warm_parts) {
-      if (part == nullptr) continue;  // partition without a warm sample
-      if (part->counts.num_candidates() != domain.num_candidates() ||
-          part->counts.num_groups() != domain.num_groups()) {
-        return Status::InvalidArgument(
-            "partition stage-1 snapshot does not match the sampling domain");
-      }
-      if (stale) continue;  // domain-checked but not consumed
-      merged_parts.Merge(part->counts);
-      rows += part->rows_drawn;
-    }
-    if (rows > 0) {
-      // The union of per-partition scan prefixes occupies a fixed set
-      // of positions of the pre-shuffled relation, so it is one uniform
-      // without-replacement sample of size Σ rows_p — the stratified-
-      // sampling argument (docs/PAPER_MAP.md). The partition-LOCAL
-      // consumed maps don't translate into this scan's logical block
-      // space, so the prior is conservatively marked overlapping: no
-      // donor exhaustion flags are honored, and exactness is re-derived
-      // from this scan's own window (the PR 5 overlap semantics) —
-      // sound, merely forgoing an optimization. Disjoint partitions
-      // with Σ rows_p == |relation| cover every row exactly once:
-      // all_consumed completes the machine instantly with the exact
-      // result.
-      prior.counts = &merged_parts;
-      prior.rows_drawn = rows;
-      prior.overlapping = true;
-      prior.all_consumed = rows >= pin_.num_rows;
-      prior_ptr = &prior;
-    }
-  }
-  // Generation guard for the whole-store warm start: the snapshot's own
-  // scan generation and the caller's validation stamp
+  // Generation guard for the warm start: the snapshot's own scan
+  // generation and the caller's validation stamp
   // (stage1_warm_generation, set by the service tier after a cache hit
   // or passed revalidation) must both match the batch's pin — 0 means
   // legacy/unversioned and is accepted. A mismatch drops the warm start
@@ -327,9 +220,8 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
     prior.overlapping = !disjoint;
     prior_ptr = &prior;
   }
-  FASTMATCH_RETURN_IF_ERROR(qs->machine.Begin(ts.ios.front()->num_candidates(),
-                                              ts.ios.front()->num_groups(),
-                                              pin_.num_rows, prior_ptr));
+  FASTMATCH_RETURN_IF_ERROR(qs->machine.Begin(
+      ts.io->num_candidates(), ts.io->num_groups(), pin_.num_rows, prior_ptr));
   if (prior_ptr != nullptr) ++stats_.warm_queries;
   // Fresh counts for the query's NEXT phase are cumulative minus this
   // snapshot. At Create the cumulative matrix is zero; a Join()ed query
@@ -409,73 +301,29 @@ void BatchExecutor::SupplyPhase(QueryState* q, bool all_consumed) {
 
 void BatchExecutor::ExportStage1(const QueryState& q, const TemplateState& ts,
                                  CountMatrix fresh, int64_t drawn) {
-  if (partitions_ == nullptr) {
-    // Export the completed stage-1 phase. The counts are published even
-    // when Supply failed (an all-pruned error is parameter-specific;
-    // the sample itself is target-independent and reusable), and even
-    // for mid-batch windows: any fresh window of the pre-shuffled
-    // store's scan is a uniform without-replacement sample.
-    auto snapshot = std::make_shared<Stage1Snapshot>();
-    snapshot->counts = std::move(fresh);
-    snapshot->rows_drawn = drawn;
-    snapshot->scan.consumed = consumed_;
-    snapshot->scan.cursor = cursor_;
-    snapshot->scan.generation = pin_.generation;
-    if (!options_.resume.has_value() && q.snap_rows == 0 &&
-        ts.rows_cum == consumed_rows_) {
-      // Only when the counts cover every consumed row does a template
-      // exhaustion flag certify the counts as exact — the Stage1Snapshot
-      // contract. A joined query's window (snap_rows > 0), a resumed
-      // scan's hidden prefix, or a template that missed early chunks
-      // (rows_cum < consumed_rows_) all break that coverage.
-      snapshot->scan.exhausted = ts.exhausted;
-    }
-    options_.stage1_sink->Publish(store_->id(), kWholeStorePartition,
-                                  ts.z_attr, ts.x_attrs, std::move(snapshot));
-    ++stats_.stage1_exports;
-    return;
+  // Export the completed stage-1 phase. The counts are published even
+  // when Supply failed (an all-pruned error is parameter-specific; the
+  // sample itself is target-independent and reusable), and even for
+  // mid-batch windows: any fresh window of the pre-shuffled store's
+  // scan is a uniform without-replacement sample.
+  auto snapshot = std::make_shared<Stage1Snapshot>();
+  snapshot->counts = std::move(fresh);
+  snapshot->rows_drawn = drawn;
+  snapshot->scan.consumed = consumed_;
+  snapshot->scan.cursor = cursor_;
+  snapshot->scan.generation = pin_.generation;
+  if (!options_.resume.has_value() && q.snap_rows == 0 &&
+      ts.rows_cum == consumed_rows_) {
+    // Only when the counts cover every consumed row does a template
+    // exhaustion flag certify the counts as exact — the Stage1Snapshot
+    // contract. A joined query's window (snap_rows > 0), a resumed
+    // scan's hidden prefix, or a template that missed early chunks
+    // (rows_cum < consumed_rows_) all break that coverage.
+    snapshot->scan.exhausted = ts.exhausted;
   }
-  // Sharded export: one snapshot per partition, each covering that
-  // partition's share of the stage-1 draw. The per-partition
-  // decomposition exists only for a query whose phase started at zero
-  // (fresh == cum == Σ part_cum) on a template that saw every chunk of
-  // an unresumed scan — joined queries' windows and resumed scans have
-  // no per-partition split, so they simply don't export.
-  if (ts.part_cum.empty() || options_.resume.has_value() || q.snap_rows != 0 ||
-      ts.rows_cum != consumed_rows_) {
-    return;
-  }
-  int cursor_part = 0;
-  BlockId cursor_local = 0;
-  Locate(cursor_, &cursor_part, &cursor_local);
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    if (ts.part_rows_cum[p] <= 0) continue;
-    const Partition& part = parts_[p];
-    const int64_t local_blocks = part.pin.num_blocks;
-    auto snapshot = std::make_shared<Stage1Snapshot>();
-    snapshot->counts = ts.part_cum[p];
-    snapshot->rows_drawn = ts.part_rows_cum[p];
-    // Partition-local scan state: the slice of the logical consumed map
-    // covering this partition's segments, cursor mapped when it lands
-    // in this partition. Exhaustion flags are never published —
-    // ts.exhausted certifies enumeration over the LOGICAL store, which
-    // a partition-local consumer must not mistake for its own.
-    snapshot->scan.consumed = BitVector(local_blocks);
-    for (const ScanSegment& seg : segments_) {
-      if (seg.part != static_cast<int>(p)) continue;
-      for (int64_t j = 0; j < seg.blocks; ++j) {
-        if (consumed_.Get(seg.logical_begin + j)) {
-          snapshot->scan.consumed.Set(seg.local_begin + j);
-        }
-      }
-    }
-    snapshot->scan.cursor =
-        cursor_part == static_cast<int>(p) ? cursor_local : 0;
-    snapshot->scan.generation = part.pin.generation;
-    options_.stage1_sink->Publish(partitions_->id(), part.store->id(),
-                                  ts.z_attr, ts.x_attrs, std::move(snapshot));
-    ++stats_.stage1_exports;
-  }
+  options_.stage1_sink->Publish(store_->id(), kWholeStorePartition, ts.z_attr,
+                                ts.x_attrs, std::move(snapshot));
+  ++stats_.stage1_exports;
 }
 
 void BatchExecutor::Settle() {
@@ -605,73 +453,31 @@ void BatchExecutor::ReadChunk() {
 
   // Shared read: one pass over the chunk's blocks feeds every template
   // that still has a live query. Worker slots scan contiguous slices of
-  // the SAME logical block list as the unpartitioned run into private
-  // per-partition shards; the merge below is an integer sum, so the
-  // cumulative matrix is identical for every pool size, shared-pool
-  // quota, AND partition count (scatter changes which reader touches a
-  // block, never which blocks are read or how counts add).
+  // the block list into private shards; the merge below is an integer
+  // sum, so the cumulative matrix is identical for every quota and pool.
   const size_t num_reads = to_read.size();
-  const size_t num_parts = parts_.size();
-  if (num_parts > 1) {
-    // Scatter: map each marked logical block to (partition, local
-    // block) through the pinned segment table.
-    read_part_.resize(num_reads);
-    read_local_.resize(num_reads);
-    for (size_t i = 0; i < num_reads; ++i) {
-      Locate(to_read[i], &read_part_[i], &read_local_[i]);
-    }
-  }
-  const size_t slots = static_cast<size_t>(NumSlots());
+  const size_t slots = static_cast<size_t>(options_.num_threads);
   const auto read_slice = [&](int64_t w) {
     const size_t begin = num_reads * static_cast<size_t>(w) / slots;
     const size_t end = num_reads * (static_cast<size_t>(w) + 1) / slots;
     if (begin == end) return;
     for (TemplateState& ts : templates_) {
       if (!ts.has_active) continue;
-      if (num_parts == 1) {
-        ts.ios.front()->ReadBlocks(
-            to_read, begin, end,
-            &ts.shards[static_cast<size_t>(w)]);
-        continue;
-      }
-      for (size_t i = begin; i < end; ++i) {
-        const size_t p = static_cast<size_t>(read_part_[i]);
-        ts.ios[p]->ReadBlock(
-            read_local_[i],
-            &ts.shards[static_cast<size_t>(w) * num_parts + p],
-            /*fresh_counts=*/nullptr);
-      }
+      ts.io->ReadBlocks(to_read, begin, end,
+                        &ts.shards[static_cast<size_t>(w)]);
     }
   };
-  if (options_.shared_pool != nullptr) {
-    options_.shared_pool->ParallelFor(static_cast<int64_t>(slots), read_slice,
-                                      options_.num_threads);
-  } else {
-    pool_->ParallelFor(static_cast<int64_t>(slots), read_slice);
-  }
+  options_.shared_pool->ParallelFor(static_cast<int64_t>(slots), read_slice,
+                                    options_.num_threads);
 
-  // Gather accounting (single-threaded, deterministic): logical rows per
-  // chunk plus each partition's share.
-  chunk_part_rows_.assign(num_parts, 0);
   int64_t rows = 0;
-  for (size_t i = 0; i < num_reads; ++i) {
-    const BlockId b = to_read[i];
+  for (const BlockId b : to_read) {
+    // Pinned row range: the pin clamps a seam block to the rows that
+    // existed at the batch's generation.
     RowId row_begin, row_end;
-    // Pinned row range: the owning partition's pin clamps a seam block
-    // to the rows that existed at the batch's generation.
-    size_t p = 0;
-    if (num_parts == 1) {
-      pin_.BlockRowRange(b, &row_begin, &row_end);
-    } else {
-      p = static_cast<size_t>(read_part_[i]);
-      parts_[p].pin.BlockRowRange(read_local_[i], &row_begin, &row_end);
-    }
-    const int64_t block_rows = row_end - row_begin;
-    rows += block_rows;
+    pin_.BlockRowRange(b, &row_begin, &row_end);
+    rows += row_end - row_begin;
     consumed_.Set(b);
-    chunk_part_rows_[p] += block_rows;
-    ++parts_[p].blocks_read;
-    parts_[p].rows_read += block_rows;
   }
   consumed_blocks_ += static_cast<int64_t>(num_reads);
   consumed_rows_ += rows;
@@ -680,58 +486,12 @@ void BatchExecutor::ReadChunk() {
 
   for (TemplateState& ts : templates_) {
     if (!ts.has_active) continue;
-    for (size_t s = 0; s < ts.shards.size(); ++s) {
-      ts.cum.Merge(ts.shards[s]);
-      if (!ts.part_cum.empty()) {
-        ts.part_cum[s % num_parts].Merge(ts.shards[s]);
-      }
-      ts.shards[s].Reset();
+    for (CountMatrix& shard : ts.shards) {
+      ts.cum.Merge(shard);
+      shard.Reset();
     }
     ts.rows_cum += rows;
-    if (!ts.part_rows_cum.empty()) {
-      for (size_t p = 0; p < num_parts; ++p) {
-        ts.part_rows_cum[p] += chunk_part_rows_[p];
-      }
-    }
     stats_.block_scans += static_cast<int64_t>(num_reads);
-  }
-}
-
-void BatchExecutor::Locate(BlockId b, int* part, BlockId* local) const {
-  // Last segment whose run starts at or before b; segments are ordered
-  // by logical_begin and tile [0, num_blocks_).
-  const auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), b,
-      [](BlockId lhs, const ScanSegment& seg) {
-        return lhs < seg.logical_begin;
-      });
-  FASTMATCH_CHECK(it != segments_.begin());
-  const ScanSegment& seg = *(it - 1);
-  *part = seg.part;
-  *local = seg.local_begin + (b - seg.logical_begin);
-}
-
-int BatchExecutor::NumSlots() const {
-  return options_.shared_pool != nullptr ? std::max(1, options_.num_threads)
-                                         : pool_->size();
-}
-
-void BatchExecutor::SizeShards(TemplateState* ts) {
-  if (!started_) return;
-  const IoManager& domain = *ts->ios.front();
-  const size_t num_parts = parts_.size();
-  // Layout [slot * P + partition]: each worker slot owns a private run of
-  // P matrices, so the scatter read writes without synchronization, and
-  // the P=1 case degenerates to one matrix per slot (today's layout).
-  ts->shards.assign(
-      static_cast<size_t>(NumSlots()) * num_parts,
-      CountMatrix(domain.num_candidates(), domain.num_groups()));
-  if (partitions_ != nullptr && options_.stage1_sink != nullptr &&
-      ts->part_cum.empty()) {
-    ts->part_cum.assign(num_parts,
-                        CountMatrix(domain.num_candidates(),
-                                    domain.num_groups()));
-    ts->part_rows_cum.assign(num_parts, 0);
   }
 }
 
@@ -807,10 +567,6 @@ void BatchExecutor::Start() {
   started_ = true;
   timer_.Restart();
 
-  if (options_.shared_pool == nullptr) {
-    pool_ = std::make_unique<WorkerPool>(options_.num_threads);
-  }
-  for (TemplateState& ts : templates_) SizeShards(&ts);
   if (options_.resume.has_value()) {
     cursor_ = options_.resume->cursor;
   } else {
@@ -918,13 +674,6 @@ Result<size_t> BatchExecutor::Join(const BoundQuery& query) {
     return Status::InvalidArgument(
         "joined query must share the batch's ColumnStore");
   }
-  if ((query.partitions != nullptr) != (partitions_ != nullptr) ||
-      (query.partitions != nullptr &&
-       query.partitions->id() != partitions_->id())) {
-    return Status::InvalidArgument(
-        "joined query must share the batch's partition set (or carry none "
-        "for an unpartitioned batch)");
-  }
   if (consumed_blocks_ == num_blocks_) {
     // Nothing left to feed the newcomer: every block is consumed, so its
     // machine would finish instantly on zero samples. The caller must
@@ -980,7 +729,6 @@ std::vector<BatchItem> BatchExecutor::TakeItems() {
   FASTMATCH_CHECK(!AnyActive())
       << "BatchExecutor::TakeItems with active queries";
   taken_ = true;
-  pool_.reset();
 
   std::vector<BatchItem> items;
   items.reserve(queries_.size());

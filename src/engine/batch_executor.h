@@ -92,22 +92,11 @@
 // bit-for-bit identical to the cold run that produced the snapshot —
 // the equivalence the warm-start tests assert.
 //
-// Horizontal sharding (ShardedBatchExecutor, engine/
-// sharded_batch_executor.h): the scan substrate is partition-aware —
-// every batch reads through a list of (partition store, block offset)
-// slices, which has exactly one entry (the whole store) unless the
-// batch was created over a PartitionedStore. The sharded run keeps the
-// SAME logical cursor, chunk schedule, marking, and exhaustion logic in
-// logical block space and only scatters each marked block's read to its
-// partition's IoManager, gathering per-worker-per-partition CountMatrix
-// shards with commutative integer-sum merges — which is why a P-way run
-// is bit-for-bit identical to the P=1 run at every thread count.
-//
 // Concurrency contract: the executor itself holds NO locks — by design
 // it has exactly one driver thread (the store's pipeline loop), which
 // calls Start/Step/Join/Evict/TakeItems strictly sequentially, and the
-// only parallelism is the per-chunk ParallelFor fork-join into the
-// shared worker pool (whose own queue is guarded inside WorkerPool;
+// only parallelism is the per-chunk ParallelFor fork-join into a
+// SharedWorkerPool (whose own queue is guarded inside WorkerPool;
 // see docs/ARCHITECTURE.md, "Concurrency & lock hierarchy"). Worker
 // slots write disjoint CountMatrix shards, so no executor state needs
 // a mutex and the class stays invisible to the lock hierarchy. The
@@ -128,7 +117,6 @@
 #include "index/bitmap_index.h"
 #include "index/bitvector.h"
 #include "storage/column_store.h"
-#include "storage/partitioned_store.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -178,9 +166,9 @@ struct Stage1Snapshot {
   ScanResume scan;
 };
 
-/// \brief Partition sub-key for stage-1 publishes that cover a whole
-/// (unpartitioned) store's scan. ColumnStore ids start at 1, so 0 can
-/// never collide with a real partition store's id.
+/// \brief Partition sub-key of every stage-1 publish: a batch always
+/// scans one whole ColumnStore. Kept as a key dimension for source
+/// compatibility of the Stage1Sink / Stage1Cache interfaces.
 inline constexpr uint64_t kWholeStorePartition = 0;
 
 /// \brief Where the batch executor publishes stage-1 snapshots
@@ -191,13 +179,8 @@ class Stage1Sink {
  public:
   virtual ~Stage1Sink() = default;
   /// \brief Offers a snapshot for (store_id, partition_id, z_attr,
-  /// x_attrs). An unpartitioned scan publishes under
-  /// kWholeStorePartition; a sharded scan publishes one snapshot per
-  /// partition, keyed by the partition store's own ColumnStore::id()
-  /// with the partition SET's id as store_id — warm starts stay
-  /// per-partition-sound (a partition's snapshot is a uniform sample of
-  /// the relation drawn from THAT partition's rows only, so it must
-  /// never serve another partition's sub-key). The sink owns admission
+  /// x_attrs); the executor always publishes under the scanned store's
+  /// ColumnStore::id() and kWholeStorePartition. The sink owns admission
   /// policy (keep the bigger sample, TTL, capacity); a publish may be
   /// dropped silently.
   virtual void Publish(uint64_t store_id, uint64_t partition_id, int z_attr,
@@ -207,9 +190,8 @@ class Stage1Sink {
 
 /// \brief Batch executor knobs.
 struct BatchOptions {
-  /// Block-reader worker slots. With a private pool this is the pool
-  /// size; with `shared_pool` set it is the batch's concurrency quota
-  /// on that pool (at most this many shared workers at once).
+  /// Block-reader worker slots: the batch's concurrency quota on its
+  /// worker pool (at most this many pool workers at once).
   int num_threads = 4;
   /// Shared-scan window: cursor positions marked and read per chunk.
   /// Plays the role of the single-query engine's lookahead batch.
@@ -221,11 +203,10 @@ struct BatchOptions {
   /// fresh: pre-consumed blocks are never read and the cursor starts at
   /// the donor's position. See ScanResume.
   std::optional<ScanResume> resume;
-  /// When non-null, block reads run on this process-wide pool (at most
-  /// num_threads tasks at once — the batch's quota) instead of a
-  /// private per-batch WorkerPool. The pool must outlive the executor.
-  /// Shard layout and results are identical either way: shard count is
-  /// num_threads and merges are commutative integer sums.
+  /// Pool the block reads run on, at most num_threads tasks at once (the
+  /// batch's quota); null means SharedWorkerPool::Process(). The pool
+  /// must outlive the executor. Results are identical on every pool:
+  /// shard count is num_threads and merges are commutative integer sums.
   SharedWorkerPool* shared_pool = nullptr;
   /// When non-null, every stage-1 phase completed from the scan is
   /// exported here as a Stage1Snapshot (warm-started queries complete
@@ -268,9 +249,6 @@ struct BatchStats {
   int64_t stage1_exports = 0;
   /// Distinct (z_attr, x_attrs) templates in the batch.
   int num_templates = 0;
-  /// Scan partitions fed by the scatter-gather read path (1 unless the
-  /// batch runs over a PartitionedStore).
-  int num_partitions = 1;
 };
 
 /// \brief Per-query outcome of a batch run (same order as the input;
@@ -310,9 +288,9 @@ class BatchExecutor {
   /// exactly once; mutually exclusive with the Start()/Step() protocol.
   std::vector<BatchItem> Run();
 
-  /// \brief Starts the scan (worker pool, shard matrices, cursor) and
-  /// settles any immediately-satisfiable phases. Call exactly once
-  /// before Step()/Join().
+  /// \brief Starts the scan (timer, cursor) and settles any
+  /// immediately-satisfiable phases. Call exactly once before
+  /// Step()/Join().
   void Start();
 
   /// \brief Executes one shared-scan chunk (mark, read, settle) and
@@ -423,66 +401,16 @@ class BatchExecutor {
   /// store — a concurrent append cannot move the scan's goalposts.
   const StorePin& pin() const { return pin_; }
 
- protected:
-  /// One slice of the logical scan: a partition store plus its PINNED
-  /// geometry, with per-partition I/O accounting. An unpartitioned
-  /// batch has exactly one entry — the whole store — so the
-  /// scatter-gather read path is the only read path. The mapping from
-  /// logical blocks to (partition, local block) lives in segments_.
-  struct Partition {
-    std::shared_ptr<const ColumnStore> store;
-    StorePin pin;
-    int64_t blocks_read = 0;
-    int64_t rows_read = 0;
-  };
-
+ private:
   BatchExecutor(std::shared_ptr<const ColumnStore> store, StorePin pin,
                 BatchOptions options);
 
-  /// Shared Create tail for the plain and sharded factories: installs
-  /// resume state, binds every query, validates resume exhaustion
-  /// flags. The caller has already validated options, store sharing,
-  /// and (for the sharded factory) partition-set consistency.
-  static Status Initialize(BatchExecutor* executor,
-                           const std::vector<BoundQuery>& queries);
-
-  /// Structural validation shared by both factories: options ranges and
-  /// one shared store. Pin-dependent checks (empty store, resume
-  /// geometry) live in CheckResumeGeometry, called by each factory
-  /// after it resolved the batch's pin.
-  static Status ValidateBatch(const std::vector<BoundQuery>& queries,
-                              const BatchOptions& options);
-
-  /// Pin-dependent structural checks: non-empty pinned store, resume
-  /// consumed-bitvector size and cursor range against the pinned block
-  /// count.
-  static Status CheckResumeGeometry(const BatchOptions& options,
-                                    const StorePin& pin);
-
-  /// The logical scan's partitions (size 1 unless sharded). Filled by
-  /// the constructor (whole store) or the sharded factory; immutable
-  /// once the first query is bound.
-  std::vector<Partition> parts_;
-  /// Logical-to-physical block mapping: contiguous runs, ordered by
-  /// logical_begin (the pinned prefix of the partition set's segment
-  /// table; one whole-store segment when unpartitioned). Filled by the
-  /// constructor or the sharded factory alongside parts_.
-  std::vector<ScanSegment> segments_;
-  /// Non-null iff this batch scatter-gathers over a PartitionedStore
-  /// (set by ShardedBatchExecutor before Initialize).
-  std::shared_ptr<const PartitionedStore> partitions_;
-
- private:
-  /// Per-(z_attr, x_attrs) shared state: one scan kernel per partition,
-  /// one cumulative count matrix, sticky exhaustion, and per-worker
-  /// per-partition shards.
+  /// Per-(z_attr, x_attrs) shared state: one scan kernel, one
+  /// cumulative count matrix, sticky exhaustion, and per-worker shards.
   struct TemplateState {
     int z_attr = -1;
     std::vector<int> x_attrs;
-    /// One reader per partition (ios[p] reads parts_[p].store);
-    /// ios.front() doubles as the domain authority (num_candidates /
-    /// num_groups are schema-wide, identical across partitions).
-    std::vector<std::unique_ptr<IoManager>> ios;
+    std::unique_ptr<IoManager> io;
     std::shared_ptr<const BitmapIndex> index;  // pre-skip authority #1
     /// Pre-skip authority #2: used for AnyActive marking only when
     /// `index` is null (both null => no block skipping, targets demands
@@ -490,16 +418,10 @@ class BatchExecutor {
     std::shared_ptr<const DensityMap> density;
     CountMatrix cum;
     int64_t rows_cum = 0;
-    /// Sharded stage-1 export bookkeeping (sized only when the batch is
-    /// partitioned AND a stage1_sink is set): partition p's share of
-    /// `cum` / `rows_cum`, so a completed stage-1 phase can be
-    /// published per partition.
-    std::vector<CountMatrix> part_cum;
-    std::vector<int64_t> part_rows_cum;
     std::vector<bool> exhausted;  // sticky: candidate fully enumerated
-    /// Worker-slot shard matrices, laid out [slot * P + partition]: a
-    /// slot writes only its own P matrices, so shards stay disjoint
-    /// across workers and merges stay commutative integer sums.
+    /// One shard matrix per worker slot: a slot writes only its own, so
+    /// shards stay disjoint across workers and merges stay commutative
+    /// integer sums.
     std::vector<CountMatrix> shards;
     std::vector<uint64_t> scratch;
     std::vector<uint8_t> marks;
@@ -529,22 +451,12 @@ class BatchExecutor {
   void Settle();
   bool DemandSatisfied(const QueryState& q, bool all_consumed) const;
   void SupplyPhase(QueryState* q, bool all_consumed);
-  /// Sizes a template's per-worker shard matrices (no-op before Start).
-  void SizeShards(TemplateState* ts);
   /// Marks and reads one shared-scan window; maintains the zero-read
   /// streak that drives the exhaustion rule.
   void ReadChunk();
-  /// Resolves logical block b to its (partition, partition-local block)
-  /// through the pinned segment table.
-  void Locate(BlockId b, int* part, BlockId* local) const;
-  /// Publishes a completed stage-1 phase to the sink: one whole-store
-  /// snapshot when unpartitioned, one snapshot per partition when
-  /// sharded (and the per-partition decomposition is available).
+  /// Publishes a completed stage-1 phase to the sink.
   void ExportStage1(const QueryState& q, const TemplateState& ts,
                     CountMatrix fresh, int64_t drawn);
-  /// Worker slots feeding per-chunk reads (private pool size or the
-  /// shared-pool quota); valid after Start().
-  int NumSlots() const;
   /// Fires the terminal callbacks for every newly-inactive query: the
   /// final ProgressUpdate (OK queries, progress callback set) then the
   /// completion callback.
@@ -554,9 +466,7 @@ class BatchExecutor {
   void EmitProgress();
 
   std::shared_ptr<const ColumnStore> store_;
-  BatchOptions options_;
-  /// The batch's pinned logical geometry (for a sharded batch the
-  /// store_id is the partition SET's id and generation the set's).
+  BatchOptions options_;  // shared_pool resolved (never null)
   StorePin pin_;
   int64_t num_blocks_ = 0;  // == pin_.num_blocks
   BlockId cursor_ = 0;
@@ -570,14 +480,7 @@ class BatchExecutor {
   int64_t streak_ = 0;  // zero-read cursor positions in a row
   std::vector<TemplateState> templates_;
   std::vector<QueryState> queries_;
-  std::unique_ptr<WorkerPool> pool_;
   std::vector<uint8_t> marked_;  // per-chunk OR of template marks
-  // Per-chunk scatter scratch: to_read[i] maps to partition
-  // read_part_[i], local block read_local_[i]; chunk_part_rows_[p] is
-  // the chunk's decoded rows in partition p.
-  std::vector<int> read_part_;
-  std::vector<BlockId> read_local_;
-  std::vector<int64_t> chunk_part_rows_;
   std::function<void(size_t, BatchItem)> on_complete_;
   std::function<void(size_t, const ProgressUpdate&)> on_progress_;
   BatchStats stats_;

@@ -32,8 +32,7 @@ enum class Approach {
 
 std::string_view ApproachName(Approach a);
 
-struct Stage1Snapshot;   // engine/batch_executor.h
-class PartitionedStore;  // storage/partitioned_store.h
+struct Stage1Snapshot;  // engine/batch_executor.h
 
 /// \brief A fully bound query: data, index, attributes, resolved target,
 /// algorithm parameters, engine knobs.
@@ -71,16 +70,6 @@ struct BoundQuery {
   /// generation g must never silently stand in for generation g' > g
   /// (BatchStats::stale_warm_dropped counts these).
   uint64_t stage1_warm_generation = 0;
-  /// Partition set for sharded execution: when set, `store` must be the
-  /// set's source store and the query routes to a scatter-gather batch
-  /// (ShardedBatchExecutor). Queries in one batch must all carry the
-  /// same set. Ignored by the single-query RunQuery approaches.
-  std::shared_ptr<const PartitionedStore> partitions;
-  /// Per-partition warm starts for sharded execution: when non-empty,
-  /// must have exactly `partitions->num_partitions()` slots (nulls mark
-  /// partitions with no cached state); non-null entries merge into one
-  /// overlapping stage-1 prior. Mutually exclusive with `stage1_warm`.
-  std::vector<std::shared_ptr<const Stage1Snapshot>> stage1_warm_parts;
 };
 
 /// \brief Timing and I/O accounting for one run.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine/sharded_batch_executor.h"
 #include "service/stage1_revalidator.h"
 #include "util/logging.h"
 
@@ -58,18 +57,9 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
   if (query.store == nullptr) {
     return Status::InvalidArgument("query has no store");
   }
-  if (query.partitions != nullptr &&
-      query.partitions->source().get() != query.store.get()) {
-    return Status::InvalidArgument(
-        "query's partition set was not split from its store");
-  }
-  // Partitioned queries route by the partition SET's identity: they can
-  // only batch with queries over the same set, and the janitor's
-  // invalidation of a reaped pipeline's cache entries matches this same
-  // id.
-  const uint64_t store_id = query.partitions != nullptr
-                                ? query.partitions->id()
-                                : query.store->id();
+  // The janitor's invalidation of a reaped pipeline's cache entries
+  // matches this same id.
+  const uint64_t store_id = query.store->id();
   for (;;) {
     // A shared_ptr copy, not a raw pointer: between releasing mu_ and
     // locking pipeline->mu the janitor may reap this entry, and the
@@ -339,9 +329,8 @@ void QueryScheduler::FulfillAdmitted(Admitted* a, BatchItem item,
   out.queue_seconds = ToSeconds(a->admitted - a->enqueued);
   // Per-item completion instant: the executor stamps wall_seconds from
   // batch start, so batch_start + wall_seconds is when the query's
-  // machine actually finished (with retire-time delivery, promises are
-  // fulfilled later — using "now" would overstate early finishers'
-  // latency).
+  // machine actually finished (a backstop delivery at retire happens
+  // later — using "now" would overstate early finishers' latency).
   const Clock::time_point completion =
       batch_start + FromSeconds(item.wall_seconds);
   out.total_seconds = ToSeconds(completion - a->enqueued);
@@ -354,37 +343,6 @@ void QueryScheduler::FulfillAdmitted(Admitted* a, BatchItem item,
 
 void QueryScheduler::AttachWarmStage1(BoundQuery* query) {
   if (stage1_cache_ == nullptr || IsWarm(*query)) return;
-  if (query->partitions != nullptr) {
-    // Per-partition warm set, all-or-nothing: each partition's share of
-    // the stage-1 demand is proportional to its row count (rounded up,
-    // so the shares sum to at least the full demand) — a partial set
-    // would leave the merged prior short and the machine would re-run
-    // stage 1 anyway. Misses here count per lookup, like every other
-    // consult event. All geometry comes from ONE set pin — live
-    // num_rows() reads could straddle an append and compute shares
-    // against a different relation than the lookups validate against.
-    // A generation-stale partition entry is a plain miss (no
-    // per-partition revalidation fan-out; only the whole-store path
-    // drift-tests), so every attached snapshot is exactly at its
-    // partition's pinned generation.
-    const PartitionedPin ppin = query->partitions->Pin();
-    const int64_t total_rows = ppin.num_rows;
-    if (total_rows <= 0) return;
-    std::vector<std::shared_ptr<const Stage1Snapshot>> warm(ppin.parts.size());
-    for (size_t p = 0; p < ppin.parts.size(); ++p) {
-      const StorePin& part_pin = ppin.parts[p];
-      const int64_t min_rows =
-          (query->params.stage1_samples * part_pin.num_rows + total_rows - 1) /
-          total_rows;
-      Stage1LookupResult found = stage1_cache_->Lookup(
-          ppin.id, part_pin.store_id, query->z_attr, query->x_attrs, min_rows,
-          part_pin.generation);
-      if (found.outcome != Stage1Outcome::kHit) return;
-      warm[p] = std::move(found.snapshot);
-    }
-    query->stage1_warm_parts = std::move(warm);
-    return;
-  }
   // A hit must cover the query's full stage-1 demand (the cache treats
   // smaller entries as misses) AND be valid at the pinned generation.
   const StorePin pin = query->store->Pin();
@@ -437,8 +395,7 @@ void QueryScheduler::EvictCancelled(BatchExecutor* executor,
     if (evicted.ok()) {
       counters_.evicted.fetch_add(1, std::memory_order_relaxed);
       // The executor reported the Cancelled item through the completion
-      // callback (eager mode) or will return it from TakeItems (retire
-      // mode); delivery rides the normal paths either way.
+      // callback; delivery rides the normal path.
     }
     // !ok means the query completed before the cancel landed: the
     // result exists and is delivered normally — a cancel never turns a
@@ -459,11 +416,10 @@ void QueryScheduler::EvictBudgetExpired(BatchExecutor* executor,
     const Status harvested = executor->EvictWithResult(i);
     if (harvested.ok()) {
       // The harvested best-effort item (status OK, match.best_effort)
-      // rides the normal delivery paths: the completion callback in
-      // eager mode, TakeItems at retire. Terminal accounting lands in
-      // budget_evicted ONLY — the future resolves OK, so Resolve()
-      // counts it as a plain completion, never deadline_exceeded or
-      // cancelled.
+      // rides the normal delivery path, the completion callback.
+      // Terminal accounting lands in budget_evicted ONLY — the future
+      // resolves OK, so Resolve() counts it as a plain completion,
+      // never deadline_exceeded or cancelled.
       counters_.budget_evicted.fetch_add(1, std::memory_order_relaxed);
     }
     // !ok means the machine completed in this same chunk: the EXACT
@@ -569,20 +525,19 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   BatchOptions batch_options = options_.batch;
   batch_options.shared_pool = pool_;
   batch_options.stage1_sink = stage1_cache_.get();
-  // Warm-batch scan resume: when EVERY query of a fresh unpartitioned
-  // batch is warm from the SAME snapshot, the batch continues the
-  // donor's scan instead of starting fresh — the donor's prefix blocks
-  // are pre-consumed and never re-read, and the disjointness makes each
-  // warm prior exact (no overlapping downgrade). One shared snapshot
-  // implies one template, so the resume's exhaustion flags are valid.
-  // The resume runs AT THE DONOR'S GENERATION (the executor re-pins
-  // it), so its geometry check uses the donor's pin, not the live
-  // store's — and a PROMOTED snapshot (warm generation ahead of its
-  // scan state) skips the resume: continuing the donor's scan would pin
-  // the old generation while the prior is being served at the new one,
-  // and the executor's stale-warm guard would rightly drop it.
+  // Warm-batch scan resume: when EVERY query of a fresh batch is warm
+  // from the SAME snapshot, the batch continues the donor's scan instead
+  // of starting fresh — the donor's prefix blocks are pre-consumed and
+  // never re-read, and the disjointness makes each warm prior exact (no
+  // overlapping downgrade). One shared snapshot implies one template,
+  // so the resume's exhaustion flags are valid. The resume runs AT THE
+  // DONOR'S GENERATION (the executor re-pins it), so its geometry check
+  // uses the donor's pin, not the live store's — and a PROMOTED
+  // snapshot (warm generation ahead of its scan state) skips the
+  // resume: continuing the donor's scan would pin the old generation
+  // while the prior is being served at the new one, and the executor's
+  // stale-warm guard would rightly drop it.
   if (!batch_options.resume.has_value() &&
-      queries.front().partitions == nullptr &&
       queries.front().stage1_warm != nullptr) {
     const std::shared_ptr<const Stage1Snapshot>& snap =
         queries.front().stage1_warm;
@@ -608,20 +563,8 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
       }
     }
   }
-  Result<std::unique_ptr<BatchExecutor>> create = [&] {
-    if (queries.front().partitions == nullptr) {
-      return BatchExecutor::Create(queries, batch_options);
-    }
-    counters_.sharded_batches.fetch_add(1, std::memory_order_relaxed);
-    Result<std::unique_ptr<ShardedBatchExecutor>> sharded =
-        ShardedBatchExecutor::Create(queries, queries.front().partitions,
-                                     batch_options);
-    if (!sharded.ok()) {
-      return Result<std::unique_ptr<BatchExecutor>>(sharded.status());
-    }
-    return Result<std::unique_ptr<BatchExecutor>>(
-        std::unique_ptr<BatchExecutor>(std::move(*sharded)));
-  }();
+  Result<std::unique_ptr<BatchExecutor>> create =
+      BatchExecutor::Create(queries, batch_options);
   if (!create.ok()) {
     // Structural failure (e.g. empty store): every query of the batch
     // learns the same status through its future.
@@ -647,11 +590,9 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   // fulfilled inline because a Join()'s instant completion (binding
   // failure) fires before its Admitted entry exists.
   std::vector<std::pair<size_t, BatchItem>> ready;
-  if (options_.eager_delivery) {
-    executor->SetCompletionCallback([&ready](size_t index, BatchItem item) {
-      ready.emplace_back(index, std::move(item));
-    });
-  }
+  executor->SetCompletionCallback([&ready](size_t index, BatchItem item) {
+    ready.emplace_back(index, std::move(item));
+  });
   // Anytime streaming: the executor emits per-query snapshots at every
   // chunk boundary; route each to its query's consumers. Runs on THIS
   // thread inside Step/EvictWithResult with no pipeline lock held (the
@@ -703,8 +644,8 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   std::vector<BatchItem> items = executor->TakeItems();
   FASTMATCH_CHECK_EQ(items.size(), admitted.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    // Retire-time delivery: everything eager delivery (or eviction)
-    // did not already resolve — all items, when eager_delivery is off.
+    // Backstop: anything the completion callback did not already
+    // resolve is delivered at retire.
     if (admitted[i].fulfilled) continue;
     FulfillAdmitted(&admitted[i], std::move(items[i]), batch_start,
                     /*eager=*/false);
@@ -856,7 +797,6 @@ SchedulerStats QueryScheduler::stats() const {
       counters_.pipelines_reaped.load(std::memory_order_relaxed);
   s.joins_enabled_by_cache =
       counters_.joins_enabled_by_cache.load(std::memory_order_relaxed);
-  s.sharded_batches = counters_.sharded_batches.load(std::memory_order_relaxed);
   s.warm_batches_resumed =
       counters_.warm_batches_resumed.load(std::memory_order_relaxed);
   s.batch_blocks_read =

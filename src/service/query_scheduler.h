@@ -9,15 +9,9 @@
 // answering sooner cuts queue time — and (c) push back when the worker
 // pool saturates. QueryScheduler is that tier.
 //
-// One pipeline per logical store (keyed by the store's identity token —
-// ColumnStore::id() for a plain query, PartitionedStore::id() for a
-// query carrying a partition set — never an address), each with its own
-// driver thread. Partitioned queries over a store and plain queries
-// over the same store therefore run in SEPARATE pipelines: their
-// batches are not mixable (a batch is either one shared scan or one
-// scatter-gather), and distinct identity tokens keep the routing,
-// janitor reaping, and stage-1 cache invalidation uniform across both
-// kinds.
+// One pipeline per store (keyed by the store's identity token,
+// ColumnStore::id(), never an address), each with its own driver
+// thread.
 //
 //   Submit(query) ──► per-store pending queue (bounded: back-pressure)
 //                          │
@@ -66,11 +60,10 @@
 // work). A cancel that races completion loses benignly: the finished
 // result is delivered.
 //
-// Eager delivery: by default a query's future is fulfilled the moment
-// its HistSim machine completes mid-scan (the executor's completion
-// callback), not when the whole batch retires — the paper's per-query
-// latency bound made real at the service boundary. eager_delivery=false
-// restores retire-time delivery (the bench baseline).
+// Eager delivery: a query's future is fulfilled the moment its HistSim
+// machine completes mid-scan (the executor's completion callback), not
+// when the whole batch retires — the paper's per-query latency bound
+// made real at the service boundary.
 //
 // Threads. Submit may be called from any thread; QueryHandle::Cancel is
 // thread-safe. Each pipeline thread is the only driver of its
@@ -130,11 +123,6 @@ struct SchedulerOptions {
   /// store's blocks remains unconsumed; the query waits for a fresh
   /// batch instead. 0 admits joins until the scan's final chunk.
   double min_join_suffix_fraction = 0.05;
-  /// Fulfill a query's future the moment its machine completes
-  /// mid-scan. When false, every future of a batch is fulfilled at
-  /// batch retire (pre-lifecycle behaviour; bench_lifecycle's
-  /// baseline).
-  bool eager_delivery = true;
   /// Reap a store pipeline (join its driver thread, drop its queue)
   /// once it has had no pending or running work for this long; <= 0
   /// disables reaping. A reaped store transparently gets a fresh
@@ -235,9 +223,7 @@ struct SchedulerStats {
   int64_t joins_enabled_by_cache = 0;  // joins the suffix policy would have
                                        // refused, admitted because stage 1
                                        // came from cache
-  // Sharded execution and warm-batch resume.
-  int64_t sharded_batches = 0;        // batches run scatter-gather over a
-                                      // PartitionedStore
+  // Warm-batch resume.
   int64_t warm_batches_resumed = 0;   // fresh batches whose every query was
                                       // warm from one snapshot, launched with
                                       // BatchOptions::resume = snapshot.scan
@@ -258,9 +244,8 @@ struct SchedulerItem {
   /// until it was shed for queries that never entered one.
   double queue_seconds = 0;
   /// Seconds from Submit until the query's machine completed (queueing
-  /// + execution). With eager delivery (the default) the future is
-  /// fulfilled at that same moment; with retire-time delivery the
-  /// future can become ready later than total_seconds suggests.
+  /// + execution). The future is fulfilled at that same moment (eager
+  /// delivery).
   double total_seconds = 0;
   /// True when the query joined a running scan mid-flight.
   bool joined_midflight = false;
@@ -563,20 +548,13 @@ class QueryScheduler {
   /// query runs cold. A cached prior is therefore never attached at a
   /// generation other than the pinned one, and the executor's own
   /// stale-warm guard backstops any append racing between this consult
-  /// and batch creation. A partitioned query looks up every partition's
-  /// entry — each partition's share of the stage-1 demand is
-  /// proportional to its pinned row count — and attaches
-  /// stage1_warm_parts only when ALL partitions hit (a partial warm set
-  /// would leave the merged prior under the demand; a generation-stale
-  /// partition entry counts as a miss — no per-partition revalidation
-  /// fan-out). The cache lock is a leaf: callers may hold a pipeline
-  /// lock.
+  /// and batch creation. The cache lock is a leaf: callers may hold a
+  /// pipeline lock.
   void AttachWarmStage1(BoundQuery* query);
-  /// True when the query will skip stage 1 (whole-store snapshot or a
-  /// full per-partition warm set) — the condition that lifts the
-  /// min_join_suffix_fraction refusal.
+  /// True when the query will skip stage 1 — the condition that lifts
+  /// the min_join_suffix_fraction refusal.
   static bool IsWarm(const BoundQuery& query) {
-    return query.stage1_warm != nullptr || !query.stage1_warm_parts.empty();
+    return query.stage1_warm != nullptr;
   }
   /// Janitor: joins pipelines idle past the timeout.
   void ReaperLoop() FASTMATCH_EXCLUDES(mu_);
@@ -600,7 +578,6 @@ class QueryScheduler {
     std::atomic<int64_t> unavailable{0};
     std::atomic<int64_t> pipelines_reaped{0};
     std::atomic<int64_t> joins_enabled_by_cache{0};
-    std::atomic<int64_t> sharded_batches{0};
     std::atomic<int64_t> warm_batches_resumed{0};
     std::atomic<int64_t> batch_blocks_read{0};
   };

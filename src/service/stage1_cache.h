@@ -26,15 +26,13 @@
 // Keys are (store id, partition id, z_attr, x_attrs). The store id is
 // ColumnStore::id() — the process-unique identity token, never the
 // store pointer — so a freed store's recycled address can never alias a
-// dead store's counts; for a sharded scan it is the PartitionedStore's
-// id. The partition id is kWholeStorePartition for whole-store
-// snapshots and the partition store's own ColumnStore::id() for a
-// sharded scan's per-partition snapshots — a partition's snapshot
-// samples only THAT partition's rows, so it must never serve another
-// partition (or the whole store). InvalidateStore() matches the store
-// id alone and therefore drops ALL partitions' entries of a partitioned
-// store at once, which is what the scheduler's janitor needs when it
-// reaps the pipeline keyed on that id.
+// dead store's counts. The partition id is always kWholeStorePartition:
+// a batch scans one whole store, so nothing publishes under any other
+// sub-key. The dimension is kept only so the Publish/Lookup signatures
+// stay source-compatible for existing callers; dropping it is a
+// separate interface change. InvalidateStore() matches the store id,
+// which is what the scheduler's janitor needs when it reaps the
+// pipeline keyed on that id.
 //
 // GENERATIONS (mutable stores): since stores grow via AppendBatch, a
 // cached prior drawn at generation g describes a PREFIX of the
@@ -136,8 +134,7 @@ class Stage1Cache : public Stage1Sink {
   /// entry older => kRevalidate (NO LRU tick — only a passing
   /// revalidation earns the entry its recency); entry newer => kMiss.
   /// generation == 0 is the legacy generation-agnostic mode: any usable
-  /// entry is a kHit. Pass kWholeStorePartition for an unpartitioned
-  /// scan's entry; a partition's entry only ever answers its exact
+  /// entry is a kHit. An entry only ever answers its exact
   /// (store id, partition id) pair.
   Stage1LookupResult Lookup(uint64_t store_id, uint64_t partition_id,
                             int z_attr, const std::vector<int>& x_attrs,
@@ -173,8 +170,8 @@ class Stage1Cache : public Stage1Sink {
       FASTMATCH_EXCLUDES(mu_);
 
   /// \brief Drops every entry of one store (the store id disappeared:
-  /// janitor reap, store teardown). Matches the store id only, so a
-  /// partitioned store's entries vanish for every partition at once.
+  /// janitor reap, store teardown). Matches the store id only, so the
+  /// entries vanish under every partition id at once.
   void InvalidateStore(uint64_t store_id) FASTMATCH_EXCLUDES(mu_);
 
   /// \brief Live entries.

@@ -255,14 +255,11 @@ class ColumnStore {
   /// \brief Total physical bytes across columns.
   int64_t TotalBytes() const;
 
-  /// \brief Draws a fresh token from the process-unique identity pool
-  /// that id() values come from. Store-like aggregates (e.g. the
-  /// partitioned-store wrapper) allocate their logical identity here so
-  /// one registry — scheduler pipelines, the stage-1 cache — can key
-  /// plain stores and aggregates without collisions.
+ private:
+  /// Draws a fresh token from the process-unique identity pool that
+  /// id() values come from.
   static uint64_t AllocateId();
 
- private:
   StorePin PinLocked(uint64_t generation, int64_t rows) const
       FASTMATCH_REQUIRES(gen_mu_);
   StoreView ViewLocked(const StorePin& pin) const

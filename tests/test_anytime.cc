@@ -6,7 +6,7 @@
 //     1, 2, ... with exactly one final update, per-candidate error bars
 //     shrink weakly across updates at a fixed seed, and the final
 //     update reproduces the delivered MatchResult bit-for-bit — across
-//     worker counts and on sharded (scatter-gather) stores;
+//     worker counts, and end to end through the scheduler;
 //   * EvictWithResult() harvests a best-effort OK result whose error
 //     bars contain the exact ground-truth distance for every candidate
 //     (seeded suite; deterministic at a fixed seed);
@@ -29,10 +29,8 @@
 
 #include "core/verify.h"
 #include "engine/batch_executor.h"
-#include "engine/sharded_batch_executor.h"
 #include "index/bitmap_index.h"
 #include "service/query_scheduler.h"
-#include "storage/partitioned_store.h"
 #include "test_helpers.h"
 #include "util/sync.h"
 
@@ -45,7 +43,6 @@ using testing_util::PlantedDistributions;
 struct AnytimeFixture {
   std::shared_ptr<ColumnStore> store;
   std::shared_ptr<const BitmapIndex> index;
-  std::shared_ptr<const PartitionedStore> partitions;
   CountMatrix exact;
   Distribution target;
 };
@@ -61,7 +58,6 @@ AnytimeFixture MakeAnytimeFixture(int64_t rows_per_candidate, uint64_t seed,
   f.store = MakeExactStore(std::vector<int64_t>(12, rows_per_candidate),
                            dists, seed, rows_per_block);
   f.index = BitmapIndex::Build(*f.store, 0).value();
-  f.partitions = PartitionedStore::Split(f.store, 3).value();
   f.exact = ComputeExactCounts(*f.store, 0, {1}).value();
   f.target = UniformDistribution(8);
   return f;
@@ -78,8 +74,7 @@ HistSimParams AnytimeParams(uint64_t seed = 42) {
   return p;
 }
 
-BoundQuery MakeQuery(const AnytimeFixture& f, uint64_t seed = 42,
-                     bool partitioned = false) {
+BoundQuery MakeQuery(const AnytimeFixture& f, uint64_t seed = 42) {
   BoundQuery q;
   q.store = f.store;
   q.z_index = f.index;
@@ -87,7 +82,6 @@ BoundQuery MakeQuery(const AnytimeFixture& f, uint64_t seed = 42,
   q.x_attrs = {1};
   q.target = f.target;
   q.params = AnytimeParams(seed);
-  if (partitioned) q.partitions = f.partitions;
   return q;
 }
 
@@ -174,29 +168,6 @@ TEST(AnytimeTest, ProgressStreamMonotoneAndFinalAcrossWorkerCounts) {
   }
 }
 
-TEST(AnytimeTest, ProgressStreamOnShardedStore) {
-  AnytimeFixture f = MakeAnytimeFixture(2000, 37);
-  std::vector<BoundQuery> queries = {MakeQuery(f, 42, /*partitioned=*/true),
-                                     MakeQuery(f, 44, /*partitioned=*/true)};
-  auto executor =
-      ShardedBatchExecutor::Create(queries, f.partitions, ExecOptions(2))
-          .value();
-  std::vector<std::vector<ProgressUpdate>> streams(queries.size());
-  executor->SetProgressCallback(
-      [&streams](size_t index, const ProgressUpdate& update) {
-        streams[index].push_back(update);
-      });
-  executor->Start();
-  while (executor->Step()) {
-  }
-  std::vector<BatchItem> items = executor->TakeItems();
-  for (size_t i = 0; i < items.size(); ++i) {
-    ASSERT_TRUE(items[i].status.ok()) << items[i].status.ToString();
-    ASSERT_GE(streams[i].size(), 2u);
-    CheckUpdateStream(streams[i], items[i].match);
-  }
-}
-
 // --------------------------------------------- executor-level harvest
 
 TEST(AnytimeTest, HarvestedResultBarsContainGroundTruth) {
@@ -279,7 +250,6 @@ SchedulerOptions AnytimeSchedOptions() {
   options.max_batch_queries = 8;
   options.max_queue_wait_seconds = 0.002;
   options.min_join_suffix_fraction = 0.0;
-  options.eager_delivery = true;
   return options;
 }
 
@@ -366,7 +336,7 @@ TEST(AnytimeTest, BudgetRaceNeverLosesAnExactResult) {
   scheduler.Shutdown();
 }
 
-TEST(AnytimeTest, SchedulerProgressOnShardedStore) {
+TEST(AnytimeTest, SchedulerProgressStreamEndsInDeliveredResult) {
   AnytimeFixture f = MakeAnytimeFixture(2000, 41);
   QueryScheduler scheduler(AnytimeSchedOptions());
   Mutex mu;
@@ -377,8 +347,7 @@ TEST(AnytimeTest, SchedulerProgressOnShardedStore) {
     MutexLock lock(&mu);
     stream.push_back(update);
   };
-  auto handle =
-      scheduler.Submit(MakeQuery(f, 42, /*partitioned=*/true), submit);
+  auto handle = scheduler.Submit(MakeQuery(f, 42), submit);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   SchedulerItem item = handle->Get();
   ASSERT_TRUE(item.status.ok()) << item.status.ToString();

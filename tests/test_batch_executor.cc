@@ -712,9 +712,10 @@ TEST(BatchExecutorStreamTest, EvictValidation) {
 }
 
 TEST(BatchExecutorStreamTest, SharedPoolMatchesPrivatePoolBitForBit) {
-  // The SharedWorkerPool path must be invisible to results: same batch,
-  // same quota, shared vs private pool — identical counts, top-k, and
-  // I/O accounting for every quota.
+  // The pool a batch runs on must be invisible to results: same batch,
+  // same quota, the default process pool (null shared_pool) vs an
+  // explicit SharedWorkerPool — identical counts, top-k, and I/O
+  // accounting for every quota.
   BatchFixture f = MakeBatchFixture(8000, 34);
   TrafficOptions topt;
   topt.num_queries = 3;
@@ -722,26 +723,25 @@ TEST(BatchExecutorStreamTest, SharedPoolMatchesPrivatePoolBitForBit) {
   topt.seed = 77;
   auto batch = MakeQueryBatch(f.store, f.index, 0, {1}, topt).value();
 
-  SharedWorkerPool shared(4);
+  SharedWorkerPool explicit_pool(4);
   for (int quota : {1, 2, 4}) {
-    auto private_exec =
-        BatchExecutor::Create(batch, Options(quota)).value();
-    std::vector<BatchItem> private_items = private_exec->Run();
+    auto process_exec = BatchExecutor::Create(batch, Options(quota)).value();
+    std::vector<BatchItem> process_items = process_exec->Run();
 
-    BatchOptions shared_options = Options(quota);
-    shared_options.shared_pool = &shared;
-    auto shared_exec = BatchExecutor::Create(batch, shared_options).value();
-    std::vector<BatchItem> shared_items = shared_exec->Run();
+    BatchOptions explicit_options = Options(quota);
+    explicit_options.shared_pool = &explicit_pool;
+    auto explicit_exec = BatchExecutor::Create(batch, explicit_options).value();
+    std::vector<BatchItem> explicit_items = explicit_exec->Run();
 
-    ASSERT_EQ(private_items.size(), shared_items.size());
-    EXPECT_EQ(private_exec->stats().blocks_read,
-              shared_exec->stats().blocks_read);
-    for (size_t q = 0; q < private_items.size(); ++q) {
-      ASSERT_TRUE(shared_items[q].status.ok());
-      EXPECT_EQ(private_items[q].match.topk, shared_items[q].match.topk);
-      ExpectSameCounts(private_items[q].match.counts,
-                       shared_items[q].match.counts,
-                       "shared vs private pool");
+    ASSERT_EQ(process_items.size(), explicit_items.size());
+    EXPECT_EQ(process_exec->stats().blocks_read,
+              explicit_exec->stats().blocks_read);
+    for (size_t q = 0; q < process_items.size(); ++q) {
+      ASSERT_TRUE(explicit_items[q].status.ok());
+      EXPECT_EQ(process_items[q].match.topk, explicit_items[q].match.topk);
+      ExpectSameCounts(process_items[q].match.counts,
+                       explicit_items[q].match.counts,
+                       "process vs explicit pool");
     }
   }
 }

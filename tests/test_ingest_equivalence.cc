@@ -12,8 +12,6 @@
 //   * ScanResume round-trips its generation: a resume created before an
 //     append replays identically after it (the resumed batch re-pins
 //     the donor's generation, not the current one);
-//   * PartitionedStore::AppendBatch preserves the logical multiset and
-//     the guarantees of the scatter-gather scan;
 //   * the acceptance property of the stage-1 cache work: a cached prior
 //     drawn at generation g is NEVER served at generation g' > g
 //     without an explicit revalidation stamp — the executor drops the
@@ -30,10 +28,8 @@
 #include "core/verify.h"
 #include "engine/batch_executor.h"
 #include "engine/executor.h"
-#include "engine/sharded_batch_executor.h"
 #include "index/bitmap_index.h"
 #include "service/stage1_cache.h"
-#include "storage/partitioned_store.h"
 #include "test_helpers.h"
 
 namespace fastmatch {
@@ -155,28 +151,38 @@ TEST(IngestEquivalenceTest, AppendBuiltStoreSatisfiesTheSameGuarantees) {
   // store grown by AppendBatch waves is as good a HistSim substrate as
   // one shuffled fresh over the full relation — same exact counts (the
   // multiset survived), same guaranteed top-k (the per-generation
-  // sub-shuffle kept sequential scans uniform), across seeds and
-  // thread counts.
-  for (uint64_t seed : {91u, 92u}) {
+  // sub-shuffle kept sequential scans uniform), across seeds, wave
+  // counts, thread counts, and with or without a bitmap index (an
+  // index-less template consumes the grown store sequentially).
+  struct Case {
+    uint64_t seed;
+    int waves;
+    bool indexed;
+  };
+  const Case cases[] = {{91, 3, true}, {92, 3, true}, {96, 2, false}};
+  for (const Case& c : cases) {
+    const uint64_t seed = c.seed;
     auto dists = PlantedDistributions(kCandidates, kGroups, StaggeredOffsets());
     auto fresh = MakeExactStore(std::vector<int64_t>(kCandidates, 20000),
                                 dists, seed, /*rows_per_block=*/50);
-    auto grown = GrowStore(*fresh, fresh->num_rows() / 2, /*waves=*/3, seed);
+    auto grown = GrowStore(*fresh, fresh->num_rows() / 2, c.waves, seed);
+    const uint64_t generation = static_cast<uint64_t>(1 + c.waves);
     ASSERT_EQ(grown->num_rows(), fresh->num_rows());
     ASSERT_EQ(grown->num_blocks(), fresh->num_blocks());
-    EXPECT_EQ(grown->generation(), 4u);
+    EXPECT_EQ(grown->generation(), generation);
 
     CountMatrix exact_fresh = ComputeExactCounts(*fresh, 0, {1}).value();
     CountMatrix exact_grown = ComputeExactCounts(*grown, 0, {1}).value();
     ExpectSameCounts(exact_fresh, exact_grown, "fresh vs append-built");
 
-    auto index = BitmapIndex::Build(*grown, 0).value();
+    std::shared_ptr<const BitmapIndex> index;
+    if (c.indexed) index = BitmapIndex::Build(*grown, 0).value();
     for (int threads : {1, 3}) {
       auto executor =
           BatchExecutor::Create({MakeQuery(grown, index, seed)},
                                 Options(threads, seed * 5 + 1))
               .value();
-      EXPECT_EQ(executor->pin().generation, 4u);
+      EXPECT_EQ(executor->pin().generation, generation);
       std::vector<BatchItem> items = executor->Run();
       ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
       std::set<int> got(items[0].match.topk.begin(),
@@ -273,59 +279,6 @@ TEST(IngestEquivalenceTest, ResumeRePinsTheDonorGeneration) {
   ExpectSameCounts(items[0].match.counts, expect[0].match.counts,
                    "resume after append vs before");
   EXPECT_EQ(after->stats().blocks_read, before->stats().blocks_read);
-}
-
-TEST(IngestEquivalenceTest, PartitionedAppendPreservesMultisetAndGuarantees) {
-  // PartitionedStore::AppendBatch scatters one shuffled batch across
-  // partitions: the logical multiset must survive (per-partition exact
-  // counts sum to the reference) and the scatter-gather scan over the
-  // grown set must still deliver the planted top-k.
-  auto dists = PlantedDistributions(kCandidates, kGroups, StaggeredOffsets());
-  auto fresh = MakeExactStore(std::vector<int64_t>(kCandidates, 20000), dists,
-                              /*seed=*/96, /*rows_per_block=*/50);
-  const int64_t initial = fresh->num_rows() / 2;
-
-  StorageOptions options;
-  options.rows_per_block_override = fresh->rows_per_block();
-  auto base = ColumnStore::FromColumns(fresh->schema(),
-                                       SliceColumns(*fresh, 0, initial),
-                                       options)
-                  .value();
-  base->Shuffle(96);
-  auto set = PartitionedStore::Split(base, 3).value();
-  ASSERT_EQ(set->generation(), 1u);
-
-  const int64_t per_wave = (fresh->num_rows() - initial + 1) / 2;
-  int64_t at = initial;
-  while (at < fresh->num_rows()) {
-    const RowId end = std::min<RowId>(fresh->num_rows(), at + per_wave);
-    auto generation = set->AppendBatch(SliceColumns(*fresh, at, end),
-                                       static_cast<uint64_t>(at));
-    ASSERT_TRUE(generation.ok()) << generation.status().ToString();
-    at = end;
-  }
-  EXPECT_EQ(set->num_rows(), fresh->num_rows());
-  EXPECT_EQ(set->generation(), 3u);
-
-  // Multiset: partition-wise exact counts sum to the reference's.
-  CountMatrix sum(kCandidates, kGroups);
-  for (int p = 0; p < set->num_partitions(); ++p) {
-    sum.Merge(ComputeExactCounts(*set->partition(p), 0, {1}).value());
-  }
-  ExpectSameCounts(ComputeExactCounts(*fresh, 0, {1}).value(), sum,
-                   "fresh vs partition sum");
-
-  for (int threads : {1, 3}) {
-    BoundQuery q = MakeQuery(base, /*index=*/nullptr);
-    q.partitions = set;
-    auto executor =
-        ShardedBatchExecutor::Create({q}, set, Options(threads)).value();
-    EXPECT_EQ(executor->pin().generation, 3u);
-    std::vector<BatchItem> items = executor->Run();
-    ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-    std::set<int> got(items[0].match.topk.begin(), items[0].match.topk.end());
-    EXPECT_EQ(got, (std::set<int>{0, 1, 2})) << "threads " << threads;
-  }
 }
 
 // ------------------------------------------------ acceptance pinning

@@ -6,9 +6,7 @@
 // reaps idle pipelines on a timeout shorter than the test's natural
 // pauses — so admission, eager delivery, eviction, budget harvesting,
 // progress publication, shedding, reaping, and shutdown all race
-// for real. Half the queries carry each store's partition set, so
-// scatter-gather pipelines (keyed by the set's id, separate from the
-// plain store pipeline) churn through the same lifecycle storm. The RNG is seeded (FASTMATCH_STRESS_SEED) so failures
+// for real. The RNG is seeded (FASTMATCH_STRESS_SEED) so failures
 // reproduce; FASTMATCH_STRESS_ITERS scales rounds for CI soak runs.
 //
 // Invariants checked:
@@ -53,7 +51,6 @@
 
 #include "index/bitmap_index.h"
 #include "service/query_scheduler.h"
-#include "storage/partitioned_store.h"
 #include "test_helpers.h"
 #include "util/env.h"
 
@@ -66,7 +63,6 @@ using testing_util::PlantedDistributions;
 struct StressStore {
   std::shared_ptr<ColumnStore> store;
   std::shared_ptr<const BitmapIndex> index;
-  std::shared_ptr<const PartitionedStore> partitions;
 };
 
 StressStore MakeStressStore(uint64_t seed) {
@@ -76,7 +72,6 @@ StressStore MakeStressStore(uint64_t seed) {
   auto dists = PlantedDistributions(12, 8, offsets);
   s.store = MakeExactStore(std::vector<int64_t>(12, 1500), dists, seed, 50);
   s.index = BitmapIndex::Build(*s.store, 0).value();
-  s.partitions = PartitionedStore::Split(s.store, 3).value();
   return s;
 }
 
@@ -136,7 +131,6 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
     options.max_batch_queries = 4;
     options.max_queue_wait_seconds = 0.002;
     options.min_join_suffix_fraction = 0.0;
-    options.eager_delivery = true;
     options.idle_pipeline_timeout_seconds = 0.02;
     options.pool = &pool;
     // CI soaks the storm twice: cold (default) and with the stage-1
@@ -181,10 +175,6 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
             query.x_attrs = {1};
             query.target = UniformDistribution(8);
             query.params = StressParams(rng());
-            // Half the traffic runs scatter-gather: the partition set
-            // routes it to the store's sharded pipeline, which lives
-            // (and dies, and is reaped) independently of the plain one.
-            if (rng() % 2 == 0) query.partitions = target_store.partitions;
 
             const double draw = uni(rng);
             Action action;
@@ -409,11 +399,11 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
         << "round " << round << ": the partition double-counted";
 
     // Thread bound: shared pool workers + one driver per live pipeline
-    // — up to two per store (plain + sharded), and old and new can
-    // overlap briefly around a reap — + the janitor + producers +
-    // monitor + slack for the test harness.
-    const int bound = baseline_threads + pool.size() + 2 * (2 * kStores) + 1 +
-                      kProducers + 1 + 4;
+    // — one per store, and old and new can overlap briefly around a
+    // reap — + the janitor + producers + monitor + slack for the test
+    // harness.
+    const int bound =
+        baseline_threads + pool.size() + 2 * kStores + 1 + kProducers + 1 + 4;
     EXPECT_LE(max_threads.load(), bound)
         << "round " << round << ": thread count not bounded";
     EXPECT_GT(max_threads.load(), baseline_threads);
@@ -455,7 +445,6 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
   options.max_batch_queries = 4;
   options.max_queue_wait_seconds = 0.002;
   options.min_join_suffix_fraction = 0.0;
-  options.eager_delivery = true;
   // Long enough that no pipeline dies between waves of one phase; the
   // phase end polls for the reap explicitly.
   options.idle_pipeline_timeout_seconds = 2.0;
@@ -475,7 +464,6 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
     struct PhaseStore {
       std::shared_ptr<ColumnStore> store;
       std::shared_ptr<const BitmapIndex> index;
-      std::shared_ptr<const PartitionedStore> partitions;
       Distribution target;
       std::set<int> winners;
     };
@@ -496,13 +484,11 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
                                                 phase * 100 + s),
                                 50);
       ps.index = BitmapIndex::Build(*ps.store, 0).value();
-      ps.partitions = PartitionedStore::Split(ps.store, 2).value();
       ps.target = UniformDistribution(vx);
       stores.push_back(std::move(ps));
     }
 
-    const auto make_query = [&](int s, uint64_t seed,
-                                bool partitioned = false) {
+    const auto make_query = [&](int s, uint64_t seed) {
       BoundQuery query;
       query.store = stores[static_cast<size_t>(s)].store;
       query.z_index = stores[static_cast<size_t>(s)].index;
@@ -510,9 +496,6 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
       query.x_attrs = {1};
       query.target = stores[static_cast<size_t>(s)].target;
       query.params = StressParams(seed);
-      if (partitioned) {
-        query.partitions = stores[static_cast<size_t>(s)].partitions;
-      }
       return query;
     };
     std::atomic<int64_t> ok_results{0};
@@ -541,11 +524,7 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
                                             (phase * 10 + t + 1) * 2654435761ULL));
         for (int q = 0; q < kStormQueries; ++q) {
           const int s = static_cast<int>(rng() % kStores);
-          // Half the storm is scatter-gather: its per-partition cache
-          // entries (keyed by the set's id) must honor the same churn
-          // invariants, and the phase-end reap must drop them too.
-          auto handle =
-              scheduler.Submit(make_query(s, rng(), rng() % 2 == 0));
+          auto handle = scheduler.Submit(make_query(s, rng()));
           if (!handle.ok()) {
             ASSERT_EQ(handle.status().code(), StatusCode::kResourceExhausted);
             continue;

@@ -19,7 +19,6 @@
 #include "core/verify.h"
 #include "engine/batch_executor.h"
 #include "index/bitmap_index.h"
-#include "storage/partitioned_store.h"
 #include "test_helpers.h"
 #include "workload/traffic.h"
 
@@ -519,24 +518,6 @@ TEST(QueryLifecycleTest, EagerDeliveryFulfillsBeforeBatchRetire) {
   EXPECT_EQ(scheduler.stats().completed, 2);
 }
 
-TEST(QueryLifecycleTest, RetireTimeDeliveryStillWorks) {
-  // eager_delivery=false restores batch-retire fulfillment: results are
-  // identical, just later; the eager counter stays zero.
-  SchedFixture f = MakeSchedFixture(4000, 26);
-  SchedulerOptions options = FastOptions();
-  options.eager_delivery = false;
-  QueryScheduler scheduler(options);
-  auto a = scheduler.Submit(MakeQuery(f, 1));
-  auto b = scheduler.Submit(MakeQuery(f, 2));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectTop3(a->Get());
-  ExpectTop3(b->Get());
-  SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.eager_delivered, 0);
-  EXPECT_EQ(stats.completed, 2);
-}
-
 TEST(QueryLifecycleTest, IdlePipelineIsReapedAndStoreRecovers) {
   // A pipeline idle past the timeout is reaped (driver joined, counter
   // ticks); the same store transparently gets a fresh pipeline on its
@@ -915,101 +896,6 @@ TEST(Stage1CacheSchedulerTest, ReapInvalidatesTheStoresEntries) {
   ASSERT_TRUE(b.ok());
   ExpectTop3(b->Get());
   EXPECT_GE(scheduler.stats().stage1_inserts, 2);
-}
-
-TEST(ShardedSchedulerTest, PartitionedQueriesCompleteThroughTheScheduler) {
-  SchedFixture f = MakeSchedFixture(8000, 50);
-  auto partitions = PartitionedStore::Split(f.store, 4).value();
-  SchedulerOptions options = FastOptions();
-  // Under full-suite parallel load the submitting thread can be
-  // descheduled between Submits; widen the gather window so all three
-  // partitioned queries deterministically land in one sharded batch.
-  options.max_queue_wait_seconds = 0.05;
-  QueryScheduler scheduler(options);
-
-  std::vector<QueryHandle> handles;
-  for (int i = 0; i < 3; ++i) {
-    BoundQuery q = MakeQuery(f, 300 + i);
-    q.partitions = partitions;
-    auto handle = scheduler.Submit(std::move(q));
-    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    handles.push_back(std::move(*handle));
-  }
-  // A plain query over the same store routes to its OWN pipeline: the
-  // partition set carries its own identity token, and mixing the two
-  // forms in one batch would be unlaunchable.
-  auto plain = scheduler.Submit(MakeQuery(f, 400));
-  ASSERT_TRUE(plain.ok());
-
-  for (auto& handle : handles) ExpectTop3(handle.Get());
-  ExpectTop3(plain->Get());
-
-  // Get() delivers eagerly, racing the scheduler's own post-batch
-  // accounting; poll the counters to quiescence instead of reading
-  // them mid-update.
-  for (int spin = 0;
-       (scheduler.stats().completed < 4 ||
-        scheduler.stats().batch_blocks_read < 1) &&
-       spin < 10000;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.pipelines, 2);
-  EXPECT_GE(stats.sharded_batches, 1);
-  EXPECT_EQ(stats.completed, 4);
-  EXPECT_GE(stats.batch_blocks_read, 1);
-}
-
-TEST(ShardedSchedulerTest, SubmitRejectsAForeignPartitionSet) {
-  SchedFixture f = MakeSchedFixture(2000, 51);
-  SchedFixture other = MakeSchedFixture(2000, 52);
-  QueryScheduler scheduler(FastOptions());
-  BoundQuery q = MakeQuery(f, 1);
-  q.partitions = PartitionedStore::Split(other.store, 2).value();
-  EXPECT_EQ(scheduler.Submit(std::move(q)).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(ShardedSchedulerTest, SecondPartitionedWaveIsServedWarmPerPartition) {
-  SchedFixture f = MakeSchedFixture(2000, 53);  // 480 blocks
-  auto partitions = PartitionedStore::Split(f.store, 2).value();
-  SchedulerOptions options = FastOptions();
-  options.stage1_cache = true;
-  QueryScheduler scheduler(options);
-
-  // Wave 1: cold exporter. A stage-1 demand of 15000 rows (300 blocks)
-  // exceeds either partition's 240, so the scan provably crosses both
-  // partitions wherever its random start lands — each partition's
-  // snapshot is published with margin over wave 2's per-partition
-  // demand.
-  BoundQuery cold = MakeQuery(f, 500);
-  cold.partitions = partitions;
-  cold.params.stage1_samples = 15000;
-  auto first = scheduler.Submit(std::move(cold));
-  ASSERT_TRUE(first.ok());
-  ExpectTop3(first->Get());
-  ASSERT_GE(scheduler.stage1_cache()->size(), 2);
-
-  // Wave 2 at the default demand (2000 rows, 1000 per partition):
-  // every partition's lookup hits, so the merged per-partition prior
-  // serves stage 1 whole.
-  std::vector<QueryHandle> wave2;
-  for (int i = 0; i < 2; ++i) {
-    BoundQuery q = MakeQuery(f, 600 + i);
-    q.partitions = partitions;
-    auto handle = scheduler.Submit(std::move(q));
-    ASSERT_TRUE(handle.ok());
-    wave2.push_back(std::move(*handle));
-  }
-  for (auto& handle : wave2) {
-    SchedulerItem item = handle.Get();
-    ExpectTop3(item);
-    EXPECT_TRUE(item.match.diag.stage1_warm);
-  }
-  SchedulerStats stats = scheduler.stats();
-  EXPECT_GE(stats.sharded_batches, 2);
-  EXPECT_GE(stats.stage1_hits, 4);  // 2 warm queries x 2 partitions
 }
 
 }  // namespace
