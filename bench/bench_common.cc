@@ -1,9 +1,9 @@
 #include "bench_common.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <utility>
 
 #include "util/env.h"
 #include "util/logging.h"
@@ -151,14 +151,6 @@ void PrintHeader(const std::string& title, const BenchConfig& config) {
               config.runs);
   std::printf("==============================================================="
               "=================\n");
-}
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  const size_t idx = static_cast<size_t>(
-      p * static_cast<double>(values.size() - 1) + 0.5);
-  return values[std::min(idx, values.size() - 1)];
 }
 
 }  // namespace bench

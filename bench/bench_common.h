@@ -70,10 +70,6 @@ RunSummary Measure(const PreparedQuery& prepared, Approach approach,
 /// style headers.
 std::string DatasetSummary(const SyntheticDataset& ds);
 
-/// \brief Nearest-rank percentile (p in [0, 1]) of `values`; 0 when
-/// empty. Shared by the latency-reporting systems benches.
-double Percentile(std::vector<double> values, double p);
-
 /// \brief Prints the standard harness header for a bench binary.
 void PrintHeader(const std::string& title, const BenchConfig& config);
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Builds the Release bench binaries and runs each one, writing a
-# BENCH_<name>.json result file per binary to seed the perf trajectory
-# tracked in ROADMAP.md.
+# Builds the Release paper-figure bench binaries and runs each one,
+# writing a BENCH_<name>.json result file per binary. Results are only
+# written from a clean tree: the script refuses to run when
+# `git status --porcelain` reports any change, so every result is
+# attributable to the commit in its provenance block.
 #
 # Scale knobs (defaults are deliberately small so a laptop run finishes
 # in minutes; set FASTMATCH_ROWS=0 to use the paper-scale datasets —
@@ -24,14 +26,15 @@ export FASTMATCH_RUNS="${FASTMATCH_RUNS:-2}"
 
 command -v jq >/dev/null || { echo "run_benches.sh: jq is required" >&2; exit 1; }
 
-# Host/build provenance stamped into every BENCH_*.json, so the perf
-# trajectory stays attributable across PRs and machines.
-GIT_SHA="$(git -C "${ROOT}" rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 if [[ -n "$(git -C "${ROOT}" status --porcelain 2>/dev/null)" ]]; then
-  GIT_DIRTY=true
-else
-  GIT_DIRTY=false
+  echo "run_benches.sh: the working tree has uncommitted changes;" \
+    "commit or stash them first so results match the recorded git_sha" >&2
+  exit 1
 fi
+
+# Host/build provenance stamped into every BENCH_*.json, so results stay
+# attributable across commits and machines.
+GIT_SHA="$(git -C "${ROOT}" rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 CPU_MODEL="$(awk -F': *' '/model name/{print $2; exit}' /proc/cpuinfo 2>/dev/null || true)"
 [[ -n "${CPU_MODEL}" ]] || CPU_MODEL=unknown  # e.g. ARM /proc/cpuinfo
 THREADS="$(nproc 2>/dev/null || echo 1)"
@@ -78,28 +81,6 @@ for exe in "${BUILD_DIR}"/bench/bench_*; do
   out_json="${OUT_DIR}/BENCH_${name#bench_}.json"
   echo "=== ${name} -> ${out_json}"
 
-  if [[ "${name}" == "bench_micro_substrate" ]]; then
-    # Google Benchmark binary: native JSON reporter, provenance grafted in.
-    if ! "${exe}" --benchmark_format=json \
-        --benchmark_out="${out_json}" --benchmark_out_format=json; then
-      echo "run_benches.sh: ${name} FAILED" >&2
-      status=1
-    fi
-    # A truncated JSON (crashed bench) must not abort the sweep: keep the
-    # raw file and move on, like every other bench failure.
-    if [[ -s "${out_json}" ]] && jq --arg git_sha "${GIT_SHA}" \
-         --argjson git_dirty "${GIT_DIRTY}" \
-         --arg cpu_model "${CPU_MODEL}" --argjson threads "${THREADS}" \
-         '. + {provenance: {git_sha: $git_sha, git_dirty: $git_dirty,
-               cpu_model: $cpu_model, threads: $threads}}' \
-         "${out_json}" > "${out_json}.tmp" 2>/dev/null; then
-      mv "${out_json}.tmp" "${out_json}"
-    else
-      rm -f "${out_json}.tmp"
-    fi
-    continue
-  fi
-
   start="$(date +%s.%N)"
   if output="$("${exe}" 2>&1)"; then exit_code=0; else exit_code=$?; fi
   end="$(date +%s.%N)"
@@ -110,7 +91,6 @@ for exe in "${BUILD_DIR}"/bench/bench_*; do
     --arg rows "${FASTMATCH_ROWS}" \
     --arg runs "${FASTMATCH_RUNS}" \
     --arg git_sha "${GIT_SHA}" \
-    --argjson git_dirty "${GIT_DIRTY}" \
     --arg cpu_model "${CPU_MODEL}" \
     --argjson threads "${THREADS}" \
     --argjson seconds "$(echo "${end} ${start}" | awk '{printf "%.3f", $1-$2}')" \
@@ -118,8 +98,8 @@ for exe in "${BUILD_DIR}"/bench/bench_*; do
     --arg output "${output}" \
     '{bench: $bench, timestamp: $timestamp,
       env: {FASTMATCH_ROWS: $rows, FASTMATCH_RUNS: $runs},
-      provenance: {git_sha: $git_sha, git_dirty: $git_dirty,
-                   cpu_model: $cpu_model, threads: $threads},
+      provenance: {git_sha: $git_sha, cpu_model: $cpu_model,
+                   threads: $threads},
       wall_seconds: $seconds, exit_code: $exit_code,
       output_lines: ($output | split("\n"))}' > "${out_json}"
 

@@ -162,16 +162,6 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
     }
     if (ts.index == nullptr) ts.index = query.z_index;
   }
-  // Density maps follow the same covered-prefix contract as bitmap
-  // indexes (DensityMap::num_rows()), so a block-count mismatch is
-  // likewise not an error.
-  if (query.z_density != nullptr) {
-    if (query.z_density->attribute() != query.z_attr) {
-      return Status::InvalidArgument(
-          "density map was built for a different attribute");
-    }
-    if (ts.density == nullptr) ts.density = query.z_density;
-  }
   qs->tmpl = t;
   Stage1Prior prior;
   const Stage1Prior* prior_ptr = nullptr;
@@ -363,8 +353,7 @@ void BatchExecutor::ReadChunk() {
     TemplateState& ts = templates_[q.tmpl];
     ts.has_active = true;
     const SampleDemand& demand = q.machine.demand();
-    if (demand.kind == SampleDemand::Kind::kRows ||
-        (ts.index == nullptr && ts.density == nullptr)) {
+    if (demand.kind == SampleDemand::Kind::kRows || ts.index == nullptr) {
       read_all = true;
       continue;
     }
@@ -393,29 +382,20 @@ void BatchExecutor::ReadChunk() {
     marked_.assign(static_cast<size_t>(count), 0);
     for (TemplateState& ts : templates_) {
       if (ts.demand.unmet.empty()) continue;
-      // Covered-prefix rule: the pre-skip authority (bitmap index, or
-      // density map when the template has no index) only certifies
-      // blocks fully built at its build time (num_rows() /
-      // rows-per-block whole blocks — a partial tail block may have
-      // been filled by later appends, so its bits/counts are stale).
-      // Window positions past the covered prefix are read
-      // unconditionally: marking is only ever conservative, never
-      // skips a block the authority can't vouch for.
-      const int64_t authority_rows = ts.index != nullptr
-                                         ? ts.index->num_rows()
-                                         : ts.density->num_rows();
+      // Covered-prefix rule: the bitmap index only certifies blocks
+      // fully built at its build time (num_rows() / rows-per-block
+      // whole blocks — a partial tail block may have been filled by
+      // later appends, so its bits are stale). Window positions past
+      // the covered prefix are read unconditionally: marking is only
+      // ever conservative, never skips a block the index can't vouch
+      // for.
       const int64_t covered = std::min<int64_t>(
-          num_blocks_, authority_rows / pin_.rows_per_block);
+          num_blocks_, ts.index->num_rows() / pin_.rows_per_block);
       const int sub_count = static_cast<int>(
           std::clamp<int64_t>(covered - start, 0, count));
       if (sub_count > 0) {
-        if (ts.index != nullptr) {
-          MarkAnyActiveLookahead(*ts.index, ts.demand.unmet, start, sub_count,
-                                 &ts.scratch, &ts.marks);
-        } else {
-          MarkAnyActiveDensity(*ts.density, ts.demand.unmet, start, sub_count,
-                               &ts.marks);
-        }
+        MarkAnyActiveLookahead(*ts.index, ts.demand.unmet, start, sub_count,
+                               &ts.scratch, &ts.marks);
         for (int i = 0; i < sub_count; ++i) {
           marked_[static_cast<size_t>(i)] |= ts.marks[static_cast<size_t>(i)];
         }

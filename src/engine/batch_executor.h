@@ -20,10 +20,9 @@
 // Per chunk (a window of `chunk_blocks` cursor positions):
 //   1. union the unmet candidates of every outstanding targets demand per
 //      template and mark the window with AnyActive (Algorithm 3's
-//      word-wise marking from the bitmap index, or density-map marking
-//      for a template carrying only a DensityMap, OR-ed across
+//      word-wise marking from the bitmap index, OR-ed across
 //      templates); any rows demand (stage 1) — or a targets demand on a
-//      template with neither pre-skip authority — forces plain
+//      template without a bitmap index — forces plain
 //      sequential consumption of the window. Pre-skipped blocks are
 //      never enqueued, stay UNCONSUMED (a later demand may still want
 //      them — resume/pinned-scan semantics unchanged), and count into
@@ -411,11 +410,9 @@ class BatchExecutor {
     int z_attr = -1;
     std::vector<int> x_attrs;
     std::unique_ptr<IoManager> io;
-    std::shared_ptr<const BitmapIndex> index;  // pre-skip authority #1
-    /// Pre-skip authority #2: used for AnyActive marking only when
-    /// `index` is null (both null => no block skipping, targets demands
-    /// force sequential consumption).
-    std::shared_ptr<const DensityMap> density;
+    /// AnyActive marking authority (null => no block skipping, targets
+    /// demands force sequential consumption).
+    std::shared_ptr<const BitmapIndex> index;
     CountMatrix cum;
     int64_t rows_cum = 0;
     std::vector<bool> exhausted;  // sticky: candidate fully enumerated

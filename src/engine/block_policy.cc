@@ -56,23 +56,6 @@ void MarkAnyActiveLookahead(const BitmapIndex& index,
   }
 }
 
-void MarkAnyActiveDensity(const DensityMap& density,
-                          const std::vector<int>& active, BlockId start,
-                          int count, std::vector<uint8_t>* marks) {
-  FASTMATCH_CHECK_GE(start, 0);
-  FASTMATCH_CHECK_LE(start + count, density.num_blocks());
-  marks->assign(static_cast<size_t>(count), 0);
-  // Candidate-outer, block-inner: a candidate's per-block counts are
-  // contiguous (value-major cells), so the inner loop is one sequential
-  // sweep per candidate — the same cache shape as the word-wise OR.
-  for (int cand : active) {
-    const uint8_t* row = density.Row(static_cast<Value>(cand)) + start;
-    for (int i = 0; i < count; ++i) {
-      (*marks)[static_cast<size_t>(i)] |= (row[i] != 0);
-    }
-  }
-}
-
 int64_t CollectBlockDemand(const BitmapIndex* index, const BlockDemand& demand,
                            BlockId start, int count, const BitVector& consumed,
                            std::vector<uint64_t>* scratch,

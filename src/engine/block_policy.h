@@ -23,7 +23,6 @@
 
 #include "index/bitmap_index.h"
 #include "index/bitvector.h"
-#include "index/density_map.h"
 
 namespace fastmatch {
 
@@ -56,16 +55,6 @@ void MarkAnyActiveLookahead(const BitmapIndex& index,
                             const std::vector<int>& active, BlockId start,
                             int count, std::vector<uint64_t>* scratch,
                             std::vector<uint8_t>* marks);
-
-/// \brief AnyActive marking from a density map: block (start + i) is
-/// marked iff some candidate in `active` has a non-zero count there. A
-/// zero saturating count is exact (saturation only loses precision
-/// above zero), so density marking is exactly as conservative as the
-/// bitmap's — this is the batch executor's pre-skip authority for
-/// templates that carry a DensityMap but no BitmapIndex.
-void MarkAnyActiveDensity(const DensityMap& density,
-                          const std::vector<int>& active, BlockId start,
-                          int count, std::vector<uint8_t>* marks);
 
 /// \brief The reusable mark/consume step: applies AnyActive lookahead
 /// marking for `demand` over the window [start, start + count) and

@@ -17,7 +17,6 @@
 #include "core/params.h"
 #include "engine/sampling_engine.h"
 #include "index/bitmap_index.h"
-#include "index/density_map.h"
 #include "storage/column_store.h"
 #include "util/result.h"
 
@@ -43,15 +42,6 @@ struct BoundQuery {
   /// attribute) and shared across runs — index construction is
   /// preprocessing, not query time.
   std::shared_ptr<const BitmapIndex> z_index;
-  /// Density map on the candidate attribute: the batch executor's
-  /// second pre-skip authority. A template with no bitmap index but a
-  /// density map skips blocks whose count is zero for every candidate
-  /// in the chunk's union demand (instead of forcing sequential
-  /// consumption); when both are present the bitmap index wins — a bit
-  /// is set iff the count is non-zero, so the marks are identical and
-  /// the bitmap's words are 8x denser. Ignored by the single-query
-  /// RunQuery approaches.
-  std::shared_ptr<const DensityMap> z_density;
   int z_attr = -1;
   std::vector<int> x_attrs;
   /// Resolved target distribution q (|VX| entries summing to 1).

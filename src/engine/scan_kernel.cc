@@ -6,9 +6,6 @@
 
 #include "engine/scan_kernel.h"
 
-#include <cstdlib>
-#include <string_view>
-
 namespace fastmatch {
 namespace {
 
@@ -39,17 +36,8 @@ bool ScanKernelSimdSupported() {
   return supported;
 }
 
-bool ScanKernelSimdEnabled() {
-  static const bool enabled = [] {
-    if (!ScanKernelSimdSupported()) return false;
-    const char* env = std::getenv("FASTMATCH_FORCE_SCALAR");
-    return env == nullptr || *env == '\0' || std::string_view(env) == "0";
-  }();
-  return enabled;
-}
-
 const char* ScanKernelName() {
-  return ScanKernelSimdEnabled() ? "avx2" : "scalar";
+  return ScanKernelSimdSupported() ? "avx2" : "scalar";
 }
 
 template <typename ZT, typename XT>
@@ -77,9 +65,7 @@ bool ScanBlockSimd(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
 template <typename ZT, typename XT>
 bool ScanBlock(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
                int64_t* tally) {
-  if (ScanKernelSimdEnabled() && ScanBlockSimd(z, x, rows, out, tally)) {
-    return true;
-  }
+  if (ScanBlockSimd(z, x, rows, out, tally)) return true;
   ScanBlockScalar(z, x, rows, out, tally);
   return false;
 }
@@ -116,10 +102,7 @@ bool ScanBlockGenericSimd(const ScanColumn& z, const ScanColumn* xs, int num_x,
 
 bool ScanBlockGeneric(const ScanColumn& z, const ScanColumn* xs, int num_x,
                       int64_t rows, CountMatrix* out, int64_t* tally) {
-  if (ScanKernelSimdEnabled() &&
-      ScanBlockGenericSimd(z, xs, num_x, rows, out, tally)) {
-    return true;
-  }
+  if (ScanBlockGenericSimd(z, xs, num_x, rows, out, tally)) return true;
   ScanBlockGenericScalar(z, xs, num_x, rows, out, tally);
   return false;
 }

@@ -25,8 +25,7 @@
 //                   scalar kernel is the only path (CI's force-scalar
 //                   leg builds this way).
 //   run time      — the AVX2 body runs only when the host CPU reports
-//                   AVX2 and the FASTMATCH_FORCE_SCALAR environment
-//                   variable is unset/"0" (checked once per process).
+//                   AVX2 (checked once per process).
 //   per call      — shapes the AVX2 kernel cannot hold on the stack
 //                   (|VZ| > kScanTallyMaxCandidates) or whose flat key
 //                   space overflows u32 fall back to scalar.
@@ -55,13 +54,9 @@ inline constexpr int kScanTallyMaxCandidates = 1024;
 /// -mavx2).
 bool ScanKernelSimdCompiled();
 
-/// \brief SimdCompiled and the host CPU reports AVX2.
+/// \brief SimdCompiled and the host CPU reports AVX2 (evaluated once
+/// per process). This is what the auto dispatchers consult.
 bool ScanKernelSimdSupported();
-
-/// \brief SimdSupported and FASTMATCH_FORCE_SCALAR is not set in the
-/// environment (evaluated once per process). This is what the auto
-/// dispatchers consult.
-bool ScanKernelSimdEnabled();
 
 /// \brief Human-readable name of the kernel the auto dispatchers would
 /// pick: "avx2" or "scalar".
@@ -91,15 +86,12 @@ void ScanBlockScalar(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
 /// \brief AVX2 kernel for one typed (z, x) block slice. Returns false —
 /// writing nothing — when the AVX2 path is physically unavailable (not
 /// compiled, CPU without AVX2) or the shape is unsuitable (|VZ| >
-/// kScanTallyMaxCandidates, flat key space wider than u32). The
-/// FASTMATCH_FORCE_SCALAR override is a policy knob consulted only by
-/// the auto dispatchers, so the differential tests can still reach this
-/// kernel explicitly.
+/// kScanTallyMaxCandidates, flat key space wider than u32).
 template <typename ZT, typename XT>
 bool ScanBlockSimd(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
                    int64_t* tally);
 
-/// \brief Auto dispatcher: the AVX2 kernel when enabled and suitable,
+/// \brief Auto dispatcher: the AVX2 kernel when supported and suitable,
 /// else scalar. Returns true iff the AVX2 kernel ran.
 template <typename ZT, typename XT>
 bool ScanBlock(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,

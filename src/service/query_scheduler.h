@@ -116,8 +116,9 @@ struct SchedulerOptions {
   /// store's pending queue holds this many queries.
   int max_pending_per_store = 1024;
   /// Streaming admission: let late arrivals Join() a running scan at
-  /// chunk boundaries. When false every batch is closed at launch
-  /// (PR 2 behaviour) — the baseline bench_scheduler compares against.
+  /// chunk boundaries. When false every batch is closed at launch;
+  /// perfbench's closed-loop workloads run this way, so a batch's
+  /// composition never depends on arrival timing.
   bool allow_joins = true;
   /// Refuse mid-flight joins once less than this fraction of the
   /// store's blocks remains unconsumed; the query waits for a fresh

@@ -164,6 +164,11 @@ TEST(AnytimeTest, ProgressStreamMonotoneAndFinalAcrossWorkerCounts) {
       // at least one intermediate update precedes the final one.
       ASSERT_GE(streams[i].size(), 2u) << "threads=" << threads;
       CheckUpdateStream(streams[i], items[i].match);
+      // The first update is published before the final one has consumed
+      // its rows: anytime progress arrives strictly ahead of the answer.
+      EXPECT_LT(streams[i].front().rows_consumed,
+                streams[i].back().rows_consumed)
+          << "threads=" << threads;
     }
   }
 }

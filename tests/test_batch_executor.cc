@@ -200,6 +200,21 @@ TEST(BatchExecutorTest, SharedScanReadsFewerBlocksThanIndependentRuns) {
   EXPECT_LT(executor->stats().blocks_read, kBatch * single_blocks)
       << "batch=" << executor->stats().blocks_read
       << " single=" << single_blocks;
+
+  // Amortization = B, made exact: B identical queries (same target, same
+  // seed) place identical demands, so their shared scan reads exactly
+  // what a batch of one reads at equal BatchOptions.
+  BoundQuery same = MakeQuery(f, f.target, /*seed=*/100);
+  same.params.epsilon = 0.04;
+  auto one = BatchExecutor::Create({same}, Options(2)).value();
+  one->Run();
+  const std::vector<BoundQuery> copies(kBatch, same);
+  auto many = BatchExecutor::Create(copies, Options(2)).value();
+  for (const BatchItem& item : many->Run()) {
+    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
+  }
+  EXPECT_EQ(many->stats().blocks_read, one->stats().blocks_read);
+  EXPECT_EQ(many->stats().rows_read, one->stats().rows_read);
 }
 
 TEST(BatchExecutorTest, CandidateTargetQueriesMeetGuarantees) {

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/verify.h"
 #include "engine/executor.h"
 #include "index/bitmap_index.h"
 #include "service/query_scheduler.h"
@@ -118,12 +119,22 @@ TEST(IngestStressTest, StableAppendPromotesThePriorWithoutRedrawing) {
   // the generation-1 prior, drift-tests it, and — the marginals being
   // intact — PROMOTES and serves it: the query runs warm, stage 1 was
   // never re-drawn, nothing was evicted.
-  SchedulerItem second =
-      scheduler.Submit(MakeQuery(store, index, 12)).value().Get();
+  const BoundQuery query = MakeQuery(store, index, 12);
+  SchedulerItem second = scheduler.Submit(query).value().Get();
   ASSERT_TRUE(second.status.ok()) << second.status.ToString();
   EXPECT_TRUE(second.match.diag.stage1_warm);
   std::set<int> got(second.match.topk.begin(), second.match.topk.end());
   EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
+  // The promoted prior must still yield a sound answer for the grown
+  // relation: both guarantees hold against generation-2 ground truth.
+  const CountMatrix exact = ComputeExactCounts(*store, 0, {1}).value();
+  const HistSimParams& p = query.params;
+  const GroundTruth truth =
+      ComputeGroundTruth(exact, query.target, p.metric, p.sigma, p.k);
+  const GuaranteeCheck check =
+      CheckGuarantees(second.match, exact, truth, query.target, p);
+  EXPECT_TRUE(check.separation_ok) << check.worst_separation;
+  EXPECT_TRUE(check.reconstruction_ok) << check.worst_reconstruction;
 
   SchedulerStats stats = scheduler.stats();
   EXPECT_GE(stats.stage1_revalidations, 1);

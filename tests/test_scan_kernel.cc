@@ -2,8 +2,8 @@
 // bit-for-bit identical CountMatrix contents (cells, row totals, and
 // fresh-count tallies) to the scalar reference on every ValueType pair
 // and odd tail length, at the raw-kernel, IoManager, and batch-executor
-// levels; density pre-skip must change I/O accounting only, never
-// results.
+// levels; bitmap-index block skipping must change I/O accounting
+// only, never results.
 
 #include "engine/scan_kernel.h"
 
@@ -17,7 +17,6 @@
 
 #include "engine/batch_executor.h"
 #include "engine/io_manager.h"
-#include "index/density_map.h"
 #include "test_helpers.h"
 
 namespace fastmatch {
@@ -219,13 +218,11 @@ TEST(ScanKernelTest, OversizedDomainsFallBackToScalar) {
 }
 
 TEST(ScanKernelTest, SelectionReporting) {
-  // Compiled => name reflects the runtime decision; not compiled =>
-  // everything reports scalar. Either way the three predicates are
-  // monotone: enabled => supported => compiled.
-  EXPECT_TRUE(!ScanKernelSimdEnabled() || ScanKernelSimdSupported());
+  // Compiled => name reflects the runtime CPU check; not compiled =>
+  // everything reports scalar. Either way supported => compiled.
   EXPECT_TRUE(!ScanKernelSimdSupported() || ScanKernelSimdCompiled());
   EXPECT_STREQ(ScanKernelName(),
-               ScanKernelSimdEnabled() ? "avx2" : "scalar");
+               ScanKernelSimdSupported() ? "avx2" : "scalar");
 }
 
 // ------------------------------------------------- IoManager dispatch
@@ -330,23 +327,22 @@ TEST(ScanKernelIoManager, GenericDispatchMatchesBruteForce) {
   }
 }
 
-// --------------------------------------------- density pre-skip runs
+// ----------------------------------------------- index pre-skip runs
 
-HistSimParams SkipParams(uint64_t seed = 42) {
+HistSimParams SkipParams() {
   HistSimParams p;
   p.k = 3;
   p.epsilon = 0.05;
   p.delta = 0.05;
   p.sigma = 0.0;
   p.stage1_samples = 10000;
-  p.seed = seed;
+  p.seed = 42;
   return p;
 }
 
 struct PreSkipFixture {
   std::shared_ptr<ColumnStore> store;
   std::shared_ptr<const BitmapIndex> index;
-  std::shared_ptr<const DensityMap> density;
   Distribution target;
 };
 
@@ -455,23 +451,18 @@ PreSkipFixture MakePreSkipFixture(bool sparse, uint64_t seed) {
                   .value();
   }
   f.index = BitmapIndex::Build(*f.store, 0).value();
-  f.density = DensityMap::Build(*f.store, 0).value();
   f.target = UniformDistribution(8);
   return f;
 }
 
-enum class Authority { kNone, kIndex, kDensity };
-
-BoundQuery PreSkipQuery(const PreSkipFixture& f, Authority authority,
-                        uint64_t seed = 42) {
+BoundQuery PreSkipQuery(const PreSkipFixture& f, bool with_index) {
   BoundQuery q;
   q.store = f.store;
-  if (authority == Authority::kIndex) q.z_index = f.index;
-  if (authority == Authority::kDensity) q.z_density = f.density;
+  if (with_index) q.z_index = f.index;
   q.z_attr = 0;
   q.x_attrs = {1};
   q.target = f.target;
-  q.params = SkipParams(seed);
+  q.params = SkipParams();
   return q;
 }
 
@@ -480,14 +471,14 @@ struct PreSkipRun {
   BatchStats stats;
 };
 
-PreSkipRun RunPreSkip(const PreSkipFixture& f, Authority authority,
+PreSkipRun RunPreSkip(const PreSkipFixture& f, bool with_index,
                       int threads) {
   BatchOptions o;
   o.num_threads = threads;
   o.chunk_blocks = 64;
   o.seed = 7;
   auto executor =
-      BatchExecutor::Create({PreSkipQuery(f, authority)}, o).value();
+      BatchExecutor::Create({PreSkipQuery(f, with_index)}, o).value();
   PreSkipRun run;
   run.items = executor->Run();
   run.stats = executor->stats();
@@ -506,38 +497,22 @@ void ExpectSameItems(const std::vector<BatchItem>& a,
   }
 }
 
-TEST(DensityPreSkipTest, DensityMarksExactlyLikeTheBitmapIndex) {
-  // A bitmap bit is set iff the density count is non-zero, so the two
-  // authorities must produce the same reads, the same skips, and
-  // bit-for-bit the same results — on a store where skipping happens.
-  PreSkipFixture f = MakePreSkipFixture(/*sparse=*/true, 3);
-  PreSkipRun with_index = RunPreSkip(f, Authority::kIndex, 2);
-  PreSkipRun with_density = RunPreSkip(f, Authority::kDensity, 2);
-  EXPECT_GT(with_index.stats.blocks_skipped, 0);
-  EXPECT_EQ(with_index.stats.blocks_read, with_density.stats.blocks_read);
-  EXPECT_EQ(with_index.stats.blocks_skipped,
-            with_density.stats.blocks_skipped);
-  EXPECT_EQ(with_index.stats.rows_read, with_density.stats.rows_read);
-  ExpectSameItems(with_index.items, with_density.items);
-}
-
-TEST(DensityPreSkipTest, DensityUnlocksSkippingForIndexlessTemplates) {
-  // Without any authority a targets demand forces sequential
-  // consumption; a density map alone must lift that without changing
-  // any result.
+TEST(IndexPreSkipTest, IndexUnlocksSkippingOverSequentialConsumption) {
+  // Without an index a targets demand forces sequential consumption;
+  // the bitmap index must lift that without changing the answer.
   PreSkipFixture f = MakePreSkipFixture(/*sparse=*/true, 5);
-  PreSkipRun none = RunPreSkip(f, Authority::kNone, 2);
-  PreSkipRun density = RunPreSkip(f, Authority::kDensity, 2);
+  PreSkipRun none = RunPreSkip(f, /*with_index=*/false, 2);
+  PreSkipRun index = RunPreSkip(f, /*with_index=*/true, 2);
   EXPECT_EQ(none.stats.blocks_skipped, 0);
-  EXPECT_GT(density.stats.blocks_skipped, 0);
-  EXPECT_LT(density.stats.blocks_read, none.stats.blocks_read);
+  EXPECT_GT(index.stats.blocks_skipped, 0);
+  EXPECT_LT(index.stats.blocks_read, none.stats.blocks_read);
   // Skipping changes which rows of NON-demanded candidates get counted
   // along the way, so intermediate estimates (and exact distances of
   // rows never enumerated) legitimately differ from the sequential run;
   // what must agree is the answer itself. The planted top three sit at
   // distances {0, .02, .04} with the next candidate at 1.2 — far beyond
   // epsilon — so both runs must select exactly {0, 1, 2}.
-  for (const PreSkipRun* run : {&none, &density}) {
+  for (const PreSkipRun* run : {&none, &index}) {
     ASSERT_EQ(run->items.size(), 1u);
     ASSERT_TRUE(run->items[0].status.ok());
     std::vector<int> topk = run->items[0].match.topk;
@@ -546,47 +521,31 @@ TEST(DensityPreSkipTest, DensityUnlocksSkippingForIndexlessTemplates) {
   }
 }
 
-TEST(DensityPreSkipTest, NoSkippableBlocksMeansIdenticalAccounting) {
+TEST(IndexPreSkipTest, NoSkippableBlocksMeansIdenticalAccounting) {
   // Every candidate appears in every block: marking can never skip, so
-  // pre-skip on/off must agree on blocks_read exactly, not just on
+  // index on/off must agree on blocks_read exactly, not just on
   // results.
   PreSkipFixture f = MakePreSkipFixture(/*sparse=*/false, 7);
-  PreSkipRun none = RunPreSkip(f, Authority::kNone, 2);
-  PreSkipRun index = RunPreSkip(f, Authority::kIndex, 2);
-  PreSkipRun density = RunPreSkip(f, Authority::kDensity, 2);
-  EXPECT_EQ(density.stats.blocks_skipped, 0);
-  EXPECT_EQ(none.stats.blocks_read, density.stats.blocks_read);
-  EXPECT_EQ(index.stats.blocks_read, density.stats.blocks_read);
-  EXPECT_EQ(none.stats.rows_read, density.stats.rows_read);
-  ExpectSameItems(none.items, density.items);
-  ExpectSameItems(index.items, density.items);
+  PreSkipRun none = RunPreSkip(f, /*with_index=*/false, 2);
+  PreSkipRun index = RunPreSkip(f, /*with_index=*/true, 2);
+  EXPECT_EQ(index.stats.blocks_skipped, 0);
+  EXPECT_EQ(none.stats.blocks_read, index.stats.blocks_read);
+  EXPECT_EQ(none.stats.rows_read, index.stats.rows_read);
+  ExpectSameItems(none.items, index.items);
 }
 
-TEST(DensityPreSkipTest, BitForBitAcrossThreadCounts) {
+TEST(IndexPreSkipTest, BitForBitAcrossThreadCounts) {
   for (uint64_t seed : {11u, 13u}) {
     PreSkipFixture f = MakePreSkipFixture(/*sparse=*/true, seed);
-    PreSkipRun one = RunPreSkip(f, Authority::kDensity, 1);
+    PreSkipRun one = RunPreSkip(f, /*with_index=*/true, 1);
     EXPECT_GT(one.stats.blocks_skipped, 0) << "seed " << seed;
     for (int threads : {2, 3, 5}) {
-      PreSkipRun more = RunPreSkip(f, Authority::kDensity, threads);
+      PreSkipRun more = RunPreSkip(f, /*with_index=*/true, threads);
       EXPECT_EQ(one.stats.blocks_read, more.stats.blocks_read);
       EXPECT_EQ(one.stats.blocks_skipped, more.stats.blocks_skipped);
       ExpectSameItems(one.items, more.items);
     }
   }
-}
-
-TEST(DensityPreSkipTest, MismatchedDensityAttributeIsRejectedPerQuery) {
-  PreSkipFixture f = MakePreSkipFixture(/*sparse=*/false, 17);
-  BoundQuery bad = PreSkipQuery(f, Authority::kNone);
-  bad.z_density = DensityMap::Build(*f.store, 1).value();  // X, not Z
-  BatchOptions o;
-  o.num_threads = 2;
-  o.chunk_blocks = 64;
-  auto executor = BatchExecutor::Create({bad}, o).value();
-  std::vector<BatchItem> items = executor->Run();
-  ASSERT_EQ(items.size(), 1u);
-  EXPECT_EQ(items[0].status.code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
