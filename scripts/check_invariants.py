@@ -32,8 +32,11 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                member must be named in the "Concurrency & lock
                hierarchy" section of docs/ARCHITECTURE.md: a new lock
                cannot enter the codebase without a documented place in
-               the ordering. (Mutex-free layers — the batch executor's
-               single-driver design — stay out by construction.)
+               the ordering. The converse holds too: every src/ file a
+               row of that section's lock table names must declare a
+               Mutex, so a lock that leaves the code leaves the table.
+               (Mutex-free layers — the batch executor's single-driver
+               design — stay out by construction.)
 
   lock-free-resolve  In src/service/, promise fulfillment and progress
                publication — set_value / Resolve / FulfillAdmitted /
@@ -110,6 +113,9 @@ LOCK_DECL = re.compile(r"\bMutexLock\s+[A-Za-z_]\w*\s*\(")
 PINNED_SCAN = re.compile(
     r"\b(?P<recv>[A-Za-z_]\w*)\s*(?:\.|->)\s*(num_rows|num_blocks)\s*\(")
 PINNED_SCAN_RECEIVERS = ("store",)
+
+# A src/ path in the first cell of a lock-hierarchy table row.
+LOCK_TABLE_FILE = re.compile(r"`(src/[\w/.]+\.(?:h|cc))`")
 
 
 def read(path: Path) -> str:
@@ -260,7 +266,8 @@ def check_file(rel: str, text: str, violations: list):
 
 def check_lock_hierarchy_doc(mutex_files: list, violations: list):
     """Every Mutex-owning src/ file must appear, by path, in the lock
-    hierarchy section of docs/ARCHITECTURE.md."""
+    hierarchy section of docs/ARCHITECTURE.md, and every src/ file named
+    in that section's lock table must own a Mutex."""
     doc_rel = "docs/ARCHITECTURE.md"
     doc_path = REPO / doc_rel
     if not doc_path.exists():
@@ -282,6 +289,17 @@ def check_lock_hierarchy_doc(mutex_files: list, violations: list):
                 (rel, 1, "lock-hierarchy",
                  "declares a Mutex member but is not named in the lock "
                  f"hierarchy section of {doc_rel}"))
+    section_line = text.count("\n", 0, m.start()) + 1
+    for k, row in enumerate(section.split("\n")):
+        if not row.startswith("|"):
+            continue
+        first_cell = row.split("|")[1]
+        for rel in LOCK_TABLE_FILE.findall(first_cell):
+            if rel not in mutex_files:
+                violations.append(
+                    (doc_rel, section_line + k, "lock-hierarchy",
+                     f"lock table names {rel}, which declares no Mutex "
+                     "member; drop the row"))
 
 
 def check_nodiscard_attr(violations: list):

@@ -50,10 +50,10 @@ class Sampler {
   /// This is the per-call fresh-counter rule, and it is load-bearing:
   /// HistSim's stage-2 tests are computed over each round's fresh
   /// sample, so counting carried-over tuples toward a target silently
-  /// weakens the round's statistics. Implementations must track
-  /// per-call progress with counters seeded from zero, never from
-  /// `out`'s pre-existing totals (a conflation PR 2 fixed in both
-  /// RowSampler and SamplingEngine; regression tests pin it).
+  /// weakens the round's statistics. Implementations must measure
+  /// per-call progress from zero (SamplingEngine: row totals minus their
+  /// value at call entry), never from `out`'s pre-existing totals;
+  /// regression tests pin this for RowSampler and SamplingEngine.
   ///
   /// `exhausted` (size |VZ|) is set true for every candidate known to be
   /// fully enumerated across the sampler's lifetime (all its tuples have

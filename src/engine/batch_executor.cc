@@ -337,24 +337,35 @@ void BatchExecutor::ReadChunk() {
   if (cursor_ >= num_blocks_) cursor_ = 0;
   ++stats_.chunks;
 
-  // Gather the chunk's demand: per-template union of unmet candidates
-  // over outstanding targets demands; a rows demand (stage 1), or a
-  // targets demand on an index-less template, forces sequential
-  // consumption of the whole window.
-  bool read_all = false;
-  for (TemplateState& ts : templates_) {
-    ts.demand.unmet.clear();
-    ts.demand.scan_all = false;
+  // Gather the chunk's demand, one per template: the union of unmet
+  // candidates over its outstanding targets demands. A rows demand
+  // (stage 1), or a targets demand on an index-less template, forces
+  // sequential consumption of the whole window.
+  demands_.resize(templates_.size());
+  for (size_t t = 0; t < templates_.size(); ++t) {
+    TemplateState& ts = templates_[t];
+    BlockDemand& d = demands_[t];
+    d.unmet.clear();
+    d.scan_all = false;
+    d.index = ts.index.get();
+    // Covered-prefix rule: the bitmap index only certifies blocks fully
+    // built at its build time (num_rows() / rows-per-block whole blocks
+    // — a partial tail block may have been filled by later appends, so
+    // its bits are stale). Marking is only ever conservative, never
+    // skips a block the index can't vouch for.
+    d.covered_blocks =
+        d.index == nullptr ? 0 : d.index->num_rows() / pin_.rows_per_block;
     ts.has_active = false;
     std::fill(ts.unmet_seen.begin(), ts.unmet_seen.end(), false);
   }
   for (const QueryState& q : queries_) {
     if (!q.active) continue;
     TemplateState& ts = templates_[q.tmpl];
+    BlockDemand& d = demands_[q.tmpl];
     ts.has_active = true;
     const SampleDemand& demand = q.machine.demand();
     if (demand.kind == SampleDemand::Kind::kRows || ts.index == nullptr) {
-      read_all = true;
+      d.scan_all = true;
       continue;
     }
     for (size_t i = 0; i < demand.targets.size(); ++i) {
@@ -366,55 +377,14 @@ void BatchExecutor::ReadChunk() {
         continue;
       }
       ts.unmet_seen[i] = true;
-      ts.demand.unmet.push_back(c);
+      d.unmet.push_back(c);
     }
   }
 
-  // Mark the window: a block is read iff some template's union demand
-  // wants it (OR across templates).
+  // A block is read iff some template's demand wants it.
   std::vector<BlockId> to_read;
-  if (read_all) {
-    for (int i = 0; i < count; ++i) {
-      const BlockId b = start + i;
-      if (!consumed_.Get(b)) to_read.push_back(b);
-    }
-  } else {
-    marked_.assign(static_cast<size_t>(count), 0);
-    for (TemplateState& ts : templates_) {
-      if (ts.demand.unmet.empty()) continue;
-      // Covered-prefix rule: the bitmap index only certifies blocks
-      // fully built at its build time (num_rows() / rows-per-block
-      // whole blocks — a partial tail block may have been filled by
-      // later appends, so its bits are stale). Window positions past
-      // the covered prefix are read unconditionally: marking is only
-      // ever conservative, never skips a block the index can't vouch
-      // for.
-      const int64_t covered = std::min<int64_t>(
-          num_blocks_, ts.index->num_rows() / pin_.rows_per_block);
-      const int sub_count = static_cast<int>(
-          std::clamp<int64_t>(covered - start, 0, count));
-      if (sub_count > 0) {
-        MarkAnyActiveLookahead(*ts.index, ts.demand.unmet, start, sub_count,
-                               &ts.scratch, &ts.marks);
-        for (int i = 0; i < sub_count; ++i) {
-          marked_[static_cast<size_t>(i)] |= ts.marks[static_cast<size_t>(i)];
-        }
-      }
-      for (int i = sub_count; i < count; ++i) {
-        marked_[static_cast<size_t>(i)] = 1;
-      }
-    }
-    for (int i = 0; i < count; ++i) {
-      const BlockId b = start + i;
-      if (consumed_.Get(b)) continue;
-      if (marked_[static_cast<size_t>(i)]) {
-        to_read.push_back(b);
-      } else {
-        ++stats_.blocks_skipped;
-      }
-    }
-  }
-
+  stats_.blocks_skipped += CollectBlockDemand(demands_, start, count, consumed_,
+                                              &mark_scratch_, &to_read);
   if (to_read.empty()) {
     streak_ += count;
     if (streak_ >= num_blocks_) {
@@ -422,8 +392,8 @@ void BatchExecutor::ReadChunk() {
       // any currently-unmet candidate, so each one is fully enumerated
       // (the single-query engine's exhaustion rule). The unmet sets are
       // stable across the cycle because counts only change on reads.
-      for (TemplateState& ts : templates_) {
-        for (int c : ts.demand.unmet) ts.exhausted[c] = true;
+      for (size_t t = 0; t < templates_.size(); ++t) {
+        for (int c : demands_[t].unmet) templates_[t].exhausted[c] = true;
       }
       streak_ = 0;
     }

@@ -19,10 +19,11 @@
 //
 // Per chunk (a window of `chunk_blocks` cursor positions):
 //   1. union the unmet candidates of every outstanding targets demand per
-//      template and mark the window with AnyActive (Algorithm 3's
-//      word-wise marking from the bitmap index, OR-ed across
-//      templates); any rows demand (stage 1) — or a targets demand on a
-//      template without a bitmap index — forces plain
+//      template and mark the window with AnyActive through
+//      CollectBlockDemand, the single-query engine's window rule
+//      (Algorithm 3's word-wise marking from the bitmap index, OR-ed
+//      across templates); any rows demand (stage 1) — or a targets
+//      demand on a template without a bitmap index — forces plain
 //      sequential consumption of the window. Pre-skipped blocks are
 //      never enqueued, stay UNCONSUMED (a later demand may still want
 //      them — resume/pinned-scan semantics unchanged), and count into
@@ -193,7 +194,7 @@ struct BatchOptions {
   /// worker pool (at most this many pool workers at once).
   int num_threads = 4;
   /// Shared-scan window: cursor positions marked and read per chunk.
-  /// Plays the role of the single-query engine's lookahead batch.
+  /// Plays the role of the single-query engine's lookahead window.
   int chunk_blocks = 1024;
   /// Seed; chooses the shared cursor's random start position (ignored
   /// when `resume` is set).
@@ -420,9 +421,6 @@ class BatchExecutor {
     /// shards stay disjoint across workers and merges stay commutative
     /// integer sums.
     std::vector<CountMatrix> shards;
-    std::vector<uint64_t> scratch;
-    std::vector<uint8_t> marks;
-    BlockDemand demand;            // per-chunk union of unmet candidates
     std::vector<bool> unmet_seen;  // per-chunk dedup scratch
     bool has_active = false;       // any live query this chunk
   };
@@ -477,7 +475,9 @@ class BatchExecutor {
   int64_t streak_ = 0;  // zero-read cursor positions in a row
   std::vector<TemplateState> templates_;
   std::vector<QueryState> queries_;
-  std::vector<uint8_t> marked_;  // per-chunk OR of template marks
+  /// Per-chunk demand of each template (indexed like templates_).
+  std::vector<BlockDemand> demands_;
+  MarkScratch mark_scratch_;
   std::function<void(size_t, BatchItem)> on_complete_;
   std::function<void(size_t, const ProgressUpdate&)> on_progress_;
   BatchStats stats_;

@@ -1,5 +1,7 @@
 #include "engine/block_policy.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace fastmatch {
@@ -56,20 +58,37 @@ void MarkAnyActiveLookahead(const BitmapIndex& index,
   }
 }
 
-int64_t CollectBlockDemand(const BitmapIndex* index, const BlockDemand& demand,
+int64_t CollectBlockDemand(const std::vector<BlockDemand>& demands,
                            BlockId start, int count, const BitVector& consumed,
-                           std::vector<uint64_t>* scratch,
-                           std::vector<uint8_t>* marks,
-                           std::vector<BlockId>* reads) {
-  const bool scan_all = demand.scan_all || index == nullptr;
-  if (!scan_all) {
-    MarkAnyActiveLookahead(*index, demand.unmet, start, count, scratch, marks);
+                           MarkScratch* scratch, std::vector<BlockId>* reads) {
+  std::vector<uint8_t>& wanted = scratch->wanted;
+  wanted.assign(static_cast<size_t>(count), 0);
+  for (const BlockDemand& d : demands) {
+    if (d.scan_all) {
+      wanted.assign(static_cast<size_t>(count), 1);
+      break;
+    }
+    if (d.unmet.empty()) continue;
+    const int covered = static_cast<int>(
+        std::clamp<int64_t>(d.covered_blocks - start, 0, count));
+    if (covered > 0) {
+      if (d.naive) {
+        MarkAnyActiveNaive(*d.index, d.unmet, start, covered, &scratch->marks);
+      } else {
+        MarkAnyActiveLookahead(*d.index, d.unmet, start, covered,
+                               &scratch->words, &scratch->marks);
+      }
+      for (size_t i = 0; i < static_cast<size_t>(covered); ++i) {
+        wanted[i] |= scratch->marks[i];
+      }
+    }
+    std::fill(wanted.begin() + covered, wanted.end(), 1);
   }
   int64_t skipped = 0;
   for (int i = 0; i < count; ++i) {
     const BlockId b = start + i;
     if (consumed.Get(b)) continue;
-    if (scan_all || (*marks)[static_cast<size_t>(i)]) {
+    if (wanted[static_cast<size_t>(i)]) {
       reads->push_back(b);
     } else {
       ++skipped;

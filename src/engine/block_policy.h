@@ -26,16 +26,33 @@
 
 namespace fastmatch {
 
-/// \brief One window of block demand from a sampling phase: which
-/// candidates still need fresh samples, and whether marking may be
-/// bypassed entirely. This is the unit both the single-query engine's
-/// lookahead marker and the batch executor's shared-scan chunks consume.
+/// \brief One consumer's block demand over a window: which candidates
+/// still need fresh samples, and how to mark their blocks. The
+/// single-query engine passes one per window, the batch executor one per
+/// (z_attr, x_attrs) template.
 struct BlockDemand {
   /// Candidates whose fresh-sample targets are unmet (drives AnyActive).
+  /// An empty list (without scan_all) demands nothing.
   std::vector<int> unmet;
   /// Read every unconsumed block regardless of `unmet`: stage-1 style
-  /// sequential consumption, or no bitmap index available.
+  /// sequential consumption, ScanMatch, or no bitmap index available.
   bool scan_all = false;
+  /// Marking authority; required unless scan_all.
+  const BitmapIndex* index = nullptr;
+  /// Covered-prefix rule: `index` certifies blocks [0, covered_blocks)
+  /// only; window positions past it are read unconditionally.
+  int64_t covered_blocks = INT64_MAX;
+  /// Mark with Algorithm 2 (SyncMatch's per-block probing) instead of
+  /// Algorithm 3's word-wise OR.
+  bool naive = false;
+};
+
+/// \brief Reusable buffers for CollectBlockDemand, so repeated calls do
+/// not allocate.
+struct MarkScratch {
+  std::vector<uint64_t> words;  // Algorithm 3's word accumulator
+  std::vector<uint8_t> marks;   // one demand's marks
+  std::vector<uint8_t> wanted;  // OR of every demand's marks
 };
 
 /// \brief Algorithm 2: per-block candidate probing.
@@ -56,18 +73,15 @@ void MarkAnyActiveLookahead(const BitmapIndex& index,
                             int count, std::vector<uint64_t>* scratch,
                             std::vector<uint8_t>* marks);
 
-/// \brief The reusable mark/consume step: applies AnyActive lookahead
-/// marking for `demand` over the window [start, start + count) and
-/// appends every block that must be read — not in `consumed`, and marked
-/// (or every unconsumed block when demand.scan_all or `index` is null) —
-/// to `reads`, in block order. Returns the number of unconsumed window
-/// blocks the policy skipped. `scratch`/`marks` are caller-provided so
-/// repeated calls do not allocate.
-int64_t CollectBlockDemand(const BitmapIndex* index, const BlockDemand& demand,
+/// \brief The window rule shared by both scan engines: marks the window
+/// [start, start + count) for every demand and appends each block that
+/// must be read — not in `consumed`, and wanted by at least one demand
+/// (OR across demands) — to `reads`, in block order. Returns the number
+/// of unconsumed window blocks no demand wanted (skipped). `start +
+/// count` must not exceed `consumed`'s size.
+int64_t CollectBlockDemand(const std::vector<BlockDemand>& demands,
                            BlockId start, int count, const BitVector& consumed,
-                           std::vector<uint64_t>* scratch,
-                           std::vector<uint8_t>* marks,
-                           std::vector<BlockId>* reads);
+                           MarkScratch* scratch, std::vector<BlockId>* reads);
 
 }  // namespace fastmatch
 

@@ -4,7 +4,8 @@
 //   Scan       exact heap scan; prunes by exact selectivity; always correct.
 //   ScanMatch  HistSim termination, sequential reads, no block skipping.
 //   SyncMatch  HistSim + AnyActive applied per block, synchronously (Alg 2).
-//   FastMatch  HistSim + AnyActive with asynchronous lookahead (Alg 3).
+//   FastMatch  HistSim + AnyActive marked a lookahead window at a time
+//              (Alg 3's word-wise marking, run synchronously).
 
 #ifndef FASTMATCH_ENGINE_EXECUTOR_H_
 #define FASTMATCH_ENGINE_EXECUTOR_H_

@@ -1,7 +1,5 @@
 #include "engine/io_manager.h"
 
-#include <algorithm>
-
 #include "engine/scan_kernel.h"
 #include "util/logging.h"
 
@@ -77,52 +75,19 @@ IoManager::IoManager(std::shared_ptr<const ColumnStore> store, int z_attr,
   FASTMATCH_CHECK_EQ(x_cards_.size(), x_attrs_.size());
 }
 
-void IoManager::FlushFresh(const int64_t* tally,
-                           std::atomic<int64_t>* fresh_counts) const {
-  // The once-per-block half of the single-writer contract (see
-  // io_manager.h): a relaxed load+store per touched candidate, so the
-  // marking thread sees monotone block-granular progress without the
-  // scan paying a locked RMW per row.
-  for (int c = 0; c < num_candidates_; ++c) {
-    if (tally[c] == 0) continue;
-    fresh_counts[c].store(
-        fresh_counts[c].load(std::memory_order_relaxed) + tally[c],
-        std::memory_order_relaxed);
-  }
-}
-
 template <typename ZT, typename XT>
-int64_t IoManager::ReadBlockTyped(BlockId b, CountMatrix* out,
-                                  std::atomic<int64_t>* fresh_counts) const {
+int64_t IoManager::ReadBlockTyped(BlockId b, CountMatrix* out) const {
   RowId begin, end;
   view_.pin().BlockRowRange(b, &begin, &end);
   // Chunk b holds block b's rows at local offsets [0, end - begin).
   const ZT* z_data = view_.chunk_data<ZT>(z_attr_, b);
   const XT* x_data = view_.chunk_data<XT>(x_attrs_[0], b);
   const int64_t rows = end - begin;
-  if (fresh_counts == nullptr) {
-    ScanBlock(z_data, x_data, rows, out, static_cast<int64_t*>(nullptr));
-  } else if (num_candidates_ <= kScanTallyMaxCandidates) {
-    int64_t tally[kScanTallyMaxCandidates];
-    std::fill(tally, tally + num_candidates_, 0);
-    ScanBlock(z_data, x_data, rows, out, tally);
-    FlushFresh(tally, fresh_counts);
-  } else {
-    // Domains past the kernels' stack tally publish per row (the
-    // pre-kernel behavior; same single-writer contract, finer grain).
-    for (int64_t r = 0; r < rows; ++r) {
-      const int z = static_cast<int>(z_data[r]);
-      out->Add(z, static_cast<int>(x_data[r]));
-      fresh_counts[z].store(
-          fresh_counts[z].load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-    }
-  }
+  ScanBlock(z_data, x_data, rows, out);
   return rows;
 }
 
-int64_t IoManager::ReadBlockGeneric(BlockId b, CountMatrix* out,
-                                    std::atomic<int64_t>* fresh_counts) const {
+int64_t IoManager::ReadBlockGeneric(BlockId b, CountMatrix* out) const {
   RowId begin, end;
   view_.pin().BlockRowRange(b, &begin, &end);
   const int64_t rows = end - begin;
@@ -143,26 +108,7 @@ int64_t IoManager::ReadBlockGeneric(BlockId b, CountMatrix* out,
     xs[i] = ScanColumn{view_.chunk_bytes(x_attrs_[i], b),
                        view_.type(x_attrs_[i]), x_cards_[i]};
   }
-  if (fresh_counts == nullptr) {
-    ScanBlockGeneric(z, xs, static_cast<int>(num_x), rows, out, nullptr);
-  } else if (num_candidates_ <= kScanTallyMaxCandidates) {
-    int64_t tally[kScanTallyMaxCandidates];
-    std::fill(tally, tally + num_candidates_, 0);
-    ScanBlockGeneric(z, xs, static_cast<int>(num_x), rows, out, tally);
-    FlushFresh(tally, fresh_counts);
-  } else {
-    for (RowId r = begin; r < end; ++r) {
-      const int zv = static_cast<int>(view_.Get(z_attr_, r));
-      int g = 0;
-      for (size_t i = 0; i < x_attrs_.size(); ++i) {
-        g = g * x_cards_[i] + static_cast<int>(view_.Get(x_attrs_[i], r));
-      }
-      out->Add(zv, g);
-      fresh_counts[zv].store(
-          fresh_counts[zv].load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-    }
-  }
+  ScanBlockGeneric(z, xs, static_cast<int>(num_x), rows, out);
   return rows;
 }
 
@@ -171,49 +117,48 @@ int64_t IoManager::ReadBlocks(const std::vector<BlockId>& blocks,
                               CountMatrix* shard) const {
   int64_t rows = 0;
   for (size_t i = begin; i < end; ++i) {
-    rows += ReadBlock(blocks[i], shard, nullptr);
+    rows += ReadBlock(blocks[i], shard);
   }
   return rows;
 }
 
-int64_t IoManager::ReadBlock(BlockId b, CountMatrix* out,
-                             std::atomic<int64_t>* fresh_counts) const {
-  if (x_attrs_.size() != 1) return ReadBlockGeneric(b, out, fresh_counts);
+int64_t IoManager::ReadBlock(BlockId b, CountMatrix* out) const {
+  if (x_attrs_.size() != 1) return ReadBlockGeneric(b, out);
   const ValueType zt = store_->schema().attribute(z_attr_).type();
   const ValueType xt = store_->schema().attribute(x_attrs_[0]).type();
   switch (zt) {
     case ValueType::kU8:
       switch (xt) {
         case ValueType::kU8:
-          return ReadBlockTyped<uint8_t, uint8_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint8_t, uint8_t>(b, out);
         case ValueType::kU16:
-          return ReadBlockTyped<uint8_t, uint16_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint8_t, uint16_t>(b, out);
         case ValueType::kU32:
-          return ReadBlockTyped<uint8_t, uint32_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint8_t, uint32_t>(b, out);
       }
       break;
     case ValueType::kU16:
       switch (xt) {
         case ValueType::kU8:
-          return ReadBlockTyped<uint16_t, uint8_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint16_t, uint8_t>(b, out);
         case ValueType::kU16:
-          return ReadBlockTyped<uint16_t, uint16_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint16_t, uint16_t>(b, out);
         case ValueType::kU32:
-          return ReadBlockTyped<uint16_t, uint32_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint16_t, uint32_t>(b, out);
       }
       break;
     case ValueType::kU32:
       switch (xt) {
         case ValueType::kU8:
-          return ReadBlockTyped<uint32_t, uint8_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint32_t, uint8_t>(b, out);
         case ValueType::kU16:
-          return ReadBlockTyped<uint32_t, uint16_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint32_t, uint16_t>(b, out);
         case ValueType::kU32:
-          return ReadBlockTyped<uint32_t, uint32_t>(b, out, fresh_counts);
+          return ReadBlockTyped<uint32_t, uint32_t>(b, out);
       }
       break;
   }
-  return ReadBlockGeneric(b, out, fresh_counts);
+  return ReadBlockGeneric(b, out);
 }
 
 }  // namespace fastmatch

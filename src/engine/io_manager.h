@@ -4,15 +4,12 @@
 // grouping (X) columns and accumulates (candidate, group) counts
 // through the scan kernels in engine/scan_kernel.h (AVX2 when the
 // build and host support it, the scalar reference otherwise — the two
-// are bit-for-bit interchangeable). Per-candidate fresh-sample totals
-// are additionally published through an optional atomic array so a
-// concurrent marking thread (the sampling engine's lookahead) can
-// observe progress without locking.
+// are bit-for-bit interchangeable). Callers derive per-candidate fresh
+// counts from the matrix row totals (cumulative minus a snapshot).
 
 #ifndef FASTMATCH_ENGINE_IO_MANAGER_H_
 #define FASTMATCH_ENGINE_IO_MANAGER_H_
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -36,34 +33,18 @@ class IoManager {
       std::shared_ptr<const ColumnStore> store, int z_attr,
       std::vector<int> x_attrs, std::optional<StoreView> view = std::nullopt);
 
-  /// \brief Scans block `b`, adding counts into `out`. When
-  /// `fresh_counts` is non-null, each candidate's per-call total is also
-  /// incremented there. Returns the number of rows scanned.
-  ///
-  /// fresh_counts contract (SINGLE WRITER): the counters are published
-  /// with a relaxed load+store — not a fetch_add — which is only sound
-  /// when at most ONE thread ever passes a given `fresh_counts` array;
-  /// a second concurrent writer would silently lose increments. The
-  /// intended topology is the sampling engine's: one I/O thread writes,
-  /// the marking thread reads (relaxed; the counters are monotone
-  /// progress signals, not synchronization). The scan kernels tally a
-  /// block's rows locally and flush ONCE per block, so a reader
-  /// observes block-granular jumps — still monotone per candidate, at
-  /// most one block behind. tests/test_io_manager.cc pins this contract
-  /// under TSan.
+  /// \brief Scans block `b`, adding counts into `out`. Returns the
+  /// number of rows scanned.
   ///
   /// Thread safety: ReadBlock/ReadBlocks are const and touch only the
   /// immutable store, so concurrent calls are safe as long as each call
-  /// targets a distinct `out` matrix (and, per the contract above, at
-  /// most one concurrent caller passes fresh_counts). The batch
-  /// executor exploits this by fanning a chunk's blocks across workers,
-  /// one CountMatrix shard per worker (fresh_counts always null), and
-  /// merging the shards after the join.
-  int64_t ReadBlock(BlockId b, CountMatrix* out,
-                    std::atomic<int64_t>* fresh_counts) const;
+  /// targets a distinct `out` matrix. The batch executor exploits this
+  /// by fanning a chunk's blocks across workers, one CountMatrix shard
+  /// per worker, and merging the shards after the join.
+  int64_t ReadBlock(BlockId b, CountMatrix* out) const;
 
-  /// \brief Shard read: scans blocks[begin, end) into `shard` (no fresh
-  /// counters). Returns the number of rows scanned.
+  /// \brief Shard read: scans blocks[begin, end) into `shard`. Returns
+  /// the number of rows scanned.
   int64_t ReadBlocks(const std::vector<BlockId>& blocks, size_t begin,
                      size_t end, CountMatrix* shard) const;
 
@@ -93,14 +74,8 @@ class IoManager {
             std::vector<int> x_attrs, Domain domain, StoreView view);
 
   template <typename ZT, typename XT>
-  int64_t ReadBlockTyped(BlockId b, CountMatrix* out,
-                         std::atomic<int64_t>* fresh_counts) const;
-  int64_t ReadBlockGeneric(BlockId b, CountMatrix* out,
-                           std::atomic<int64_t>* fresh_counts) const;
-  /// Publishes a block's per-candidate tally into fresh_counts (the
-  /// once-per-block flush of the single-writer contract above).
-  void FlushFresh(const int64_t* tally,
-                  std::atomic<int64_t>* fresh_counts) const;
+  int64_t ReadBlockTyped(BlockId b, CountMatrix* out) const;
+  int64_t ReadBlockGeneric(BlockId b, CountMatrix* out) const;
 
   /// Keeps the chunk memory the view points into alive.
   std::shared_ptr<const ColumnStore> store_;

@@ -1,57 +1,11 @@
 #include "engine/sampling_engine.h"
 
 #include <algorithm>
-#include <deque>
-#include <thread>
 
-#include "engine/block_policy.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/sync.h"
 
 namespace fastmatch {
-
-namespace {
-
-/// One unit of work handed from the lookahead (marking) thread to the I/O
-/// thread: the blocks of a batch that must be read. `done` flags the final
-/// batch of a phase.
-struct MarkBatch {
-  std::vector<BlockId> reads;
-  bool done = false;
-};
-
-/// Bounded SPSC queue; the marker blocks when the I/O side lags by more
-/// than `capacity` batches (the paper's "waits to mark the next batch
-/// until the I/O manager catches up").
-class MarkQueue {
- public:
-  explicit MarkQueue(size_t capacity) : capacity_(capacity) {}
-
-  void Push(MarkBatch batch) {
-    MutexLock lock(&mu_);
-    while (queue_.size() >= capacity_) cv_space_.Wait(&mu_);
-    queue_.push_back(std::move(batch));
-    cv_item_.NotifyOne();
-  }
-
-  MarkBatch Pop() {
-    MutexLock lock(&mu_);
-    while (queue_.empty()) cv_item_.Wait(&mu_);
-    MarkBatch batch = std::move(queue_.front());
-    queue_.pop_front();
-    cv_space_.NotifyOne();
-    return batch;
-  }
-
- private:
-  const size_t capacity_;
-  Mutex mu_;
-  CondVar cv_item_, cv_space_;
-  std::deque<MarkBatch> queue_ FASTMATCH_GUARDED_BY(mu_);
-};
-
-}  // namespace
 
 Result<std::unique_ptr<SamplingEngine>> SamplingEngine::Create(
     std::shared_ptr<const ColumnStore> store,
@@ -108,12 +62,10 @@ SamplingEngine::SamplingEngine(std::shared_ptr<const ColumnStore> store,
   cursor_ = static_cast<BlockId>(
       rng.Uniform(static_cast<uint64_t>(num_blocks_)));
   exhausted_.assign(io_->num_candidates(), false);
-  fresh_.reset(new std::atomic<int64_t>[io_->num_candidates()]);
 }
 
-int64_t SamplingEngine::ConsumeBlock(BlockId b, CountMatrix* out,
-                                     std::atomic<int64_t>* fresh) {
-  const int64_t rows = io_->ReadBlock(b, out, fresh);
+int64_t SamplingEngine::ConsumeBlock(BlockId b, CountMatrix* out) {
+  const int64_t rows = io_->ReadBlock(b, out);
   consumed_.Set(b);
   ++consumed_blocks_;
   rows_consumed_ += rows;
@@ -133,7 +85,7 @@ int64_t SamplingEngine::SampleRows(int64_t m, CountMatrix* out) {
   while (drawn < m && consumed_blocks_ < num_blocks_) {
     const BlockId b = NextBlock();
     if (consumed_.Get(b)) continue;
-    drawn += ConsumeBlock(b, out, nullptr);
+    drawn += ConsumeBlock(b, out);
   }
   if (AllConsumed()) MarkAllExhausted();
   return drawn;
@@ -146,81 +98,38 @@ void SamplingEngine::SampleUntilTargets(const std::vector<int64_t>& targets,
   FASTMATCH_CHECK_EQ(static_cast<int>(targets.size()), vz);
   FASTMATCH_CHECK_EQ(static_cast<int>(exhausted->size()), vz);
 
-  // Per-call fresh counters (shared with the marker thread in lookahead
-  // mode). Targets demand samples drawn during this call, so the
-  // counters start at zero regardless of what `out` already holds
-  // (seeding from out->RowTotal conflated earlier rounds' samples with
-  // this call's whenever a caller reused one matrix across rounds).
-  for (int i = 0; i < vz; ++i) {
-    fresh_[i].store(0, std::memory_order_relaxed);
-  }
-
-  switch (options_.policy) {
-    case BlockSelection::kScanAll:
-      RunScanAll(targets, out);
-      break;
-    case BlockSelection::kAnyActiveSync:
-      RunSync(targets, out);
-      break;
-    case BlockSelection::kAnyActiveLookahead:
-      RunLookahead(targets, out);
-      break;
-  }
-
-  if (AllConsumed()) MarkAllExhausted();
-  for (int i = 0; i < vz; ++i) {
-    if (exhausted_[i]) (*exhausted)[i] = true;
-    // Postcondition: every requested target is met or the candidate is
-    // fully enumerated.
-    FASTMATCH_CHECK(targets[i] < 0 || exhausted_[i] ||
-                    fresh_[i].load(std::memory_order_relaxed) >= targets[i])
-        << "candidate " << i << " target unmet without exhaustion";
-  }
-}
-
-namespace {
-
-/// Builds the list of candidates whose fresh-sample targets are unmet.
-std::vector<int> UnmetList(const std::vector<int64_t>& targets,
-                           const std::atomic<int64_t>* fresh,
-                           const std::vector<bool>& exhausted) {
-  std::vector<int> unmet;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    if (targets[i] >= 0 && !exhausted[i] &&
-        fresh[i].load(std::memory_order_relaxed) < targets[i]) {
-      unmet.push_back(static_cast<int>(i));
+  // Targets demand samples drawn during this call: a candidate's fresh
+  // count is its row total minus the total at entry (the batch
+  // executor's cumulative-minus-snapshot rule), whatever `out` already
+  // holds from earlier rounds.
+  std::vector<int64_t> entry(static_cast<size_t>(vz));
+  for (int i = 0; i < vz; ++i) entry[static_cast<size_t>(i)] = out->RowTotal(i);
+  const auto fresh = [&](int i) {
+    return out->RowTotal(i) - entry[static_cast<size_t>(i)];
+  };
+  std::vector<BlockDemand> demand(1);
+  BlockDemand& d = demand[0];
+  d.scan_all = options_.policy == BlockSelection::kScanAll;
+  d.index = index_.get();
+  d.naive = options_.policy == BlockSelection::kAnyActiveSync;
+  const auto refresh_unmet = [&] {
+    d.unmet.clear();
+    for (int i = 0; i < vz; ++i) {
+      if (targets[i] >= 0 && !exhausted_[i] && fresh(i) < targets[i]) {
+        d.unmet.push_back(i);
+      }
     }
-  }
-  return unmet;
-}
+  };
+  const bool lookahead =
+      options_.policy == BlockSelection::kAnyActiveLookahead;
+  const int window = d.naive ? 1 : options_.lookahead;
 
-}  // namespace
-
-void SamplingEngine::RunScanAll(const std::vector<int64_t>& targets,
-                                CountMatrix* out) {
-  std::vector<int> unmet = UnmetList(targets, fresh_.get(), exhausted_);
-  int since_sweep = 0;
-  while (!unmet.empty() && consumed_blocks_ < num_blocks_) {
-    const BlockId b = NextBlock();
-    if (consumed_.Get(b)) continue;
-    ConsumeBlock(b, out, fresh_.get());
-    if (++since_sweep >= 16) {
-      since_sweep = 0;
-      unmet = UnmetList(targets, fresh_.get(), exhausted_);
-    }
-  }
-  if (consumed_blocks_ >= num_blocks_) MarkAllExhausted();
-}
-
-void SamplingEngine::RunSync(const std::vector<int64_t>& targets,
-                             CountMatrix* out) {
-  std::vector<int> unmet = UnmetList(targets, fresh_.get(), exhausted_);
-  std::vector<uint8_t> mark(1);
+  refresh_unmet();
+  std::vector<BlockId> reads;
   int64_t zero_read_streak = 0;
-  int since_sweep = 0;
-
-  while (!unmet.empty()) {
-    if (consumed_blocks_ >= num_blocks_) {
+  int since_check = 0;
+  while (!d.unmet.empty()) {
+    if (consumed_blocks_ == num_blocks_) {
       MarkAllExhausted();
       break;
     }
@@ -228,132 +137,46 @@ void SamplingEngine::RunSync(const std::vector<int64_t>& targets,
     // block lacks tuples of all unmet candidates, so they are fully
     // enumerated.
     if (zero_read_streak >= num_blocks_) {
-      for (int i : unmet) exhausted_[i] = true;
+      for (int i : d.unmet) exhausted_[i] = true;
       break;
     }
-    const BlockId b = NextBlock();
-    if (consumed_.Get(b)) {
-      ++zero_read_streak;
+    const BlockId start = cursor_;
+    const int count = static_cast<int>(
+        std::min<int64_t>(window, num_blocks_ - start));
+    reads.clear();
+    stats_.blocks_skipped +=
+        CollectBlockDemand(demand, start, count, consumed_, &scratch_, &reads);
+    cursor_ = start + count == num_blocks_ ? 0 : start + count;
+    if (reads.empty()) {
+      zero_read_streak += count;
       continue;
     }
-    // Paper Algorithm 2: per-block candidate probing, synchronous.
-    MarkAnyActiveNaive(*index_, unmet, b, 1, &mark);
-    if (!mark[0]) {
-      ++stats_.blocks_skipped;
-      ++zero_read_streak;
-      continue;
-    }
-    ConsumeBlock(b, out, fresh_.get());
     zero_read_streak = 0;
-    if (++since_sweep >= 16) {
-      since_sweep = 0;
-      unmet = UnmetList(targets, fresh_.get(), exhausted_);
+    if (lookahead) ++stats_.marker_batches;
+    // Read in block order; every 16 reads refresh the unmet list and stop
+    // early, cursor on the next block, once every target is met.
+    for (const BlockId b : reads) {
+      ConsumeBlock(b, out);
+      if (++since_check < 16) continue;
+      since_check = 0;
+      refresh_unmet();
+      if (d.unmet.empty()) {
+        cursor_ = b + 1 == num_blocks_ ? 0 : b + 1;
+        break;
+      }
     }
+    // FastMatch refreshes the unmet list before every window; the
+    // baselines keep the 16-read cadence.
+    if (lookahead && !d.unmet.empty()) refresh_unmet();
   }
-}
 
-void SamplingEngine::RunLookahead(const std::vector<int64_t>& targets,
-                                  CountMatrix* out) {
-  // Marker state is private to the marking thread: a virtual view of
-  // consumption that includes blocks queued but not yet read. Since the
-  // marker is the only producer of reads, the view is consistent.
-  BitVector virtual_consumed = consumed_;
-  int64_t virtual_count = consumed_blocks_;
-  BlockId marker_cursor = cursor_;
-
-  MarkQueue queue(/*capacity=*/4);
-  std::vector<int> marker_exhausted;
-  int64_t marker_skipped = 0;
-  int64_t marker_batches = 0;
-  // Set by the I/O side the moment every target is met, so the marker
-  // does not keep queueing reads against stale counts (lookahead
-  // overshoot is bounded by the queue depth plus one batch).
-  std::atomic<bool> stop{false};
-
-  std::thread marker([&] {
-    std::vector<uint64_t> scratch;
-    std::vector<uint8_t> marks;
-    int64_t zero_read_streak = 0;
-    while (true) {
-      if (stop.load(std::memory_order_relaxed)) {
-        queue.Push(MarkBatch{{}, true});
-        return;
-      }
-      std::vector<int> unmet = UnmetList(targets, fresh_.get(), exhausted_);
-      if (unmet.empty()) {
-        queue.Push(MarkBatch{{}, true});
-        return;
-      }
-      if (virtual_count >= num_blocks_) {
-        // Everything is consumed or queued: all candidates will be exact.
-        for (int i = 0; i < io_->num_candidates(); ++i) {
-          marker_exhausted.push_back(i);
-        }
-        queue.Push(MarkBatch{{}, true});
-        return;
-      }
-      if (zero_read_streak >= num_blocks_) {
-        marker_exhausted = unmet;
-        queue.Push(MarkBatch{{}, true});
-        return;
-      }
-
-      const int count = static_cast<int>(std::min<int64_t>(
-          options_.lookahead, num_blocks_ - marker_cursor));
-      MarkBatch batch;
-      marker_skipped +=
-          CollectBlockDemand(index_.get(), BlockDemand{std::move(unmet), false},
-                             marker_cursor, count, virtual_consumed, &scratch,
-                             &marks, &batch.reads);
-      for (BlockId b : batch.reads) {
-        virtual_consumed.Set(b);
-        ++virtual_count;
-      }
-      marker_cursor += count;
-      if (marker_cursor >= num_blocks_) marker_cursor = 0;
-      if (batch.reads.empty()) {
-        zero_read_streak += count;
-      } else {
-        zero_read_streak = 0;
-        ++marker_batches;
-        queue.Push(std::move(batch));
-      }
-    }
-  });
-
-  // This thread is the I/O manager: it executes read marks as they arrive,
-  // never blocked by marking (paper Challenge 4). It also owns the
-  // freshest counts, so it is the side that detects "all targets met" and
-  // stops the pipeline; blocks still queued are discarded unread (their
-  // consumed bits were never set).
-  int since_check = 0;
-  while (true) {
-    MarkBatch batch = queue.Pop();
-    if (!stop.load(std::memory_order_relaxed)) {
-      for (BlockId b : batch.reads) {
-        ConsumeBlock(b, out, fresh_.get());
-        if (++since_check >= 16) {
-          since_check = 0;
-          if (UnmetList(targets, fresh_.get(), exhausted_).empty()) {
-            stop.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-      }
-    }
-    if (batch.done) break;
-  }
-  marker.join();
-
-  cursor_ = marker_cursor;
-  stats_.blocks_skipped += marker_skipped;
-  stats_.marker_batches += marker_batches;
-  // The marker's exhaustion conclusions presume every block it virtually
-  // consumed was actually read. When the I/O side stopped early (all
-  // targets met), queued reads were discarded and the claims are void --
-  // and unneeded, since no target is left unmet.
-  if (!stop.load(std::memory_order_relaxed)) {
-    for (int i : marker_exhausted) exhausted_[i] = true;
+  if (AllConsumed()) MarkAllExhausted();
+  for (int i = 0; i < vz; ++i) {
+    if (exhausted_[i]) (*exhausted)[i] = true;
+    // Postcondition: every requested target is met or the candidate is
+    // fully enumerated.
+    FASTMATCH_CHECK(targets[i] < 0 || exhausted_[i] || fresh(i) >= targets[i])
+        << "candidate " << i << " target unmet without exhaustion";
   }
 }
 

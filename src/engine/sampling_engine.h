@@ -7,29 +7,36 @@
 //     without replacement at block granularity);
 //   * a consumed-block bitmap enforces exact without-replacement across
 //     all stages of a run;
-//   * stage-2/3 I/O phases apply a block selection policy:
-//       kScanAll            ScanMatch: read every block in order
-//       kAnyActiveSync      SyncMatch: per-block naive AnyActive (Alg. 2)
-//       kAnyActiveLookahead FastMatch: batch marking on a separate
-//                           lookahead thread (Alg. 3) feeding the I/O
-//                           manager through a bounded queue, so marking
-//                           never blocks I/O (paper Challenge 4).
+//   * stage-2/3 I/O phases run one synchronous window loop: each step
+//     selects the reads of the window at the cursor through
+//     CollectBlockDemand (engine/block_policy.h), the batch executor's
+//     window rule, and reads them in block order. The policy picks the
+//     window and the marking:
+//       kScanAll            ScanMatch: `lookahead`-block windows, every
+//                           unconsumed block read
+//       kAnyActiveSync      SyncMatch: 1-block windows, naive AnyActive
+//                           probing (Alg. 2)
+//       kAnyActiveLookahead FastMatch: `lookahead`-block windows,
+//                           word-wise AnyActive marking (Alg. 3)
+//     Unlike the paper's Alg. 3, marking runs between windows on the
+//     reading thread, not on a separate lookahead thread, so a run is
+//     deterministic per seed (docs/PAPER_MAP.md records the deviation).
 //
-// Exhaustion rule: if a full cursor cycle (num_blocks consecutive visited
-// blocks) produces zero new reads while candidate c stays active, then
-// every block containing c is consumed (or queued for reading), so c is
-// fully enumerated once the queue drains; c's cumulative counts are then
-// exact. This is what lets HistSim terminate on candidates whose sample
-// targets exceed their total tuple counts.
+// Exhaustion rule: every block consumed means every candidate's counts
+// are exact; a full cursor cycle (num_blocks consecutive visited blocks)
+// with zero reads while candidate c stays unmet means every block
+// containing c is consumed, so c's cumulative counts are exact. This is
+// what lets HistSim terminate on candidates whose sample targets exceed
+// their total tuple counts.
 
 #ifndef FASTMATCH_ENGINE_SAMPLING_ENGINE_H_
 #define FASTMATCH_ENGINE_SAMPLING_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/sampler.h"
+#include "engine/block_policy.h"
 #include "engine/io_manager.h"
 #include "index/bitmap_index.h"
 #include "index/bitvector.h"
@@ -48,7 +55,8 @@ enum class BlockSelection {
 /// Engine knobs.
 struct EngineOptions {
   BlockSelection policy = BlockSelection::kAnyActiveLookahead;
-  /// Blocks marked per batch by the lookahead thread (paper default 1024).
+  /// Blocks per window for kScanAll and kAnyActiveLookahead (paper
+  /// default 1024); kAnyActiveSync always uses 1-block windows.
   int lookahead = 1024;
   /// Seed; chooses the random scan start position.
   uint64_t seed = 42;
@@ -59,7 +67,9 @@ struct EngineStats {
   int64_t blocks_read = 0;
   int64_t blocks_skipped = 0;  // visited and skipped by the policy
   int64_t rows_read = 0;
-  int64_t marker_batches = 0;  // lookahead batches produced
+  /// kAnyActiveLookahead windows that issued at least one read (0 for
+  /// the other policies).
+  int64_t marker_batches = 0;
 };
 
 class SamplingEngine : public Sampler {
@@ -102,15 +112,9 @@ class SamplingEngine : public Sampler {
   }
 
   /// Reads block b into `out`, maintaining consumption state and stats.
-  int64_t ConsumeBlock(BlockId b, CountMatrix* out,
-                       std::atomic<int64_t>* fresh);
+  int64_t ConsumeBlock(BlockId b, CountMatrix* out);
 
   void MarkAllExhausted();
-
-  // Policy-specific SampleUntilTargets bodies.
-  void RunScanAll(const std::vector<int64_t>& targets, CountMatrix* out);
-  void RunSync(const std::vector<int64_t>& targets, CountMatrix* out);
-  void RunLookahead(const std::vector<int64_t>& targets, CountMatrix* out);
 
   std::shared_ptr<const ColumnStore> store_;
   std::shared_ptr<const BitmapIndex> index_;
@@ -124,9 +128,7 @@ class SamplingEngine : public Sampler {
   int64_t rows_consumed_ = 0;
   std::vector<bool> exhausted_;  // sticky: candidate fully enumerated
   EngineStats stats_;
-
-  // Per-call fresh-sample counters, shared with the lookahead thread.
-  std::unique_ptr<std::atomic<int64_t>[]> fresh_;
+  MarkScratch scratch_;
 };
 
 }  // namespace fastmatch

@@ -9,8 +9,8 @@
 namespace fastmatch {
 namespace {
 
-/// Shapes the AVX2 kernels accept: the per-candidate tally must fit the
-/// fixed stack buffers and every flat cell key z * |VX| + x must fit a
+/// Shapes the AVX2 kernels accept: the per-candidate row tally must fit
+/// its fixed stack buffer and every flat cell key z * |VX| + x must fit a
 /// u32 lane.
 bool ShapeSimdable(const CountMatrix& out) {
   const int64_t cells =
@@ -41,8 +41,7 @@ const char* ScanKernelName() {
 }
 
 template <typename ZT, typename XT>
-void ScanBlockScalar(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
-                     int64_t* tally) {
+void ScanBlockScalar(const ZT* z, const XT* x, int64_t rows, CountMatrix* out) {
   const int groups = out->num_groups();
   int64_t* counts = out->MutableData();
   int64_t* row_totals = out->MutableRowTotals();
@@ -50,29 +49,25 @@ void ScanBlockScalar(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
     const size_t c = static_cast<size_t>(z[r]);
     ++counts[c * static_cast<size_t>(groups) + x[r]];
     ++row_totals[c];
-    if (tally != nullptr) ++tally[c];
   }
 }
 
 template <typename ZT, typename XT>
-bool ScanBlockSimd(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
-                   int64_t* tally) {
+bool ScanBlockSimd(const ZT* z, const XT* x, int64_t rows, CountMatrix* out) {
   if (!ScanKernelSimdSupported() || !ShapeSimdable(*out)) return false;
-  scan_kernel_detail::ScanBlockAvx2<ZT, XT>(z, x, rows, out, tally);
+  scan_kernel_detail::ScanBlockAvx2<ZT, XT>(z, x, rows, out);
   return true;
 }
 
 template <typename ZT, typename XT>
-bool ScanBlock(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
-               int64_t* tally) {
-  if (ScanBlockSimd(z, x, rows, out, tally)) return true;
-  ScanBlockScalar(z, x, rows, out, tally);
+bool ScanBlock(const ZT* z, const XT* x, int64_t rows, CountMatrix* out) {
+  if (ScanBlockSimd(z, x, rows, out)) return true;
+  ScanBlockScalar(z, x, rows, out);
   return false;
 }
 
 void ScanBlockGenericScalar(const ScanColumn& z, const ScanColumn* xs,
-                            int num_x, int64_t rows, CountMatrix* out,
-                            int64_t* tally) {
+                            int num_x, int64_t rows, CountMatrix* out) {
   for (int64_t r = 0; r < rows; ++r) {
     const uint32_t c = ScanLoadValue(z.data, r, z.type);
     uint32_t g = 0;
@@ -81,12 +76,11 @@ void ScanBlockGenericScalar(const ScanColumn& z, const ScanColumn* xs,
           ScanLoadValue(xs[a].data, r, xs[a].type);
     }
     out->Add(static_cast<int>(c), static_cast<int>(g));
-    if (tally != nullptr) ++tally[c];
   }
 }
 
 bool ScanBlockGenericSimd(const ScanColumn& z, const ScanColumn* xs, int num_x,
-                          int64_t rows, CountMatrix* out, int64_t* tally) {
+                          int64_t rows, CountMatrix* out) {
   // Each x column is one widened mul+add per 8 rows; past a handful of
   // columns (possible only with degenerate cardinality-1 attributes,
   // since |VX| is bounded by IoManager's 2^24 composite cap) the scalar
@@ -96,24 +90,24 @@ bool ScanBlockGenericSimd(const ScanColumn& z, const ScanColumn* xs, int num_x,
       num_x > kMaxGenericX) {
     return false;
   }
-  scan_kernel_detail::ScanBlockGenericAvx2(z, xs, num_x, rows, out, tally);
+  scan_kernel_detail::ScanBlockGenericAvx2(z, xs, num_x, rows, out);
   return true;
 }
 
 bool ScanBlockGeneric(const ScanColumn& z, const ScanColumn* xs, int num_x,
-                      int64_t rows, CountMatrix* out, int64_t* tally) {
-  if (ScanBlockGenericSimd(z, xs, num_x, rows, out, tally)) return true;
-  ScanBlockGenericScalar(z, xs, num_x, rows, out, tally);
+                      int64_t rows, CountMatrix* out) {
+  if (ScanBlockGenericSimd(z, xs, num_x, rows, out)) return true;
+  ScanBlockGenericScalar(z, xs, num_x, rows, out);
   return false;
 }
 
 #define FASTMATCH_SCAN_KERNEL_INSTANTIATE(ZT, XT)                      \
   template void ScanBlockScalar<ZT, XT>(const ZT*, const XT*, int64_t, \
-                                        CountMatrix*, int64_t*);       \
+                                        CountMatrix*);                 \
   template bool ScanBlockSimd<ZT, XT>(const ZT*, const XT*, int64_t,   \
-                                      CountMatrix*, int64_t*);         \
+                                      CountMatrix*);                   \
   template bool ScanBlock<ZT, XT>(const ZT*, const XT*, int64_t,       \
-                                  CountMatrix*, int64_t*);
+                                  CountMatrix*);
 FASTMATCH_SCAN_KERNEL_FOR_EACH_TYPED(FASTMATCH_SCAN_KERNEL_INSTANTIATE)
 #undef FASTMATCH_SCAN_KERNEL_INSTANTIATE
 

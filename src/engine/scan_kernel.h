@@ -10,7 +10,7 @@
 //    vpmulld + vpaddd, and spilled to a stack tile; the tile is then
 //    folded with interleaved sub-histograms (small domains) or direct
 //    64-bit adds (large domains). Per-candidate row totals come from a
-//    per-call tally flushed once at the end, not from a per-row
+//    per-call stack tally flushed once at the end, not from a per-row
 //    read-modify-write.
 //
 // Counts are commutative integer sums over the same rows, so both
@@ -44,9 +44,8 @@
 
 namespace fastmatch {
 
-/// Largest |VZ| for which kernels keep the per-candidate tally (and
-/// callers the fresh-counts flush buffer) on the stack. Larger domains
-/// take the scalar per-row path.
+/// Largest |VZ| for which the AVX2 kernels keep the per-candidate row
+/// tally on the stack. Larger domains take the scalar kernel.
 inline constexpr int kScanTallyMaxCandidates = 1024;
 
 /// \brief True when scan_kernel_avx2.cc was compiled with AVX2 bodies
@@ -72,48 +71,41 @@ struct ScanColumn {
 };
 
 // Kernel contract (all variants): fold `rows` rows into `out` — cell
-// (z[r], x[r]) and row total z[r] both advance by one per row — and,
-// when `tally` is non-null, additionally add each candidate's per-call
-// row count into tally[candidate] (tally must have at least
-// out->num_candidates() entries and is NOT cleared first). Values must
-// lie inside out's domain, exactly as CountMatrix::Add requires.
+// (z[r], x[r]) and row total z[r] both advance by one per row. Values
+// must lie inside out's domain, exactly as CountMatrix::Add requires.
 
 /// \brief Reference kernel for one typed (z, x) block slice.
 template <typename ZT, typename XT>
-void ScanBlockScalar(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
-                     int64_t* tally);
+void ScanBlockScalar(const ZT* z, const XT* x, int64_t rows, CountMatrix* out);
 
 /// \brief AVX2 kernel for one typed (z, x) block slice. Returns false —
 /// writing nothing — when the AVX2 path is physically unavailable (not
 /// compiled, CPU without AVX2) or the shape is unsuitable (|VZ| >
 /// kScanTallyMaxCandidates, flat key space wider than u32).
 template <typename ZT, typename XT>
-bool ScanBlockSimd(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
-                   int64_t* tally);
+bool ScanBlockSimd(const ZT* z, const XT* x, int64_t rows, CountMatrix* out);
 
 /// \brief Auto dispatcher: the AVX2 kernel when supported and suitable,
 /// else scalar. Returns true iff the AVX2 kernel ran.
 template <typename ZT, typename XT>
-bool ScanBlock(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
-               int64_t* tally);
+bool ScanBlock(const ZT* z, const XT* x, int64_t rows, CountMatrix* out);
 
 /// \brief Reference kernel for the multi-x generic case: the composite
 /// group is the mixed-radix fold g = (...(x_0) * card_1 + x_1...) the
 /// paper's Appendix A.1.3 composite uses.
 void ScanBlockGenericScalar(const ScanColumn& z, const ScanColumn* xs,
-                            int num_x, int64_t rows, CountMatrix* out,
-                            int64_t* tally);
+                            int num_x, int64_t rows, CountMatrix* out);
 
 /// \brief AVX2 kernel for the multi-x generic case: the mixed-radix
 /// fold runs widened (one vpmulld + vpaddd per x column per 8 rows)
 /// instead of through a per-row per-column switch. Same availability /
 /// suitability contract as ScanBlockSimd.
 bool ScanBlockGenericSimd(const ScanColumn& z, const ScanColumn* xs, int num_x,
-                          int64_t rows, CountMatrix* out, int64_t* tally);
+                          int64_t rows, CountMatrix* out);
 
 /// \brief Auto dispatcher for the generic case.
 bool ScanBlockGeneric(const ScanColumn& z, const ScanColumn* xs, int num_x,
-                      int64_t rows, CountMatrix* out, int64_t* tally);
+                      int64_t rows, CountMatrix* out);
 
 /// \brief One dictionary code from a type-erased chunk (the scalar
 /// building block of the generic kernels' per-row loads and tails).
@@ -146,11 +138,10 @@ namespace scan_kernel_detail {
 bool CompiledAvx2();
 
 template <typename ZT, typename XT>
-void ScanBlockAvx2(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
-                   int64_t* tally);
+void ScanBlockAvx2(const ZT* z, const XT* x, int64_t rows, CountMatrix* out);
 
 void ScanBlockGenericAvx2(const ScanColumn& z, const ScanColumn* xs, int num_x,
-                          int64_t rows, CountMatrix* out, int64_t* tally);
+                          int64_t rows, CountMatrix* out);
 
 }  // namespace scan_kernel_detail
 
@@ -168,11 +159,11 @@ void ScanBlockGenericAvx2(const ScanColumn& z, const ScanColumn* xs, int num_x,
 
 #define FASTMATCH_SCAN_KERNEL_EXTERN(ZT, XT)                                  \
   extern template void ScanBlockScalar<ZT, XT>(const ZT*, const XT*, int64_t, \
-                                               CountMatrix*, int64_t*);       \
+                                               CountMatrix*);                 \
   extern template bool ScanBlockSimd<ZT, XT>(const ZT*, const XT*, int64_t,   \
-                                             CountMatrix*, int64_t*);         \
+                                             CountMatrix*);                   \
   extern template bool ScanBlock<ZT, XT>(const ZT*, const XT*, int64_t,       \
-                                         CountMatrix*, int64_t*);
+                                         CountMatrix*);
 FASTMATCH_SCAN_KERNEL_FOR_EACH_TYPED(FASTMATCH_SCAN_KERNEL_EXTERN)
 #undef FASTMATCH_SCAN_KERNEL_EXTERN
 

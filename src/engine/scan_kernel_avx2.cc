@@ -25,8 +25,7 @@
 //
 //   3. tally flush — per-candidate row counts accumulate in a stack
 //      tally (derived from the sub-histogram fold on the small-domain
-//      path) and land in row_totals / the caller's tally once per
-//      call, not per row.
+//      path) and land in row_totals once per call, not per row.
 
 #include "engine/scan_kernel.h"
 
@@ -116,15 +115,9 @@ void AccumulateTile(const uint32_t* keys, int n, int cands, int groups,
   }
 }
 
-/// Flushes the per-call candidate tally into the matrix row totals and
-/// the caller's tally.
-inline void FlushTally(const int64_t* ztally, int cands, int64_t* row_totals,
-                       int64_t* tally) {
-  for (int c = 0; c < cands; ++c) {
-    if (ztally[c] == 0) continue;
-    row_totals[c] += ztally[c];
-    if (tally != nullptr) tally[c] += ztally[c];
-  }
+/// Flushes the per-call candidate tally into the matrix row totals.
+inline void FlushTally(const int64_t* ztally, int cands, int64_t* row_totals) {
+  for (int c = 0; c < cands; ++c) row_totals[c] += ztally[c];
 }
 
 }  // namespace
@@ -132,8 +125,7 @@ inline void FlushTally(const int64_t* ztally, int cands, int64_t* row_totals,
 bool CompiledAvx2() { return true; }
 
 template <typename ZT, typename XT>
-void ScanBlockAvx2(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
-                   int64_t* tally) {
+void ScanBlockAvx2(const ZT* z, const XT* x, int64_t rows, CountMatrix* out) {
   const int cands = out->num_candidates();
   const int groups = out->num_groups();
   const int64_t cells = static_cast<int64_t>(cands) * groups;
@@ -161,11 +153,11 @@ void ScanBlockAvx2(const ZT* z, const XT* x, int64_t rows, CountMatrix* out,
     AccumulateTile(keys, n, cands, groups, cells, counts, ztally, h,
                    [zt](int r) { return static_cast<size_t>(zt[r]); });
   }
-  FlushTally(ztally, cands, out->MutableRowTotals(), tally);
+  FlushTally(ztally, cands, out->MutableRowTotals());
 }
 
 void ScanBlockGenericAvx2(const ScanColumn& z, const ScanColumn* xs, int num_x,
-                          int64_t rows, CountMatrix* out, int64_t* tally) {
+                          int64_t rows, CountMatrix* out) {
   const int cands = out->num_candidates();
   const int groups = out->num_groups();
   const int64_t cells = static_cast<int64_t>(cands) * groups;
@@ -203,12 +195,12 @@ void ScanBlockGenericAvx2(const ScanColumn& z, const ScanColumn* xs, int num_x,
                          ScanLoadValue(z.data, done + r, z.type));
                    });
   }
-  FlushTally(ztally, cands, out->MutableRowTotals(), tally);
+  FlushTally(ztally, cands, out->MutableRowTotals());
 }
 
 #define FASTMATCH_SCAN_KERNEL_INSTANTIATE_AVX2(ZT, XT)               \
   template void ScanBlockAvx2<ZT, XT>(const ZT*, const XT*, int64_t, \
-                                      CountMatrix*, int64_t*);
+                                      CountMatrix*);
 FASTMATCH_SCAN_KERNEL_FOR_EACH_TYPED(FASTMATCH_SCAN_KERNEL_INSTANTIATE_AVX2)
 #undef FASTMATCH_SCAN_KERNEL_INSTANTIATE_AVX2
 
@@ -226,18 +218,18 @@ namespace scan_kernel_detail {
 bool CompiledAvx2() { return false; }
 
 template <typename ZT, typename XT>
-void ScanBlockAvx2(const ZT*, const XT*, int64_t, CountMatrix*, int64_t*) {
+void ScanBlockAvx2(const ZT*, const XT*, int64_t, CountMatrix*) {
   FASTMATCH_CHECK(false);
 }
 
 void ScanBlockGenericAvx2(const ScanColumn&, const ScanColumn*, int, int64_t,
-                          CountMatrix*, int64_t*) {
+                          CountMatrix*) {
   FASTMATCH_CHECK(false);
 }
 
 #define FASTMATCH_SCAN_KERNEL_INSTANTIATE_AVX2(ZT, XT)               \
   template void ScanBlockAvx2<ZT, XT>(const ZT*, const XT*, int64_t, \
-                                      CountMatrix*, int64_t*);
+                                      CountMatrix*);
 FASTMATCH_SCAN_KERNEL_FOR_EACH_TYPED(FASTMATCH_SCAN_KERNEL_INSTANTIATE_AVX2)
 #undef FASTMATCH_SCAN_KERNEL_INSTANTIATE_AVX2
 

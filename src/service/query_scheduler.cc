@@ -598,8 +598,9 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   // thread inside Step/EvictWithResult with no pipeline lock held (the
   // promise-resolution discipline applies to progress publication too);
   // `admitted` only grows, and only between Steps, so the index map is
-  // stable whenever the callback fires. A query that opted out costs
-  // one null check.
+  // stable whenever the callback fires. A query that opted out is not
+  // free: BatchExecutor::EmitProgress builds its full Progress()
+  // snapshot at every chunk before this callback drops it.
   executor->SetProgressCallback(
       [&admitted](size_t index, const ProgressUpdate& update) {
         if (index >= admitted.size()) return;

@@ -58,7 +58,7 @@ Result<RevalidationReport> RevalidateStage1(
   RevalidationReport report;
   for (BlockId b : blocks) {
     if (report.fresh_rows >= options.sample_rows) break;
-    report.fresh_rows += io->ReadBlock(b, &fresh, nullptr);
+    report.fresh_rows += io->ReadBlock(b, &fresh);
     ++report.blocks_read;
   }
 

@@ -103,6 +103,36 @@ TEST(ExecutorTest, ApproximateApproachesReadLessThanScan) {
   EXPECT_LT(fast->stats.engine.rows_read, q.store->num_rows());
 }
 
+TEST(ExecutorTest, RunQueryIsDeterministicPerSeed) {
+  // Same query, same seed => the same answer and the same I/O, for every
+  // approach: no engine thread's timing can change a run.
+  BoundQuery q = MakeQuery(5);
+  q.params.epsilon = 0.12;  // partial reads, so skipping decisions matter
+  for (Approach a : kAll) {
+    auto first = RunQuery(q, a);
+    auto second = RunQuery(q, a);
+    ASSERT_TRUE(first.ok() && second.ok()) << ApproachName(a);
+    EXPECT_EQ(first->match.topk, second->match.topk) << ApproachName(a);
+    EXPECT_EQ(first->match.distances, second->match.distances)
+        << ApproachName(a);
+    const CountMatrix& c1 = first->match.counts;
+    const CountMatrix& c2 = second->match.counts;
+    ASSERT_EQ(c1.num_candidates(), c2.num_candidates());
+    for (int i = 0; i < c1.num_candidates(); ++i) {
+      EXPECT_EQ(c1.RowTotal(i), c2.RowTotal(i)) << ApproachName(a);
+      for (int g = 0; g < c1.num_groups(); ++g) {
+        EXPECT_EQ(c1.At(i, g), c2.At(i, g)) << ApproachName(a);
+      }
+    }
+    const EngineStats& s1 = first->stats.engine;
+    const EngineStats& s2 = second->stats.engine;
+    EXPECT_EQ(s1.blocks_read, s2.blocks_read) << ApproachName(a);
+    EXPECT_EQ(s1.blocks_skipped, s2.blocks_skipped) << ApproachName(a);
+    EXPECT_EQ(s1.rows_read, s2.rows_read) << ApproachName(a);
+    EXPECT_EQ(s1.marker_batches, s2.marker_batches) << ApproachName(a);
+  }
+}
+
 TEST(ExecutorTest, StatsArePopulated) {
   BoundQuery q = MakeQuery();
   auto out = RunQuery(q, Approach::kFastMatch);

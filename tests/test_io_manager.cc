@@ -1,15 +1,11 @@
 // IoManager contract tests: domain validation shared between Create
-// and the constructor, and the fresh_counts SINGLE-WRITER contract —
-// one thread reads blocks and flushes per-block tallies with relaxed
-// load+store while a reader polls; run under TSan this pins the
-// lock-free shape (a second writer thread would both race and lose
-// updates, breaking the exact-equality assertion below).
+// and the constructor, and concurrent const reads of one pinned view
+// into private shards (the batch executor's topology; run under TSan).
 
 #include "engine/io_manager.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <random>
 #include <thread>
 #include <vector>
@@ -88,62 +84,12 @@ TEST(IoManagerDomainTest, ValidDomainsStillConstruct) {
   EXPECT_EQ((*io)->num_groups(), 50);
 }
 
-TEST(IoManagerFreshCountsTest, SingleWriterFlushMatchesRowTotalsExactly) {
-  // THE single-writer regression. One writer thread sweeps every block
-  // with a fresh_counts array (per-block tally flush, relaxed
-  // load+store); a reader thread concurrently polls each counter and
-  // asserts it never moves backwards. Under TSan this certifies the
-  // relaxed protocol is race-free with one writer; and because the
-  // flush is load+store rather than fetch_add, a second writer would
-  // lose increments — caught here by the exact equality of the final
-  // counter values with the CountMatrix row totals.
-  auto store = MakeStore(23, 11, /*rows=*/40001, /*rows_per_block=*/97,
-                         /*seed=*/5);
-  auto io = IoManager::Create(store, 0, {1}).value();
-  const int cands = io->num_candidates();
-
-  CountMatrix counts(cands, io->num_groups());
-  std::vector<std::atomic<int64_t>> fresh(static_cast<size_t>(cands));
-  for (auto& f : fresh) f.store(0);
-  std::atomic<bool> done{false};
-
-  std::thread reader([&] {
-    std::vector<int64_t> last(static_cast<size_t>(cands), 0);
-    while (!done.load(std::memory_order_acquire)) {
-      for (int c = 0; c < cands; ++c) {
-        const int64_t now =
-            fresh[static_cast<size_t>(c)].load(std::memory_order_relaxed);
-        // Monotone per candidate: block-granular jumps, never a rewind.
-        EXPECT_GE(now, last[static_cast<size_t>(c)]) << "candidate " << c;
-        last[static_cast<size_t>(c)] = now;
-      }
-    }
-  });
-
-  int64_t rows_read = 0;
-  for (BlockId b = 0; b < io->pin().num_blocks; ++b) {
-    rows_read += io->ReadBlock(b, &counts, fresh.data());
-  }
-  done.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(rows_read, store->num_rows());
-  int64_t total = 0;
-  for (int c = 0; c < cands; ++c) {
-    EXPECT_EQ(fresh[static_cast<size_t>(c)].load(), counts.RowTotal(c))
-        << "candidate " << c;
-    total += counts.RowTotal(c);
-  }
-  EXPECT_EQ(total, store->num_rows());
-}
-
-TEST(IoManagerFreshCountsTest, ConcurrentReadersWithPrivateCountersAgree) {
+TEST(IoManagerTest, ConcurrentReadersWithPrivateShardsAgree) {
   // The batch executor's real topology: many worker threads read
-  // disjoint blocks of one shared pinned view, each into PRIVATE
-  // matrices and PRIVATE fresh arrays (so every array still has exactly
-  // one writer), merged afterwards. Under TSan this exercises the
-  // read-only view sharing; the merged totals must equal a sequential
-  // sweep bit-for-bit.
+  // disjoint blocks of one shared pinned view, each into a PRIVATE
+  // matrix, merged afterwards. Under TSan this exercises the read-only
+  // view sharing; the merged counts must equal a sequential sweep
+  // bit-for-bit.
   auto store = MakeStore(23, 11, /*rows=*/40001, /*rows_per_block=*/97,
                          /*seed=*/6);
   auto io = IoManager::Create(store, 0, {1}).value();
@@ -153,19 +99,12 @@ TEST(IoManagerFreshCountsTest, ConcurrentReadersWithPrivateCountersAgree) {
 
   constexpr int kThreads = 4;
   std::vector<CountMatrix> parts;
-  std::vector<std::vector<std::atomic<int64_t>>> fresh_parts(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    parts.emplace_back(cands, groups);
-    fresh_parts[static_cast<size_t>(t)] =
-        std::vector<std::atomic<int64_t>>(static_cast<size_t>(cands));
-    for (auto& f : fresh_parts[static_cast<size_t>(t)]) f.store(0);
-  }
+  for (int t = 0; t < kThreads; ++t) parts.emplace_back(cands, groups);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (BlockId b = t; b < num_blocks; b += kThreads) {
-        io->ReadBlock(b, &parts[static_cast<size_t>(t)],
-                      fresh_parts[static_cast<size_t>(t)].data());
+        io->ReadBlock(b, &parts[static_cast<size_t>(t)]);
       }
     });
   }
@@ -174,17 +113,13 @@ TEST(IoManagerFreshCountsTest, ConcurrentReadersWithPrivateCountersAgree) {
   CountMatrix merged(cands, groups);
   for (const CountMatrix& part : parts) merged.Merge(part);
   CountMatrix sequential(cands, groups);
+  int64_t rows_read = 0;
   for (BlockId b = 0; b < num_blocks; ++b) {
-    io->ReadBlock(b, &sequential, nullptr);
+    rows_read += io->ReadBlock(b, &sequential);
   }
+  EXPECT_EQ(rows_read, store->num_rows());
   for (int c = 0; c < cands; ++c) {
-    int64_t fresh_sum = 0;
-    for (int t = 0; t < kThreads; ++t) {
-      fresh_sum += fresh_parts[static_cast<size_t>(t)][static_cast<size_t>(c)]
-                       .load();
-    }
-    EXPECT_EQ(fresh_sum, sequential.RowTotal(c)) << "candidate " << c;
-    EXPECT_EQ(merged.RowTotal(c), sequential.RowTotal(c));
+    EXPECT_EQ(merged.RowTotal(c), sequential.RowTotal(c)) << "candidate " << c;
     for (int g = 0; g < groups; ++g) {
       EXPECT_EQ(merged.At(c, g), sequential.At(c, g));
     }

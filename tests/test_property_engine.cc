@@ -134,12 +134,13 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.rows_per_block);
     });
 
-// ------------------------------------------------ concurrency stress
+// ------------------------------------------------ lookahead sweep
 
-// The lookahead mode races a marker thread against the I/O thread with an
-// early-stop handoff; run it repeatedly to shake out interleavings (this
-// caught a real bug: exhaustion conclusions derived from discarded
-// marks).
+// Lookahead windows stop early, mid-window, once every target is met;
+// sweep window sizes and seeds so that early stops land at many window
+// offsets, and check that no exhaustion claim outlives a stop (the
+// engine once derived exhaustion from marks whose reads were
+// discarded).
 TEST(LookaheadStress, RepeatedRunsKeepPostconditions) {
   std::vector<int64_t> counts = {2000, 8000, 12000, 20000};
   auto dists = PlantedDistributions(4, 6, {0.0, 0.07, 0.14, 0.21});

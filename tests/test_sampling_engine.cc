@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/verify.h"
+#include "engine/scan_kernel.h"
 #include "test_helpers.h"
 
 namespace fastmatch {
@@ -18,11 +19,12 @@ struct EngineFixture {
 };
 
 EngineFixture MakeFixture(std::vector<int64_t> counts, int vx, uint64_t seed,
-                          int rows_per_block = 50) {
+                          int rows_per_block = 50,
+                          double offset_step = 0.02) {
   EngineFixture f;
   std::vector<double> offsets(counts.size());
   for (size_t i = 0; i < counts.size(); ++i) {
-    offsets[i] = 0.02 * static_cast<double>(i);
+    offsets[i] = offset_step * static_cast<double>(i);
   }
   f.store = MakeExactStore(counts, PlantedDistributions(
                                        static_cast<int>(counts.size()), vx,
@@ -136,15 +138,41 @@ TEST(SamplingEngineTest, WithoutReplacementAcrossPhases) {
 }
 
 TEST(SamplingEngineTest, ExhaustionOnImpossibleTarget) {
-  for (BlockSelection policy : kAllPolicies) {
-    auto f = MakeFixture({500, 50000}, 4, 6);
-    auto engine = MakeEngine(f, policy);
-    CountMatrix out(2, 4);
-    std::vector<bool> exhausted(2, false);
-    // Candidate 0 has 500 rows; demand 10000.
-    engine->SampleUntilTargets({10000, -1}, &out, &exhausted);
-    EXPECT_TRUE(exhausted[0]) << "policy " << static_cast<int>(policy);
-    EXPECT_EQ(out.RowTotal(0), 500);
+  struct Case {
+    EngineFixture f;
+    std::vector<int64_t> targets;
+  };
+  std::vector<Case> cases;
+  // Candidate 0 has 500 rows; demand 10000 of it only.
+  cases.push_back({MakeFixture({500, 50000}, 4, 6), {10000, -1}});
+  // Past the AVX2 kernel's stack tally (|VZ| = kScanTallyMaxCandidates
+  // + 1, so reads take the scalar kernel): demand more of every
+  // candidate than exists.
+  const int wide = kScanTallyMaxCandidates + 1;
+  std::vector<int64_t> wide_counts(static_cast<size_t>(wide));
+  for (int i = 0; i < wide; ++i) {
+    wide_counts[static_cast<size_t>(i)] = 5 + i % 20;
+  }
+  cases.push_back({MakeFixture(wide_counts, 4, 17, 50, 0.0005),
+                   std::vector<int64_t>(static_cast<size_t>(wide), 1000)});
+  for (const Case& c : cases) {
+    const int vz = c.f.exact.num_candidates();
+    for (BlockSelection policy : kAllPolicies) {
+      SCOPED_TRACE("vz " + std::to_string(vz) + " policy " +
+                   std::to_string(static_cast<int>(policy)));
+      auto engine = MakeEngine(c.f, policy);
+      CountMatrix out(vz, 4);
+      std::vector<bool> exhausted(static_cast<size_t>(vz), false);
+      engine->SampleUntilTargets(c.targets, &out, &exhausted);
+      for (int i = 0; i < vz; ++i) {
+        if (c.targets[static_cast<size_t>(i)] < 0) continue;
+        ASSERT_TRUE(exhausted[static_cast<size_t>(i)]) << "candidate " << i;
+        ASSERT_EQ(out.RowTotal(i), c.f.exact.RowTotal(i)) << "candidate " << i;
+        for (int g = 0; g < 4; ++g) {
+          ASSERT_EQ(out.At(i, g), c.f.exact.At(i, g)) << "candidate " << i;
+        }
+      }
+    }
   }
 }
 
@@ -190,13 +218,40 @@ TEST(SamplingEngineTest, ScanAllNeverSkips) {
   EXPECT_EQ(engine->stats().blocks_skipped, 0);
 }
 
-TEST(SamplingEngineTest, DeterministicAcrossRunsScanAll) {
-  auto f = MakeFixture({10000, 10000}, 4, 8);
-  CountMatrix o1(2, 4), o2(2, 4);
-  MakeEngine(f, BlockSelection::kScanAll, 33)->SampleRows(3000, &o1);
-  MakeEngine(f, BlockSelection::kScanAll, 33)->SampleRows(3000, &o2);
-  for (int i = 0; i < 2; ++i) {
-    for (int g = 0; g < 4; ++g) EXPECT_EQ(o1.At(i, g), o2.At(i, g));
+TEST(SamplingEngineTest, DeterministicAcrossRuns) {
+  // Same seed, same calls => same samples and accounting, for every
+  // policy: stage 1, then two targeted phases.
+  auto f = MakeFixture({10000, 10000, 3000}, 4, 8);
+  for (BlockSelection policy : kAllPolicies) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+    struct Run {
+      CountMatrix out{3, 4};
+      std::vector<bool> exhausted = std::vector<bool>(3, false);
+      EngineStats stats;
+      int64_t rows_consumed = 0;
+    };
+    Run runs[2];
+    for (Run& run : runs) {
+      auto engine = MakeEngine(f, policy, 33);
+      engine->SampleRows(3000, &run.out);
+      engine->SampleUntilTargets({2000, -1, 1500}, &run.out, &run.exhausted);
+      engine->SampleUntilTargets({500, 4000, 100000}, &run.out,
+                                 &run.exhausted);
+      run.stats = engine->stats();
+      run.rows_consumed = engine->rows_consumed();
+    }
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(runs[0].out.RowTotal(i), runs[1].out.RowTotal(i));
+      for (int g = 0; g < 4; ++g) {
+        EXPECT_EQ(runs[0].out.At(i, g), runs[1].out.At(i, g));
+      }
+    }
+    EXPECT_EQ(runs[0].exhausted, runs[1].exhausted);
+    EXPECT_EQ(runs[0].stats.blocks_read, runs[1].stats.blocks_read);
+    EXPECT_EQ(runs[0].stats.blocks_skipped, runs[1].stats.blocks_skipped);
+    EXPECT_EQ(runs[0].stats.rows_read, runs[1].stats.rows_read);
+    EXPECT_EQ(runs[0].stats.marker_batches, runs[1].stats.marker_batches);
+    EXPECT_EQ(runs[0].rows_consumed, runs[1].rows_consumed);
   }
 }
 
@@ -229,9 +284,9 @@ TEST(SamplingEngineTest, SamplesAreUniformPerCandidate) {
 }
 
 TEST(SamplingEngineTest, SampleUntilTargetsCountsOnlyFreshSamplesPerCall) {
-  // Regression (same bug as RowSampler): fresh counters must start at
-  // zero per call, not at out->RowTotal, when the caller reuses one
-  // matrix across rounds.
+  // Regression (same bug as RowSampler): a call's fresh counts start at
+  // zero, not at out->RowTotal, when the caller reuses one matrix across
+  // rounds.
   for (BlockSelection policy : kAllPolicies) {
     auto f = MakeFixture({20000, 20000}, 4, 12);
     auto engine = MakeEngine(f, policy);

@@ -1,6 +1,6 @@
 // Differential suite for the scan kernels: the AVX2 path must produce
-// bit-for-bit identical CountMatrix contents (cells, row totals, and
-// fresh-count tallies) to the scalar reference on every ValueType pair
+// bit-for-bit identical CountMatrix contents (cells and row totals) to
+// the scalar reference on every ValueType pair
 // and odd tail length, at the raw-kernel, IoManager, and batch-executor
 // levels; bitmap-index block skipping must change I/O accounting
 // only, never results.
@@ -66,13 +66,9 @@ void RunTypedDifferential(int cands, int groups) {
                                     static_cast<uint64_t>(rows) * 37 + 2);
     CountMatrix scalar_m(cands, groups);
     CountMatrix simd_m(cands, groups);
-    std::vector<int64_t> scalar_t(static_cast<size_t>(cands), 0);
-    std::vector<int64_t> simd_t(static_cast<size_t>(cands), 0);
-    ScanBlockScalar(z.data(), x.data(), rows, &scalar_m, scalar_t.data());
-    ASSERT_TRUE(ScanBlockSimd(z.data(), x.data(), rows, &simd_m,
-                              simd_t.data()));
+    ScanBlockScalar(z.data(), x.data(), rows, &scalar_m);
+    ASSERT_TRUE(ScanBlockSimd(z.data(), x.data(), rows, &simd_m));
     ExpectSameMatrix(scalar_m, simd_m);
-    EXPECT_EQ(scalar_t, simd_t);
   }
 }
 
@@ -164,14 +160,11 @@ void RunGenericDifferential(int cands, ValueType z_type,
     CountMatrix scalar_m(cands, groups);
     CountMatrix simd_m(cands, groups);
     CountMatrix brute(cands, groups);
-    std::vector<int64_t> scalar_t(static_cast<size_t>(cands), 0);
-    std::vector<int64_t> simd_t(static_cast<size_t>(cands), 0);
     ScanBlockGenericScalar(z.column(), x_scan.data(),
-                           static_cast<int>(x_scan.size()), rows, &scalar_m,
-                           scalar_t.data());
+                           static_cast<int>(x_scan.size()), rows, &scalar_m);
     ASSERT_TRUE(ScanBlockGenericSimd(z.column(), x_scan.data(),
                                      static_cast<int>(x_scan.size()), rows,
-                                     &simd_m, simd_t.data()));
+                                     &simd_m));
     // Independent ground truth so both kernels cannot share one bug.
     for (int64_t r = 0; r < rows; ++r) {
       int g = 0;
@@ -184,7 +177,6 @@ void RunGenericDifferential(int cands, ValueType z_type,
     }
     ExpectSameMatrix(scalar_m, simd_m);
     ExpectSameMatrix(brute, simd_m);
-    EXPECT_EQ(scalar_t, simd_t);
   }
 }
 
@@ -211,8 +203,8 @@ TEST(ScanKernelTest, OversizedDomainsFallBackToScalar) {
   CountMatrix big_vz(kScanTallyMaxCandidates + 1, 4);
   const std::vector<uint16_t> z = {9};
   const std::vector<uint8_t> x = {3};
-  EXPECT_FALSE(ScanBlockSimd(z.data(), x.data(), 1, &big_vz, nullptr));
-  EXPECT_FALSE(ScanBlock(z.data(), x.data(), 1, &big_vz, nullptr));
+  EXPECT_FALSE(ScanBlockSimd(z.data(), x.data(), 1, &big_vz));
+  EXPECT_FALSE(ScanBlock(z.data(), x.data(), 1, &big_vz));
   EXPECT_EQ(big_vz.At(9, 3), 1);
   EXPECT_EQ(big_vz.RowTotal(9), 1);
 }
@@ -246,9 +238,8 @@ std::shared_ptr<ColumnStore> MakeTypedStore(uint32_t z_card, uint32_t x_card,
   return std::move(store).value();
 }
 
-/// Reads every block through IoManager (auto-dispatched kernel, fresh
-/// counters on) and checks counts against a brute-force fold plus the
-/// fresh totals against the matrix row totals.
+/// Reads every block through IoManager (auto-dispatched kernel) and
+/// checks cells and row totals against a brute-force fold.
 void RunIoManagerDifferential(uint32_t z_card, uint32_t x_card) {
   // 601 rows at 97 per block: six full blocks and an odd 19-row tail.
   const int64_t rows = 601;
@@ -257,12 +248,9 @@ void RunIoManagerDifferential(uint32_t z_card, uint32_t x_card) {
                               z_card * 131 + x_card);
   auto io = IoManager::Create(store, 0, {1}).value();
   CountMatrix got(io->num_candidates(), io->num_groups());
-  std::vector<std::atomic<int64_t>> fresh(
-      static_cast<size_t>(io->num_candidates()));
-  for (auto& f : fresh) f.store(0);
   int64_t rows_read = 0;
   for (BlockId b = 0; b < io->pin().num_blocks; ++b) {
-    rows_read += io->ReadBlock(b, &got, fresh.data());
+    rows_read += io->ReadBlock(b, &got);
   }
   EXPECT_EQ(rows_read, rows);
   CountMatrix want(io->num_candidates(), io->num_groups());
@@ -271,9 +259,6 @@ void RunIoManagerDifferential(uint32_t z_card, uint32_t x_card) {
              static_cast<int>(store->column(1).Get(r)));
   }
   ExpectSameMatrix(want, got);
-  for (int c = 0; c < io->num_candidates(); ++c) {
-    EXPECT_EQ(fresh[static_cast<size_t>(c)].load(), got.RowTotal(c));
-  }
 }
 
 TEST(ScanKernelIoManager, TypedDispatchMatchesBruteForce) {
@@ -309,11 +294,8 @@ TEST(ScanKernelIoManager, GenericDispatchMatchesBruteForce) {
   auto io = IoManager::Create(store, 0, {1, 2}).value();
   ASSERT_EQ(io->num_groups(), 5 * 300);
   CountMatrix got(io->num_candidates(), io->num_groups());
-  std::vector<std::atomic<int64_t>> fresh(
-      static_cast<size_t>(io->num_candidates()));
-  for (auto& f : fresh) f.store(0);
   for (BlockId b = 0; b < io->pin().num_blocks; ++b) {
-    io->ReadBlock(b, &got, fresh.data());
+    io->ReadBlock(b, &got);
   }
   CountMatrix want(io->num_candidates(), io->num_groups());
   for (RowId r = 0; r < rows; ++r) {
@@ -322,9 +304,6 @@ TEST(ScanKernelIoManager, GenericDispatchMatchesBruteForce) {
     want.Add(static_cast<int>(store->column(0).Get(r)), g);
   }
   ExpectSameMatrix(want, got);
-  for (int c = 0; c < io->num_candidates(); ++c) {
-    EXPECT_EQ(fresh[static_cast<size_t>(c)].load(), got.RowTotal(c));
-  }
 }
 
 // ----------------------------------------------- index pre-skip runs
