@@ -58,6 +58,14 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                `// lint: pin-ok` escapes with a justification (e.g. a
                deliberately unpinned admission-time estimate).
 
+  progress-subscribed  Every BatchExecutor::SetProgressCallback call
+               under src/ passes a subscription predicate (a second
+               argument other than nullptr). Without one the executor
+               builds a full progress snapshot for every active query at
+               every chunk, whether or not anyone reads it; direct
+               executor users outside src/ (tests, perfbench) may still
+               subscribe every query.
+
 Zero third-party dependencies; line-based on purpose (a full C++ parse
 buys little for these rules and costs a clang dependency the lint gate
 must not have). Exit 0 when clean, 1 with file:line diagnostics if not.
@@ -113,6 +121,11 @@ LOCK_DECL = re.compile(r"\bMutexLock\s+[A-Za-z_]\w*\s*\(")
 PINNED_SCAN = re.compile(
     r"\b(?P<recv>[A-Za-z_]\w*)\s*(?:\.|->)\s*(num_rows|num_blocks)\s*\(")
 PINNED_SCAN_RECEIVERS = ("store",)
+
+# A SetProgressCallback call; the declaration and definition (preceded
+# by a return type or the class qualifier) are skipped by the caller.
+PROGRESS_CALLBACK_CALL = re.compile(r"\bSetProgressCallback\s*\(")
+PROGRESS_CALLBACK_DECL = re.compile(r"(\bvoid|::)\s*$")
 
 # A src/ path in the first cell of a lock-hierarchy table row.
 LOCK_TABLE_FILE = re.compile(r"`(src/[\w/.]+\.(?:h|cc))`")
@@ -188,6 +201,40 @@ def top_level_lines(body: str):
         parens = max(parens, 0)
 
 
+def top_level_args(text: str, open_paren: int):
+    """Splits the argument list whose '(' sits at text[open_paren] into
+    its top-level arguments (commas inside (), [], {} do not split)."""
+    args, depth, start = [], 0, open_paren + 1
+    for i in range(open_paren, len(text)):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i])
+                break
+        elif c == "," and depth == 1:
+            args.append(text[start:i])
+            start = i + 1
+    return [a.strip() for a in args if a.strip()]
+
+
+def check_progress_subscription(rel: str, text: str, violations: list):
+    for m in PROGRESS_CALLBACK_CALL.finditer(text):
+        if PROGRESS_CALLBACK_DECL.search(text[:m.start()]):
+            continue
+        args = top_level_args(text, m.end() - 1)
+        if len(args) < 2 or args[1] == "nullptr":
+            violations.append(
+                (rel, text.count("\n", 0, m.start()) + 1,
+                 "progress-subscribed",
+                 "SetProgressCallback without a subscription predicate "
+                 "builds a snapshot for every active query at every "
+                 "chunk; pass one that says which queries have a "
+                 "consumer"))
+
+
 def check_file(rel: str, text: str, violations: list):
     lines = text.split("\n")
     is_test = rel.startswith("tests/")
@@ -231,6 +278,9 @@ def check_file(rel: str, text: str, violations: list):
             depth = max(depth, 0)
             while lock_depths and depth < lock_depths[-1]:
                 lock_depths.pop()
+
+    if rel.startswith("src/"):
+        check_progress_subscription(rel, text, violations)
 
     if rel.startswith("src/engine/"):
         for k, line in enumerate(lines, 1):

@@ -453,10 +453,16 @@ void BatchExecutor::SetCompletionCallback(
 }
 
 void BatchExecutor::SetProgressCallback(
-    std::function<void(size_t, const ProgressUpdate&)> fn) {
+    std::function<void(size_t, const ProgressUpdate&)> fn,
+    std::function<bool(size_t)> subscribed) {
   FASTMATCH_CHECK(!started_)
       << "SetProgressCallback after Start: updates already missed";
   on_progress_ = std::move(fn);
+  progress_subscribed_ = std::move(subscribed);
+}
+
+bool BatchExecutor::ProgressSubscribed(size_t index) const {
+  return on_progress_ && (!progress_subscribed_ || progress_subscribed_(index));
 }
 
 void BatchExecutor::NotifyCompletions() {
@@ -465,7 +471,7 @@ void BatchExecutor::NotifyCompletions() {
     QueryState& q = queries_[i];
     if (q.active || q.notified) continue;
     q.notified = true;
-    if (on_progress_ && q.status.ok()) {
+    if (q.status.ok() && ProgressSubscribed(i)) {
       // Final update, built FROM the delivered result so the streamed
       // view and the future's answer agree bit-for-bit (the progressive-
       // monotonicity contract's terminal condition).
@@ -481,6 +487,7 @@ void BatchExecutor::NotifyCompletions() {
                          q.match.diag.stage3_samples;
       up.blocks_read = stats_.blocks_read;
       up.final_update = true;
+      ++stats_.progress_snapshots;
       on_progress_(i, up);
     }
     if (!on_complete_) continue;
@@ -496,18 +503,17 @@ void BatchExecutor::EmitProgress() {
   if (!on_progress_) return;
   for (size_t i = 0; i < queries_.size(); ++i) {
     QueryState& q = queries_[i];
-    if (!q.active) continue;
+    if (!q.active || !ProgressSubscribed(i)) continue;
     const TemplateState& ts = templates_[q.tmpl];
-    // The in-flight phase's fresh sample, by the same cumulative-minus-
-    // snapshot rule SupplyPhase uses; the machine pools it with its
-    // folded phases for the snapshot.
-    CountMatrix partial = ts.cum;
-    partial.Subtract(q.snapshot);
-    const int64_t partial_rows = ts.rows_cum - q.snap_rows;
-    ProgressUpdate up = q.machine.Progress(&partial, partial_rows);
+    // The in-flight phase's fresh sample is cumulative minus snapshot,
+    // the rule SupplyPhase uses; the machine pools it row by row with
+    // its folded phases.
+    ProgressUpdate up =
+        q.machine.Progress(ts.cum, q.snapshot, ts.rows_cum - q.snap_rows);
     if (up.distances.empty()) continue;  // machine not live yet
     up.sequence = ++q.progress_seq;
     up.blocks_read = stats_.blocks_read;
+    ++stats_.progress_snapshots;
     on_progress_(i, up);
   }
 }

@@ -247,6 +247,10 @@ struct BatchStats {
   int64_t stale_warm_dropped = 0;
   /// Stage-1 snapshots published to BatchOptions::stage1_sink.
   int64_t stage1_exports = 0;
+  /// ProgressUpdates built and handed to the progress callback
+  /// (chunk-boundary snapshots plus final updates). Only subscribed
+  /// queries get any, so a batch nobody subscribed to counts 0.
+  int64_t progress_snapshots = 0;
   /// Distinct (z_attr, x_attrs) templates in the batch.
   int num_templates = 0;
 };
@@ -335,8 +339,8 @@ class BatchExecutor {
   /// FailedPrecondition("query already completed") when the machine
   /// finished first — in that race the exact result exists and the
   /// caller must deliver IT, never a partial. The completion callback
-  /// (and a final ProgressUpdate, if a progress callback is set) fires
-  /// for the harvested query.
+  /// (and a final ProgressUpdate, if the query is subscribed to
+  /// progress) fires for the harvested query.
   Status EvictWithResult(size_t index);
 
   /// \brief Registers `fn`, called exactly once per query at the moment
@@ -355,18 +359,28 @@ class BatchExecutor {
   void SetCompletionCallback(std::function<void(size_t, BatchItem)> fn);
 
   /// \brief Registers `fn`, called at every chunk boundary for every
-  /// still-active query with its current anytime snapshot (top-k so
-  /// far, per-candidate distances and Theorem-1 error bars over the
-  /// pooled sample — see HistSimMachine::Progress), and exactly once
-  /// more per OK query at completion with `final_update = true`, where
-  /// the update mirrors the delivered MatchResult bit-for-bit. Per
-  /// query, `sequence` increases strictly from 1 and error bars shrink
-  /// weakly (the pooled sample only grows).
+  /// still-active subscribed query with its current anytime snapshot
+  /// (top-k so far, per-candidate distances and Theorem-1 error bars
+  /// over the pooled sample — see HistSimMachine::Progress), and exactly
+  /// once more per OK subscribed query at completion with
+  /// `final_update = true`, where the update mirrors the delivered
+  /// MatchResult bit-for-bit. Per query, `sequence` increases strictly
+  /// from 1 and error bars shrink weakly (the pooled sample only grows).
+  ///
+  /// `subscribed(index)` says whether query `index` has a consumer; its
+  /// answer must not change over the query's life. The executor asks it
+  /// before building anything, so an unsubscribed query gets no update
+  /// and costs the scan nothing. Null (the default) subscribes every
+  /// query. A snapshot pools the query's whole sample, O(|VZ| x |VX|)
+  /// per query per chunk, so a caller whose queries opt in one by one
+  /// must pass a predicate.
   ///
   /// Same discipline as the completion callback: synchronous on the
-  /// driving thread, set before Start(), fn must not re-enter the
-  /// executor. Unset (the default) costs the scan nothing.
-  void SetProgressCallback(std::function<void(size_t, const ProgressUpdate&)> fn);
+  /// driving thread, set before Start(), neither fn nor subscribed may
+  /// re-enter the executor. Unset (the default) costs the scan nothing.
+  void SetProgressCallback(
+      std::function<void(size_t, const ProgressUpdate&)> fn,
+      std::function<bool(size_t)> subscribed = nullptr);
 
   /// \brief Moves out the per-query outcomes. Requires Start() and no
   /// remaining active queries; valid once.
@@ -402,6 +416,9 @@ class BatchExecutor {
   const StorePin& pin() const { return pin_; }
 
  private:
+  /// Read access for the anytime tests' copying reference of Progress.
+  friend class BatchExecutorTestPeer;
+
   BatchExecutor(std::shared_ptr<const ColumnStore> store, StorePin pin,
                 BatchOptions options);
 
@@ -453,12 +470,15 @@ class BatchExecutor {
   void ExportStage1(const QueryState& q, const TemplateState& ts,
                     CountMatrix fresh, int64_t drawn);
   /// Fires the terminal callbacks for every newly-inactive query: the
-  /// final ProgressUpdate (OK queries, progress callback set) then the
-  /// completion callback.
+  /// final ProgressUpdate (OK subscribed queries) then the completion
+  /// callback.
   void NotifyCompletions();
-  /// Fires the progress callback for every still-active query with its
-  /// current pooled-sample snapshot (chunk-boundary emission).
+  /// Fires the progress callback for every still-active subscribed
+  /// query with its current pooled-sample snapshot (chunk-boundary
+  /// emission).
   void EmitProgress();
+  /// A progress callback is set and query `index` has a subscriber.
+  bool ProgressSubscribed(size_t index) const;
 
   std::shared_ptr<const ColumnStore> store_;
   BatchOptions options_;  // shared_pool resolved (never null)
@@ -480,6 +500,7 @@ class BatchExecutor {
   MarkScratch mark_scratch_;
   std::function<void(size_t, BatchItem)> on_complete_;
   std::function<void(size_t, const ProgressUpdate&)> on_progress_;
+  std::function<bool(size_t)> progress_subscribed_;  // null: every query
   BatchStats stats_;
   WallTimer timer_;  // restarted at Start(); item wall_seconds base
   bool started_ = false;

@@ -112,10 +112,17 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
       // The doorbell rings the pipeline's cv so a Cancel() on a queued
       // query is shed immediately instead of at the next flush
       // deadline; the weak_ptr keeps the ring safe after the pipeline
-      // is reaped (handles outlive pipelines).
+      // is reaped (handles outlive pipelines). The flag is set outside
+      // the pipeline lock, so the ring passes through the lock first:
+      // a driver that checked the flag just before it was set is then
+      // already waiting and gets the notify, instead of sleeping out
+      // the flush window.
       pend.cancel = std::make_shared<CancelToken>(
           [wp = std::weak_ptr<Pipeline>(pipeline)] {
-            if (std::shared_ptr<Pipeline> p = wp.lock()) p->cv.NotifyAll();
+            if (std::shared_ptr<Pipeline> p = wp.lock()) {
+              { MutexLock lock(&p->mu); }
+              p->cv.NotifyAll();
+            }
           });
       pend.enqueued = Clock::now();
       pend.deadline = submit.deadline_seconds > 0
@@ -473,6 +480,15 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
       pend = std::move(pipeline->pending.front());
       pipeline->pending.pop_front();
     }
+    // Register the query's progress consumers BEFORE the join: a join
+    // that completes instantly (a warm prior covering the whole store)
+    // publishes its final update from inside Join(), routed by index.
+    {
+      Admitted a;
+      a.progress = std::move(pend.progress);
+      a.on_progress = std::move(pend.on_progress);
+      admitted->push_back(std::move(a));
+    }
     // Join (template binding, machine Begin) runs outside the pipeline
     // lock so Submit callers are never blocked on it; this thread is
     // the executor's sole driver, so no other synchronization applies.
@@ -481,17 +497,20 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
     if (!joined.ok()) {
       // Defensive (the suffix check above normally fires first): the
       // executor refused the join; requeue for a fresh batch.
+      pend.progress = std::move(admitted->back().progress);
+      pend.on_progress = std::move(admitted->back().on_progress);
+      admitted->pop_back();
       MutexLock lock(&pipeline->mu);
       pend.join_refused = true;
       pipeline->pending.push_front(std::move(pend));
       break;
     }
-    FASTMATCH_CHECK_EQ(*joined, admitted->size());
+    FASTMATCH_CHECK_EQ(*joined + 1, admitted->size());
     // A join whose per-query binding failed still occupies an item slot
     // but never entered the scan: report it as a plain (failed) query,
     // keeping joined_midflight consistent with the executor's stat.
     const bool bound = executor->stats().joined_queries > bound_before;
-    Admitted a;
+    Admitted& a = admitted->back();
     a.promise = std::move(pend.promise);
     a.cancel = std::move(pend.cancel);
     a.enqueued = pend.enqueued;
@@ -500,9 +519,6 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
     if (pend.budget_seconds > 0) {
       a.budget_deadline = a.admitted + FromSeconds(pend.budget_seconds);
     }
-    a.progress = std::move(pend.progress);
-    a.on_progress = std::move(pend.on_progress);
-    admitted->push_back(std::move(a));
     if (bound) {
       counters_.joined_midflight.fetch_add(1, std::memory_order_relaxed);
       if (cache_lifted_refusal) {
@@ -595,18 +611,22 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   });
   // Anytime streaming: the executor emits per-query snapshots at every
   // chunk boundary; route each to its query's consumers. Runs on THIS
-  // thread inside Step/EvictWithResult with no pipeline lock held (the
-  // promise-resolution discipline applies to progress publication too);
-  // `admitted` only grows, and only between Steps, so the index map is
-  // stable whenever the callback fires. A query that opted out is not
-  // free: BatchExecutor::EmitProgress builds its full Progress()
-  // snapshot at every chunk before this callback drops it.
+  // thread inside Step/Join/EvictWithResult with no pipeline lock held
+  // (the promise-resolution discipline applies to progress publication
+  // too). `admitted` only grows, and only between Steps or just before
+  // a Join (TryJoins registers the entry first), so the index map is
+  // stable whenever either function runs. The predicate keeps a query
+  // that opted out free: the executor builds no snapshot for it.
   executor->SetProgressCallback(
       [&admitted](size_t index, const ProgressUpdate& update) {
-        if (index >= admitted.size()) return;
         Admitted& a = admitted[index];
         if (a.progress != nullptr) a.progress->Publish(update);
         if (a.on_progress) a.on_progress(update);
+      },
+      [&admitted](size_t index) {
+        return index < admitted.size() &&
+               (admitted[index].progress != nullptr ||
+                static_cast<bool>(admitted[index].on_progress));
       });
   const auto deliver_ready = [&] {
     for (auto& [index, item] : ready) {
@@ -642,6 +662,8 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
 
   counters_.batch_blocks_read.fetch_add(executor->stats().blocks_read,
                                         std::memory_order_relaxed);
+  counters_.batch_progress_snapshots.fetch_add(
+      executor->stats().progress_snapshots, std::memory_order_relaxed);
   std::vector<BatchItem> items = executor->TakeItems();
   FASTMATCH_CHECK_EQ(items.size(), admitted.size());
   for (size_t i = 0; i < items.size(); ++i) {
@@ -802,6 +824,8 @@ SchedulerStats QueryScheduler::stats() const {
       counters_.warm_batches_resumed.load(std::memory_order_relaxed);
   s.batch_blocks_read =
       counters_.batch_blocks_read.load(std::memory_order_relaxed);
+  s.batch_progress_snapshots =
+      counters_.batch_progress_snapshots.load(std::memory_order_relaxed);
   if (stage1_cache_ != nullptr) {
     const Stage1CacheStats cache = stage1_cache_->stats();
     s.stage1_lookups = cache.lookups;

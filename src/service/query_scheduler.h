@@ -52,13 +52,14 @@
 // rides the same chunk boundaries: a query submitted with
 // track_progress / on_progress surfaces its current top-k with
 // per-candidate Theorem-1 error bars (ProgressUpdate) after every chunk,
-// published by the driver with no pipeline lock held. Cancel() — or
-// abandoning the QueryHandle without taking its result — marks the
-// query; a queued query is shed, a running query is evicted from the
-// batch at the next chunk boundary (its template's contribution leaves
-// the union block demand, so abandoned queries stop consuming scan
-// work). A cancel that races completion loses benignly: the finished
-// result is delivered.
+// published by the driver with no pipeline lock held. Only such a query
+// pays for its snapshots: the executor never builds one for a query
+// that opted out. Cancel() — or abandoning the QueryHandle without
+// taking its result — marks the query; a queued query is shed, a
+// running query is evicted from the batch at the next chunk boundary
+// (its template's contribution leaves the union block demand, so
+// abandoned queries stop consuming scan work). A cancel that races
+// completion loses benignly: the finished result is delivered.
 //
 // Eager delivery: a query's future is fulfilled the moment its HistSim
 // machine completes mid-scan (the executor's completion callback), not
@@ -231,6 +232,10 @@ struct SchedulerStats {
                                       // (the donor's prefix is never re-read)
   int64_t batch_blocks_read = 0;      // blocks read across all retired
                                       // batches (executor stats, summed)
+  int64_t batch_progress_snapshots = 0;  // progress updates built across
+                                         // all retired batches; only
+                                         // queries with a progress
+                                         // consumer get any
 };
 
 /// \brief Per-query outcome delivered through the handle's future.
@@ -581,6 +586,7 @@ class QueryScheduler {
     std::atomic<int64_t> joins_enabled_by_cache{0};
     std::atomic<int64_t> warm_batches_resumed{0};
     std::atomic<int64_t> batch_blocks_read{0};
+    std::atomic<int64_t> batch_progress_snapshots{0};
   };
 
   /// Counts the terminal status into the right counters and resolves

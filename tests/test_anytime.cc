@@ -17,24 +17,107 @@
 //     set (never DeadlineExceeded / Cancelled), counts under
 //     stats().budget_evicted only, and both progress consumers — the
 //     QueryHandle::Progress() poll channel and the on_progress
-//     callback — observe the same stream.
+//     callback — observe the same stream;
+//   * the copy-free HistSimMachine::Progress equals a copying reference
+//     (whole-matrix merges, NormalizedRow, HistDistance) bit for bit at
+//     every chunk, across all three stages, a joined query and an
+//     overlapping warm prior;
+//   * progress cost follows subscribers: the scheduler builds snapshots
+//     only for queries with a progress consumer (none for a batch
+//     nobody subscribed to) without changing any result or block count,
+//     and a tracked query whose join completes instantly still
+//     receives its final update.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/verify.h"
 #include "engine/batch_executor.h"
 #include "index/bitmap_index.h"
 #include "service/query_scheduler.h"
+#include "service/stage1_cache.h"
 #include "test_helpers.h"
 #include "util/sync.h"
 
 namespace fastmatch {
+
+/// The pre-rewrite Progress, kept as the test's reference: copy the
+/// folded totals, merge the round and the caller's cum - snapshot as
+/// whole matrices, then NormalizedRow + HistDistance per candidate and a
+/// full sort for the top-k.
+class HistSimMachineTestPeer {
+ public:
+  static ProgressUpdate CopyingProgress(const HistSimMachine& m,
+                                        const CountMatrix& cum,
+                                        const CountMatrix& snapshot,
+                                        int64_t partial_rows) {
+    ProgressUpdate up;
+    CountMatrix pooled = m.total_;
+    pooled.Merge(m.round_);
+    CountMatrix partial = cum;
+    partial.Subtract(snapshot);
+    pooled.Merge(partial);
+    up.exact = m.exact_;
+    for (int i = 0; i < m.vz_; ++i) {
+      up.distances.push_back(
+          HistDistance(m.params_.metric, pooled.NormalizedRow(i), m.target_));
+      up.error_bars.push_back(m.ErrorBarFor(m.exact_[i], pooled.RowTotal(i)));
+    }
+    up.rows_consumed = m.diag_.stage1_samples + m.diag_.stage2_samples +
+                       m.diag_.stage3_samples + partial_rows;
+    std::vector<int> order = m.active_set_;
+    if (order.empty()) {
+      for (int i = 0; i < m.vz_; ++i) order.push_back(i);
+    }
+    const std::vector<double>& tau = up.distances;
+    std::sort(order.begin(), order.end(), [&tau](int a, int b) {
+      return tau[a] < tau[b] || (tau[a] == tau[b] && a < b);
+    });
+    const size_t k = std::min(
+        order.size(),
+        static_cast<size_t>(m.k_eff_ > 0 ? m.k_eff_ : std::max(m.params_.k, 1)));
+    up.topk.assign(order.begin(), order.begin() + k);
+    for (int i : up.topk) up.topk_distances.push_back(tau[i]);
+    return up;
+  }
+
+  /// 1, 2 or 3 while the machine is in that stage, 0 otherwise.
+  static int Stage(const HistSimMachine& m) {
+    switch (m.phase_) {
+      case HistSimMachine::Phase::kStage1:
+        return 1;
+      case HistSimMachine::Phase::kStage2:
+        return 2;
+      case HistSimMachine::Phase::kStage3:
+        return 3;
+      default:
+        return 0;
+    }
+  }
+};
+
+/// Hands the reference the executor's view of one query: its machine,
+/// its template's cumulative counts and its phase snapshot.
+class BatchExecutorTestPeer {
+ public:
+  static ProgressUpdate CopyingProgress(const BatchExecutor& e, size_t index) {
+    const BatchExecutor::QueryState& q = e.queries_[index];
+    const BatchExecutor::TemplateState& ts = e.templates_[q.tmpl];
+    return HistSimMachineTestPeer::CopyingProgress(
+        q.machine, ts.cum, q.snapshot, ts.rows_cum - q.snap_rows);
+  }
+  static int Stage(const BatchExecutor& e, size_t index) {
+    return HistSimMachineTestPeer::Stage(e.queries_[index].machine);
+  }
+};
+
 namespace {
 
 using testing_util::MakeExactStore;
@@ -378,6 +461,247 @@ TEST(AnytimeTest, UntrackedHandleHasNoProgressChannel) {
   ASSERT_TRUE(item.status.ok());
   EXPECT_FALSE(handle->Progress().has_value());
   scheduler.Shutdown();
+}
+
+
+// ----------------------------------------- copy-free Progress reference
+
+TEST(AnytimeTest, ProgressEqualsCopyingReferenceAtEveryChunk) {
+  // Small chunks so every stage spans several chunk boundaries; a loose
+  // separation epsilon ends stage 2 before the store runs dry and a
+  // tight reconstruction one leaves stage 3 rows of its own to draw.
+  // Query 0 is cold, query 1 is warm from a donor's stage-1 snapshot
+  // that the fresh scan overlaps (its rows are re-read), and query 2
+  // joins mid-scan.
+  AnytimeFixture f = MakeAnytimeFixture(20000, 53);
+  const auto make_query = [&f](uint64_t seed) {
+    BoundQuery q = MakeQuery(f, seed);
+    q.params.eps_separation = 0.15;
+    q.params.eps_reconstruction = 0.035;
+    return q;
+  };
+  Stage1Cache cache;
+  BatchOptions donor_options = ExecOptions(2, 8);
+  donor_options.stage1_sink = &cache;
+  auto donor =
+      BatchExecutor::Create({make_query(40)}, donor_options).value();
+  ASSERT_TRUE(donor->Run()[0].status.ok());
+  std::shared_ptr<const Stage1Snapshot> snapshot =
+      cache.Lookup(f.store->id(), kWholeStorePartition, 0, {1},
+                   AnytimeParams().stage1_samples);
+  ASSERT_NE(snapshot, nullptr);
+
+  BoundQuery warm = make_query(43);
+  warm.stage1_warm = snapshot;
+  auto executor =
+      BatchExecutor::Create({make_query(42), warm}, ExecOptions(2, 2))
+          .value();
+  const BatchExecutor& peek = *executor;
+  std::vector<std::set<int>> stages(3);
+  int64_t compared = 0;
+  executor->SetProgressCallback(
+      [&](size_t index, const ProgressUpdate& update) {
+        if (update.final_update) return;  // built from the MatchResult
+        const ProgressUpdate ref =
+            BatchExecutorTestPeer::CopyingProgress(peek, index);
+        EXPECT_EQ(update.distances, ref.distances) << "query " << index;
+        EXPECT_EQ(update.error_bars, ref.error_bars) << "query " << index;
+        EXPECT_EQ(update.exact, ref.exact) << "query " << index;
+        EXPECT_EQ(update.topk, ref.topk) << "query " << index;
+        EXPECT_EQ(update.topk_distances, ref.topk_distances)
+            << "query " << index;
+        EXPECT_EQ(update.rows_consumed, ref.rows_consumed)
+            << "query " << index;
+        stages[index].insert(BatchExecutorTestPeer::Stage(peek, index));
+        ++compared;
+      });
+  executor->Start();
+  for (int chunk = 0; chunk < 3; ++chunk) ASSERT_TRUE(executor->Step());
+  Result<size_t> joined = executor->Join(make_query(44));
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  ASSERT_EQ(*joined, 2u);
+  while (executor->Step()) {
+  }
+  std::vector<BatchItem> items = executor->TakeItems();
+  for (const BatchItem& item : items) {
+    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
+  }
+  EXPECT_TRUE(items[1].match.diag.stage1_warm);
+  EXPECT_EQ(executor->stats().joined_queries, 1);
+  EXPECT_EQ(stages[0], (std::set<int>{1, 2, 3}));
+  EXPECT_EQ(stages[1].count(1), 0u) << "a warm query skips stage 1";
+  EXPECT_EQ(stages[1].count(2), 1u);
+  EXPECT_EQ(stages[2].count(1), 1u);
+  EXPECT_EQ(executor->stats().progress_snapshots,
+            compared + static_cast<int64_t>(items.size()));
+}
+
+// ------------------------------------------- subscription at scheduler
+
+/// What one scheduler batch of three queries produced.
+struct SubscriptionRun {
+  std::vector<SchedulerItem> items;
+  /// Updates each query's consumers saw (0 for an unsubscribed query).
+  std::vector<int64_t> updates;
+  SchedulerStats stats;
+};
+
+enum class Consumer { kNone, kChannel, kCallback };
+
+SubscriptionRun RunSubscriptionBatch(const AnytimeFixture& f,
+                                     const std::vector<Consumer>& consumers) {
+  SchedulerOptions options = AnytimeSchedOptions();
+  // One closed batch holding every query, launched once it is full.
+  options.max_batch_queries = static_cast<int>(consumers.size());
+  options.max_queue_wait_seconds = 3600;
+  options.allow_joins = false;
+  QueryScheduler scheduler(options);
+  Mutex mu;
+  std::vector<int64_t> callback_updates(consumers.size(), 0);
+  std::vector<QueryHandle> handles;
+  for (size_t i = 0; i < consumers.size(); ++i) {
+    SubmitOptions submit;
+    submit.track_progress = consumers[i] == Consumer::kChannel;
+    if (consumers[i] == Consumer::kCallback) {
+      submit.on_progress = [&mu, &callback_updates, i](const ProgressUpdate&) {
+        MutexLock lock(&mu);
+        ++callback_updates[i];
+      };
+    }
+    auto handle = scheduler.Submit(MakeQuery(f, 42 + i), submit);
+    EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(std::move(*handle));
+  }
+  SubscriptionRun run;
+  for (size_t i = 0; i < handles.size(); ++i) {
+    run.items.push_back(handles[i].Get());
+    int64_t updates = 0;
+    if (consumers[i] == Consumer::kChannel) {
+      // Sequences count 1, 2, ... per delivered update.
+      std::optional<ProgressUpdate> latest = handles[i].Progress();
+      EXPECT_TRUE(latest.has_value() && latest->final_update);
+      if (latest.has_value()) updates = static_cast<int64_t>(latest->sequence);
+    } else if (consumers[i] == Consumer::kCallback) {
+      MutexLock lock(&mu);
+      updates = callback_updates[i];
+    } else {
+      EXPECT_FALSE(handles[i].Progress().has_value());
+    }
+    run.updates.push_back(updates);
+  }
+  // Retire the batch so its counters are summed into the stats.
+  scheduler.Shutdown();
+  run.stats = scheduler.stats();
+  return run;
+}
+
+TEST(AnytimeTest, SchedulerBuildsSnapshotsOnlyForSubscribedQueries) {
+  AnytimeFixture f = MakeAnytimeFixture(2000, 47);
+  const SubscriptionRun mixed = RunSubscriptionBatch(
+      f, {Consumer::kChannel, Consumer::kCallback, Consumer::kNone});
+  const SubscriptionRun all = RunSubscriptionBatch(
+      f, {Consumer::kChannel, Consumer::kChannel, Consumer::kChannel});
+  const SubscriptionRun none = RunSubscriptionBatch(
+      f, {Consumer::kNone, Consumer::kNone, Consumer::kNone});
+
+  for (const SubscriptionRun* run : {&mixed, &all, &none}) {
+    EXPECT_EQ(run->stats.batches_launched, 1);
+    EXPECT_EQ(run->stats.completed, 3);
+    int64_t delivered = 0;
+    for (int64_t n : run->updates) delivered += n;
+    EXPECT_EQ(run->stats.batch_progress_snapshots, delivered);
+  }
+  // The subscribed queries of the mixed run got their full streams: the
+  // same count as when every query is tracked.
+  EXPECT_GE(mixed.updates[0], 2);
+  EXPECT_EQ(mixed.updates[0], all.updates[0]);
+  EXPECT_EQ(mixed.updates[1], all.updates[1]);
+  EXPECT_EQ(mixed.updates[2], 0);
+  EXPECT_EQ(mixed.stats.batch_progress_snapshots,
+            all.stats.batch_progress_snapshots - all.updates[2]);
+  EXPECT_EQ(none.stats.batch_progress_snapshots, 0);
+
+  // Subscription changes no answer and no I/O.
+  for (const SubscriptionRun* run : {&all, &none}) {
+    EXPECT_EQ(run->stats.batch_blocks_read, mixed.stats.batch_blocks_read);
+    for (size_t i = 0; i < mixed.items.size(); ++i) {
+      const SchedulerItem& a = mixed.items[i];
+      const SchedulerItem& b = run->items[i];
+      ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+      ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+      EXPECT_EQ(b.match.topk, a.match.topk) << "query " << i;
+      EXPECT_EQ(b.match.distances, a.match.distances) << "query " << i;
+      EXPECT_EQ(b.match.error_bars, a.match.error_bars) << "query " << i;
+      EXPECT_EQ(b.match.exact, a.match.exact) << "query " << i;
+      EXPECT_EQ(b.match.diag.stage2_samples, a.match.diag.stage2_samples)
+          << "query " << i;
+    }
+  }
+}
+
+TEST(AnytimeTest, InstantWarmJoinStreamsItsFinalUpdate) {
+  // A tracked query joins a running batch of another template and is
+  // served by a stage-1 cache entry covering the whole store, so its
+  // machine completes inside Join(). Its final update must still reach
+  // its channel. The join window is probabilistic on a single-core
+  // host: bounded retries, like the scheduler's streaming-admission
+  // tests.
+  AnytimeFixture f = MakeAnytimeFixture(2000, 59);
+  const int64_t num_rows = f.store->num_rows();
+  // Template (Z = column 1, X = column 0): 8 candidates over 12 groups.
+  const auto swapped_query = [&f, num_rows](uint64_t seed) {
+    BoundQuery q;
+    q.store = f.store;
+    q.z_attr = 1;
+    q.x_attrs = {0};
+    q.target = UniformDistribution(12);
+    q.params = AnytimeParams(seed);
+    q.params.stage1_samples = num_rows;
+    return q;
+  };
+  bool joined = false;
+  for (int attempt = 0; attempt < 40 && !joined; ++attempt) {
+    SchedulerOptions options = AnytimeSchedOptions();
+    options.stage1_cache = true;
+    QueryScheduler scheduler(options);
+    // Donor: its stage 1 draws every row, so the published snapshot
+    // covers the whole store.
+    auto donor = scheduler.Submit(swapped_query(1));
+    ASSERT_TRUE(donor.ok());
+    ASSERT_TRUE(donor->Get().status.ok());
+    ASSERT_GE(scheduler.stats().stage1_inserts, 1);
+
+    BoundQuery slow = MakeQuery(f, 2);
+    slow.params.epsilon = 0.03;
+    auto running = scheduler.Submit(std::move(slow));
+    ASSERT_TRUE(running.ok());
+    for (int spin = 0; scheduler.stats().batches_launched < 2 && spin < 10000;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    SubmitOptions submit;
+    submit.track_progress = true;
+    auto tracked = scheduler.Submit(swapped_query(3), submit);
+    ASSERT_TRUE(tracked.ok());
+    SchedulerItem item = tracked->Get();
+    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
+    ASSERT_TRUE(running->Get().status.ok());
+    EXPECT_TRUE(item.match.diag.stage1_warm);
+    EXPECT_TRUE(item.match.diag.data_exhausted);
+
+    std::optional<ProgressUpdate> latest = tracked->Progress();
+    ASSERT_TRUE(latest.has_value()) << "attempt " << attempt;
+    EXPECT_TRUE(latest->final_update);
+    EXPECT_EQ(latest->topk, item.match.topk);
+    EXPECT_EQ(latest->topk_distances, item.match.topk_distances);
+    EXPECT_EQ(latest->distances, item.match.distances);
+    EXPECT_EQ(latest->error_bars, item.match.error_bars);
+    EXPECT_EQ(latest->exact, item.match.exact);
+    // Served by the running batch (no batch of its own): the join path.
+    joined = scheduler.stats().batches_launched == 2;
+    scheduler.Shutdown();
+  }
+  EXPECT_TRUE(joined) << "the tracked query never joined in 40 attempts";
 }
 
 }  // namespace
