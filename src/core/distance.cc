@@ -66,30 +66,4 @@ double HistDistance(Metric m, const Distribution& a, const Distribution& b) {
   return MaxDistance(m);
 }
 
-double CountRowDistance(Metric m, std::span<const int64_t> counts,
-                        const Distribution& b) {
-  int64_t total = 0;
-  for (const int64_t c : counts) total += c;
-  if (total == 0 || b.empty()) return MaxDistance(m);
-  FASTMATCH_CHECK_EQ(counts.size(), b.size());
-  // Each term divides exactly as Normalize does before subtracting, so
-  // the sums match L1Distance / L2Distance over the normalized row.
-  const double t = static_cast<double>(total);
-  double acc = 0;
-  switch (m) {
-    case Metric::kL1:
-      for (size_t i = 0; i < counts.size(); ++i) {
-        acc += std::fabs(static_cast<double>(counts[i]) / t - b[i]);
-      }
-      return acc;
-    case Metric::kL2:
-      for (size_t i = 0; i < counts.size(); ++i) {
-        const double d = static_cast<double>(counts[i]) / t - b[i];
-        acc += d * d;
-      }
-      return std::sqrt(acc);
-  }
-  return MaxDistance(m);
-}
-
 }  // namespace fastmatch

@@ -9,8 +9,6 @@
 #ifndef FASTMATCH_CORE_DISTANCE_H_
 #define FASTMATCH_CORE_DISTANCE_H_
 
-#include <cstdint>
-#include <span>
 #include <string_view>
 
 #include "core/histogram.h"
@@ -42,13 +40,6 @@ double KLDivergence(const Distribution& a, const Distribution& b);
 /// \brief Metric dispatch. Either argument empty (zero-sample histogram)
 /// yields MaxDistance(m).
 double HistDistance(Metric m, const Distribution& a, const Distribution& b);
-
-/// \brief HistDistance(m, Normalize(counts), b) without materializing
-/// the normalized row: the same arithmetic in the same order, so the
-/// result is bit-for-bit identical, and nothing is allocated. A
-/// zero-total row yields MaxDistance(m).
-double CountRowDistance(Metric m, std::span<const int64_t> counts,
-                        const Distribution& b);
 
 }  // namespace fastmatch
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "core/distance.h"
 #include "stats/deviation.h"
 #include "stats/hypergeometric.h"
 #include "stats/multiple_testing.h"
@@ -30,7 +29,8 @@ HistSimMachine::HistSimMachine(HistSimParams params, Distribution target)
     : params_(std::move(params)), target_(std::move(target)) {}
 
 void HistSimMachine::RefreshTau(int i) {
-  tau_[i] = CountRowDistance(params_.metric, total_.Row(i), target_);
+  Distribution d = total_.NormalizedRow(i);
+  tau_[i] = HistDistance(params_.metric, d, target_);
 }
 
 void HistSimMachine::MarkExact(int i) {
@@ -354,15 +354,15 @@ Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh,
       for (int g = 0; g < vx_; ++g) {
         merged[g] = total_row[g] + round_row[g];
       }
-      const double tau_exact =
-          CountRowDistance(params_.metric, merged, target_);
+      Distribution nd = Normalize(merged);
+      const double tau_exact = HistDistance(params_.metric, nd, target_);
       const bool null_true = in_m_[i]
                                  ? (tau_exact >= split_s_ + eps_sep_ / 2)
                                  : (tau_exact <= split_s_ - eps_sep_ / 2);
       lp = null_true ? 0.0 : -std::numeric_limits<double>::infinity();
     } else {
-      const double tau_round =
-          CountRowDistance(params_.metric, round_.Row(i), target_);
+      const Distribution d_round = round_.NormalizedRow(i);
+      const double tau_round = HistDistance(params_.metric, d_round, target_);
       double eps_i;
       if (in_m_[i]) {
         eps_i = split_s_ + eps_sep_ / 2 - tau_round;
@@ -484,8 +484,7 @@ MatchResult HistSimMachine::TakeResult() {
   return std::move(result_);
 }
 
-ProgressUpdate HistSimMachine::Progress(const CountMatrix& cum,
-                                        const CountMatrix& snapshot,
+ProgressUpdate HistSimMachine::Progress(const CountMatrix* partial,
                                         int64_t partial_rows) const {
   ProgressUpdate up;
   // Only a live machine has a pool to report: kDone has moved its counts
@@ -494,32 +493,21 @@ ProgressUpdate HistSimMachine::Progress(const CountMatrix& cum,
       phase_ != Phase::kStage3) {
     return up;
   }
-  FASTMATCH_CHECK_EQ(cum.num_candidates(), vz_);
-  FASTMATCH_CHECK_EQ(cum.num_groups(), vx_);
-  FASTMATCH_CHECK_EQ(snapshot.num_candidates(), vz_);
-  FASTMATCH_CHECK_EQ(snapshot.num_groups(), vx_);
-  // Pooled estimate, one candidate row at a time in a single scratch
-  // row: all folded phases (round_ is always folded back into total_
-  // before a demand goes outstanding; pooled defensively anyway) plus
-  // the caller's not-yet-supplied phase sample, cum - snapshot. Same
-  // integer sums as copying and merging whole matrices, and the same
-  // distance helper RefreshTau uses, so the numbers are identical.
-  std::vector<int64_t> pooled(static_cast<size_t>(vx_));
+  // Pooled estimate: all folded phases (round_ is always folded back
+  // into total_ before a demand goes outstanding; merged defensively
+  // anyway) plus the caller's not-yet-supplied partial phase sample.
+  CountMatrix pooled = total_;
+  pooled.Merge(round_);
+  if (partial != nullptr) pooled.Merge(*partial);
   up.distances.resize(static_cast<size_t>(vz_));
   up.error_bars.resize(static_cast<size_t>(vz_));
   up.exact = exact_;
+  std::vector<double> tau(static_cast<size_t>(vz_));
   for (int i = 0; i < vz_; ++i) {
-    const auto total_row = total_.Row(i);
-    const auto round_row = round_.Row(i);
-    const auto cum_row = cum.Row(i);
-    const auto snap_row = snapshot.Row(i);
-    for (size_t g = 0; g < pooled.size(); ++g) {
-      pooled[g] = total_row[g] + round_row[g] + (cum_row[g] - snap_row[g]);
-    }
-    const int64_t n = total_.RowTotal(i) + round_.RowTotal(i) +
-                      (cum.RowTotal(i) - snapshot.RowTotal(i));
-    up.distances[static_cast<size_t>(i)] =
-        CountRowDistance(params_.metric, pooled, target_);
+    const int64_t n = pooled.RowTotal(i);
+    tau[static_cast<size_t>(i)] =
+        HistDistance(params_.metric, pooled.NormalizedRow(i), target_);
+    up.distances[static_cast<size_t>(i)] = tau[static_cast<size_t>(i)];
     up.error_bars[static_cast<size_t>(i)] = ErrorBarFor(exact_[i], n);
   }
   // Completed stages logged their drawn rows into the diag counters;
@@ -527,9 +515,7 @@ ProgressUpdate HistSimMachine::Progress(const CountMatrix& cum,
   up.rows_consumed = diag_.stage1_samples + diag_.stage2_samples +
                      diag_.stage3_samples + partial_rows;
   // Current top-k guess: the pruning-surviving candidates once stage 1
-  // decided (all candidates before), ranked by pooled distance. Ties
-  // break by id, a strict total order, so the partial sort's prefix is
-  // the full sort's.
+  // decided (all candidates before), ranked by pooled distance.
   std::vector<int> order;
   if (!active_set_.empty()) {
     order = active_set_;
@@ -537,19 +523,15 @@ ProgressUpdate HistSimMachine::Progress(const CountMatrix& cum,
     order.resize(static_cast<size_t>(vz_));
     for (int i = 0; i < vz_; ++i) order[static_cast<size_t>(i)] = i;
   }
-  const std::vector<double>& tau = up.distances;
+  std::sort(order.begin(), order.end(), [&tau](int a, int b) {
+    return tau[static_cast<size_t>(a)] < tau[static_cast<size_t>(b)] ||
+           (tau[static_cast<size_t>(a)] == tau[static_cast<size_t>(b)] &&
+            a < b);
+  });
   const size_t k = std::min(
       order.size(),
       static_cast<size_t>(k_eff_ > 0 ? k_eff_ : std::max(params_.k, 1)));
-  std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(k),
-                    order.end(), [&tau](int a, int b) {
-                      return tau[static_cast<size_t>(a)] <
-                                 tau[static_cast<size_t>(b)] ||
-                             (tau[static_cast<size_t>(a)] ==
-                                  tau[static_cast<size_t>(b)] &&
-                              a < b);
-                    });
-  up.topk.assign(order.begin(), order.begin() + static_cast<ptrdiff_t>(k));
+  up.topk.assign(order.begin(), order.begin() + k);
   up.topk_distances.reserve(k);
   for (int i : up.topk) {
     up.topk_distances.push_back(tau[static_cast<size_t>(i)]);

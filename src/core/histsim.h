@@ -237,15 +237,13 @@ class HistSimMachine {
   MatchResult TakeResult();
 
   /// \brief Point-in-time answer snapshot from a live machine (any
-  /// phase with a demand outstanding; an empty update otherwise). The
-  /// caller's not-yet-supplied fresh counts for the current phase are
-  /// `cum - snapshot` (the cumulative-minus-snapshot rule of the batch
-  /// executor) with `partial_rows` rows behind them; they pool with the
-  /// machine's own totals row by row, without copying any matrix.
-  /// Const: never advances the machine. rows_consumed is filled from
-  /// the pooled totals; blocks_read/sequence/final_update are the
-  /// caller's to stamp.
-  ProgressUpdate Progress(const CountMatrix& cum, const CountMatrix& snapshot,
+  /// phase with a demand outstanding; also valid when done). `partial`
+  /// is the caller's not-yet-supplied fresh counts for the current
+  /// phase (nullptr = none) and `partial_rows` the rows behind them;
+  /// both pool with the machine's own totals. Const: never advances the
+  /// machine. rows_consumed is filled from the pooled totals;
+  /// blocks_read/sequence/final_update are the caller's to stamp.
+  ProgressUpdate Progress(const CountMatrix* partial,
                           int64_t partial_rows) const;
 
   /// \brief Completes the machine NOW from whatever it holds plus the
@@ -259,9 +257,6 @@ class HistSimMachine {
                            bool all_consumed, int64_t rows_drawn);
 
  private:
-  /// Read access for the anytime tests' copying reference of Progress.
-  friend class HistSimMachineTestPeer;
-
   enum class Phase { kCreated, kStage1, kStage2, kStage3, kDone, kFailed };
 
   void RefreshTau(int i);

@@ -505,11 +505,13 @@ void BatchExecutor::EmitProgress() {
     QueryState& q = queries_[i];
     if (!q.active || !ProgressSubscribed(i)) continue;
     const TemplateState& ts = templates_[q.tmpl];
-    // The in-flight phase's fresh sample is cumulative minus snapshot,
-    // the rule SupplyPhase uses; the machine pools it row by row with
-    // its folded phases.
-    ProgressUpdate up =
-        q.machine.Progress(ts.cum, q.snapshot, ts.rows_cum - q.snap_rows);
+    // The in-flight phase's fresh sample, by the same cumulative-minus-
+    // snapshot rule SupplyPhase uses; the machine pools it with its
+    // folded phases for the snapshot.
+    CountMatrix partial = ts.cum;
+    partial.Subtract(q.snapshot);
+    const int64_t partial_rows = ts.rows_cum - q.snap_rows;
+    ProgressUpdate up = q.machine.Progress(&partial, partial_rows);
     if (up.distances.empty()) continue;  // machine not live yet
     up.sequence = ++q.progress_seq;
     up.blocks_read = stats_.blocks_read;

@@ -416,9 +416,6 @@ class BatchExecutor {
   const StorePin& pin() const { return pin_; }
 
  private:
-  /// Read access for the anytime tests' copying reference of Progress.
-  friend class BatchExecutorTestPeer;
-
   BatchExecutor(std::shared_ptr<const ColumnStore> store, StorePin pin,
                 BatchOptions options);
 

@@ -604,7 +604,8 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   // Eager delivery: machine completions surface here, synchronously on
   // this thread from inside Start/Step/Join/Evict. Buffered rather than
   // fulfilled inline because a Join()'s instant completion (binding
-  // failure) fires before its Admitted entry exists.
+  // failure, or a warm prior covering the whole store) fires before
+  // TryJoins has moved the query's promise into its Admitted entry.
   std::vector<std::pair<size_t, BatchItem>> ready;
   executor->SetCompletionCallback([&ready](size_t index, BatchItem item) {
     ready.emplace_back(index, std::move(item));
@@ -624,9 +625,10 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
         if (a.on_progress) a.on_progress(update);
       },
       [&admitted](size_t index) {
-        return index < admitted.size() &&
-               (admitted[index].progress != nullptr ||
-                static_cast<bool>(admitted[index].on_progress));
+        // Every entry exists before Start() or Join() can emit for it.
+        FASTMATCH_CHECK(index < admitted.size());
+        return admitted[index].progress != nullptr ||
+               static_cast<bool>(admitted[index].on_progress);
       });
   const auto deliver_ready = [&] {
     for (auto& [index, item] : ready) {

@@ -303,7 +303,8 @@ class CancelToken {
       : doorbell_(std::move(doorbell)) {}
 
   /// \brief Sets the flag (idempotent) and rings the doorbell on the
-  /// first call. Never blocks.
+  /// first call. The scheduler's doorbell takes the pipeline lock
+  /// briefly, so this must not be called while holding it.
   void Cancel() {
     if (!cancelled_.exchange(true, std::memory_order_relaxed) &&
         doorbell_ != nullptr) {
@@ -357,7 +358,8 @@ class QueryHandle {
   }
 
   /// \brief Requests cancellation. Safe from any thread, any time,
-  /// including after the scheduler is gone; never blocks. Rings the
+  /// including after the scheduler is gone; takes the pipeline lock
+  /// briefly (never while the scheduler holds it). Rings the
   /// pipeline's doorbell so a queued query is shed (and its future
   /// resolved Cancelled) at the next driver wakeup, not the next flush
   /// deadline.

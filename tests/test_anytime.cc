@@ -18,10 +18,6 @@
 //     stats().budget_evicted only, and both progress consumers — the
 //     QueryHandle::Progress() poll channel and the on_progress
 //     callback — observe the same stream;
-//   * the copy-free HistSimMachine::Progress equals a copying reference
-//     (whole-matrix merges, NormalizedRow, HistDistance) bit for bit at
-//     every chunk, across all three stages, a joined query and an
-//     overlapping warm prior;
 //   * progress cost follows subscribers: the scheduler builds snapshots
 //     only for queries with a progress consumer (none for a batch
 //     nobody subscribed to) without changing any result or block count,
@@ -42,82 +38,10 @@
 #include "engine/batch_executor.h"
 #include "index/bitmap_index.h"
 #include "service/query_scheduler.h"
-#include "service/stage1_cache.h"
 #include "test_helpers.h"
 #include "util/sync.h"
 
 namespace fastmatch {
-
-/// The pre-rewrite Progress, kept as the test's reference: copy the
-/// folded totals, merge the round and the caller's cum - snapshot as
-/// whole matrices, then NormalizedRow + HistDistance per candidate and a
-/// full sort for the top-k.
-class HistSimMachineTestPeer {
- public:
-  static ProgressUpdate CopyingProgress(const HistSimMachine& m,
-                                        const CountMatrix& cum,
-                                        const CountMatrix& snapshot,
-                                        int64_t partial_rows) {
-    ProgressUpdate up;
-    CountMatrix pooled = m.total_;
-    pooled.Merge(m.round_);
-    CountMatrix partial = cum;
-    partial.Subtract(snapshot);
-    pooled.Merge(partial);
-    up.exact = m.exact_;
-    for (int i = 0; i < m.vz_; ++i) {
-      up.distances.push_back(
-          HistDistance(m.params_.metric, pooled.NormalizedRow(i), m.target_));
-      up.error_bars.push_back(m.ErrorBarFor(m.exact_[i], pooled.RowTotal(i)));
-    }
-    up.rows_consumed = m.diag_.stage1_samples + m.diag_.stage2_samples +
-                       m.diag_.stage3_samples + partial_rows;
-    std::vector<int> order = m.active_set_;
-    if (order.empty()) {
-      for (int i = 0; i < m.vz_; ++i) order.push_back(i);
-    }
-    const std::vector<double>& tau = up.distances;
-    std::sort(order.begin(), order.end(), [&tau](int a, int b) {
-      return tau[a] < tau[b] || (tau[a] == tau[b] && a < b);
-    });
-    const size_t k = std::min(
-        order.size(),
-        static_cast<size_t>(m.k_eff_ > 0 ? m.k_eff_ : std::max(m.params_.k, 1)));
-    up.topk.assign(order.begin(), order.begin() + k);
-    for (int i : up.topk) up.topk_distances.push_back(tau[i]);
-    return up;
-  }
-
-  /// 1, 2 or 3 while the machine is in that stage, 0 otherwise.
-  static int Stage(const HistSimMachine& m) {
-    switch (m.phase_) {
-      case HistSimMachine::Phase::kStage1:
-        return 1;
-      case HistSimMachine::Phase::kStage2:
-        return 2;
-      case HistSimMachine::Phase::kStage3:
-        return 3;
-      default:
-        return 0;
-    }
-  }
-};
-
-/// Hands the reference the executor's view of one query: its machine,
-/// its template's cumulative counts and its phase snapshot.
-class BatchExecutorTestPeer {
- public:
-  static ProgressUpdate CopyingProgress(const BatchExecutor& e, size_t index) {
-    const BatchExecutor::QueryState& q = e.queries_[index];
-    const BatchExecutor::TemplateState& ts = e.templates_[q.tmpl];
-    return HistSimMachineTestPeer::CopyingProgress(
-        q.machine, ts.cum, q.snapshot, ts.rows_cum - q.snap_rows);
-  }
-  static int Stage(const BatchExecutor& e, size_t index) {
-    return HistSimMachineTestPeer::Stage(e.queries_[index].machine);
-  }
-};
-
 namespace {
 
 using testing_util::MakeExactStore;
@@ -461,79 +385,6 @@ TEST(AnytimeTest, UntrackedHandleHasNoProgressChannel) {
   ASSERT_TRUE(item.status.ok());
   EXPECT_FALSE(handle->Progress().has_value());
   scheduler.Shutdown();
-}
-
-
-// ----------------------------------------- copy-free Progress reference
-
-TEST(AnytimeTest, ProgressEqualsCopyingReferenceAtEveryChunk) {
-  // Small chunks so every stage spans several chunk boundaries; a loose
-  // separation epsilon ends stage 2 before the store runs dry and a
-  // tight reconstruction one leaves stage 3 rows of its own to draw.
-  // Query 0 is cold, query 1 is warm from a donor's stage-1 snapshot
-  // that the fresh scan overlaps (its rows are re-read), and query 2
-  // joins mid-scan.
-  AnytimeFixture f = MakeAnytimeFixture(20000, 53);
-  const auto make_query = [&f](uint64_t seed) {
-    BoundQuery q = MakeQuery(f, seed);
-    q.params.eps_separation = 0.15;
-    q.params.eps_reconstruction = 0.035;
-    return q;
-  };
-  Stage1Cache cache;
-  BatchOptions donor_options = ExecOptions(2, 8);
-  donor_options.stage1_sink = &cache;
-  auto donor =
-      BatchExecutor::Create({make_query(40)}, donor_options).value();
-  ASSERT_TRUE(donor->Run()[0].status.ok());
-  std::shared_ptr<const Stage1Snapshot> snapshot =
-      cache.Lookup(f.store->id(), kWholeStorePartition, 0, {1},
-                   AnytimeParams().stage1_samples);
-  ASSERT_NE(snapshot, nullptr);
-
-  BoundQuery warm = make_query(43);
-  warm.stage1_warm = snapshot;
-  auto executor =
-      BatchExecutor::Create({make_query(42), warm}, ExecOptions(2, 2))
-          .value();
-  const BatchExecutor& peek = *executor;
-  std::vector<std::set<int>> stages(3);
-  int64_t compared = 0;
-  executor->SetProgressCallback(
-      [&](size_t index, const ProgressUpdate& update) {
-        if (update.final_update) return;  // built from the MatchResult
-        const ProgressUpdate ref =
-            BatchExecutorTestPeer::CopyingProgress(peek, index);
-        EXPECT_EQ(update.distances, ref.distances) << "query " << index;
-        EXPECT_EQ(update.error_bars, ref.error_bars) << "query " << index;
-        EXPECT_EQ(update.exact, ref.exact) << "query " << index;
-        EXPECT_EQ(update.topk, ref.topk) << "query " << index;
-        EXPECT_EQ(update.topk_distances, ref.topk_distances)
-            << "query " << index;
-        EXPECT_EQ(update.rows_consumed, ref.rows_consumed)
-            << "query " << index;
-        stages[index].insert(BatchExecutorTestPeer::Stage(peek, index));
-        ++compared;
-      });
-  executor->Start();
-  for (int chunk = 0; chunk < 3; ++chunk) ASSERT_TRUE(executor->Step());
-  Result<size_t> joined = executor->Join(make_query(44));
-  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-  ASSERT_EQ(*joined, 2u);
-  while (executor->Step()) {
-  }
-  std::vector<BatchItem> items = executor->TakeItems();
-  for (const BatchItem& item : items) {
-    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
-  }
-  EXPECT_TRUE(items[1].match.diag.stage1_warm);
-  EXPECT_EQ(executor->stats().joined_queries, 1);
-  EXPECT_EQ(stages[0], (std::set<int>{1, 2, 3}));
-  EXPECT_EQ(stages[1].count(1), 0u) << "a warm query skips stage 1";
-  EXPECT_EQ(stages[1].count(2), 1u);
-  EXPECT_EQ(stages[2].count(1), 1u);
-  EXPECT_EQ(executor->stats().progress_snapshots,
-            compared + static_cast<int64_t>(items.size()));
 }
 
 // ------------------------------------------- subscription at scheduler

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
-#include <vector>
 
 #include "util/random.h"
 
@@ -97,32 +95,6 @@ TEST(DistanceTest, EmptyDistributionGetsMaxDistance) {
   EXPECT_DOUBLE_EQ(HistDistance(Metric::kL1, empty, d), 2.0);
   EXPECT_DOUBLE_EQ(HistDistance(Metric::kL1, d, empty), 2.0);
   EXPECT_DOUBLE_EQ(HistDistance(Metric::kL2, empty, d), std::sqrt(2.0));
-}
-
-TEST(DistanceTest, CountRowDistanceMatchesNormalizedRowBitForBit) {
-  // The allocation-free helper must reproduce HistDistance over the
-  // normalized row exactly (EXPECT_EQ on doubles, no tolerance): the
-  // machine's distances and its anytime snapshots rely on it.
-  Rng rng(77);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int n = 1 + static_cast<int>(rng.Uniform(40));
-    std::vector<int64_t> counts(static_cast<size_t>(n));
-    for (int64_t& c : counts) {
-      c = trial % 4 == 0 ? static_cast<int64_t>(rng.Uniform(3))
-                         : static_cast<int64_t>(rng.Uniform(1u << 20));
-    }
-    const Distribution target = RandomDistribution(n, &rng);
-    for (Metric m : {Metric::kL1, Metric::kL2}) {
-      EXPECT_EQ(CountRowDistance(m, counts, target),
-                HistDistance(m, Normalize(counts), target))
-          << "trial " << trial << " metric " << MetricName(m);
-    }
-  }
-  const std::vector<int64_t> zeros(5, 0);
-  EXPECT_EQ(CountRowDistance(Metric::kL1, zeros, UniformDistribution(5)),
-            MaxDistance(Metric::kL1));
-  EXPECT_EQ(CountRowDistance(Metric::kL2, zeros, UniformDistribution(5)),
-            MaxDistance(Metric::kL2));
 }
 
 TEST(DistanceTest, MaxDistanceConstants) {
