@@ -66,6 +66,13 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                executor users outside src/ (tests, perfbench) may still
                subscribe every query.
 
+  orphan-header  Every src/**/*.h is #included by some file under src/,
+               bench/, perfbench/ or examples/ other than its own .cc: a
+               module that only its tests reach is dead weight the build
+               still compiles and the docs still describe. Exempt:
+               src/core/row_sampler.h, the reference row-level Sampler
+               the engine equivalence tests compare against.
+
 Zero third-party dependencies; line-based on purpose (a full C++ parse
 buys little for these rules and costs a clang dependency the lint gate
 must not have). Exit 0 when clean, 1 with file:line diagnostics if not.
@@ -126,6 +133,16 @@ PINNED_SCAN_RECEIVERS = ("store",)
 # by a return type or the class qualifier) are skipped by the caller.
 PROGRESS_CALLBACK_CALL = re.compile(r"\bSetProgressCallback\s*\(")
 PROGRESS_CALLBACK_DECL = re.compile(r"(\bvoid|::)\s*$")
+
+# Directories whose files count as real callers of a src/ header, the
+# include form they use, and the one header only tests may reach.
+CALLER_DIRS = ["src", "bench", "perfbench", "examples"]
+INCLUDE = re.compile(r'^\s*#\s*include\s+"(?P<path>[^"]+)"', re.MULTILINE)
+ORPHAN_EXEMPT = {
+    # The reference row-level Sampler: tests check the engine's block
+    # sampling against it, and no program path needs row sampling.
+    "src/core/row_sampler.h",
+}
 
 # A src/ path in the first cell of a lock-hierarchy table row.
 LOCK_TABLE_FILE = re.compile(r"`(src/[\w/.]+\.(?:h|cc))`")
@@ -365,6 +382,29 @@ def check_nodiscard_attr(violations: list):
                  f"class {cls} must stay [[nodiscard]]"))
 
 
+def check_orphan_headers(violations: list):
+    """Every src/ header must be included by a caller outside tests other
+    than its own .cc."""
+    includers = {}
+    for d in CALLER_DIRS:
+        for path in sorted((REPO / d).rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            rel = path.relative_to(REPO).as_posix()
+            for m in INCLUDE.finditer(read(path)):
+                includers.setdefault("src/" + m.group("path"), set()).add(rel)
+    for path in sorted((REPO / "src").rglob("*.h")):
+        rel = path.relative_to(REPO).as_posix()
+        own_cc = rel[:-len(".h")] + ".cc"
+        if rel in ORPHAN_EXEMPT or includers.get(rel, set()) - {own_cc}:
+            continue
+        violations.append(
+            (rel, 1, "orphan-header",
+             "no file under src/, bench/, perfbench/ or examples/ other "
+             "than its own .cc includes this header; delete the module "
+             "or move it to tests/"))
+
+
 def main() -> int:
     violations = []
     mutex_files = []
@@ -380,6 +420,7 @@ def main() -> int:
                 mutex_files.append(rel)
     check_lock_hierarchy_doc(mutex_files, violations)
     check_nodiscard_attr(violations)
+    check_orphan_headers(violations)
     for rel, line, rule, msg in violations:
         print(f"{rel}:{line}: [{rule}] {msg}")
     if violations:

@@ -502,41 +502,42 @@ ProgressUpdate HistSimMachine::Progress(const CountMatrix* partial,
   up.distances.resize(static_cast<size_t>(vz_));
   up.error_bars.resize(static_cast<size_t>(vz_));
   up.exact = exact_;
-  std::vector<double> tau(static_cast<size_t>(vz_));
   for (int i = 0; i < vz_; ++i) {
     const int64_t n = pooled.RowTotal(i);
-    tau[static_cast<size_t>(i)] =
+    up.distances[static_cast<size_t>(i)] =
         HistDistance(params_.metric, pooled.NormalizedRow(i), target_);
-    up.distances[static_cast<size_t>(i)] = tau[static_cast<size_t>(i)];
     up.error_bars[static_cast<size_t>(i)] = ErrorBarFor(exact_[i], n);
   }
   // Completed stages logged their drawn rows into the diag counters;
   // the in-flight phase's rows are the caller's partial.
   up.rows_consumed = diag_.stage1_samples + diag_.stage2_samples +
                      diag_.stage3_samples + partial_rows;
-  // Current top-k guess: the pruning-surviving candidates once stage 1
-  // decided (all candidates before), ranked by pooled distance.
+  up.topk = RankedTopK(up.distances);
+  up.topk_distances.reserve(up.topk.size());
+  for (int i : up.topk) {
+    up.topk_distances.push_back(up.distances[static_cast<size_t>(i)]);
+  }
+  return up;
+}
+
+std::vector<int> HistSimMachine::RankedTopK(
+    const std::vector<double>& tau) const {
   std::vector<int> order;
   if (!active_set_.empty()) {
     order = active_set_;
   } else {
     order.resize(static_cast<size_t>(vz_));
-    for (int i = 0; i < vz_; ++i) order[static_cast<size_t>(i)] = i;
+    std::iota(order.begin(), order.end(), 0);
   }
   std::sort(order.begin(), order.end(), [&tau](int a, int b) {
     return tau[static_cast<size_t>(a)] < tau[static_cast<size_t>(b)] ||
            (tau[static_cast<size_t>(a)] == tau[static_cast<size_t>(b)] &&
             a < b);
   });
-  const size_t k = std::min(
+  order.resize(std::min(
       order.size(),
-      static_cast<size_t>(k_eff_ > 0 ? k_eff_ : std::max(params_.k, 1)));
-  up.topk.assign(order.begin(), order.begin() + k);
-  up.topk_distances.reserve(k);
-  for (int i : up.topk) {
-    up.topk_distances.push_back(tau[static_cast<size_t>(i)]);
-  }
-  return up;
+      static_cast<size_t>(k_eff_ > 0 ? k_eff_ : std::max(params_.k, 1))));
+  return order;
 }
 
 Status HistSimMachine::HarvestBestEffort(const CountMatrix& fresh,
@@ -583,24 +584,12 @@ Status HistSimMachine::HarvestBestEffort(const CountMatrix& fresh,
   total_.Merge(fresh);
   for (int i = 0; i < vz_; ++i) RefreshTau(i);
 
-  // Rank whatever the pool says. Stage-1 pruning decisions are honored
-  // when they exist (a harvest mid-stage-1 has none: every candidate is
-  // still in play); k falls back to the requested k when stage 1 never
-  // fixed k_eff_.
-  std::vector<int> order;
-  if (!active_set_.empty()) {
-    order = active_set_;
-  } else {
-    order.resize(static_cast<size_t>(vz_));
-    for (int i = 0; i < vz_; ++i) order[static_cast<size_t>(i)] = i;
+  // Rank whatever the pool says (a harvest mid-stage-1 has no pruning
+  // decisions yet: every candidate is still in play).
+  matching_ = RankedTopK(tau_);
+  if (diag_.chosen_k == 0) {
+    diag_.chosen_k = static_cast<int>(matching_.size());
   }
-  std::sort(order.begin(), order.end(),
-            [this](int a, int b) { return TauLess(a, b); });
-  const size_t k = std::min(
-      order.size(),
-      static_cast<size_t>(k_eff_ > 0 ? k_eff_ : std::max(params_.k, 1)));
-  matching_.assign(order.begin(), order.begin() + k);
-  if (diag_.chosen_k == 0) diag_.chosen_k = static_cast<int>(k);
 
   result_.best_effort = true;
   const Status status = Finalize();

@@ -263,6 +263,12 @@ class HistSimMachine {
   bool TauLess(int a, int b) const {
     return tau_[a] < tau_[b] || (tau_[a] == tau_[b] && a < b);
   }
+  /// The current top-k guess under per-candidate distances `tau`: the
+  /// stage-1 survivors once stage 1 decided (every candidate before),
+  /// ordered by distance with ties broken by id, cut at k_eff_ (the
+  /// requested k while stage 1 has not fixed it). Shared by Progress
+  /// and HarvestBestEffort.
+  std::vector<int> RankedTopK(const std::vector<double>& tau) const;
   /// Marks candidate i exact on the caller's exhaustion signal. With an
   /// overlapping warm prior, the prior's row is first removed from the
   /// totals: the caller's exhaustion only proves ITS window's counts

@@ -493,7 +493,7 @@ void BatchExecutor::NotifyCompletions() {
     if (!on_complete_) continue;
     BatchItem item;
     item.status = q.status;
-    item.match = q.match;  // copy: TakeItems still moves the original
+    item.match = std::move(q.match);  // the callback is the only delivery
     item.wall_seconds = q.wall_seconds;
     on_complete_(i, std::move(item));
   }
@@ -647,8 +647,7 @@ Result<size_t> BatchExecutor::Join(const BoundQuery& query) {
     // the query "completed" at join time, not at batch start — stamp it
     // so item latencies stay monotone for late arrivals.
     qs.wall_seconds = timer_.Seconds();
-  }
-  if (qs.active) {
+  } else {
     // The join snapshot (fresh counts = cumulative minus admission
     // state, so the query is fed from the remaining scan suffix only)
     // was already taken inside BindQuery, which snapshots the
@@ -660,12 +659,15 @@ Result<size_t> BatchExecutor::Join(const BoundQuery& query) {
     // were never checked against the newcomer's candidates), so
     // restart it.
     streak_ = 0;
-    ++stats_.joined_queries;
   }
+  // A query that bound joined the batch, whether it is now scanning or
+  // a whole-store warm prior completed it at bind; a binding failure
+  // did not.
+  if (qs.status.ok()) ++stats_.joined_queries;
   stats_.num_templates = static_cast<int>(templates_.size());
-  // A join whose binding failed is complete already; report it now so
-  // the callback contract (every query, at its completion instant)
-  // holds for joins too.
+  // A join that failed binding or completed at bind is complete
+  // already; report it now so the callback contract (every query, at
+  // its completion instant) holds for joins too.
   NotifyCompletions();
   return index;
 }
@@ -684,6 +686,9 @@ ScanResume BatchExecutor::CaptureScanState() const {
 std::vector<BatchItem> BatchExecutor::TakeItems() {
   FASTMATCH_CHECK(started_) << "BatchExecutor::TakeItems before Start";
   FASTMATCH_CHECK(!taken_) << "BatchExecutor::TakeItems called twice";
+  FASTMATCH_CHECK(!on_complete_)
+      << "BatchExecutor::TakeItems with a completion callback, which "
+         "already delivered every item";
   FASTMATCH_CHECK(!AnyActive())
       << "BatchExecutor::TakeItems with active queries";
   taken_ = true;
@@ -702,6 +707,9 @@ std::vector<BatchItem> BatchExecutor::TakeItems() {
 
 std::vector<BatchItem> BatchExecutor::Run() {
   FASTMATCH_CHECK(!started_) << "BatchExecutor::Run after Start or Run";
+  FASTMATCH_CHECK(!on_complete_)
+      << "BatchExecutor::Run with a completion callback: drive "
+         "Start()/Step() and take the items from the callback";
   Start();
   while (Step()) {
   }

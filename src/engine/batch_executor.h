@@ -230,7 +230,9 @@ struct BatchStats {
   int64_t blocks_skipped = 0;
   /// Scan rounds (chunks) executed.
   int64_t chunks = 0;
-  /// Queries admitted mid-flight through Join().
+  /// Queries bound mid-flight through Join(), including one that a
+  /// whole-store warm prior completes at bind; a join whose binding
+  /// fails is not counted.
   int64_t joined_queries = 0;
   /// Queries removed mid-flight through Evict().
   int64_t evicted_queries = 0;
@@ -255,7 +257,8 @@ struct BatchStats {
   int num_templates = 0;
 };
 
-/// \brief Per-query outcome of a batch run (same order as the input;
+/// \brief Per-query outcome of a batch run, returned by TakeItems()/Run()
+/// or handed to the completion callback (same index order as the input;
 /// joined queries follow in Join() order).
 struct BatchItem {
   /// Per-query status: one query failing (bad parameters, everything
@@ -275,8 +278,10 @@ struct BatchItem {
 ///   * closed batch:  Create() then Run() — everything in one call;
 ///   * streaming:     Create(), Start(), then Step() until it returns
 ///     false, then TakeItems(). Between Step() calls (chunk boundaries)
-///     late queries may be admitted with Join(). This is the protocol the
-///     service-tier QueryScheduler drives.
+///     late queries may be admitted with Join(). With a completion
+///     callback set, the callback delivers each item instead of
+///     TakeItems(); this is how the service-tier QueryScheduler drives
+///     it.
 class BatchExecutor {
  public:
   /// \brief Creates an executor for one batch. All queries must share one
@@ -299,7 +304,8 @@ class BatchExecutor {
 
   /// \brief Executes one shared-scan chunk (mark, read, settle) and
   /// returns true while any query is still active. Requires Start().
-  /// A false return means every query completed: call TakeItems().
+  /// A false return means every query completed: call TakeItems(), or,
+  /// with a completion callback set, every item has been delivered.
   bool Step();
 
   /// \brief Admits a late query into the running scan at the current
@@ -308,7 +314,7 @@ class BatchExecutor {
   /// remaining scan suffix (see the header comment for why that is a
   /// sound uniform without-replacement sample).
   ///
-  /// Returns the query's index among TakeItems() on success. Structural
+  /// Returns the query's item index on success. Structural
   /// errors return a Status: Join() before Start() or after TakeItems(),
   /// a query over a different store, or an empty scan suffix (every
   /// block already consumed — the caller must fall back to a fresh
@@ -345,17 +351,20 @@ class BatchExecutor {
 
   /// \brief Registers `fn`, called exactly once per query at the moment
   /// it completes — result ready, per-query failure, or eviction — with
-  /// the query's TakeItems() index and a copy of its item (passed by
-  /// value so the receiver can move it onward). This is the
-  /// eager-delivery hook: a machine finishing mid-scan surfaces here at
-  /// the chunk boundary that finished it, not at batch retire.
+  /// the query's item index and its item, moved out of the executor.
+  /// This is the eager-delivery hook: a machine finishing mid-scan
+  /// surfaces here at the chunk boundary that finished it.
+  ///
+  /// The callback is each item's only delivery path: an executor with
+  /// one refuses TakeItems() and Run() (FASTMATCH_CHECK); drive it with
+  /// Start()/Step() until Step() returns false.
   ///
   /// Calls happen synchronously on the driving thread, inside Start(),
-  /// Step(), Join() (a join whose binding fails completes instantly),
-  /// and Evict(). Must be set before Start(); fn must not re-enter the
-  /// executor. Queries already failed at Create() are reported from
-  /// Start(). TakeItems() is unaffected: it still returns every item,
-  /// so retire-time consumers need no callback.
+  /// Step(), Join() (a join whose binding fails, or that a whole-store
+  /// warm prior completes, finishes instantly), Evict() and
+  /// EvictWithResult(). Must be set before Start(); fn must not
+  /// re-enter the executor. Queries already failed at Create() are
+  /// reported from Start().
   void SetCompletionCallback(std::function<void(size_t, BatchItem)> fn);
 
   /// \brief Registers `fn`, called at every chunk boundary for every
@@ -382,8 +391,8 @@ class BatchExecutor {
       std::function<void(size_t, const ProgressUpdate&)> fn,
       std::function<bool(size_t)> subscribed = nullptr);
 
-  /// \brief Moves out the per-query outcomes. Requires Start() and no
-  /// remaining active queries; valid once.
+  /// \brief Moves out the per-query outcomes. Requires Start(), no
+  /// remaining active queries and no completion callback; valid once.
   std::vector<BatchItem> TakeItems();
 
   /// \brief True once every admitted query has completed (or failed).

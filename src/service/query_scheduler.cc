@@ -22,7 +22,6 @@ std::chrono::steady_clock::duration FromSeconds(double seconds) {
 std::unique_ptr<Stage1Cache> MakeStage1Cache(const SchedulerOptions& options) {
   if (!options.stage1_cache) return nullptr;
   Stage1CacheOptions cache_options;
-  cache_options.capacity = options.stage1_cache_capacity;
   cache_options.ttl_seconds = options.stage1_cache_ttl_seconds;
   return std::make_unique<Stage1Cache>(cache_options);
 }
@@ -327,8 +326,7 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
 }
 
 void QueryScheduler::FulfillAdmitted(Admitted* a, BatchItem item,
-                                     Clock::time_point batch_start,
-                                     bool eager) {
+                                     Clock::time_point batch_start) {
   SchedulerItem out;
   out.status = std::move(item.status);
   out.match = std::move(item.match);
@@ -336,15 +334,12 @@ void QueryScheduler::FulfillAdmitted(Admitted* a, BatchItem item,
   out.queue_seconds = ToSeconds(a->admitted - a->enqueued);
   // Per-item completion instant: the executor stamps wall_seconds from
   // batch start, so batch_start + wall_seconds is when the query's
-  // machine actually finished (a backstop delivery at retire happens
-  // later — using "now" would overstate early finishers' latency).
+  // machine actually finished (delivery lands after the rest of that
+  // chunk boundary's work — using "now" would overstate latency).
   const Clock::time_point completion =
       batch_start + FromSeconds(item.wall_seconds);
   out.total_seconds = ToSeconds(completion - a->enqueued);
   a->fulfilled = true;
-  if (eager) {
-    counters_.eager_delivered.fetch_add(1, std::memory_order_relaxed);
-  }
   Resolve(&a->promise, std::move(out));
 }
 
@@ -602,10 +597,12 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
 
   const Clock::time_point batch_start = Clock::now();
   // Eager delivery: machine completions surface here, synchronously on
-  // this thread from inside Start/Step/Join/Evict. Buffered rather than
-  // fulfilled inline because a Join()'s instant completion (binding
-  // failure, or a warm prior covering the whole store) fires before
-  // TryJoins has moved the query's promise into its Admitted entry.
+  // this thread from inside Start/Step/Join/Evict/EvictWithResult, and
+  // this callback is every item's only delivery path. Buffered rather
+  // than fulfilled inline because a Join()'s instant completion
+  // (binding failure, or a warm prior covering the whole store) fires
+  // before TryJoins has moved the query's promise into its Admitted
+  // entry.
   std::vector<std::pair<size_t, BatchItem>> ready;
   executor->SetCompletionCallback([&ready](size_t index, BatchItem item) {
     ready.emplace_back(index, std::move(item));
@@ -633,10 +630,8 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   const auto deliver_ready = [&] {
     for (auto& [index, item] : ready) {
       FASTMATCH_CHECK(index < admitted.size());
-      if (!admitted[index].fulfilled) {
-        FulfillAdmitted(&admitted[index], std::move(item), batch_start,
-                        /*eager=*/true);
-      }
+      FASTMATCH_CHECK(!admitted[index].fulfilled);
+      FulfillAdmitted(&admitted[index], std::move(item), batch_start);
     }
     ready.clear();
   };
@@ -666,15 +661,9 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
                                         std::memory_order_relaxed);
   counters_.batch_progress_snapshots.fetch_add(
       executor->stats().progress_snapshots, std::memory_order_relaxed);
-  std::vector<BatchItem> items = executor->TakeItems();
-  FASTMATCH_CHECK_EQ(items.size(), admitted.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    // Backstop: anything the completion callback did not already
-    // resolve is delivered at retire.
-    if (admitted[i].fulfilled) continue;
-    FulfillAdmitted(&admitted[i], std::move(items[i]), batch_start,
-                    /*eager=*/false);
-  }
+  // The executor finished, so the callback has delivered every query.
+  FASTMATCH_CHECK_EQ(executor->num_queries(), admitted.size());
+  for (const Admitted& a : admitted) FASTMATCH_CHECK(a.fulfilled);
 }
 
 void QueryScheduler::PipelineLoop(Pipeline* pipeline) {
@@ -810,8 +799,6 @@ SchedulerStats QueryScheduler::stats() const {
       counters_.joined_midflight.load(std::memory_order_relaxed);
   s.join_fallbacks = counters_.join_fallbacks.load(std::memory_order_relaxed);
   s.pipelines = counters_.pipelines.load(std::memory_order_relaxed);
-  s.eager_delivered =
-      counters_.eager_delivered.load(std::memory_order_relaxed);
   s.deadline_exceeded =
       counters_.deadline_exceeded.load(std::memory_order_relaxed);
   s.cancelled = counters_.cancelled.load(std::memory_order_relaxed);

@@ -62,9 +62,10 @@
 // completion loses benignly: the finished result is delivered.
 //
 // Eager delivery: a query's future is fulfilled the moment its HistSim
-// machine completes mid-scan (the executor's completion callback), not
-// when the whole batch retires — the paper's per-query latency bound
-// made real at the service boundary.
+// machine completes mid-scan, not when the whole batch retires — the
+// paper's per-query latency bound made real at the service boundary.
+// The executor's completion callback is the only delivery path; there
+// is no retire-time sweep.
 //
 // Threads. Submit may be called from any thread; QueryHandle::Cancel is
 // thread-safe. Each pipeline thread is the only driver of its
@@ -135,11 +136,12 @@ struct SchedulerOptions {
   /// queries on the same (store, template), which skip stage 1
   /// entirely, and a warm template lifts the min_join_suffix_fraction
   /// refusal (stage 1 no longer needs the scan suffix). Reaping a
-  /// store's pipeline invalidates its entries. Off by default: the
-  /// cold path is the pre-cache baseline every bench compares against.
+  /// store's pipeline invalidates its entries. The cache keeps
+  /// Stage1CacheOptions' default capacity. Off by default, so every
+  /// query pays its own stage 1 unless the caller opts in (perfbench's
+  /// dashboards run with it on).
   bool stage1_cache = false;
-  /// Cache retention knobs (see Stage1CacheOptions).
-  int stage1_cache_capacity = 64;
+  /// Cache entry time-to-live (see Stage1CacheOptions::ttl_seconds).
   double stage1_cache_ttl_seconds = 0;
   /// Worker pool for every batch's block reads. nullptr selects the
   /// process-wide SharedWorkerPool::Process(). A non-null pool must
@@ -190,7 +192,6 @@ struct SchedulerStats {
   // query to warm and join it (counted in joined_midflight instead).
   int64_t join_fallbacks = 0;
   int64_t pipelines = 0;          // pipelines ever created
-  int64_t eager_delivered = 0;    // futures fulfilled before batch retire
   int64_t deadline_exceeded = 0;  // shed while queued, deadline passed
   int64_t cancelled = 0;          // terminal Cancelled (queued + evicted)
   int64_t evicted = 0;            // removed from a running batch (cancel)
@@ -457,15 +458,18 @@ class QueryScheduler {
   };
 
   /// One query admitted into a running executor (same index space as
-  /// BatchExecutor::TakeItems).
+  /// the executor's items).
   struct Admitted {
     std::promise<SchedulerItem> promise;
     std::shared_ptr<CancelToken> cancel;
     Clock::time_point enqueued;
     Clock::time_point admitted;
     bool joined_midflight = false;
-    /// Promise already resolved (eager delivery or eviction); the
-    /// retire-time sweep must skip it — exactly-once is the contract.
+    /// Promise resolved: exactly once, from the completion callback
+    /// (eager delivery, eviction or harvest), or with the Create status
+    /// when the batch's executor cannot be built. The chunk-boundary
+    /// passes skip such entries; RunBatch checks every entry has it
+    /// once the executor finishes.
     bool fulfilled = false;
     /// Evict() already issued for this query; don't re-issue each
     /// chunk boundary.
@@ -535,8 +539,8 @@ class QueryScheduler {
   /// future's continuation.
   void FulfillShed(std::vector<Shed> shed);
   /// Resolves one admitted query's promise with `item` (exactly once).
-  void FulfillAdmitted(Admitted* a, BatchItem item, Clock::time_point batch_start,
-                       bool eager);
+  void FulfillAdmitted(Admitted* a, BatchItem item,
+                       Clock::time_point batch_start);
   /// Issues Evict() for admitted queries whose cancel flag is set.
   void EvictCancelled(BatchExecutor* executor, std::vector<Admitted>* admitted);
   /// Issues EvictWithResult() for admitted queries past their execution
@@ -578,7 +582,6 @@ class QueryScheduler {
     std::atomic<int64_t> joined_midflight{0};
     std::atomic<int64_t> join_fallbacks{0};
     std::atomic<int64_t> pipelines{0};
-    std::atomic<int64_t> eager_delivered{0};
     std::atomic<int64_t> deadline_exceeded{0};
     std::atomic<int64_t> cancelled{0};
     std::atomic<int64_t> evicted{0};

@@ -11,24 +11,30 @@
 
 namespace fastmatch {
 
+namespace {
+
+/// Minimum fresh rows to draw (rounded up to whole blocks). The test
+/// power grows with the sample; 4096 rows resolves marginal shifts of a
+/// few percent at kDriftDelta.
+constexpr int64_t kSampleRows = 4096;
+/// Family-wise false-drift rate: a STABLE prior is wrongly evicted with
+/// probability <= kDriftDelta. Split across candidates (Bonferroni).
+constexpr double kDriftDelta = 1e-3;
+/// Seed for the block draw (replayable, like every other sampler).
+constexpr uint64_t kDrawSeed = 0x5eedf00d;
+
+}  // namespace
+
 Result<RevalidationReport> RevalidateStage1(
     std::shared_ptr<const ColumnStore> store, int z_attr,
     const std::vector<int>& x_attrs, const Stage1Snapshot& prior,
-    uint64_t generation, const RevalidatorOptions& options) {
+    uint64_t generation) {
   if (store == nullptr) {
     return Status::InvalidArgument("RevalidateStage1: store is null");
   }
   if (prior.rows_drawn <= 0) {
     return Status::InvalidArgument(
         "RevalidateStage1: prior has no rows (nothing to test against)");
-  }
-  if (options.sample_rows <= 0) {
-    return Status::InvalidArgument(
-        "RevalidateStage1: sample_rows must be positive");
-  }
-  if (options.delta <= 0 || options.delta >= 1) {
-    return Status::InvalidArgument(
-        "RevalidateStage1: delta must lie in (0, 1)");
   }
   FASTMATCH_ASSIGN_OR_RETURN(StoreView view, store->PinViewAt(generation));
   FASTMATCH_ASSIGN_OR_RETURN(
@@ -51,13 +57,13 @@ Result<RevalidationReport> RevalidateStage1(
   // a uniform block subset is a uniform without-replacement row sample.
   std::vector<BlockId> blocks(static_cast<size_t>(pin.num_blocks));
   std::iota(blocks.begin(), blocks.end(), BlockId{0});
-  Rng rng(options.seed);
+  Rng rng(kDrawSeed);
   rng.Shuffle(&blocks);
 
   CountMatrix fresh(io->num_candidates(), io->num_groups());
   RevalidationReport report;
   for (BlockId b : blocks) {
-    if (report.fresh_rows >= options.sample_rows) break;
+    if (report.fresh_rows >= kSampleRows) break;
     report.fresh_rows += io->ReadBlock(b, &fresh);
     ++report.blocks_read;
   }
@@ -68,7 +74,7 @@ Result<RevalidationReport> RevalidateStage1(
   const int num_candidates = fresh.num_candidates();
   const int64_t s = report.fresh_rows;
   const double bonferroni =
-      options.delta / static_cast<double>(std::max(num_candidates, 1));
+      kDriftDelta / static_cast<double>(std::max(num_candidates, 1));
   for (int c = 0; c < num_candidates; ++c) {
     const double p_c = static_cast<double>(prior.counts.RowTotal(c)) /
                        static_cast<double>(prior.rows_drawn);

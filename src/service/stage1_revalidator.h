@@ -41,19 +41,6 @@
 
 namespace fastmatch {
 
-/// \brief Drift-test knobs.
-struct RevalidatorOptions {
-  /// Minimum fresh rows to draw (rounded up to whole blocks). The test
-  /// power grows with the sample; 4096 rows resolves marginal shifts of
-  /// a few percent at the default delta.
-  int64_t sample_rows = 4096;
-  /// Family-wise false-drift rate: a STABLE prior is wrongly evicted
-  /// with probability <= delta. Split across candidates (Bonferroni).
-  double delta = 1e-3;
-  /// Seed for the block draw (replayable, like every other sampler).
-  uint64_t seed = 0x5eedf00d;
-};
-
 enum class RevalidationVerdict {
   kStable,    // fresh sample consistent with the prior: promote
   kDrifting,  // some candidate's marginal moved: evict
@@ -71,12 +58,14 @@ struct RevalidationReport {
 /// consistent with the store's generation-`generation` contents.
 ///
 /// `generation` is the querier's pinned generation — the one the prior
-/// would be served at. Fails if the generation cannot be pinned, the
-/// prior is empty, or the template doesn't match the store's schema.
+/// would be served at. The draw is at least 4096 fresh rows (whole
+/// blocks, replayable seed) and the family-wise false-drift rate is
+/// 1e-3. Fails if the generation cannot be pinned, the prior is empty,
+/// or the template doesn't match the store's schema.
 Result<RevalidationReport> RevalidateStage1(
     std::shared_ptr<const ColumnStore> store, int z_attr,
     const std::vector<int>& x_attrs, const Stage1Snapshot& prior,
-    uint64_t generation, const RevalidatorOptions& options = {});
+    uint64_t generation);
 
 }  // namespace fastmatch
 

@@ -14,21 +14,6 @@ int64_t GetEnvInt64(const char* name, int64_t fallback) {
   return static_cast<int64_t>(v);
 }
 
-double GetEnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  double v = std::strtod(raw, &end);
-  if (end == raw) return fallback;
-  return v;
-}
-
-std::string GetEnvString(const char* name, const std::string& fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  return std::string(raw);
-}
-
 int CountProcessThreads() {
   int n = 0;
   std::error_code ec;

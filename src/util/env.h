@@ -4,22 +4,15 @@
 #define FASTMATCH_UTIL_ENV_H_
 
 #include <cstdint>
-#include <string>
 
 namespace fastmatch {
 
 /// \brief Integer env var, or `fallback` when unset/unparseable.
 int64_t GetEnvInt64(const char* name, int64_t fallback);
 
-/// \brief Double env var, or `fallback` when unset/unparseable.
-double GetEnvDouble(const char* name, double fallback);
-
-/// \brief String env var, or `fallback` when unset.
-std::string GetEnvString(const char* name, const std::string& fallback);
-
 /// \brief Live threads of this process (Linux: /proc/self/task entries),
 /// or -1 where that interface is unavailable. Used by the lifecycle
-/// stress test and bench to assert the scheduler's thread bound.
+/// stress test to assert the scheduler's thread bound.
 int CountProcessThreads();
 
 }  // namespace fastmatch

@@ -549,7 +549,10 @@ TEST(AnytimeTest, InstantWarmJoinStreamsItsFinalUpdate) {
     EXPECT_EQ(latest->error_bars, item.match.error_bars);
     EXPECT_EQ(latest->exact, item.match.exact);
     // Served by the running batch (no batch of its own): the join path.
+    // A join that its warm prior completes at bind still counts as one.
     joined = scheduler.stats().batches_launched == 2;
+    EXPECT_EQ(item.joined_midflight, joined);
+    EXPECT_EQ(scheduler.stats().joined_midflight, joined ? 1 : 0);
     scheduler.Shutdown();
   }
   EXPECT_TRUE(joined) << "the tracked query never joined in 40 attempts";

@@ -7,9 +7,13 @@
 #include <vector>
 
 #include "core/histogram.h"
+#include "core/verify.h"
+#include "engine/executor.h"
+#include "index/bitmap_index.h"
 #include "storage/column_store.h"
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/result.h"
 
 namespace fastmatch {
 namespace testing_util {
@@ -89,6 +93,62 @@ inline std::vector<Distribution> PlantedDistributions(
 }
 
 }  // namespace testing_util
+
+/// Shape of a MakeQueryBatch batch.
+struct TrafficOptions {
+  int num_queries = 8;
+  /// Base algorithm parameters applied to every query.
+  HistSimParams params;
+  /// Seeds the target draws, and stamps distinct per-query params.seed
+  /// values. params.seed only drives scan-start randomness when a query
+  /// runs alone through RunQuery; a batch uses one shared cursor seeded
+  /// by BatchOptions::seed.
+  uint64_t seed = 1;
+};
+
+/// \brief Builds `options.num_queries` engine-ready queries over `store`,
+/// all on (z_attr, x_attrs) and sharing `index` (null: the batch
+/// executor then scans sequentially), each targeting the exact
+/// histogram of a randomly drawn non-empty candidate ("find candidates
+/// similar to this one"). The targets come from one exact-count scan.
+inline Result<std::vector<BoundQuery>> MakeQueryBatch(
+    std::shared_ptr<const ColumnStore> store,
+    std::shared_ptr<const BitmapIndex> index, int z_attr,
+    std::vector<int> x_attrs, const TrafficOptions& options) {
+  if (store == nullptr) return Status::InvalidArgument("null store");
+  if (options.num_queries < 1) {
+    return Status::InvalidArgument("num_queries must be >= 1");
+  }
+  FASTMATCH_RETURN_IF_ERROR(options.params.Validate());
+
+  FASTMATCH_ASSIGN_OR_RETURN(CountMatrix exact,
+                             ComputeExactCounts(*store, z_attr, x_attrs));
+  const int vz = exact.num_candidates();
+  const int vx = exact.num_groups();
+
+  Rng rng(options.seed);
+  std::vector<BoundQuery> batch;
+  batch.reserve(static_cast<size_t>(options.num_queries));
+  for (int q = 0; q < options.num_queries; ++q) {
+    BoundQuery query;
+    query.store = store;
+    query.z_index = index;
+    query.z_attr = z_attr;
+    query.x_attrs = x_attrs;
+    query.params = options.params;
+    query.params.seed = options.seed + static_cast<uint64_t>(q) + 1;
+    Distribution target;
+    for (int attempt = 0; attempt < vz && target.empty(); ++attempt) {
+      const int c = static_cast<int>(rng.Uniform(static_cast<uint64_t>(vz)));
+      target = exact.NormalizedRow(c);
+    }
+    if (target.empty()) target = UniformDistribution(vx);
+    query.target = std::move(target);
+    batch.push_back(std::move(query));
+  }
+  return batch;
+}
+
 }  // namespace fastmatch
 
 #endif  // FASTMATCH_TESTS_TEST_HELPERS_H_

@@ -20,7 +20,6 @@
 #include "engine/batch_executor.h"
 #include "index/bitmap_index.h"
 #include "test_helpers.h"
-#include "workload/traffic.h"
 
 namespace fastmatch {
 namespace {
@@ -492,30 +491,33 @@ TEST(QueryLifecycleTest, AbandonedHandleCancelsTheQuery) {
 TEST(QueryLifecycleTest, EagerDeliveryFulfillsBeforeBatchRetire) {
   // Two queries in one batch: a loose-epsilon query finishes its
   // machine long before a tight-epsilon one. With eager delivery the
-  // fast query's future must be ready while the slow one still runs.
+  // fast query's future resolves while the batch is still in flight,
+  // so only it counts as completed when its Get() returns. The slow
+  // machine needs only a few more milliseconds, which a loaded host can
+  // sleep through before the check: bounded retries.
   SchedFixture f = MakeSchedFixture(30000, 25);
   SchedulerOptions options = FastOptions();
   options.max_batch_queries = 2;  // launch as soon as both are queued
   options.max_queue_wait_seconds = 5.0;
-  QueryScheduler scheduler(options);
+  bool eager = false;
+  for (int attempt = 0; attempt < 20 && !eager; ++attempt) {
+    QueryScheduler scheduler(options);
+    BoundQuery slow = MakeQuery(f, 1);
+    slow.params.epsilon = 0.03;
+    BoundQuery fast = MakeQuery(f, 2);
+    fast.params.epsilon = 0.2;
+    auto slow_handle = scheduler.Submit(std::move(slow));
+    auto fast_handle = scheduler.Submit(std::move(fast));
+    ASSERT_TRUE(slow_handle.ok());
+    ASSERT_TRUE(fast_handle.ok());
 
-  BoundQuery slow = MakeQuery(f, 1);
-  slow.params.epsilon = 0.03;
-  BoundQuery fast = MakeQuery(f, 2);
-  fast.params.epsilon = 0.2;
-  auto slow_handle = scheduler.Submit(std::move(slow));
-  auto fast_handle = scheduler.Submit(std::move(fast));
-  ASSERT_TRUE(slow_handle.ok());
-  ASSERT_TRUE(fast_handle.ok());
-
-  ExpectTop3(fast_handle->Get());
-  // The fast future resolved eagerly: at that moment the batch was
-  // still in flight (the slow machine needs many more chunks), so the
-  // eager counter must tick before the slow future resolves.
-  const int64_t eager_at_fast = scheduler.stats().eager_delivered;
-  ExpectTop3(slow_handle->Get());
-  EXPECT_GE(eager_at_fast, 1);
-  EXPECT_EQ(scheduler.stats().completed, 2);
+    ExpectTop3(fast_handle->Get());
+    eager = scheduler.stats().completed == 1;
+    ExpectTop3(slow_handle->Get());
+    EXPECT_EQ(scheduler.stats().completed, 2);
+  }
+  EXPECT_TRUE(eager)
+      << "the fast future never resolved before the slow query finished";
 }
 
 TEST(QueryLifecycleTest, IdlePipelineIsReapedAndStoreRecovers) {
