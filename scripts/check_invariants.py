@@ -66,6 +66,17 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                executor users outside src/ (tests, perfbench) may still
                subscribe every query.
 
+  scan-position  The scan position has one home, ScanCursor in
+               src/engine/block_policy.{h,cc}: its seeded start, its
+               consumed-block set and its zero-read-cycle exhaustion
+               rule. No other file under src/engine/ may seed a cursor
+               start from an Rng (a Uniform draw over blocks or into a
+               cursor), keep a zero-read streak (any `streak`
+               identifier), or call Set on a consumed set
+               (`consumed*.Set(`), so a second scan engine or a
+               stratified cursor cannot grow a private copy of the
+               sampling model.
+
   orphan-header  Every src/**/*.h is #included by some file under src/,
                bench/, perfbench/ or examples/ other than its own .cc: a
                module that only its tests reach is dead weight the build
@@ -133,6 +144,18 @@ PINNED_SCAN_RECEIVERS = ("store",)
 # by a return type or the class qualifier) are skipped by the caller.
 PROGRESS_CALLBACK_CALL = re.compile(r"\bSetProgressCallback\s*\(")
 PROGRESS_CALLBACK_DECL = re.compile(r"(\bvoid|::)\s*$")
+
+# The scan position's home, and what only it may do (matched per
+# statement of comment-stripped code).
+SCAN_POSITION_HOME = {"src/engine/block_policy.h", "src/engine/block_policy.cc"}
+SCAN_POSITION = [
+    (re.compile(r"\bUniform\w*\s*\(", re.I),
+     re.compile(r"block|cursor|position|start", re.I),
+     "seeds a scan start from an Rng"),
+    (re.compile(r"\w*streak\w*", re.I), None, "keeps a zero-read streak"),
+    (re.compile(r"\bconsumed\w*\s*(?:\.|->)\s*Set\w*\s*\(", re.I), None,
+     "sets a bit of a consumed-block set"),
+]
 
 # Directories whose files count as real callers of a src/ header, the
 # include form they use, and the one header only tests may reach.
@@ -252,6 +275,20 @@ def check_progress_subscription(rel: str, text: str, violations: list):
                  "consumer"))
 
 
+def check_scan_position(rel: str, text: str, violations: list):
+    offset = 0
+    for statement in re.split(r"(?<=[;{}])", text):
+        for pattern, also, what in SCAN_POSITION:
+            m = pattern.search(statement)
+            if m and (also is None or also.search(statement)):
+                line = text.count("\n", 0, offset + m.start()) + 1
+                violations.append(
+                    (rel, line, "scan-position",
+                     f"{what} outside ScanCursor; scan through a "
+                     "ScanCursor (engine/block_policy.h) instead"))
+        offset += len(statement)
+
+
 def check_file(rel: str, text: str, violations: list):
     lines = text.split("\n")
     is_test = rel.startswith("tests/")
@@ -298,6 +335,9 @@ def check_file(rel: str, text: str, violations: list):
 
     if rel.startswith("src/"):
         check_progress_subscription(rel, text, violations)
+
+    if rel.startswith("src/engine/") and rel not in SCAN_POSITION_HOME:
+        check_scan_position(rel, text, violations)
 
     if rel.startswith("src/engine/"):
         for k, line in enumerate(lines, 1):

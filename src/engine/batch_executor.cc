@@ -5,7 +5,6 @@
 
 #include "engine/block_policy.h"
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace fastmatch {
 
@@ -14,8 +13,10 @@ BatchExecutor::BatchExecutor(std::shared_ptr<const ColumnStore> store,
     : store_(std::move(store)),
       options_(std::move(options)),
       pin_(pin),
-      num_blocks_(pin_.num_blocks),
-      consumed_(num_blocks_) {
+      cursor_(options_.resume.has_value()
+                  ? ScanCursor(options_.resume->consumed,
+                               options_.resume->cursor)
+                  : ScanCursor(pin_.num_blocks, options_.seed)) {
   if (options_.shared_pool == nullptr) {
     options_.shared_pool = &SharedWorkerPool::Process();
   }
@@ -67,16 +68,12 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
   }
   auto executor = std::unique_ptr<BatchExecutor>(
       new BatchExecutor(store, pin, std::move(options)));
-  if (executor->options_.resume.has_value()) {
-    executor->consumed_ = executor->options_.resume->consumed;
-    executor->consumed_blocks_ = executor->consumed_.Popcount();
-    if (executor->consumed_blocks_ == executor->num_blocks_) {
-      // Same condition Join() rejects: with no suffix left the machines
-      // would "finish" instantly on zero samples and report fabricated
-      // exact results.
-      return Status::FailedPrecondition(
-          "resume state has no unconsumed blocks; nothing to scan");
-    }
+  if (executor->cursor_.AllConsumed()) {
+    // Same condition Join() rejects: with no suffix left the machines
+    // would "finish" instantly on zero samples and report fabricated
+    // exact results.
+    return Status::FailedPrecondition(
+        "resume state has no unconsumed blocks; nothing to scan");
   }
   for (const BoundQuery& q : queries) executor->AddQuery(q);
   if (executor->options_.resume.has_value() &&
@@ -196,10 +193,10 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
     // scan can never revisit the prior's rows. Otherwise the machine
     // must treat the prior as overlapping: an exhaustion signal then
     // only certifies the scan window's counts, not prior + window.
-    bool disjoint = warm.scan.consumed.size() == consumed_.size();
+    bool disjoint = warm.scan.consumed.size() == cursor_.num_blocks();
     if (disjoint) {
       const std::vector<uint64_t>& prior_words = warm.scan.consumed.words();
-      const std::vector<uint64_t>& scan_words = consumed_.words();
+      const std::vector<uint64_t>& scan_words = cursor_.consumed().words();
       for (size_t w = 0; w < prior_words.size(); ++w) {
         if ((prior_words[w] & ~scan_words[w]) != 0) {
           disjoint = false;
@@ -299,16 +296,16 @@ void BatchExecutor::ExportStage1(const QueryState& q, const TemplateState& ts,
   auto snapshot = std::make_shared<Stage1Snapshot>();
   snapshot->counts = std::move(fresh);
   snapshot->rows_drawn = drawn;
-  snapshot->scan.consumed = consumed_;
-  snapshot->scan.cursor = cursor_;
+  snapshot->scan.consumed = cursor_.consumed();
+  snapshot->scan.cursor = cursor_.position();
   snapshot->scan.generation = pin_.generation;
   if (!options_.resume.has_value() && q.snap_rows == 0 &&
-      ts.rows_cum == consumed_rows_) {
-    // Only when the counts cover every consumed row does a template
-    // exhaustion flag certify the counts as exact — the Stage1Snapshot
-    // contract. A joined query's window (snap_rows > 0), a resumed
-    // scan's hidden prefix, or a template that missed early chunks
-    // (rows_cum < consumed_rows_) all break that coverage.
+      ts.rows_cum == stats_.rows_read) {
+    // Only when the counts cover every row this scan read does a
+    // template exhaustion flag certify the counts as exact — the
+    // Stage1Snapshot contract. A joined query's window (snap_rows > 0),
+    // a resumed scan's hidden prefix, or a template that missed early
+    // chunks (rows_cum < rows_read) all break that coverage.
     snapshot->scan.exhausted = ts.exhausted;
   }
   options_.stage1_sink->Publish(store_->id(), kWholeStorePartition, ts.z_attr,
@@ -317,7 +314,7 @@ void BatchExecutor::ExportStage1(const QueryState& q, const TemplateState& ts,
 }
 
 void BatchExecutor::Settle() {
-  const bool all_consumed = consumed_blocks_ == num_blocks_;
+  const bool all_consumed = cursor_.AllConsumed();
   for (QueryState& q : queries_) {
     // One supply may immediately issue a demand that is already satisfied
     // (exhausted candidates, zero targets): loop to fixpoint. Each pass
@@ -330,11 +327,6 @@ void BatchExecutor::Settle() {
 }
 
 void BatchExecutor::ReadChunk() {
-  const BlockId start = cursor_;
-  const int count = static_cast<int>(
-      std::min<int64_t>(options_.chunk_blocks, num_blocks_ - start));
-  cursor_ += count;
-  if (cursor_ >= num_blocks_) cursor_ = 0;
   ++stats_.chunks;
 
   // Gather the chunk's demand, one per template: the union of unmet
@@ -348,6 +340,7 @@ void BatchExecutor::ReadChunk() {
     d.unmet.clear();
     d.scan_all = false;
     d.index = ts.index.get();
+    d.exhausted = &ts.exhausted;
     // Covered-prefix rule: the bitmap index only certifies blocks fully
     // built at its build time (num_rows() / rows-per-block whole blocks
     // — a partial tail block may have been filled by later appends, so
@@ -381,25 +374,13 @@ void BatchExecutor::ReadChunk() {
     }
   }
 
-  // A block is read iff some template's demand wants it.
+  // A block is read iff some template's demand wants it; a window
+  // without reads may close the cursor's idle cycle, which marks the
+  // unmet candidates exhausted.
   std::vector<BlockId> to_read;
-  stats_.blocks_skipped += CollectBlockDemand(demands_, start, count, consumed_,
-                                              &mark_scratch_, &to_read);
-  if (to_read.empty()) {
-    streak_ += count;
-    if (streak_ >= num_blocks_) {
-      // One full cursor cycle without a read: no unconsumed block holds
-      // any currently-unmet candidate, so each one is fully enumerated
-      // (the single-query engine's exhaustion rule). The unmet sets are
-      // stable across the cycle because counts only change on reads.
-      for (size_t t = 0; t < templates_.size(); ++t) {
-        for (int c : demands_[t].unmet) templates_[t].exhausted[c] = true;
-      }
-      streak_ = 0;
-    }
-    return;
-  }
-  streak_ = 0;
+  cursor_.NextWindow(demands_, options_.chunk_blocks, &to_read,
+                     &stats_.blocks_skipped);
+  if (to_read.empty()) return;
 
   // Shared read: one pass over the chunk's blocks feeds every template
   // that still has a live query. Worker slots scan contiguous slices of
@@ -427,10 +408,8 @@ void BatchExecutor::ReadChunk() {
     RowId row_begin, row_end;
     pin_.BlockRowRange(b, &row_begin, &row_end);
     rows += row_end - row_begin;
-    consumed_.Set(b);
+    cursor_.Consume(b);
   }
-  consumed_blocks_ += static_cast<int64_t>(num_reads);
-  consumed_rows_ += rows;
   stats_.blocks_read += static_cast<int64_t>(num_reads);
   stats_.rows_read += rows;
 
@@ -524,15 +503,6 @@ void BatchExecutor::Start() {
   FASTMATCH_CHECK(!started_) << "BatchExecutor::Start called twice";
   started_ = true;
   timer_.Restart();
-
-  if (options_.resume.has_value()) {
-    cursor_ = options_.resume->cursor;
-  } else {
-    Rng rng(options_.seed);
-    cursor_ = static_cast<BlockId>(
-        rng.Uniform(static_cast<uint64_t>(num_blocks_)));
-  }
-  streak_ = 0;
   Settle();
   // Queries that failed binding at Create, or whose machine finished on
   // the first settle, complete here — the earliest a callback can fire.
@@ -604,7 +574,7 @@ Status BatchExecutor::EvictWithResult(size_t index) {
   CountMatrix fresh = ts.cum;
   fresh.Subtract(q.snapshot);
   const int64_t drawn = ts.rows_cum - q.snap_rows;
-  const bool all_consumed = consumed_blocks_ == num_blocks_;
+  const bool all_consumed = cursor_.AllConsumed();
   const Status harvest =
       q.machine.HarvestBestEffort(fresh, ts.exhausted, all_consumed, drawn);
   if (harvest.ok()) {
@@ -632,7 +602,7 @@ Result<size_t> BatchExecutor::Join(const BoundQuery& query) {
     return Status::InvalidArgument(
         "joined query must share the batch's ColumnStore");
   }
-  if (consumed_blocks_ == num_blocks_) {
+  if (cursor_.AllConsumed()) {
     // Nothing left to feed the newcomer: every block is consumed, so its
     // machine would finish instantly on zero samples. The caller must
     // route it to a fresh batch.
@@ -653,12 +623,10 @@ Result<size_t> BatchExecutor::Join(const BoundQuery& query) {
     // was already taken inside BindQuery, which snapshots the
     // template's current state for every admission path.
     //
-    // The exhaustion rule's "full zero-read cycle" invariant assumes
-    // the unmet sets were stable for the whole streak; admitting a
-    // query invalidates any streak in progress (windows already passed
-    // were never checked against the newcomer's candidates), so
-    // restart it.
-    streak_ = 0;
+    // The exhaustion rule needs the unmet sets stable over an idle
+    // cycle; windows already passed were never checked against the
+    // newcomer's candidates, so the cycle restarts.
+    cursor_.RestartIdleCycle();
   }
   // A query that bound joined the batch, whether it is now scanning or
   // a whole-store warm prior completed it at bind; a binding failure
@@ -674,8 +642,8 @@ Result<size_t> BatchExecutor::Join(const BoundQuery& query) {
 
 ScanResume BatchExecutor::CaptureScanState() const {
   ScanResume resume;
-  resume.consumed = consumed_;
-  resume.cursor = cursor_;
+  resume.consumed = cursor_.consumed();
+  resume.cursor = cursor_.position();
   if (templates_.size() == 1) {
     resume.exhausted = templates_.front().exhausted;
   }

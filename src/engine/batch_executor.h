@@ -6,8 +6,10 @@
 // and shared scans are the classic fix: touch each datum once for many
 // consumers. The batch executor drives N HistSim state machines
 // (core/histsim.h, HistSimMachine) round-robin and services all of their
-// outstanding sample demands from ONE shared scan cursor, so a block read
-// once feeds every query that needs it.
+// outstanding sample demands from ONE shared ScanCursor
+// (engine/block_policy.h: seeded start, consumed set and exhaustion
+// rule, the same one the single-query engine scans with), so a block
+// read once feeds every query that needs it.
 //
 // Queries are grouped by (z_attr, x_attrs) "template". Queries sharing a
 // template also share cumulative counts: a query's per-phase fresh counts
@@ -19,16 +21,13 @@
 //
 // Per chunk (a window of `chunk_blocks` cursor positions):
 //   1. union the unmet candidates of every outstanding targets demand per
-//      template and mark the window with AnyActive through
-//      CollectBlockDemand, the single-query engine's window rule
+//      template and visit the window through ScanCursor::NextWindow
 //      (Algorithm 3's word-wise marking from the bitmap index, OR-ed
 //      across templates); any rows demand (stage 1) — or a targets
 //      demand on a template without a bitmap index — forces plain
-//      sequential consumption of the window. Pre-skipped blocks are
-//      never enqueued, stay UNCONSUMED (a later demand may still want
-//      them — resume/pinned-scan semantics unchanged), and count into
-//      BatchStats::blocks_skipped; a fully-skipped cursor cycle feeds
-//      the exhaustion rule exactly as before;
+//      sequential consumption of the window. Skipped blocks stay
+//      UNCONSUMED (a later demand may still want them) and count into
+//      BatchStats::blocks_skipped;
 //   2. read the marked, unconsumed blocks with the worker pool: each
 //      worker slot scans a contiguous slice of the chunk into thread-
 //      local CountMatrix shards (one per template), merged into the
@@ -37,11 +36,6 @@
 //      identical for every thread count;
 //   3. complete every phase whose demand is now satisfied (or whose
 //      candidates are exhausted) and collect the next demands.
-//
-// Exhaustion mirrors the single-query engine: all blocks consumed =>
-// every candidate's counts are exact; a full cursor cycle with zero reads
-// => no unconsumed block contains any currently-unmet candidate, so those
-// candidates are fully enumerated.
 //
 // Correctness of cross-query block sharing: for a candidate c that is
 // unmet for some query, every block containing c is marked (c is in the
@@ -297,7 +291,7 @@ class BatchExecutor {
   /// exactly once; mutually exclusive with the Start()/Step() protocol.
   std::vector<BatchItem> Run();
 
-  /// \brief Starts the scan (timer, cursor) and settles any
+  /// \brief Starts the scan's timer and settles any
   /// immediately-satisfiable phases. Call exactly once before
   /// Step()/Join().
   void Start();
@@ -413,7 +407,7 @@ class BatchExecutor {
   /// \brief Unique blocks consumed so far (pre-consumed resume blocks
   /// included). Equal to the store's block count iff the suffix is
   /// empty, at which point Join() is rejected.
-  int64_t consumed_blocks() const { return consumed_blocks_; }
+  int64_t consumed_blocks() const { return cursor_.consumed_blocks(); }
 
   /// \brief I/O accounting so far (final after the last Step()/Run()).
   const BatchStats& stats() const { return stats_; }
@@ -469,8 +463,7 @@ class BatchExecutor {
   void Settle();
   bool DemandSatisfied(const QueryState& q, bool all_consumed) const;
   void SupplyPhase(QueryState* q, bool all_consumed);
-  /// Marks and reads one shared-scan window; maintains the zero-read
-  /// streak that drives the exhaustion rule.
+  /// Marks and reads one shared-scan window.
   void ReadChunk();
   /// Publishes a completed stage-1 phase to the sink.
   void ExportStage1(const QueryState& q, const TemplateState& ts,
@@ -489,21 +482,11 @@ class BatchExecutor {
   std::shared_ptr<const ColumnStore> store_;
   BatchOptions options_;  // shared_pool resolved (never null)
   StorePin pin_;
-  int64_t num_blocks_ = 0;  // == pin_.num_blocks
-  BlockId cursor_ = 0;
-  BitVector consumed_;
-  int64_t consumed_blocks_ = 0;
-  /// Rows across blocks consumed by THIS scan (resume-prefix blocks
-  /// excluded): lets the stage-1 export tell when a template's
-  /// cumulative rows cover every consumed row, which is the condition
-  /// for publishing exhaustion flags (see Stage1Snapshot).
-  int64_t consumed_rows_ = 0;
-  int64_t streak_ = 0;  // zero-read cursor positions in a row
+  ScanCursor cursor_;
   std::vector<TemplateState> templates_;
   std::vector<QueryState> queries_;
   /// Per-chunk demand of each template (indexed like templates_).
   std::vector<BlockDemand> demands_;
-  MarkScratch mark_scratch_;
   std::function<void(size_t, BatchItem)> on_complete_;
   std::function<void(size_t, const ProgressUpdate&)> on_progress_;
   std::function<bool(size_t)> progress_subscribed_;  // null: every query

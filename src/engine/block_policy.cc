@@ -1,8 +1,10 @@
 #include "engine/block_policy.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace fastmatch {
 
@@ -95,6 +97,51 @@ int64_t CollectBlockDemand(const std::vector<BlockDemand>& demands,
     }
   }
   return skipped;
+}
+
+ScanCursor::ScanCursor(int64_t num_blocks, uint64_t seed)
+    : consumed_(num_blocks) {
+  Rng rng(seed);
+  position_ = static_cast<BlockId>(
+      rng.Uniform(static_cast<uint64_t>(num_blocks)));
+}
+
+ScanCursor::ScanCursor(BitVector consumed, BlockId position)
+    : consumed_(std::move(consumed)),
+      consumed_blocks_(consumed_.Popcount()),
+      position_(position) {}
+
+void ScanCursor::Consume(BlockId b) {
+  FASTMATCH_CHECK(!consumed_.Get(b)) << "block " << b << " read twice";
+  consumed_.Set(b);
+  ++consumed_blocks_;
+}
+
+BlockId ScanCursor::NextUnconsumed() {
+  FASTMATCH_CHECK(!AllConsumed());
+  while (consumed_.Get(position_)) StopAfter(position_);
+  const BlockId b = position_;
+  StopAfter(b);
+  return b;
+}
+
+bool ScanCursor::NextWindow(const std::vector<BlockDemand>& demands,
+                            int window, std::vector<BlockId>* reads,
+                            int64_t* skipped) {
+  const BlockId start = position_;
+  const int count =
+      static_cast<int>(std::min<int64_t>(window, num_blocks() - start));
+  position_ = start + count == num_blocks() ? 0 : start + count;
+  reads->clear();
+  *skipped +=
+      CollectBlockDemand(demands, start, count, consumed_, &scratch_, reads);
+  streak_ = reads->empty() ? streak_ + count : 0;
+  if (streak_ < num_blocks()) return false;
+  for (const BlockDemand& d : demands) {
+    for (int c : d.unmet) (*d.exhausted)[static_cast<size_t>(c)] = true;
+  }
+  streak_ = 0;
+  return true;
 }
 
 }  // namespace fastmatch

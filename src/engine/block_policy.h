@@ -1,4 +1,5 @@
-// AnyActive block selection policies (paper Section 4.2, Challenge 3/4).
+// The scan position (ScanCursor, paper Section 4.1) and AnyActive block
+// selection (Section 4.2, Challenge 3/4).
 //
 // Given the set of *active* candidates (those whose per-round sample
 // targets are unmet), a block should be read iff it contains at least one
@@ -45,6 +46,9 @@ struct BlockDemand {
   /// Mark with Algorithm 2 (SyncMatch's per-block probing) instead of
   /// Algorithm 3's word-wise OR.
   bool naive = false;
+  /// Sticky per-candidate exhaustion `unmet` indexes into, where the
+  /// cursor's exhaustion rule marks candidates. Required.
+  std::vector<bool>* exhausted = nullptr;
 };
 
 /// \brief Reusable buffers for CollectBlockDemand, so repeated calls do
@@ -82,6 +86,63 @@ void MarkAnyActiveLookahead(const BitmapIndex& index,
 int64_t CollectBlockDemand(const std::vector<BlockDemand>& demands,
                            BlockId start, int count, const BitVector& consumed,
                            MarkScratch* scratch, std::vector<BlockId>* reads);
+
+/// \brief The scan position of one run, shared by SamplingEngine and
+/// BatchExecutor: a wrap-around cursor from a seeded random start and
+/// the set of consumed blocks, each read at most once. Over the
+/// pre-shuffled store this is uniform sampling without replacement at
+/// block granularity.
+///
+/// Exhaustion rule: all blocks consumed makes every candidate's counts
+/// exact. A full cycle of num_blocks() positions without a read while c
+/// stays unmet means every block holding c is consumed, so c's counts
+/// are exact too; this lets HistSim finish candidates whose targets
+/// exceed their tuple counts. The rule needs the unmet sets to hold
+/// still over the cycle (counts change only on reads): a caller that
+/// adds unmet candidates calls RestartIdleCycle().
+class ScanCursor {
+ public:
+  /// A fresh scan from a seed-derived random block.
+  ScanCursor(int64_t num_blocks, uint64_t seed);
+  /// A scan that continues a donor's consumed set and cursor.
+  ScanCursor(BitVector consumed, BlockId position);
+
+  int64_t num_blocks() const { return consumed_.size(); }
+  BlockId position() const { return position_; }  // next block visited
+  const BitVector& consumed() const { return consumed_; }
+  int64_t consumed_blocks() const { return consumed_blocks_; }
+  bool AllConsumed() const { return consumed_blocks_ == num_blocks(); }
+
+  /// Marks block `b` read; it is never selected again.
+  void Consume(BlockId b);
+
+  /// Stage 1's sequential step: returns the first unconsumed block at or
+  /// after the cursor and moves the cursor past it. Requires
+  /// !AllConsumed().
+  BlockId NextUnconsumed();
+
+  /// Visits the window of up to `window` positions at the cursor (cut at
+  /// the wrap): sets `reads` to what CollectBlockDemand selects for
+  /// `demands`, adds the skipped positions to `*skipped` and moves the
+  /// cursor past the window. Returns true when the window closed an
+  /// idle cycle, after marking every demand's unmet candidates
+  /// exhausted.
+  bool NextWindow(const std::vector<BlockDemand>& demands, int window,
+                  std::vector<BlockId>* reads, int64_t* skipped);
+
+  /// Moves the cursor past `b`, leaving the rest of an early-stopped
+  /// window to a later visit.
+  void StopAfter(BlockId b) { position_ = b + 1 == num_blocks() ? 0 : b + 1; }
+
+  void RestartIdleCycle() { streak_ = 0; }
+
+ private:
+  BitVector consumed_;
+  int64_t consumed_blocks_ = 0;
+  BlockId position_ = 0;
+  int64_t streak_ = 0;  // zero-read positions in a row
+  MarkScratch scratch_;
+};
 
 }  // namespace fastmatch
 

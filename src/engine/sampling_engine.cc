@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace fastmatch {
 
@@ -56,19 +55,13 @@ SamplingEngine::SamplingEngine(std::shared_ptr<const ColumnStore> store,
       index_(std::move(z_index)),
       io_(std::move(io)),
       options_(options),
-      num_blocks_(io_->pin().num_blocks),
-      consumed_(num_blocks_) {
-  Rng rng(options_.seed);
-  cursor_ = static_cast<BlockId>(
-      rng.Uniform(static_cast<uint64_t>(num_blocks_)));
+      cursor_(io_->pin().num_blocks, options_.seed) {
   exhausted_.assign(io_->num_candidates(), false);
 }
 
 int64_t SamplingEngine::ConsumeBlock(BlockId b, CountMatrix* out) {
   const int64_t rows = io_->ReadBlock(b, out);
-  consumed_.Set(b);
-  ++consumed_blocks_;
-  rows_consumed_ += rows;
+  cursor_.Consume(b);
   ++stats_.blocks_read;
   stats_.rows_read += rows;
   return rows;
@@ -82,10 +75,8 @@ int64_t SamplingEngine::SampleRows(int64_t m, CountMatrix* out) {
   // Stage-1 I/O: plain sequential consumption; the paper's block choice
   // for the pruning stage is "just scan each block sequentially".
   int64_t drawn = 0;
-  while (drawn < m && consumed_blocks_ < num_blocks_) {
-    const BlockId b = NextBlock();
-    if (consumed_.Get(b)) continue;
-    drawn += ConsumeBlock(b, out);
+  while (drawn < m && !AllConsumed()) {
+    drawn += ConsumeBlock(cursor_.NextUnconsumed(), out);
   }
   if (AllConsumed()) MarkAllExhausted();
   return drawn;
@@ -112,6 +103,7 @@ void SamplingEngine::SampleUntilTargets(const std::vector<int64_t>& targets,
   d.scan_all = options_.policy == BlockSelection::kScanAll;
   d.index = index_.get();
   d.naive = options_.policy == BlockSelection::kAnyActiveSync;
+  d.exhausted = &exhausted_;
   const auto refresh_unmet = [&] {
     d.unmet.clear();
     for (int i = 0; i < vz; ++i) {
@@ -125,33 +117,16 @@ void SamplingEngine::SampleUntilTargets(const std::vector<int64_t>& targets,
   const int window = d.naive ? 1 : options_.lookahead;
 
   refresh_unmet();
+  // This call's targets are new unmet sets: an idle cycle counts from
+  // here.
+  cursor_.RestartIdleCycle();
   std::vector<BlockId> reads;
-  int64_t zero_read_streak = 0;
   int since_check = 0;
-  while (!d.unmet.empty()) {
-    if (consumed_blocks_ == num_blocks_) {
-      MarkAllExhausted();
-      break;
+  while (!d.unmet.empty() && !AllConsumed()) {
+    if (cursor_.NextWindow(demand, window, &reads, &stats_.blocks_skipped)) {
+      break;  // the unmet candidates are exhausted
     }
-    // A full wrap-around cycle without a single read: every unconsumed
-    // block lacks tuples of all unmet candidates, so they are fully
-    // enumerated.
-    if (zero_read_streak >= num_blocks_) {
-      for (int i : d.unmet) exhausted_[i] = true;
-      break;
-    }
-    const BlockId start = cursor_;
-    const int count = static_cast<int>(
-        std::min<int64_t>(window, num_blocks_ - start));
-    reads.clear();
-    stats_.blocks_skipped +=
-        CollectBlockDemand(demand, start, count, consumed_, &scratch_, &reads);
-    cursor_ = start + count == num_blocks_ ? 0 : start + count;
-    if (reads.empty()) {
-      zero_read_streak += count;
-      continue;
-    }
-    zero_read_streak = 0;
+    if (reads.empty()) continue;
     if (lookahead) ++stats_.marker_batches;
     // Read in block order; every 16 reads refresh the unmet list and stop
     // early, cursor on the next block, once every target is met.
@@ -161,7 +136,7 @@ void SamplingEngine::SampleUntilTargets(const std::vector<int64_t>& targets,
       since_check = 0;
       refresh_unmet();
       if (d.unmet.empty()) {
-        cursor_ = b + 1 == num_blocks_ ? 0 : b + 1;
+        cursor_.StopAfter(b);
         break;
       }
     }

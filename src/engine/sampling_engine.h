@@ -1,33 +1,21 @@
 // The FastMatch sampling engine (paper Section 4).
 //
-// Implements core/sampler.h over the block grid of a ColumnStore:
-//
-//   * data is consumed at block granularity, sequentially from a random
-//     start (the store is pre-shuffled, so this is uniform sampling
-//     without replacement at block granularity);
-//   * a consumed-block bitmap enforces exact without-replacement across
-//     all stages of a run;
-//   * stage-2/3 I/O phases run one synchronous window loop: each step
-//     selects the reads of the window at the cursor through
-//     CollectBlockDemand (engine/block_policy.h), the batch executor's
-//     window rule, and reads them in block order. The policy picks the
-//     window and the marking:
-//       kScanAll            ScanMatch: `lookahead`-block windows, every
-//                           unconsumed block read
-//       kAnyActiveSync      SyncMatch: 1-block windows, naive AnyActive
-//                           probing (Alg. 2)
-//       kAnyActiveLookahead FastMatch: `lookahead`-block windows,
-//                           word-wise AnyActive marking (Alg. 3)
-//     Unlike the paper's Alg. 3, marking runs between windows on the
-//     reading thread, not on a separate lookahead thread, so a run is
-//     deterministic per seed (docs/PAPER_MAP.md records the deviation).
-//
-// Exhaustion rule: every block consumed means every candidate's counts
-// are exact; a full cursor cycle (num_blocks consecutive visited blocks)
-// with zero reads while candidate c stays unmet means every block
-// containing c is consumed, so c's cumulative counts are exact. This is
-// what lets HistSim terminate on candidates whose sample targets exceed
-// their total tuple counts.
+// Implements core/sampler.h over the block grid of a ColumnStore. The
+// scan position — seeded cursor, consumed-block set and exhaustion rule —
+// is a ScanCursor (engine/block_policy.h), the same one the batch
+// executor scans with. Stage-1 I/O consumes blocks sequentially from the
+// cursor; stage-2/3 I/O phases run one synchronous window loop: each
+// step selects the reads of the window at the cursor and reads them in
+// block order. The policy picks the window and the marking:
+//   kScanAll            ScanMatch: `lookahead`-block windows, every
+//                       unconsumed block read
+//   kAnyActiveSync      SyncMatch: 1-block windows, naive AnyActive
+//                       probing (Alg. 2)
+//   kAnyActiveLookahead FastMatch: `lookahead`-block windows, word-wise
+//                       AnyActive marking (Alg. 3)
+// Unlike the paper's Alg. 3, marking runs between windows on the reading
+// thread, not on a separate lookahead thread, so a run is deterministic
+// per seed (docs/PAPER_MAP.md records the deviation).
 
 #ifndef FASTMATCH_ENGINE_SAMPLING_ENGINE_H_
 #define FASTMATCH_ENGINE_SAMPLING_ENGINE_H_
@@ -39,7 +27,6 @@
 #include "engine/block_policy.h"
 #include "engine/io_manager.h"
 #include "index/bitmap_index.h"
-#include "index/bitvector.h"
 #include "storage/column_store.h"
 #include "util/result.h"
 
@@ -92,10 +79,8 @@ class SamplingEngine : public Sampler {
   void SampleUntilTargets(const std::vector<int64_t>& targets,
                           CountMatrix* out,
                           std::vector<bool>* exhausted) override;
-  bool AllConsumed() const override {
-    return consumed_blocks_ == num_blocks_;
-  }
-  int64_t rows_consumed() const override { return rows_consumed_; }
+  bool AllConsumed() const override { return cursor_.AllConsumed(); }
+  int64_t rows_consumed() const override { return stats_.rows_read; }
 
   const EngineStats& stats() const { return stats_; }
 
@@ -103,13 +88,6 @@ class SamplingEngine : public Sampler {
   SamplingEngine(std::shared_ptr<const ColumnStore> store,
                  std::shared_ptr<const BitmapIndex> z_index,
                  std::unique_ptr<IoManager> io, EngineOptions options);
-
-  /// Advances the wrap-around cursor and returns the block to visit.
-  BlockId NextBlock() {
-    const BlockId b = cursor_;
-    if (++cursor_ >= num_blocks_) cursor_ = 0;
-    return b;
-  }
 
   /// Reads block b into `out`, maintaining consumption state and stats.
   int64_t ConsumeBlock(BlockId b, CountMatrix* out);
@@ -121,14 +99,9 @@ class SamplingEngine : public Sampler {
   std::unique_ptr<IoManager> io_;
   EngineOptions options_;
 
-  int64_t num_blocks_ = 0;
-  BlockId cursor_ = 0;
-  BitVector consumed_;
-  int64_t consumed_blocks_ = 0;
-  int64_t rows_consumed_ = 0;
+  ScanCursor cursor_;
   std::vector<bool> exhausted_;  // sticky: candidate fully enumerated
   EngineStats stats_;
-  MarkScratch scratch_;
 };
 
 }  // namespace fastmatch

@@ -59,94 +59,77 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
   // The janitor's invalidation of a reaped pipeline's cache entries
   // matches this same id.
   const uint64_t store_id = query.store->id();
-  for (;;) {
-    // A shared_ptr copy, not a raw pointer: between releasing mu_ and
-    // locking pipeline->mu the janitor may reap this entry, and the
-    // object must stay alive for the retiring re-check below.
-    std::shared_ptr<Pipeline> pipeline;
-    {
-      MutexLock lock(&mu_);
-      if (shutdown_) {
-        return Status::FailedPrecondition("scheduler is shut down");
-      }
-      std::shared_ptr<Pipeline>& slot = pipelines_[store_id];
-      if (slot == nullptr) {
-        slot = std::make_shared<Pipeline>();
-        MutexLock slot_lock(&slot->mu);
-        slot->last_active = Clock::now();
-        slot->thread =
-            std::thread(&QueryScheduler::PipelineLoop, this, slot.get());
-        counters_.pipelines.fetch_add(1, std::memory_order_relaxed);
-      }
-      pipeline = slot;
+  // The enqueue happens under mu_ (order mu_ -> Pipeline::mu): the
+  // janitor claims pipelines under mu_ too, so it cannot reap the one
+  // found or created here before its first query is pending, and a
+  // Shutdown() cannot have flagged it yet.
+  std::shared_ptr<Pipeline> pipeline;
+  std::future<SchedulerItem> future;
+  std::shared_ptr<CancelToken> cancel;
+  std::shared_ptr<ProgressChannel> progress;
+  {
+    MutexLock lock(&mu_);
+    if (shutdown_) {
+      return Status::FailedPrecondition("scheduler is shut down");
     }
-
-    std::future<SchedulerItem> future;
-    std::shared_ptr<CancelToken> cancel;
-    std::shared_ptr<ProgressChannel> progress;
-    {
-      MutexLock lock(&pipeline->mu);
-      if (pipeline->retiring) {
-        // The janitor claimed this pipeline between the map lookup and
-        // here (it is already out of the map, its driver is exiting).
-        // Retry: the next lookup creates a fresh pipeline — the reap is
-        // invisible to callers.
-        continue;
-      }
-      // Re-check under the pipeline lock: a Shutdown() racing with this
-      // Submit may have already let the driver thread exit, and a query
-      // enqueued after that would never be answered.
-      if (pipeline->shutdown) {
-        return Status::FailedPrecondition("scheduler is shut down");
-      }
-      if (static_cast<int>(pipeline->pending.size()) >=
-          options_.max_pending_per_store) {
-        counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-        return Status::ResourceExhausted(
-            "store pipeline is saturated (max_pending_per_store); retry "
-            "later");
-      }
-      Pending pend;
-      pend.query = std::move(query);
-      // The doorbell rings the pipeline's cv so a Cancel() on a queued
-      // query is shed immediately instead of at the next flush
-      // deadline; the weak_ptr keeps the ring safe after the pipeline
-      // is reaped (handles outlive pipelines). The flag is set outside
-      // the pipeline lock, so the ring passes through the lock first:
-      // a driver that checked the flag just before it was set is then
-      // already waiting and gets the notify, instead of sleeping out
-      // the flush window.
-      pend.cancel = std::make_shared<CancelToken>(
-          [wp = std::weak_ptr<Pipeline>(pipeline)] {
-            if (std::shared_ptr<Pipeline> p = wp.lock()) {
-              { MutexLock lock(&p->mu); }
-              p->cv.NotifyAll();
-            }
-          });
-      pend.enqueued = Clock::now();
-      pend.deadline = submit.deadline_seconds > 0
-                          ? pend.enqueued + FromSeconds(submit.deadline_seconds)
-                          : Clock::time_point::max();
-      pend.budget_seconds = submit.budget_seconds;
-      if (submit.track_progress) {
-        pend.progress = std::make_shared<ProgressChannel>();
-        progress = pend.progress;
-      }
-      pend.on_progress = submit.on_progress;
-      cancel = pend.cancel;
-      future = pend.promise.get_future();
-      pipeline->pending.push_back(std::move(pend));
-      counters_.submitted.fetch_add(1, std::memory_order_relaxed);
+    std::shared_ptr<Pipeline>& slot = pipelines_[store_id];
+    if (slot == nullptr) {
+      slot = std::make_shared<Pipeline>();
+      MutexLock slot_lock(&slot->mu);
+      slot->last_active = Clock::now();
+      slot->thread =
+          std::thread(&QueryScheduler::PipelineLoop, this, slot.get());
+      counters_.pipelines.fetch_add(1, std::memory_order_relaxed);
     }
-    pipeline->cv.NotifyAll();
-    QueryHandle handle;
-    handle.cancel_ = std::move(cancel);
-    handle.future_ = std::move(future);
-    // The channel is shared with the Admitted entry: handle polls never
-    // touch scheduler state and stay valid after the pipeline is gone.
-    handle.progress_ = std::move(progress);
-    return handle;
+    pipeline = slot;
+    MutexLock pipeline_lock(&pipeline->mu);
+    if (static_cast<int>(pipeline->pending.size()) >=
+        options_.max_pending_per_store) {
+      counters_.rejected.fetch_add(1, std::memory_order_relaxed);
+      return Status::ResourceExhausted(
+          "store pipeline is saturated (max_pending_per_store); retry "
+          "later");
+    }
+    Pending pend;
+    pend.query = std::move(query);
+    // The doorbell rings the pipeline's cv so a Cancel() on a queued
+    // query is shed immediately instead of at the next flush
+    // deadline; the weak_ptr keeps the ring safe after the pipeline
+    // is reaped (handles outlive pipelines). The flag is set outside
+    // the pipeline lock, so the ring passes through the lock first:
+    // a driver that checked the flag just before it was set is then
+    // already waiting and gets the notify, instead of sleeping out
+    // the flush window.
+    pend.cancel = std::make_shared<CancelToken>(
+        [wp = std::weak_ptr<Pipeline>(pipeline)] {
+          if (std::shared_ptr<Pipeline> p = wp.lock()) {
+            { MutexLock lock(&p->mu); }
+            p->cv.NotifyAll();
+          }
+        });
+    pend.enqueued = Clock::now();
+    pend.deadline = submit.deadline_seconds > 0
+                        ? pend.enqueued + FromSeconds(submit.deadline_seconds)
+                        : Clock::time_point::max();
+    pend.budget_seconds = submit.budget_seconds;
+    if (submit.track_progress) {
+      pend.progress = std::make_shared<ProgressChannel>();
+      progress = pend.progress;
+    }
+    pend.on_progress = submit.on_progress;
+    cancel = pend.cancel;
+    future = pend.promise.get_future();
+    pipeline->pending.push_back(std::move(pend));
+    counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   }
+  pipeline->cv.NotifyAll();
+  QueryHandle handle;
+  handle.cancel_ = std::move(cancel);
+  handle.future_ = std::move(future);
+  // The channel is shared with the Admitted entry: handle polls never
+  // touch scheduler state and stay valid after the pipeline is gone.
+  handle.progress_ = std::move(progress);
+  return handle;
 }
 
 void QueryScheduler::Resolve(std::promise<SchedulerItem>* promise,
@@ -719,10 +702,8 @@ void QueryScheduler::ReaperLoop() {
         if (!pipeline->busy && pipeline->pending.empty() &&
             !pipeline->shutdown &&
             now - pipeline->last_active >= timeout) {
-          // Claim it under both locks: once `retiring` is visible no
-          // Submit can enqueue here — Submit re-checks under
-          // pipeline->mu and retries against the map, where this entry
-          // is gone by then.
+          // Claim it under both locks: Submit enqueues under mu_, so
+          // nothing can be enqueued here once this entry leaves the map.
           pipeline->retiring = true;
           reap = true;
         }

@@ -43,6 +43,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <optional>
 #include <random>
 #include <set>
@@ -59,6 +60,19 @@ namespace {
 
 using testing_util::MakeExactStore;
 using testing_util::PlantedDistributions;
+
+/// Live threads of this process (Linux: /proc/self/task entries), or -1
+/// where that interface is unavailable.
+int CountProcessThreads() {
+  int n = 0;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    (void)entry;
+    ++n;
+  }
+  return ec ? -1 : n;
+}
 
 struct StressStore {
   std::shared_ptr<ColumnStore> store;

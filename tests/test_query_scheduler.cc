@@ -580,6 +580,32 @@ TEST(QueryLifecycleTest, FreedStoreAddressReuseDoesNotAliasDeadPipeline) {
   (void)first_address;
 }
 
+TEST(QueryLifecycleTest, FreshPipelineIsNotReapedBeforeItsFirstQuery) {
+  // Submit enqueues under the scheduler lock the janitor claims
+  // pipelines under, so even a sub-millisecond idle timeout cannot reap
+  // a store's new pipeline before its first query is pending: one query
+  // on each of N fresh stores makes exactly N pipelines.
+  SchedulerOptions options = FastOptions();
+  options.idle_pipeline_timeout_seconds = 1e-4;
+  QueryScheduler scheduler(options);
+  constexpr int kStores = 16;
+  std::vector<SchedFixture> stores;
+  for (int i = 0; i < kStores; ++i) {
+    stores.push_back(MakeSchedFixture(500, 300 + static_cast<uint64_t>(i)));
+  }
+  std::vector<QueryHandle> handles;
+  for (int i = 0; i < kStores; ++i) {
+    auto handle = scheduler.Submit(MakeQuery(stores[static_cast<size_t>(i)],
+                                             static_cast<uint64_t>(i) + 1));
+    ASSERT_TRUE(handle.ok());
+    handles.push_back(std::move(*handle));
+  }
+  for (QueryHandle& handle : handles) {
+    EXPECT_TRUE(handle.Get().status.ok());
+  }
+  EXPECT_EQ(scheduler.stats().pipelines, kStores);
+}
+
 TEST(QueryLifecycleTest, ShutdownResolvesEveryAcceptedQuery) {
   // Queries parked behind a 5-second flush window when Shutdown hits:
   // the drain must resolve every accepted future exactly once, each in
