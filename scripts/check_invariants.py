@@ -80,9 +80,8 @@ Enforces the concurrency and status discipline the compiler alone cannot:
   orphan-header  Every src/**/*.h is #included by some file under src/,
                bench/, perfbench/ or examples/ other than its own .cc: a
                module that only its tests reach is dead weight the build
-               still compiles and the docs still describe. Exempt:
-               src/core/row_sampler.h, the reference row-level Sampler
-               the engine equivalence tests compare against.
+               still compiles and the docs still describe. No header is
+               exempt.
 
 Zero third-party dependencies; line-based on purpose (a full C++ parse
 buys little for these rules and costs a clang dependency the lint gate
@@ -157,15 +156,10 @@ SCAN_POSITION = [
      "sets a bit of a consumed-block set"),
 ]
 
-# Directories whose files count as real callers of a src/ header, the
-# include form they use, and the one header only tests may reach.
+# Directories whose files count as real callers of a src/ header, and
+# the include form they use.
 CALLER_DIRS = ["src", "bench", "perfbench", "examples"]
 INCLUDE = re.compile(r'^\s*#\s*include\s+"(?P<path>[^"]+)"', re.MULTILINE)
-ORPHAN_EXEMPT = {
-    # The reference row-level Sampler: tests check the engine's block
-    # sampling against it, and no program path needs row sampling.
-    "src/core/row_sampler.h",
-}
 
 # A src/ path in the first cell of a lock-hierarchy table row.
 LOCK_TABLE_FILE = re.compile(r"`(src/[\w/.]+\.(?:h|cc))`")
@@ -436,7 +430,7 @@ def check_orphan_headers(violations: list):
     for path in sorted((REPO / "src").rglob("*.h")):
         rel = path.relative_to(REPO).as_posix()
         own_cc = rel[:-len(".h")] + ".cc"
-        if rel in ORPHAN_EXEMPT or includers.get(rel, set()) - {own_cc}:
+        if includers.get(rel, set()) - {own_cc}:
             continue
         violations.append(
             (rel, 1, "orphan-header",

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "stats/deviation.h"
 #include "stats/hypergeometric.h"
@@ -102,7 +103,6 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
   demand_.rows = params_.stage1_samples;
   demand_.targets.clear();
   phase_ = Phase::kStage1;
-  stage_timer_.Restart();
 
   if (prior != nullptr) {
     // Warm start: the stage-1 demand just issued is satisfied from the
@@ -151,27 +151,33 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
   return Status::OK();
 }
 
-Status HistSimMachine::Supply(const CountMatrix& fresh,
-                              const std::vector<bool>& exhausted,
-                              bool all_consumed, int64_t rows_drawn) {
+Status HistSimMachine::AcceptSupply(const char* caller,
+                                    const CountMatrix& fresh,
+                                    const std::vector<bool>& exhausted,
+                                    bool all_consumed) {
   if (phase_ != Phase::kStage1 && phase_ != Phase::kStage2 &&
       phase_ != Phase::kStage3) {
-    return Status::FailedPrecondition(
-        "HistSimMachine::Supply: no demand outstanding");
+    return Status::FailedPrecondition(std::string("HistSimMachine::") +
+                                      caller + ": no demand outstanding");
   }
   FASTMATCH_CHECK_EQ(fresh.num_candidates(), vz_);
   FASTMATCH_CHECK_EQ(fresh.num_groups(), vx_);
   FASTMATCH_CHECK_EQ(static_cast<int>(exhausted.size()), vz_);
 
+  // The caller's exhaustion signal certifies window exactness (MarkExact
+  // handles overlapping warm priors).
   data_exhausted_ = all_consumed;
-  if (all_consumed) {
-    for (int i = 0; i < vz_; ++i) MarkExact(i);
-  } else {
-    for (int i = 0; i < vz_; ++i) {
-      if (exhausted[i]) MarkExact(i);
-    }
+  for (int i = 0; i < vz_; ++i) {
+    if (all_consumed || exhausted[i]) MarkExact(i);
   }
+  return Status::OK();
+}
 
+Status HistSimMachine::Supply(const CountMatrix& fresh,
+                              const std::vector<bool>& exhausted,
+                              bool all_consumed, int64_t rows_drawn) {
+  FASTMATCH_RETURN_IF_ERROR(
+      AcceptSupply("Supply", fresh, exhausted, all_consumed));
   Status status;
   switch (phase_) {
     case Phase::kStage1:
@@ -229,8 +235,6 @@ Status HistSimMachine::FinishStage1(const CountMatrix& fresh,
     RefreshTau(i);
   }
   diag_.pruned_candidates = vz_ - static_cast<int>(active_set_.size());
-  diag_.stage1_seconds = stage_timer_.Seconds();
-  stage_timer_.Restart();
 
   if (active_set_.empty()) {
     return Status::FailedPrecondition(
@@ -398,8 +402,6 @@ Status HistSimMachine::BeginStage3() {
                                          static_cast<size_t>(k_eff_)));
   }
   diag_.rounds = round_t_;
-  diag_.stage2_seconds = stage_timer_.Seconds();
-  stage_timer_.Restart();
 
   const int64_t needed = Stage3Samples(params_.ReconstructionEps(), vx_,
                                        k_eff_, params_.delta);
@@ -446,8 +448,6 @@ double HistSimMachine::ErrorBarFor(bool is_exact, int64_t n) const {
 }
 
 Status HistSimMachine::Finalize() {
-  diag_.stage3_seconds = stage_timer_.Seconds();
-
   // Re-estimate every candidate from the final pooled counts: stages 2/3
   // over-deliver rows to non-matching candidates at block granularity,
   // and the reported per-candidate error bars assume the distance
@@ -544,34 +544,14 @@ Status HistSimMachine::HarvestBestEffort(const CountMatrix& fresh,
                                          const std::vector<bool>& exhausted,
                                          bool all_consumed,
                                          int64_t rows_drawn) {
-  if (phase_ != Phase::kStage1 && phase_ != Phase::kStage2 &&
-      phase_ != Phase::kStage3) {
-    return Status::FailedPrecondition(
-        "HistSimMachine::HarvestBestEffort: no demand outstanding");
-  }
-  FASTMATCH_CHECK_EQ(fresh.num_candidates(), vz_);
-  FASTMATCH_CHECK_EQ(fresh.num_groups(), vx_);
-  FASTMATCH_CHECK_EQ(static_cast<int>(exhausted.size()), vz_);
-
-  // Same exhaustion semantics as Supply: the caller's signal certifies
-  // window exactness (MarkExact handles overlapping warm priors).
-  data_exhausted_ = all_consumed;
-  if (all_consumed) {
-    for (int i = 0; i < vz_; ++i) MarkExact(i);
-  } else {
-    for (int i = 0; i < vz_; ++i) {
-      if (exhausted[i]) MarkExact(i);
-    }
-  }
-
+  FASTMATCH_RETURN_IF_ERROR(
+      AcceptSupply("HarvestBestEffort", fresh, exhausted, all_consumed));
   switch (phase_) {
     case Phase::kStage1:
       diag_.stage1_samples = rows_drawn;
-      diag_.stage1_seconds = stage_timer_.Seconds();
       break;
     case Phase::kStage2:
       diag_.stage2_samples += rows_drawn;
-      diag_.stage2_seconds = stage_timer_.Seconds();
       break;
     default:
       diag_.stage3_samples = rows_drawn;

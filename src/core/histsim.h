@@ -32,7 +32,6 @@
 #include "core/params.h"
 #include "core/sampler.h"
 #include "util/result.h"
-#include "util/timer.h"
 
 namespace fastmatch {
 
@@ -50,14 +49,6 @@ struct HistSimDiagnostics {
   int exact_candidates = 0;     ///< fully enumerated (exhausted) candidates
   bool data_exhausted = false;  ///< the whole relation was consumed
   int chosen_k = 0;             ///< k actually returned (k-range extension)
-  // Wall time between the stage's phase boundaries (demand issue to final
-  // Supply). Under the single-query driver this is the stage's cost;
-  // under the batch executor it includes the shared scan's work for
-  // co-scheduled queries, so per-query stage times must not be summed
-  // across a batch (use BatchItem::wall_seconds / BatchStats instead).
-  double stage1_seconds = 0;
-  double stage2_seconds = 0;
-  double stage3_seconds = 0;
 };
 
 /// \brief Output of a run: the estimated top-k plus all estimate state.
@@ -274,6 +265,12 @@ class HistSimMachine {
   /// totals: the caller's exhaustion only proves ITS window's counts
   /// exact, and the prior's rows may double-count that window.
   void MarkExact(int i);
+  /// The prologue Supply and HarvestBestEffort share: refuses a call
+  /// with no demand outstanding (FailedPrecondition naming `caller`),
+  /// CHECKs the arguments' shape, and marks the signalled candidates
+  /// exact.
+  Status AcceptSupply(const char* caller, const CountMatrix& fresh,
+                      const std::vector<bool>& exhausted, bool all_consumed);
 
   /// Per-candidate deviation radius from `n` pooled rows: 0 when
   /// `is_exact`, MaxDistance when n == 0, else Theorem 1 at delta/|VZ|
@@ -297,7 +294,6 @@ class HistSimMachine {
   SampleDemand demand_;
   MatchResult result_;
   HistSimDiagnostics diag_;
-  WallTimer stage_timer_;
 
   int vz_ = 0;
   int vx_ = 0;

@@ -4,12 +4,11 @@
 // samples are obtained, as long as they are uniform without replacement
 // ("our algorithm is agnostic to the sampling approach"). This interface
 // is that seam: the statistics side (core/histsim) asks for samples; the
-// implementation decides where they come from. Two implementations exist:
-//
-//  * core/row_sampler.h  - direct row-level sampling over a ColumnStore;
-//    the reference implementation used to validate the statistics.
-//  * engine/sampling_engine.h - the FastMatch block-based engine with
-//    bitmap-driven AnyActive selection and lookahead.
+// implementation decides where they come from. The library's one
+// implementation is engine/sampling_engine.h, the FastMatch block-based
+// engine with bitmap-driven AnyActive selection and lookahead. The tests
+// add a second, tests/row_sampler.h: direct row-level sampling over a
+// ColumnStore, the reference the statistics are validated against.
 
 #ifndef FASTMATCH_CORE_SAMPLER_H_
 #define FASTMATCH_CORE_SAMPLER_H_

@@ -1,6 +1,7 @@
 #include "engine/batch_executor.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "engine/block_policy.h"
@@ -43,12 +44,16 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
           "batch queries must share one ColumnStore");
     }
   }
-  // Resolve the batch's pin BEFORE construction: a versioned resume
-  // re-pins the donor's generation (the resumed scan runs in the
-  // donor's block space even if the store has since grown); otherwise
-  // pin the current generation.
+  // Resolve the batch's pin BEFORE construction: a resume re-pins the
+  // donor's generation (the resumed scan runs in the donor's block space
+  // even if the store has since grown); otherwise pin the current
+  // generation.
   StorePin pin;
-  if (options.resume.has_value() && options.resume->generation != 0) {
+  if (options.resume.has_value()) {
+    if (options.resume->generation == 0) {
+      return Status::InvalidArgument(
+          "resume has no generation; capture it with CaptureScanState");
+    }
     FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(options.resume->generation));
   } else {
     pin = store->Pin();
@@ -162,18 +167,18 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
   qs->tmpl = t;
   Stage1Prior prior;
   const Stage1Prior* prior_ptr = nullptr;
-  // Generation guard for the warm start: the snapshot's own scan
-  // generation and the caller's validation stamp
+  // Generation guard for the warm start: the later of the snapshot's own
+  // scan generation and the caller's validation stamp
   // (stage1_warm_generation, set by the service tier after a cache hit
-  // or passed revalidation) must both match the batch's pin — 0 means
-  // legacy/unversioned and is accepted. A mismatch drops the warm start
-  // (the query runs cold); it never silently serves a stale prior.
+  // or passed revalidation; 0 defers to the snapshot's own) must match
+  // the batch's pin. A mismatch drops the warm start (the query runs
+  // cold); it never silently serves a stale prior.
   bool warm_stale = false;
   if (query.stage1_warm != nullptr) {
     const uint64_t snapshot_gen = query.stage1_warm->scan.generation;
     const uint64_t effective_gen =
         std::max(snapshot_gen, query.stage1_warm_generation);
-    if (effective_gen != 0 && effective_gen != pin_.generation) {
+    if (effective_gen != pin_.generation) {
       warm_stale = true;
       ++stats_.stale_warm_dropped;
     }
@@ -251,22 +256,34 @@ bool BatchExecutor::DemandSatisfied(const QueryState& q,
     return ts.rows_cum - q.snap_rows >= demand.rows;
   }
   for (size_t i = 0; i < demand.targets.size(); ++i) {
-    if (demand.targets[i] < 0 || ts.exhausted[i]) continue;
-    const int c = static_cast<int>(i);
-    if (ts.cum.RowTotal(c) - q.snapshot.RowTotal(c) < demand.targets[i]) {
-      return false;
-    }
+    if (Unmet(q, ts, i)) return false;
   }
   return true;
+}
+
+bool BatchExecutor::Unmet(const QueryState& q, const TemplateState& ts,
+                          size_t i) {
+  const int64_t target = q.machine.demand().targets[i];
+  if (target < 0 || ts.exhausted[i]) return false;
+  const int c = static_cast<int>(i);
+  return ts.cum.RowTotal(c) - q.snapshot.RowTotal(c) < target;
+}
+
+CountMatrix BatchExecutor::FreshSample(const QueryState& q,
+                                       int64_t* rows) const {
+  const TemplateState& ts = templates_[q.tmpl];
+  CountMatrix fresh = ts.cum;
+  fresh.Subtract(q.snapshot);
+  *rows = ts.rows_cum - q.snap_rows;
+  return fresh;
 }
 
 void BatchExecutor::SupplyPhase(QueryState* q, bool all_consumed) {
   TemplateState& ts = templates_[q->tmpl];
   const bool stage1_phase =
       q->machine.demand().kind == SampleDemand::Kind::kRows;
-  CountMatrix fresh = ts.cum;
-  fresh.Subtract(q->snapshot);
-  const int64_t drawn = ts.rows_cum - q->snap_rows;
+  int64_t drawn = 0;
+  CountMatrix fresh = FreshSample(*q, &drawn);
   const Status status =
       q->machine.Supply(fresh, ts.exhausted, all_consumed, drawn);
   if (stage1_phase && options_.stage1_sink != nullptr && drawn > 0) {
@@ -362,15 +379,11 @@ void BatchExecutor::ReadChunk() {
       continue;
     }
     for (size_t i = 0; i < demand.targets.size(); ++i) {
-      if (demand.targets[i] < 0 || ts.exhausted[i] || ts.unmet_seen[i]) {
-        continue;
-      }
-      const int c = static_cast<int>(i);
-      if (ts.cum.RowTotal(c) - q.snapshot.RowTotal(c) >= demand.targets[i]) {
-        continue;
-      }
+      // Unmet first: it rejects a candidate without a target at once,
+      // and most candidates of a late-stage demand have none.
+      if (!Unmet(q, ts, i) || ts.unmet_seen[i]) continue;
       ts.unmet_seen[i] = true;
-      d.unmet.push_back(c);
+      d.unmet.push_back(static_cast<int>(i));
     }
   }
 
@@ -483,13 +496,10 @@ void BatchExecutor::EmitProgress() {
   for (size_t i = 0; i < queries_.size(); ++i) {
     QueryState& q = queries_[i];
     if (!q.active || !ProgressSubscribed(i)) continue;
-    const TemplateState& ts = templates_[q.tmpl];
-    // The in-flight phase's fresh sample, by the same cumulative-minus-
-    // snapshot rule SupplyPhase uses; the machine pools it with its
+    // The machine pools the in-flight phase's fresh sample with its
     // folded phases for the snapshot.
-    CountMatrix partial = ts.cum;
-    partial.Subtract(q.snapshot);
-    const int64_t partial_rows = ts.rows_cum - q.snap_rows;
+    int64_t partial_rows = 0;
+    const CountMatrix partial = FreshSample(q, &partial_rows);
     ProgressUpdate up = q.machine.Progress(&partial, partial_rows);
     if (up.distances.empty()) continue;  // machine not live yet
     up.sequence = ++q.progress_seq;
@@ -521,71 +531,52 @@ bool BatchExecutor::Step() {
 }
 
 Status BatchExecutor::Evict(size_t index) {
-  if (!started_) {
-    return Status::FailedPrecondition("Evict before Start");
-  }
-  if (taken_) {
-    return Status::FailedPrecondition("batch already finished");
-  }
-  if (index >= queries_.size()) {
-    return Status::OutOfRange("Evict index out of range");
-  }
-  QueryState& q = queries_[index];
-  if (!q.active) {
-    // Completed (or already evicted/failed): the item exists — deliver
-    // it rather than discarding it. Callers racing a cancel against
-    // completion branch on this code.
-    return Status::FailedPrecondition("query already completed");
-  }
-  q.status = Status::Cancelled("evicted from running batch");
-  q.active = false;
-  q.wall_seconds = timer_.Seconds();
-  ++stats_.evicted_queries;
-  // From the next ReadChunk on, the union demand no longer carries this
-  // query's unmet candidates (only active queries contribute), so
-  // blocks only it wanted stop being marked — an abandoned query stops
-  // consuming scan work at the next chunk boundary.
-  NotifyCompletions();
-  return Status::OK();
+  return Remove(index, /*harvest=*/false);
 }
 
 Status BatchExecutor::EvictWithResult(size_t index) {
+  return Remove(index, /*harvest=*/true);
+}
+
+Status BatchExecutor::Remove(size_t index, bool harvest) {
+  const std::string name = harvest ? "EvictWithResult" : "Evict";
   if (!started_) {
-    return Status::FailedPrecondition("EvictWithResult before Start");
+    return Status::FailedPrecondition(name + " before Start");
   }
   if (taken_) {
     return Status::FailedPrecondition("batch already finished");
   }
   if (index >= queries_.size()) {
-    return Status::OutOfRange("EvictWithResult index out of range");
+    return Status::OutOfRange(name + " index out of range");
   }
   QueryState& q = queries_[index];
   if (!q.active) {
-    // Completed (or already evicted/failed) first: the exact item
-    // exists and MUST win the race — callers racing a budget expiry
+    // Completed (or already evicted/failed) first: the item exists and
+    // MUST win the race — callers racing a cancel or a budget expiry
     // against completion branch on this code and deliver it instead.
     return Status::FailedPrecondition("query already completed");
   }
-  TemplateState& ts = templates_[q.tmpl];
-  // Hand the machine its in-flight phase's fresh sample (cumulative
-  // minus snapshot, exactly as SupplyPhase would) and harvest: the
-  // machine folds everything pooled so far into a best-effort result
-  // with honest non-exact error bars.
-  CountMatrix fresh = ts.cum;
-  fresh.Subtract(q.snapshot);
-  const int64_t drawn = ts.rows_cum - q.snap_rows;
-  const bool all_consumed = cursor_.AllConsumed();
-  const Status harvest =
-      q.machine.HarvestBestEffort(fresh, ts.exhausted, all_consumed, drawn);
-  if (harvest.ok()) {
-    q.match = q.machine.TakeResult();
-    q.status = Status::OK();
+  if (harvest) {
+    // Hand the machine its in-flight phase's fresh sample and harvest:
+    // it folds everything pooled so far into a best-effort result with
+    // honest non-exact error bars.
+    int64_t drawn = 0;
+    const CountMatrix fresh = FreshSample(q, &drawn);
+    const Status status = q.machine.HarvestBestEffort(
+        fresh, templates_[q.tmpl].exhausted, cursor_.AllConsumed(), drawn);
+    if (status.ok()) q.match = q.machine.TakeResult();
+    q.status = status;
+    ++stats_.harvested_queries;
   } else {
-    q.status = harvest;
+    q.status = Status::Cancelled("evicted from running batch");
+    ++stats_.evicted_queries;
   }
+  // From the next ReadChunk on, the union demand no longer carries this
+  // query's unmet candidates (only active queries contribute), so
+  // blocks only it wanted stop being marked — a removed query stops
+  // consuming scan work at the next chunk boundary.
   q.active = false;
   q.wall_seconds = timer_.Seconds();
-  ++stats_.harvested_queries;
   NotifyCompletions();
   return Status::OK();
 }

@@ -135,8 +135,8 @@ struct ScanResume {
   /// Store generation the donor scan was pinned at. A resuming batch
   /// re-pins THIS generation (not the current one), so the resumed run
   /// scans exactly the donor's block space even if the store has grown
-  /// since — the condition for bit-for-bit resume equivalence. 0 means
-  /// legacy/unversioned: resume against the current generation.
+  /// since — the condition for bit-for-bit resume equivalence. Store
+  /// generations start at 1; Create rejects a resume with generation 0.
   uint64_t generation = 0;
 };
 
@@ -462,6 +462,13 @@ class BatchExecutor {
   /// Completes every phase whose demand is satisfied, to fixpoint.
   void Settle();
   bool DemandSatisfied(const QueryState& q, bool all_consumed) const;
+  /// Candidate `i` of q's targets demand still wants fresh samples: it
+  /// has a target, is not exhausted, and its fresh rows fall short.
+  static bool Unmet(const QueryState& q, const TemplateState& ts, size_t i);
+  /// The in-flight phase's fresh sample: the template's cumulative
+  /// counts minus q's phase-start snapshot (CountMatrix::Subtract checks
+  /// every cell), with its row count in `rows`.
+  CountMatrix FreshSample(const QueryState& q, int64_t* rows) const;
   void SupplyPhase(QueryState* q, bool all_consumed);
   /// Marks and reads one shared-scan window.
   void ReadChunk();
@@ -478,6 +485,9 @@ class BatchExecutor {
   void EmitProgress();
   /// A progress callback is set and query `index` has a subscriber.
   bool ProgressSubscribed(size_t index) const;
+  /// Evict() (harvest false) and EvictWithResult() (harvest true): the
+  /// shared refusals, the removal, then the terminal callbacks.
+  Status Remove(size_t index, bool harvest);
 
   std::shared_ptr<const ColumnStore> store_;
   BatchOptions options_;  // shared_pool resolved (never null)

@@ -55,9 +55,9 @@ struct BoundQuery {
   /// cache hit made explicit). Must match the query's (store, z_attr,
   /// x_attrs) domain. Ignored by the single-query RunQuery approaches.
   std::shared_ptr<const Stage1Snapshot> stage1_warm;
-  /// Store generation `stage1_warm` was validated against (0 = legacy,
-  /// accept as-is). When the executor's pinned generation differs, the
-  /// warm start is DROPPED and the query runs cold — a prior drawn at
+  /// Store generation `stage1_warm` was validated against (0 = the
+  /// snapshot's own scan.generation). When the executor's pinned
+  /// generation differs, the warm start is DROPPED and the query runs cold — a prior drawn at
   /// generation g must never silently stand in for generation g' > g
   /// (BatchStats::stale_warm_dropped counts these).
   uint64_t stage1_warm_generation = 0;

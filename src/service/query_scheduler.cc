@@ -26,6 +26,20 @@ std::unique_ptr<Stage1Cache> MakeStage1Cache(const SchedulerOptions& options) {
   return std::make_unique<Stage1Cache>(cache_options);
 }
 
+/// The query's one progress consumer: publishes to `channel` (when
+/// tracked), then calls `hook`, so a hook that polls the handle sees the
+/// update it is handed. Empty when the query has neither.
+std::function<void(const ProgressUpdate&)> MakeProgressSink(
+    std::shared_ptr<ProgressChannel> channel,
+    std::function<void(const ProgressUpdate&)> hook) {
+  if (channel == nullptr && !hook) return nullptr;
+  return [channel = std::move(channel),
+          hook = std::move(hook)](const ProgressUpdate& update) {
+    if (channel != nullptr) channel->Publish(update);
+    if (hook) hook(update);
+  };
+}
+
 }  // namespace
 
 QueryScheduler::QueryScheduler(SchedulerOptions options)
@@ -67,6 +81,9 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
   std::future<SchedulerItem> future;
   std::shared_ptr<CancelToken> cancel;
   std::shared_ptr<ProgressChannel> progress;
+  if (submit.track_progress) progress = std::make_shared<ProgressChannel>();
+  std::function<void(const ProgressUpdate&)> progress_sink =
+      MakeProgressSink(progress, std::move(submit.on_progress));
   {
     MutexLock lock(&mu_);
     if (shutdown_) {
@@ -90,8 +107,8 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
           "store pipeline is saturated (max_pending_per_store); retry "
           "later");
     }
-    Pending pend;
-    pend.query = std::move(query);
+    Ticket ticket;
+    ticket.query = std::move(query);
     // The doorbell rings the pipeline's cv so a Cancel() on a queued
     // query is shed immediately instead of at the next flush
     // deadline; the weak_ptr keeps the ring safe after the pipeline
@@ -100,40 +117,46 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
     // a driver that checked the flag just before it was set is then
     // already waiting and gets the notify, instead of sleeping out
     // the flush window.
-    pend.cancel = std::make_shared<CancelToken>(
+    ticket.cancel = std::make_shared<CancelToken>(
         [wp = std::weak_ptr<Pipeline>(pipeline)] {
           if (std::shared_ptr<Pipeline> p = wp.lock()) {
             { MutexLock lock(&p->mu); }
             p->cv.NotifyAll();
           }
         });
-    pend.enqueued = Clock::now();
-    pend.deadline = submit.deadline_seconds > 0
-                        ? pend.enqueued + FromSeconds(submit.deadline_seconds)
-                        : Clock::time_point::max();
-    pend.budget_seconds = submit.budget_seconds;
-    if (submit.track_progress) {
-      pend.progress = std::make_shared<ProgressChannel>();
-      progress = pend.progress;
-    }
-    pend.on_progress = submit.on_progress;
-    cancel = pend.cancel;
-    future = pend.promise.get_future();
-    pipeline->pending.push_back(std::move(pend));
+    ticket.enqueued = Clock::now();
+    ticket.deadline =
+        submit.deadline_seconds > 0
+            ? ticket.enqueued + FromSeconds(submit.deadline_seconds)
+            : Clock::time_point::max();
+    ticket.budget_seconds = submit.budget_seconds;
+    ticket.progress_sink = std::move(progress_sink);
+    cancel = ticket.cancel;
+    future = ticket.promise.get_future();
+    pipeline->pending.push_back(std::move(ticket));
     counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   }
   pipeline->cv.NotifyAll();
   QueryHandle handle;
   handle.cancel_ = std::move(cancel);
   handle.future_ = std::move(future);
-  // The channel is shared with the Admitted entry: handle polls never
-  // touch scheduler state and stay valid after the pipeline is gone.
+  // The channel is shared with the ticket's progress sink: handle polls
+  // never touch scheduler state and stay valid after the pipeline is
+  // gone.
   handle.progress_ = std::move(progress);
   return handle;
 }
 
-void QueryScheduler::Resolve(std::promise<SchedulerItem>* promise,
-                             SchedulerItem item) {
+void QueryScheduler::Deliver(Ticket* ticket, Status status, MatchResult match,
+                             Clock::time_point queued_until,
+                             Clock::time_point finished) {
+  SchedulerItem item;
+  item.status = std::move(status);
+  item.match = std::move(match);
+  item.queue_seconds = ToSeconds(queued_until - ticket->enqueued);
+  item.total_seconds = ToSeconds(finished - ticket->enqueued);
+  item.joined_midflight = ticket->joined_midflight;
+  ticket->fulfilled = true;
   switch (item.status.code()) {
     case StatusCode::kDeadlineExceeded:
       counters_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
@@ -151,7 +174,7 @@ void QueryScheduler::Resolve(std::promise<SchedulerItem>* promise,
   // woken by the future never observes a stats() snapshot missing its
   // query.
   counters_.completed.fetch_add(1, std::memory_order_relaxed);
-  promise->set_value(std::move(item));
+  ticket->promise.set_value(std::move(item));
 }
 
 void QueryScheduler::ShedLocked(Pipeline* pipeline, std::vector<Shed>* shed) {
@@ -175,17 +198,13 @@ void QueryScheduler::ShedLocked(Pipeline* pipeline, std::vector<Shed>* shed) {
 void QueryScheduler::FulfillShed(std::vector<Shed> shed) {
   const Clock::time_point now = Clock::now();
   for (Shed& s : shed) {
-    SchedulerItem item;
-    item.status = std::move(s.second);
-    item.queue_seconds = ToSeconds(now - s.first.enqueued);
-    item.total_seconds = item.queue_seconds;
-    Resolve(&s.first.promise, std::move(item));
+    Deliver(&s.first, std::move(s.second), MatchResult(), now, now);
   }
 }
 
 bool QueryScheduler::HasCancelledLocked(Pipeline* pipeline) const {
-  for (const Pending& pend : pipeline->pending) {
-    if (pend.cancel->cancelled()) return true;
+  for (const Ticket& ticket : pipeline->pending) {
+    if (ticket.cancel->cancelled()) return true;
   }
   return false;
 }
@@ -200,8 +219,7 @@ void QueryScheduler::ShedPending(Pipeline* pipeline) {
 }
 
 bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
-                                       std::vector<BoundQuery>* queries,
-                                       std::vector<Admitted>* admitted) {
+                                       std::vector<Ticket>* batch) {
   // Each iteration holds the lock for one decision round; shed queries
   // collected in the round are fulfilled after the scope ends (promises
   // always resolve outside the lock — a woken waiter may re-enter the
@@ -227,8 +245,8 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
             pipeline->pending.front().enqueued +
             FromSeconds(options_.max_queue_wait_seconds);
         Clock::time_point wake = flush;
-        for (const Pending& pend : pipeline->pending) {
-          wake = std::min(wake, pend.deadline);
+        for (const Ticket& ticket : pipeline->pending) {
+          wake = std::min(wake, ticket.deadline);
         }
         // Wait until the wake time unless something actionable happens
         // first: a new arrival (ends the wait so `wake` is recomputed —
@@ -264,28 +282,16 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
             }
             const Clock::time_point now = Clock::now();
             while (!pipeline->pending.empty() &&
-                   static_cast<int>(queries->size()) <
+                   static_cast<int>(batch->size()) <
                        options_.max_batch_queries) {
-              Pending pend = std::move(pipeline->pending.front());
-              pipeline->pending.pop_front();
-              if (pend.join_refused) {
+              if (pipeline->pending.front().join_refused) {
                 // The fallback the earlier refusal predicted actually
                 // happened: the query launches in a fresh batch.
                 counters_.join_fallbacks.fetch_add(1,
                                                    std::memory_order_relaxed);
               }
-              queries->push_back(std::move(pend.query));
-              Admitted a;
-              a.promise = std::move(pend.promise);
-              a.cancel = std::move(pend.cancel);
-              a.enqueued = pend.enqueued;
-              a.admitted = now;
-              if (pend.budget_seconds > 0) {
-                a.budget_deadline = now + FromSeconds(pend.budget_seconds);
-              }
-              a.progress = std::move(pend.progress);
-              a.on_progress = std::move(pend.on_progress);
-              admitted->push_back(std::move(a));
+              Admit(std::move(pipeline->pending.front()), now, batch);
+              pipeline->pending.pop_front();
             }
             pipeline->busy = true;
             pipeline->last_active = now;
@@ -308,22 +314,10 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
   }
 }
 
-void QueryScheduler::FulfillAdmitted(Admitted* a, BatchItem item,
-                                     Clock::time_point batch_start) {
-  SchedulerItem out;
-  out.status = std::move(item.status);
-  out.match = std::move(item.match);
-  out.joined_midflight = a->joined_midflight;
-  out.queue_seconds = ToSeconds(a->admitted - a->enqueued);
-  // Per-item completion instant: the executor stamps wall_seconds from
-  // batch start, so batch_start + wall_seconds is when the query's
-  // machine actually finished (delivery lands after the rest of that
-  // chunk boundary's work — using "now" would overstate latency).
-  const Clock::time_point completion =
-      batch_start + FromSeconds(item.wall_seconds);
-  out.total_seconds = ToSeconds(completion - a->enqueued);
-  a->fulfilled = true;
-  Resolve(&a->promise, std::move(out));
+void QueryScheduler::Admit(Ticket ticket, Clock::time_point now,
+                           std::vector<Ticket>* batch) {
+  ticket.admitted = now;
+  batch->push_back(std::move(ticket));
 }
 
 void QueryScheduler::AttachWarmStage1(BoundQuery* query) {
@@ -367,58 +361,40 @@ void QueryScheduler::AttachWarmStage1(BoundQuery* query) {
   }
 }
 
-void QueryScheduler::EvictCancelled(BatchExecutor* executor,
-                                    std::vector<Admitted>* admitted) {
-  for (size_t i = 0; i < admitted->size(); ++i) {
-    Admitted& a = (*admitted)[i];
-    if (a.fulfilled || a.evict_attempted || a.cancel == nullptr ||
-        !a.cancel->cancelled()) {
-      continue;
-    }
-    a.evict_attempted = true;
-    const Status evicted = executor->Evict(i);
-    if (evicted.ok()) {
-      counters_.evicted.fetch_add(1, std::memory_order_relaxed);
-      // The executor reported the Cancelled item through the completion
-      // callback; delivery rides the normal path.
-    }
-    // !ok means the query completed before the cancel landed: the
-    // result exists and is delivered normally — a cancel never turns a
-    // finished result into a Cancelled future.
-  }
-}
-
-void QueryScheduler::EvictBudgetExpired(BatchExecutor* executor,
-                                        std::vector<Admitted>* admitted) {
+void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
+                                     std::vector<Ticket>* batch) {
   const Clock::time_point now = Clock::now();
-  for (size_t i = 0; i < admitted->size(); ++i) {
-    Admitted& a = (*admitted)[i];
-    if (a.fulfilled || a.evict_attempted || a.budget_evict_attempted ||
-        now < a.budget_deadline) {
-      continue;
+  for (size_t i = 0; i < batch->size(); ++i) {
+    Ticket& ticket = (*batch)[i];
+    if (ticket.fulfilled || ticket.evict_issued) continue;
+    // A query both cancelled and past its budget is evicted Cancelled:
+    // nobody waits for its best-effort answer.
+    if (ticket.cancel->cancelled()) {
+      ticket.evict_issued = true;
+      if (executor->Evict(i).ok()) {
+        counters_.evicted.fetch_add(1, std::memory_order_relaxed);
+      }
+    } else if (ticket.budget_seconds > 0 &&
+               now >= ticket.admitted + FromSeconds(ticket.budget_seconds)) {
+      ticket.evict_issued = true;
+      // The harvested item resolves OK, so Deliver() counts it as a
+      // plain completion; budget_evicted is its only other counter.
+      if (executor->EvictWithResult(i).ok()) {
+        counters_.budget_evicted.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-    a.budget_evict_attempted = true;
-    const Status harvested = executor->EvictWithResult(i);
-    if (harvested.ok()) {
-      // The harvested best-effort item (status OK, match.best_effort)
-      // rides the normal delivery path, the completion callback.
-      // Terminal accounting lands in budget_evicted ONLY — the future
-      // resolves OK, so Resolve() counts it as a plain completion,
-      // never deadline_exceeded or cancelled.
-      counters_.budget_evicted.fetch_add(1, std::memory_order_relaxed);
-    }
-    // !ok means the machine completed in this same chunk: the EXACT
-    // result exists and is delivered normally — a budget expiry never
-    // downgrades a finished result to a partial.
+    // A refused eviction means the query completed first: its result
+    // exists and is delivered normally — a cancel never turns a
+    // finished result into a Cancelled future, and a budget expiry
+    // never downgrades it to a partial.
   }
 }
 
 void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
-                              int64_t num_blocks,
-                              std::vector<Admitted>* admitted) {
+                              int64_t num_blocks, std::vector<Ticket>* batch) {
   std::vector<Shed> shed;
   for (;;) {
-    Pending pend;
+    Ticket ticket;
     bool cache_lifted_refusal = false;
     {
       MutexLock lock(&pipeline->mu);
@@ -437,7 +413,7 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
       // waiter to warm — so stage1_lookups counts consult EVENTS, not
       // queries. (The cache's mutex is a leaf lock: Lookup never takes
       // pipeline or scheduler locks.)
-      Pending& front = pipeline->pending.front();
+      Ticket& front = pipeline->pending.front();
       AttachWarmStage1(&front.query);
       const double suffix_fraction =
           1.0 - static_cast<double>(executor->consumed_blocks()) /
@@ -455,48 +431,34 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
         break;
       }
       cache_lifted_refusal = below_policy;
-      pend = std::move(pipeline->pending.front());
+      ticket = std::move(pipeline->pending.front());
       pipeline->pending.pop_front();
     }
-    // Register the query's progress consumers BEFORE the join: a join
-    // that completes instantly (a warm prior covering the whole store)
-    // publishes its final update from inside Join(), routed by index.
-    {
-      Admitted a;
-      a.progress = std::move(pend.progress);
-      a.on_progress = std::move(pend.on_progress);
-      admitted->push_back(std::move(a));
-    }
+    // Admit BEFORE the join: a join that completes instantly (a warm
+    // prior covering the whole store) publishes its final update from
+    // inside Join(), routed by index to this ticket's progress sink.
+    Admit(std::move(ticket), Clock::now(), batch);
     // Join (template binding, machine Begin) runs outside the pipeline
     // lock so Submit callers are never blocked on it; this thread is
     // the executor's sole driver, so no other synchronization applies.
     const int64_t bound_before = executor->stats().joined_queries;
-    Result<size_t> joined = executor->Join(pend.query);
+    Result<size_t> joined = executor->Join(batch->back().query);
     if (!joined.ok()) {
       // Defensive (the suffix check above normally fires first): the
       // executor refused the join; requeue for a fresh batch.
-      pend.progress = std::move(admitted->back().progress);
-      pend.on_progress = std::move(admitted->back().on_progress);
-      admitted->pop_back();
+      Ticket refused = std::move(batch->back());
+      batch->pop_back();
+      refused.join_refused = true;
       MutexLock lock(&pipeline->mu);
-      pend.join_refused = true;
-      pipeline->pending.push_front(std::move(pend));
+      pipeline->pending.push_front(std::move(refused));
       break;
     }
-    FASTMATCH_CHECK_EQ(*joined + 1, admitted->size());
+    FASTMATCH_CHECK_EQ(*joined + 1, batch->size());
     // A join whose per-query binding failed still occupies an item slot
     // but never entered the scan: report it as a plain (failed) query,
     // keeping joined_midflight consistent with the executor's stat.
     const bool bound = executor->stats().joined_queries > bound_before;
-    Admitted& a = admitted->back();
-    a.promise = std::move(pend.promise);
-    a.cancel = std::move(pend.cancel);
-    a.enqueued = pend.enqueued;
-    a.admitted = Clock::now();
-    a.joined_midflight = bound;
-    if (pend.budget_seconds > 0) {
-      a.budget_deadline = a.admitted + FromSeconds(pend.budget_seconds);
-    }
+    batch->back().joined_midflight = bound;
     if (bound) {
       counters_.joined_midflight.fetch_add(1, std::memory_order_relaxed);
       if (cache_lifted_refusal) {
@@ -508,14 +470,18 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
   FulfillShed(std::move(shed));
 }
 
-void QueryScheduler::RunBatch(Pipeline* pipeline,
-                              std::vector<BoundQuery> queries,
-                              std::vector<Admitted> admitted) {
+void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
   // Admission-time cache consult: queries whose template is warm skip
   // stage 1 from the first chunk. (Queries requeued after a refused
   // join may already carry their snapshot; AttachWarmStage1 leaves
-  // those untouched.)
-  for (BoundQuery& query : queries) AttachWarmStage1(&query);
+  // those untouched.) The executor copies what it keeps of each query,
+  // so the launch moves them out of their tickets.
+  std::vector<BoundQuery> queries;
+  queries.reserve(batch.size());
+  for (Ticket& ticket : batch) {
+    AttachWarmStage1(&ticket.query);
+    queries.push_back(std::move(ticket.query));
+  }
   BatchOptions batch_options = options_.batch;
   batch_options.shared_pool = pool_;
   batch_options.stage1_sink = stage1_cache_.get();
@@ -545,11 +511,8 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
       }
     }
     if (all_same && (warm_gen == 0 || warm_gen == snap->scan.generation)) {
-      const std::shared_ptr<const ColumnStore>& store = queries.front().store;
       const Result<StorePin> donor =
-          snap->scan.generation != 0
-              ? store->PinAt(snap->scan.generation)
-              : Result<StorePin>(store->Pin());
+          queries.front().store->PinAt(snap->scan.generation);
       if (donor.ok() && snap->scan.consumed.size() == donor->num_blocks &&
           snap->scan.consumed.Popcount() < donor->num_blocks) {
         batch_options.resume = snap->scan;
@@ -562,13 +525,9 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   if (!create.ok()) {
     // Structural failure (e.g. empty store): every query of the batch
     // learns the same status through its future.
-    for (Admitted& a : admitted) {
-      SchedulerItem item;
-      item.status = create.status();
-      item.queue_seconds = ToSeconds(a.admitted - a.enqueued);
-      item.total_seconds = ToSeconds(Clock::now() - a.enqueued);
-      a.fulfilled = true;
-      Resolve(&a.promise, std::move(item));
+    for (Ticket& ticket : batch) {
+      Deliver(&ticket, create.status(), MatchResult(), ticket.admitted,
+              Clock::now());
     }
     return;
   }
@@ -584,37 +543,40 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   // this callback is every item's only delivery path. Buffered rather
   // than fulfilled inline because a Join()'s instant completion
   // (binding failure, or a warm prior covering the whole store) fires
-  // before TryJoins has moved the query's promise into its Admitted
-  // entry.
+  // before TryJoins knows whether the query bound, which its
+  // joined_midflight reports.
   std::vector<std::pair<size_t, BatchItem>> ready;
   executor->SetCompletionCallback([&ready](size_t index, BatchItem item) {
     ready.emplace_back(index, std::move(item));
   });
   // Anytime streaming: the executor emits per-query snapshots at every
-  // chunk boundary; route each to its query's consumers. Runs on THIS
-  // thread inside Step/Join/EvictWithResult with no pipeline lock held
-  // (the promise-resolution discipline applies to progress publication
-  // too). `admitted` only grows, and only between Steps or just before
-  // a Join (TryJoins registers the entry first), so the index map is
-  // stable whenever either function runs. The predicate keeps a query
-  // that opted out free: the executor builds no snapshot for it.
+  // chunk boundary; route each to its ticket's progress sink. Runs on
+  // THIS thread inside Step/Join/EvictWithResult with no pipeline lock
+  // held (the promise-resolution discipline applies to progress
+  // publication too). `batch` only grows, and only between Steps or
+  // just before a Join (TryJoins admits the ticket first), so the index
+  // map is stable whenever either function runs. The predicate keeps a
+  // query that opted out free: the executor builds no snapshot for it.
   executor->SetProgressCallback(
-      [&admitted](size_t index, const ProgressUpdate& update) {
-        Admitted& a = admitted[index];
-        if (a.progress != nullptr) a.progress->Publish(update);
-        if (a.on_progress) a.on_progress(update);
+      [&batch](size_t index, const ProgressUpdate& update) {
+        batch[index].progress_sink(update);
       },
-      [&admitted](size_t index) {
-        // Every entry exists before Start() or Join() can emit for it.
-        FASTMATCH_CHECK(index < admitted.size());
-        return admitted[index].progress != nullptr ||
-               static_cast<bool>(admitted[index].on_progress);
+      [&batch](size_t index) {
+        // Every ticket exists before Start() or Join() can emit for it.
+        FASTMATCH_CHECK(index < batch.size());
+        return static_cast<bool>(batch[index].progress_sink);
       });
   const auto deliver_ready = [&] {
     for (auto& [index, item] : ready) {
-      FASTMATCH_CHECK(index < admitted.size());
-      FASTMATCH_CHECK(!admitted[index].fulfilled);
-      FulfillAdmitted(&admitted[index], std::move(item), batch_start);
+      FASTMATCH_CHECK(index < batch.size());
+      Ticket& ticket = batch[index];
+      FASTMATCH_CHECK(!ticket.fulfilled);
+      // Per-item completion instant: the executor stamps wall_seconds
+      // from batch start, so batch_start + wall_seconds is when the
+      // query's machine actually finished (delivery lands after the rest
+      // of that chunk boundary's work — "now" would overstate latency).
+      Deliver(&ticket, std::move(item.status), std::move(item.match),
+              ticket.admitted, batch_start + FromSeconds(item.wall_seconds));
     }
     ready.clear();
   };
@@ -624,15 +586,14 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   for (;;) {
     // Chunk-boundary lifecycle pass, in dependency order: shed the
     // queue (a cancelled/expired query must not be joined), evict
-    // cancelled running queries (frees executor slots), then admit
-    // joins — checking before the finished test also lets a late
-    // arrival revive an executor whose own queries all completed while
-    // scan suffix remains.
+    // cancelled and out-of-budget running queries (frees executor
+    // slots), then admit joins — checking before the finished test also
+    // lets a late arrival revive an executor whose own queries all
+    // completed while scan suffix remains.
     ShedPending(pipeline);
-    EvictCancelled(executor.get(), &admitted);
-    EvictBudgetExpired(executor.get(), &admitted);
+    EvictAtBoundary(executor.get(), &batch);
     if (options_.allow_joins) {
-      TryJoins(pipeline, executor.get(), num_blocks, &admitted);
+      TryJoins(pipeline, executor.get(), num_blocks, &batch);
     }
     deliver_ready();
     if (executor->finished()) break;
@@ -645,16 +606,15 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   counters_.batch_progress_snapshots.fetch_add(
       executor->stats().progress_snapshots, std::memory_order_relaxed);
   // The executor finished, so the callback has delivered every query.
-  FASTMATCH_CHECK_EQ(executor->num_queries(), admitted.size());
-  for (const Admitted& a : admitted) FASTMATCH_CHECK(a.fulfilled);
+  FASTMATCH_CHECK_EQ(executor->num_queries(), batch.size());
+  for (const Ticket& ticket : batch) FASTMATCH_CHECK(ticket.fulfilled);
 }
 
 void QueryScheduler::PipelineLoop(Pipeline* pipeline) {
   for (;;) {
-    std::vector<BoundQuery> queries;
-    std::vector<Admitted> admitted;
-    if (!GatherLaunchBatch(pipeline, &queries, &admitted)) break;
-    RunBatch(pipeline, std::move(queries), std::move(admitted));
+    std::vector<Ticket> batch;
+    if (!GatherLaunchBatch(pipeline, &batch)) break;
+    RunBatch(pipeline, std::move(batch));
     {
       MutexLock lock(&pipeline->mu);
       pipeline->busy = false;

@@ -436,51 +436,41 @@ class QueryScheduler {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One not-yet-admitted query with its delivery promise.
-  struct Pending {
+  /// One query from Submit to delivery. Submit builds it; it waits in
+  /// the pipeline's pending queue and then moves whole into a batch,
+  /// where its position is the executor's item index.
+  struct Ticket {
     BoundQuery query;
     std::promise<SchedulerItem> promise;
     std::shared_ptr<CancelToken> cancel;
     Clock::time_point enqueued;
     /// Queue-time budget; time_point::max() when none.
     Clock::time_point deadline;
-    /// Execution budget (seconds, <= 0 none); starts at admission.
+    /// Execution budget (seconds, <= 0 none); starts at `admitted`.
     double budget_seconds = 0;
-    /// Progress consumers, carried from SubmitOptions into Admitted.
-    std::shared_ptr<ProgressChannel> progress;
-    std::function<void(const ProgressUpdate&)> on_progress;
+    /// The query's one progress consumer: publishes to the poll channel
+    /// (track_progress), then calls SubmitOptions::on_progress. Empty
+    /// when the query opted out of both, so the executor builds no
+    /// snapshot for it.
+    std::function<void(const ProgressUpdate&)> progress_sink;
     /// A mid-flight join was refused at least once. Counted into
     /// join_fallbacks only if the query actually launches in a fresh
     /// batch — a later chunk boundary may still join it (the driver
     /// re-consults each chunk, and a cache publish can upgrade a
     /// refused cold query to warm).
     bool join_refused = false;
-  };
-
-  /// One query admitted into a running executor (same index space as
-  /// the executor's items).
-  struct Admitted {
-    std::promise<SchedulerItem> promise;
-    std::shared_ptr<CancelToken> cancel;
-    Clock::time_point enqueued;
+    /// Entry into a scan: queue time ends, the execution budget starts.
     Clock::time_point admitted;
     bool joined_midflight = false;
     /// Promise resolved: exactly once, from the completion callback
     /// (eager delivery, eviction or harvest), or with the Create status
     /// when the batch's executor cannot be built. The chunk-boundary
-    /// passes skip such entries; RunBatch checks every entry has it
-    /// once the executor finishes.
+    /// pass skips such tickets; RunBatch checks every ticket has it once
+    /// the executor finishes.
     bool fulfilled = false;
-    /// Evict() already issued for this query; don't re-issue each
-    /// chunk boundary.
-    bool evict_attempted = false;
-    /// Execution-budget expiry instant; time_point::max() when none.
-    Clock::time_point budget_deadline = Clock::time_point::max();
-    /// EvictWithResult() already issued; don't re-issue each chunk.
-    bool budget_evict_attempted = false;
-    /// Progress consumers (null/empty when the query opted out).
-    std::shared_ptr<ProgressChannel> progress;
-    std::function<void(const ProgressUpdate&)> on_progress;
+    /// Evict() or EvictWithResult() already issued; don't re-issue at
+    /// each chunk boundary.
+    bool evict_issued = false;
   };
 
   /// Per-store pipeline: bounded pending queue + driver thread.
@@ -490,7 +480,7 @@ class QueryScheduler {
   struct Pipeline {
     Mutex mu;
     CondVar cv;
-    std::deque<Pending> pending FASTMATCH_GUARDED_BY(mu);
+    std::deque<Ticket> pending FASTMATCH_GUARDED_BY(mu);
     // global drain: finish the queue, then exit
     bool shutdown FASTMATCH_GUARDED_BY(mu) = false;
     // janitor claimed it: no new enqueues, exit
@@ -504,24 +494,26 @@ class QueryScheduler {
   };
 
   /// A pending query shed before admission, with its terminal status.
-  using Shed = std::pair<Pending, Status>;
+  using Shed = std::pair<Ticket, Status>;
 
   void PipelineLoop(Pipeline* pipeline) FASTMATCH_EXCLUDES(pipeline->mu);
-  /// Pops pending queries into a full-or-flushed launch batch. Returns
+  /// Pops pending tickets into a full-or-flushed launch batch. Returns
   /// false when the pipeline should exit (shutdown/retire, queue
   /// drained).
-  bool GatherLaunchBatch(Pipeline* pipeline, std::vector<BoundQuery>* queries,
-                         std::vector<Admitted>* admitted)
+  bool GatherLaunchBatch(Pipeline* pipeline, std::vector<Ticket>* batch)
       FASTMATCH_EXCLUDES(pipeline->mu);
   /// Runs one executor to completion: joins, sheds, evictions, and
   /// eager deliveries all happen at chunk boundaries.
-  void RunBatch(Pipeline* pipeline, std::vector<BoundQuery> queries,
-                std::vector<Admitted> admitted)
+  void RunBatch(Pipeline* pipeline, std::vector<Ticket> batch)
       FASTMATCH_EXCLUDES(pipeline->mu);
   /// Admits pending queries into the running scan while policy allows.
   void TryJoins(Pipeline* pipeline, BatchExecutor* executor,
-                int64_t num_blocks, std::vector<Admitted>* admitted)
+                int64_t num_blocks, std::vector<Ticket>* batch)
       FASTMATCH_EXCLUDES(pipeline->mu);
+  /// Enters `ticket` into a scan at `now` as batch item batch->size():
+  /// the one admission path of launches and joins.
+  static void Admit(Ticket ticket, Clock::time_point now,
+                    std::vector<Ticket>* batch);
   /// Removes cancelled/expired entries from the pending deque; terminal
   /// fulfillment happens in FulfillShed, outside the lock (the
   /// promise-resolution rule, now compiler-visible: this method REQUIRES
@@ -538,18 +530,13 @@ class QueryScheduler {
   /// woken waiter may re-enter the scheduler (Submit, stats) from the
   /// future's continuation.
   void FulfillShed(std::vector<Shed> shed);
-  /// Resolves one admitted query's promise with `item` (exactly once).
-  void FulfillAdmitted(Admitted* a, BatchItem item,
-                       Clock::time_point batch_start);
-  /// Issues Evict() for admitted queries whose cancel flag is set.
-  void EvictCancelled(BatchExecutor* executor, std::vector<Admitted>* admitted);
-  /// Issues EvictWithResult() for admitted queries past their execution
-  /// budget: the harvested best-effort item (status OK,
-  /// MatchResult::best_effort) rides the normal delivery paths. A
-  /// budget expiry racing the machine's completion loses — the exact
-  /// result is delivered.
-  void EvictBudgetExpired(BatchExecutor* executor,
-                          std::vector<Admitted>* admitted);
+  /// The chunk-boundary eviction pass over the running batch. A
+  /// cancelled query is Evict()ed; otherwise a query past its execution
+  /// budget is harvested by EvictWithResult() into a best-effort item
+  /// (status OK, MatchResult::best_effort). Either item rides the
+  /// completion callback. An eviction racing the machine's completion
+  /// loses: the finished result is delivered.
+  void EvictAtBoundary(BatchExecutor* executor, std::vector<Ticket>* batch);
   /// Looks the query's template up in the stage-1 cache and attaches
   /// the snapshot on a hit (no-op when the cache is disabled or the
   /// query already carries warm state). The consult is GENERATION-
@@ -594,10 +581,13 @@ class QueryScheduler {
     std::atomic<int64_t> batch_progress_snapshots{0};
   };
 
-  /// Counts the terminal status into the right counters and resolves
-  /// the promise (completed is incremented BEFORE set_value so a woken
-  /// waiter never observes a stats() snapshot missing its query).
-  void Resolve(std::promise<SchedulerItem>* promise, SchedulerItem item);
+  /// Builds the ticket's SchedulerItem — queue time from enqueue to
+  /// `queued_until`, total time from enqueue to `finished` — counts its
+  /// terminal status, and resolves the promise, exactly once. completed
+  /// is incremented BEFORE set_value so a woken waiter never observes a
+  /// stats() snapshot missing its query.
+  void Deliver(Ticket* ticket, Status status, MatchResult match,
+               Clock::time_point queued_until, Clock::time_point finished);
 
   const SchedulerOptions options_;
   SharedWorkerPool* const pool_;  // options_.pool or the process pool
@@ -616,10 +606,10 @@ class QueryScheduler {
   CondVar reaper_cv_;
   /// Keyed by ColumnStore::id(), NOT the store pointer: a freed store's
   /// address can be recycled for a new store, which must not alias the
-  /// dead store's pipeline. shared_ptr, not unique_ptr: a Submit holds
-  /// its pipeline reference across an unlocked window (mu_ released
-  /// before pipeline->mu is taken), during which the janitor may reap
-  /// the entry — the object must outlive every such holder.
+  /// dead store's pipeline. shared_ptr, not unique_ptr: the cancel
+  /// doorbell holds a weak_ptr to its pipeline (handles outlive
+  /// pipelines), and Submit rings the pipeline's cv after releasing
+  /// mu_, when the janitor may already have reaped the entry.
   std::map<uint64_t, std::shared_ptr<Pipeline>> pipelines_
       FASTMATCH_GUARDED_BY(mu_);
   bool shutdown_ FASTMATCH_GUARDED_BY(mu_) = false;

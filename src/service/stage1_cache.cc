@@ -107,7 +107,7 @@ Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
     ++stats_.misses;
     return result;
   }
-  if (generation != 0 && it->second.generation > generation) {
+  if (it->second.generation > generation) {
     // The entry samples rows beyond the querier's pinned prefix — its
     // counts are not a uniform sample of the pinned relation, and no
     // revalidation can shrink a sample. Keep the entry (it serves
@@ -115,7 +115,7 @@ Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
     ++stats_.misses;
     return result;
   }
-  if (generation != 0 && it->second.generation < generation) {
+  if (it->second.generation < generation) {
     // Older-generation prior: hand it back for a drift test, but do
     // NOT tick the LRU — only a passing revalidation (Promote) or a
     // real hit earns the entry its recency.
@@ -131,15 +131,6 @@ Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
   result.snapshot = it->second.snapshot;
   result.entry_generation = it->second.generation;
   return result;
-}
-
-std::shared_ptr<const Stage1Snapshot> Stage1Cache::Lookup(
-    uint64_t store_id, uint64_t partition_id, int z_attr,
-    const std::vector<int>& x_attrs, int64_t min_rows) {
-  // generation == 0 can only classify kHit or kMiss, so the snapshot
-  // alone carries the whole answer.
-  return Lookup(store_id, partition_id, z_attr, x_attrs, min_rows, 0)
-      .snapshot;
 }
 
 bool Stage1Cache::Promote(uint64_t store_id, uint64_t partition_id,

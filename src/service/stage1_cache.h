@@ -133,22 +133,10 @@ class Stage1Cache : public Stage1Sink {
   /// classifies it: equal to the entry's generation => kHit (LRU tick);
   /// entry older => kRevalidate (NO LRU tick — only a passing
   /// revalidation earns the entry its recency); entry newer => kMiss.
-  /// generation == 0 is the legacy generation-agnostic mode: any usable
-  /// entry is a kHit. An entry only ever answers its exact
-  /// (store id, partition id) pair.
+  /// An entry only ever answers its exact (store id, partition id) pair.
   Stage1LookupResult Lookup(uint64_t store_id, uint64_t partition_id,
                             int z_attr, const std::vector<int>& x_attrs,
                             int64_t min_rows, uint64_t generation)
-      FASTMATCH_EXCLUDES(mu_);
-
-  /// \brief Legacy generation-agnostic lookup: the snapshot on a hit,
-  /// null otherwise. Equivalent to the generation-aware overload with
-  /// generation == 0.
-  std::shared_ptr<const Stage1Snapshot> Lookup(uint64_t store_id,
-                                               uint64_t partition_id,
-                                               int z_attr,
-                                               const std::vector<int>& x_attrs,
-                                               int64_t min_rows)
       FASTMATCH_EXCLUDES(mu_);
 
   /// \brief Marks the entry as valid at `to_generation` after a passing

@@ -1,4 +1,4 @@
-#include "core/row_sampler.h"
+#include "row_sampler.h"
 
 #include <numeric>
 

@@ -10,8 +10,8 @@
 // x-attributes are given, the group id is their mixed-radix code and
 // |VX| is the product of cardinalities.
 
-#ifndef FASTMATCH_CORE_ROW_SAMPLER_H_
-#define FASTMATCH_CORE_ROW_SAMPLER_H_
+#ifndef FASTMATCH_TESTS_ROW_SAMPLER_H_
+#define FASTMATCH_TESTS_ROW_SAMPLER_H_
 
 #include <memory>
 #include <vector>
@@ -64,4 +64,4 @@ class RowSampler : public Sampler {
 
 }  // namespace fastmatch
 
-#endif  // FASTMATCH_CORE_ROW_SAMPLER_H_
+#endif  // FASTMATCH_TESTS_ROW_SAMPLER_H_

@@ -18,6 +18,8 @@
 //     stats().budget_evicted only, and both progress consumers — the
 //     QueryHandle::Progress() poll channel and the on_progress
 //     callback — observe the same stream;
+//   * cancel outranks budget: a query both cancelled and past its
+//     budget at one chunk boundary is evicted Cancelled, not harvested;
 //   * progress cost follows subscribers: the scheduler builds snapshots
 //     only for queries with a progress consumer (none for a batch
 //     nobody subscribed to) without changing any result or block count,
@@ -27,8 +29,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <optional>
 #include <set>
 #include <thread>
@@ -345,6 +349,42 @@ TEST(AnytimeTest, BudgetRaceNeverLosesAnExactResult) {
   EXPECT_EQ(stats.cancelled, 0);
   EXPECT_EQ(stats.completed, submitted);
   EXPECT_EQ(stats.submitted, submitted);
+  scheduler.Shutdown();
+}
+
+TEST(AnytimeTest, CancelOutranksBudgetAtOneChunkBoundary) {
+  // The query's first progress hook sleeps past its execution budget and
+  // then cancels it, so at the next chunk boundary the query is both
+  // cancelled and out of budget. The cancel wins: Cancelled, counted as
+  // an eviction, never as a budget harvest. The hook may call Cancel():
+  // the driver publishes progress with no pipeline lock held.
+  AnytimeFixture f = MakeAnytimeFixture(2000, 37);
+  QueryScheduler scheduler(AnytimeSchedOptions());
+  const double budget = 0.05;
+  std::promise<QueryHandle*> handle_ready;
+  std::shared_future<QueryHandle*> handle_future =
+      handle_ready.get_future().share();
+  std::atomic<bool> fired{false};
+  SubmitOptions submit;
+  submit.budget_seconds = budget;
+  submit.on_progress = [&](const ProgressUpdate&) {
+    if (fired.exchange(true)) return;
+    std::this_thread::sleep_for(std::chrono::duration<double>(2 * budget));
+    handle_future.get()->Cancel();
+  };
+  auto handle = scheduler.Submit(MakeQuery(f, 42), submit);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  handle_ready.set_value(&*handle);
+  SchedulerItem item = handle->Get();
+  EXPECT_EQ(item.status.code(), StatusCode::kCancelled)
+      << item.status.ToString();
+  EXPECT_TRUE(fired.load());
+
+  SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.evicted, 1);
+  EXPECT_EQ(stats.budget_evicted, 0);
+  EXPECT_EQ(stats.cancelled, 1);
+  EXPECT_EQ(stats.completed, 1);
   scheduler.Shutdown();
 }
 

@@ -785,21 +785,27 @@ TEST(BatchExecutorStreamTest, SharedPoolMatchesPrivatePoolBitForBit) {
 TEST(BatchExecutorStreamTest, ResumeValidation) {
   BatchFixture f = MakeBatchFixture(2000, 19);
   BoundQuery q = MakeQuery(f, f.target);
+  // Every bad case below carries the store's real generation, so each
+  // fails for its own reason, not for a missing generation.
+  const uint64_t generation = f.store->Pin().generation;
+  const auto resume_at = [generation](int64_t num_blocks) {
+    ScanResume resume;
+    resume.consumed = BitVector(num_blocks);
+    resume.generation = generation;
+    return resume;
+  };
 
   BatchOptions bad_size = Options(2);
-  bad_size.resume = ScanResume{};
-  bad_size.resume->consumed = BitVector(f.store->num_blocks() + 1);
+  bad_size.resume = resume_at(f.store->num_blocks() + 1);
   EXPECT_FALSE(BatchExecutor::Create({q}, bad_size).ok());
 
   BatchOptions bad_cursor = Options(2);
-  bad_cursor.resume = ScanResume{};
-  bad_cursor.resume->consumed = BitVector(f.store->num_blocks());
+  bad_cursor.resume = resume_at(f.store->num_blocks());
   bad_cursor.resume->cursor = f.store->num_blocks();
   EXPECT_FALSE(BatchExecutor::Create({q}, bad_cursor).ok());
 
   BatchOptions bad_exhausted = Options(2);
-  bad_exhausted.resume = ScanResume{};
-  bad_exhausted.resume->consumed = BitVector(f.store->num_blocks());
+  bad_exhausted.resume = resume_at(f.store->num_blocks());
   bad_exhausted.resume->exhausted.assign(5, false);  // |VZ| is 12
   EXPECT_FALSE(BatchExecutor::Create({q}, bad_exhausted).ok());
 
@@ -807,15 +813,21 @@ TEST(BatchExecutorStreamTest, ResumeValidation) {
   // machines would finish instantly on zero samples (same condition
   // Join() rejects).
   BatchOptions all_consumed = Options(2);
-  all_consumed.resume = ScanResume{};
-  all_consumed.resume->consumed = BitVector(f.store->num_blocks());
+  all_consumed.resume = resume_at(f.store->num_blocks());
   all_consumed.resume->consumed.SetAll();
   EXPECT_EQ(BatchExecutor::Create({q}, all_consumed).status().code(),
             StatusCode::kFailedPrecondition);
 
+  // Store generations start at 1: a resume without one names no block
+  // space to re-pin.
+  BatchOptions no_generation = Options(2);
+  no_generation.resume = resume_at(f.store->num_blocks());
+  no_generation.resume->generation = 0;
+  EXPECT_EQ(BatchExecutor::Create({q}, no_generation).status().code(),
+            StatusCode::kInvalidArgument);
+
   BatchOptions good = Options(2);
-  good.resume = ScanResume{};
-  good.resume->consumed = BitVector(f.store->num_blocks());
+  good.resume = resume_at(f.store->num_blocks());
   good.resume->exhausted.assign(12, false);
   EXPECT_TRUE(BatchExecutor::Create({q}, good).ok());
 }
@@ -848,7 +860,10 @@ TEST(BatchExecutorWarmTest, WarmResumeFromSnapshotMatchesColdRunBitForBit) {
       EXPECT_EQ(cold->stats().warm_queries, 0);
 
       auto snapshot =
-          cache.Lookup(f.store->id(), kWholeStorePartition, 0, {1}, q.params.stage1_samples);
+          cache
+              .Lookup(f.store->id(), kWholeStorePartition, 0, {1},
+                      q.params.stage1_samples, f.store->Pin().generation)
+              .snapshot;
       ASSERT_NE(snapshot, nullptr);
       ASSERT_GE(snapshot->rows_drawn, q.params.stage1_samples);
 
@@ -906,7 +921,10 @@ TEST(BatchExecutorWarmTest, WarmJoinMatchesWarmSoloResumeEveryThreadCount) {
     ScanResume capture = exec->CaptureScanState();
 
     auto snapshot =
-        cache.Lookup(f.store->id(), kWholeStorePartition, 0, {1}, w.params.stage1_samples);
+        cache
+            .Lookup(f.store->id(), kWholeStorePartition, 0, {1},
+                    w.params.stage1_samples, f.store->Pin().generation)
+            .snapshot;
     ASSERT_NE(snapshot, nullptr);
     BoundQuery warm_w = w;
     warm_w.stage1_warm = snapshot;
@@ -958,7 +976,10 @@ TEST(BatchExecutorWarmTest, WarmQueriesMeetGuarantees) {
       BatchExecutor::Create({MakeQuery(f, f.target, 1)}, prime_options)
           .value();
   ASSERT_TRUE(prime->Run()[0].status.ok());
-  auto snapshot = cache.Lookup(f.store->id(), kWholeStorePartition, 0, {1}, 3000);
+  auto snapshot = cache
+                      .Lookup(f.store->id(), kWholeStorePartition, 0, {1},
+                              3000, f.store->Pin().generation)
+                      .snapshot;
   ASSERT_NE(snapshot, nullptr);
 
   std::vector<BoundQuery> warm_queries = {
@@ -993,6 +1014,7 @@ TEST(BatchExecutorWarmTest, MismatchedWarmSnapshotSurfacesAsItemStatus) {
   auto bogus = std::make_shared<Stage1Snapshot>();
   bogus->counts = CountMatrix(5, 4);  // template is 12 x 8
   bogus->rows_drawn = 1000;
+  bogus->scan.generation = f.store->Pin().generation;
   BoundQuery bad = MakeQuery(f, f.target, 1);
   bad.stage1_warm = bogus;
   BoundQuery good = MakeQuery(f, f.target, 2);
@@ -1022,7 +1044,10 @@ TEST(BatchExecutorWarmTest, OverlappingWarmExhaustionReportsTrueExactCounts) {
   auto prime = BatchExecutor::Create({donor}, donor_options).value();
   ASSERT_TRUE(prime->Run()[0].status.ok());
 
-  auto snapshot = cache.Lookup(f.store->id(), kWholeStorePartition, 0, {1}, 100);
+  auto snapshot = cache
+                      .Lookup(f.store->id(), kWholeStorePartition, 0, {1},
+                              100, f.store->Pin().generation)
+                      .snapshot;
   ASSERT_NE(snapshot, nullptr);
   ASSERT_LT(snapshot->rows_drawn, f.store->num_rows());
 
@@ -1065,6 +1090,7 @@ TEST(BatchExecutorWarmTest, DonorExhaustionFlagsDroppedForOverlappingWarm) {
     }
   }
   snapshot->rows_drawn = prior_rows;
+  snapshot->scan.generation = f.store->Pin().generation;
   ASSERT_LT(prior_rows, f.store->num_rows());
   snapshot->scan.exhausted.assign(12, false);
   snapshot->scan.exhausted[0] = true;
@@ -1105,7 +1131,10 @@ TEST(BatchExecutorWarmTest, FullCoverageSnapshotCompletesAtBind) {
   auto prime = BatchExecutor::Create({donor}, donor_options).value();
   ASSERT_TRUE(prime->Run()[0].status.ok());
 
-  auto snapshot = cache.Lookup(f.store->id(), kWholeStorePartition, 0, {1}, f.store->num_rows());
+  auto snapshot = cache
+                      .Lookup(f.store->id(), kWholeStorePartition, 0, {1},
+                              f.store->num_rows(), f.store->Pin().generation)
+                      .snapshot;
   ASSERT_NE(snapshot, nullptr);
   ASSERT_EQ(snapshot->rows_drawn, f.store->num_rows());
 

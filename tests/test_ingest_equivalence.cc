@@ -305,7 +305,8 @@ TEST(IngestEquivalenceTest, StaleWarmPriorIsNeverServedAcrossGenerations) {
   ASSERT_TRUE(cold_items[0].status.ok()) << cold_items[0].status.ToString();
 
   auto snapshot = cache.Lookup(store->id(), kWholeStorePartition, 0, {1},
-                               q.params.stage1_samples);
+                               q.params.stage1_samples, /*generation=*/1)
+                      .snapshot;
   ASSERT_NE(snapshot, nullptr);
   ASSERT_EQ(snapshot->scan.generation, 1u);
 

@@ -8,7 +8,7 @@
 #include <set>
 
 #include "core/histsim.h"
-#include "core/row_sampler.h"
+#include "row_sampler.h"
 #include "core/verify.h"
 #include "test_helpers.h"
 

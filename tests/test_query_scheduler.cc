@@ -852,8 +852,11 @@ TEST(Stage1CacheSchedulerTest, WarmWaveResumesTheDonorsScan) {
   auto donor = scheduler.Submit(MakeQuery(f, 1));
   ASSERT_TRUE(donor.ok());
   ExpectTop3(donor->Get());
-  std::shared_ptr<const Stage1Snapshot> snap = scheduler.stage1_cache()->Lookup(
-      f.store->id(), kWholeStorePartition, 0, {1}, 1);
+  std::shared_ptr<const Stage1Snapshot> snap =
+      scheduler.stage1_cache()
+          ->Lookup(f.store->id(), kWholeStorePartition, 0, {1}, 1,
+                   f.store->Pin().generation)
+          .snapshot;
   ASSERT_NE(snap, nullptr);
   const int64_t num_blocks = f.store->num_blocks();
   const int64_t prefix_blocks = snap->scan.consumed.Popcount();

@@ -22,12 +22,16 @@ namespace fastmatch {
 namespace {
 
 constexpr uint64_t kWhole = kWholeStorePartition;
+// The store generation of every snapshot the generation-agnostic tests
+// publish and look up (store generations start at 1).
+constexpr uint64_t kGen = 1;
 
 std::shared_ptr<const Stage1Snapshot> MakeSnapshot(int64_t rows, int vz = 4,
                                                    int vx = 3) {
   auto snapshot = std::make_shared<Stage1Snapshot>();
   snapshot->counts = CountMatrix(vz, vx);
   snapshot->rows_drawn = rows;
+  snapshot->scan.generation = kGen;
   return snapshot;
 }
 
@@ -45,9 +49,9 @@ std::shared_ptr<const Stage1Snapshot> MakeSnapshotAt(int64_t rows,
 
 TEST(Stage1CacheTest, LookupMissesThenHitsAfterPublish) {
   Stage1Cache cache;
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 100), nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 100, kGen).snapshot, nullptr);
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(500));
-  auto hit = cache.Lookup(1, kWhole, 0, {1}, 100);
+  auto hit = cache.Lookup(1, kWhole, 0, {1}, 100, kGen).snapshot;
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rows_drawn, 500);
 
@@ -63,11 +67,11 @@ TEST(Stage1CacheTest, KeysSeparateStoresAndTemplates) {
   Stage1Cache cache;
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(500));
   // Different store id, z attribute, or grouping: all distinct entries.
-  EXPECT_EQ(cache.Lookup(2, kWhole, 0, {1}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 2, {1}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {2}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1, 2}, 1), nullptr);
-  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 1), nullptr);
+  EXPECT_EQ(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 2, {1}, 1, kGen).snapshot, nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {2}, 1, kGen).snapshot, nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1, 2}, 1, kGen).snapshot, nullptr);
+  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
 }
 
 TEST(Stage1CacheTest, PartitionKeysNeverCrossServe) {
@@ -76,24 +80,29 @@ TEST(Stage1CacheTest, PartitionKeysNeverCrossServe) {
   // whole-store key, nor vice versa — same store id, same template.
   Stage1Cache cache;
   cache.Publish(9, /*partition_id=*/101, 0, {1}, MakeSnapshot(500));
-  EXPECT_EQ(cache.Lookup(9, /*partition_id=*/102, 0, {1}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(9, kWhole, 0, {1}, 1), nullptr);
-  auto hit = cache.Lookup(9, /*partition_id=*/101, 0, {1}, 1);
+  EXPECT_EQ(
+      cache.Lookup(9, /*partition_id=*/102, 0, {1}, 1, kGen).snapshot,
+      nullptr);
+  EXPECT_EQ(cache.Lookup(9, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
+  auto hit = cache.Lookup(9, /*partition_id=*/101, 0, {1}, 1, kGen).snapshot;
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rows_drawn, 500);
 
   // The reverse direction: a whole-store publish answers only the
   // whole-store sub-key.
   cache.Publish(9, kWhole, 0, {2}, MakeSnapshot(300));
-  EXPECT_EQ(cache.Lookup(9, /*partition_id=*/101, 0, {2}, 1), nullptr);
-  EXPECT_NE(cache.Lookup(9, kWhole, 0, {2}, 1), nullptr);
+  EXPECT_EQ(
+      cache.Lookup(9, /*partition_id=*/101, 0, {2}, 1, kGen).snapshot,
+      nullptr);
+  EXPECT_NE(cache.Lookup(9, kWhole, 0, {2}, 1, kGen).snapshot, nullptr);
 
   // Publishes under two partitions of one store coexist as separate
   // entries with independent coverage.
   cache.Publish(9, /*partition_id=*/102, 0, {1}, MakeSnapshot(200));
   EXPECT_EQ(cache.size(), 3);
-  EXPECT_EQ(cache.Lookup(9, 102, 0, {1}, 300), nullptr);  // too small
-  EXPECT_NE(cache.Lookup(9, 101, 0, {1}, 300), nullptr);
+  EXPECT_EQ(cache.Lookup(9, 102, 0, {1}, 300, kGen).snapshot,
+            nullptr);  // too small
+  EXPECT_NE(cache.Lookup(9, 101, 0, {1}, 300, kGen).snapshot, nullptr);
 }
 
 TEST(Stage1CacheTest, InvalidateStoreDropsAllPartitions) {
@@ -109,11 +118,11 @@ TEST(Stage1CacheTest, InvalidateStoreDropsAllPartitions) {
   ASSERT_EQ(cache.size(), 5);
   cache.InvalidateStore(7);
   EXPECT_EQ(cache.size(), 1);
-  EXPECT_EQ(cache.Lookup(7, kWhole, 0, {1}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(7, 31, 0, {1}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(7, 32, 0, {1}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(7, 32, 5, {2}, 1), nullptr);
-  EXPECT_NE(cache.Lookup(8, 31, 0, {1}, 1), nullptr);
+  EXPECT_EQ(cache.Lookup(7, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
+  EXPECT_EQ(cache.Lookup(7, 31, 0, {1}, 1, kGen).snapshot, nullptr);
+  EXPECT_EQ(cache.Lookup(7, 32, 0, {1}, 1, kGen).snapshot, nullptr);
+  EXPECT_EQ(cache.Lookup(7, 32, 5, {2}, 1, kGen).snapshot, nullptr);
+  EXPECT_NE(cache.Lookup(8, 31, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.stats().store_invalidations, 4);
 }
 
@@ -122,8 +131,8 @@ TEST(Stage1CacheTest, EntrySmallerThanDemandIsAMiss) {
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(500));
   // A 500-row sample cannot satisfy a 1000-row stage-1 demand; the
   // entry stays (smaller demands are still served).
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1000), nullptr);
-  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 500), nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1000, kGen).snapshot, nullptr);
+  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 500, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.size(), 1);
 }
 
@@ -131,16 +140,16 @@ TEST(Stage1CacheTest, PublishKeepsTheBiggerSample) {
   Stage1Cache cache;
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(1000));
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(400));  // dominated: dropped
-  auto hit = cache.Lookup(1, kWhole, 0, {1}, 1);
+  auto hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rows_drawn, 1000);
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(2000));  // bigger: replaces
-  hit = cache.Lookup(1, kWhole, 0, {1}, 1);
+  hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rows_drawn, 2000);
   auto resident = hit;
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(2000));  // tie: resident wins
-  hit = cache.Lookup(1, kWhole, 0, {1}, 1);
+  hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;
   EXPECT_EQ(hit, resident);
   // An all-false exhausted vector (the common executor export)
   // certifies nothing: a tie carrying one must not displace the
@@ -148,9 +157,10 @@ TEST(Stage1CacheTest, PublishKeepsTheBiggerSample) {
   auto allfalse_mut = std::make_shared<Stage1Snapshot>();
   allfalse_mut->counts = CountMatrix(4, 3);
   allfalse_mut->rows_drawn = 2000;
+  allfalse_mut->scan.generation = kGen;
   allfalse_mut->scan.exhausted = {false, false, false, false};
   cache.Publish(1, kWhole, 0, {1}, allfalse_mut);
-  hit = cache.Lookup(1, kWhole, 0, {1}, 1);
+  hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;
   EXPECT_EQ(hit, resident);
   // A tied snapshot with a TRUE exhaustion flag outranks a resident
   // without one: at equal coverage the flag certifies a candidate's
@@ -158,13 +168,14 @@ TEST(Stage1CacheTest, PublishKeepsTheBiggerSample) {
   auto flagged_mut = std::make_shared<Stage1Snapshot>();
   flagged_mut->counts = CountMatrix(4, 3);
   flagged_mut->rows_drawn = 2000;
+  flagged_mut->scan.generation = kGen;
   flagged_mut->scan.exhausted = {true, false, false, false};
   std::shared_ptr<const Stage1Snapshot> flagged = flagged_mut;
   cache.Publish(1, kWhole, 0, {1}, flagged);
-  hit = cache.Lookup(1, kWhole, 0, {1}, 1);
+  hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;
   EXPECT_EQ(hit, flagged);
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(2000));  // flagless tie:
-  hit = cache.Lookup(1, kWhole, 0, {1}, 1);              // dropped
+  hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;  // dropped
   EXPECT_EQ(hit, flagged);
   EXPECT_EQ(cache.size(), 1);
   Stage1CacheStats stats = cache.stats();
@@ -186,7 +197,7 @@ TEST(Stage1CacheTest, TtlExpiresEntriesAsStale) {
   options.ttl_seconds = 1e-9;  // everything is stale by the next lookup
   Stage1Cache cache(options);
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(500));
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1), nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.size(), 0);
   Stage1CacheStats stats = cache.stats();
   EXPECT_EQ(stats.stale_evictions, 1);
@@ -201,12 +212,13 @@ TEST(Stage1CacheTest, CapacityEvictsLeastRecentlyUsed) {
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(100));
   cache.Publish(2, kWhole, 0, {1}, MakeSnapshot(200));
   // Touch store 1 so store 2 is the LRU entry.
-  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 1), nullptr);
+  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
   cache.Publish(3, kWhole, 0, {1}, MakeSnapshot(300));
   EXPECT_EQ(cache.size(), 2);
-  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(2, kWhole, 0, {1}, 1), nullptr);  // evicted
-  EXPECT_NE(cache.Lookup(3, kWhole, 0, {1}, 1), nullptr);
+  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
+  EXPECT_EQ(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot,
+            nullptr);  // evicted
+  EXPECT_NE(cache.Lookup(3, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.stats().capacity_evictions, 1);
 }
 
@@ -217,9 +229,9 @@ TEST(Stage1CacheTest, InvalidateStoreDropsOnlyThatStore) {
   cache.Publish(2, kWhole, 0, {1}, MakeSnapshot(100));
   cache.InvalidateStore(1);
   EXPECT_EQ(cache.size(), 1);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {2}, 1), nullptr);
-  EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 1), nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {2}, 1, kGen).snapshot, nullptr);
+  EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.stats().store_invalidations, 2);
 }
 
@@ -255,13 +267,9 @@ TEST(Stage1CacheGenerationTest, LookupClassifiesHitRevalidateAndMiss) {
   EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 100, 2).outcome,
             Stage1Outcome::kHit);
 
-  // generation == 0 is the legacy generation-agnostic mode: any usable
-  // entry is a hit regardless of its generation.
-  EXPECT_NE(cache.Lookup(1, kWhole, 0, {1}, 100), nullptr);
-
   Stage1CacheStats stats = cache.stats();
   EXPECT_EQ(stats.revalidations, 1);
-  EXPECT_EQ(stats.hits, 3);
+  EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.lookups, stats.hits + stats.misses + stats.revalidations);
 }
@@ -326,9 +334,10 @@ TEST(Stage1CacheGenerationTest, PromoteDoesNotRenewRecencyOrTtl) {
   ASSERT_TRUE(cache.Promote(1, kWhole, 0, {1}, 1, 2));
   cache.Publish(3, kWhole, 0, {1}, MakeSnapshotAt(300, 1));
   EXPECT_EQ(cache.size(), 2);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1), nullptr);  // evicted anyway
-  EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 1), nullptr);
-  EXPECT_NE(cache.Lookup(3, kWhole, 0, {1}, 1), nullptr);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot,
+            nullptr);  // evicted anyway
+  EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
+  EXPECT_NE(cache.Lookup(3, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
 
   // TTL: promotion does not refresh the publish stamp either.
   Stage1CacheOptions expiring_options;
@@ -433,7 +442,8 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
             if (i % 40 == 4) {
               cache.InvalidateStore(store);
             } else {
-              cache.Lookup(store, partition, 0, {1}, 1000000);  // always miss
+              // Always a miss: no entry holds this many rows.
+              cache.Lookup(store, partition, 0, {1}, 1000000, kGen);
             }
             break;
         }
