@@ -41,7 +41,7 @@ int main() {
     std::printf("%12lld %9.2f%% %12.4f %12d %14.0f\n",
                 static_cast<long long>(m),
                 100.0 * static_cast<double>(m) / static_cast<double>(n),
-                s.mean_seconds, probe->stats.histsim.pruned_candidates,
+                s.mean_seconds, probe->match.diag.pruned_candidates,
                 s.mean_rows_read);
     std::fflush(stdout);
   }

@@ -121,7 +121,7 @@ RunSummary Measure(const PreparedQuery& prepared, Approach approach,
     summary.mean_blocks_skipped +=
         static_cast<double>(out->stats.engine.blocks_skipped) / runs;
     summary.mean_rounds +=
-        static_cast<double>(out->stats.histsim.rounds) / runs;
+        static_cast<double>(out->match.diag.rounds) / runs;
   }
   summary.mean_seconds = Mean(seconds);
   summary.std_seconds = StdDev(seconds);

@@ -93,6 +93,6 @@ int main() {
   std::printf("\nRead %.1f%% of the data; %d stage-2 rounds.\n",
               100.0 * static_cast<double>(out->stats.engine.rows_read) /
                   static_cast<double>(store->num_rows()),
-              out->stats.histsim.rounds);
+              out->match.diag.rounds);
   return 0;
 }

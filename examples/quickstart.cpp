@@ -90,7 +90,7 @@ int main() {
               static_cast<long long>(store->num_rows()),
               100.0 * static_cast<double>(out->stats.engine.rows_read) /
                   static_cast<double>(store->num_rows()),
-              out->stats.histsim.rounds,
-              out->stats.histsim.pruned_candidates);
+              out->match.diag.rounds,
+              out->match.diag.pruned_candidates);
   return 0;
 }

@@ -61,7 +61,7 @@ int main() {
 
   std::printf("\nOf %u candidate locations, stage 1 pruned %d as too rare "
               "(sigma=%.4f);\n",
-              index->num_values(), out->stats.histsim.pruned_candidates,
+              index->num_values(), out->match.diag.pruned_candidates,
               query.params.sigma);
   std::printf("the engine read %lld rows (%.1f%% of the data), skipping "
               "%lld blocks via AnyActive selection.\n",

@@ -15,7 +15,8 @@ namespace {
 /// computed inline (the common case is a single x attribute).
 template <typename ZT>
 void AccumulateExact(const ColumnStore& store, int z_attr,
-                     const std::vector<int>& x_attrs, CountMatrix* out) {
+                     const std::vector<int>& x_attrs,
+                     const std::vector<int>& x_cards, CountMatrix* out) {
   const Column& z_col = store.column(z_attr);
   const StorePin pin = store.Pin();
   if (x_attrs.size() == 1) {
@@ -31,11 +32,6 @@ void AccumulateExact(const ColumnStore& store, int z_attr,
     }
     return;
   }
-  std::vector<int> cards;
-  cards.reserve(x_attrs.size());
-  for (int a : x_attrs) {
-    cards.push_back(static_cast<int>(store.schema().attribute(a).cardinality));
-  }
   for (BlockId b = 0; b < pin.num_blocks; ++b) {
     RowId begin, end;
     pin.BlockRowRange(b, &begin, &end);
@@ -43,7 +39,7 @@ void AccumulateExact(const ColumnStore& store, int z_attr,
     for (RowId r = begin; r < end; ++r) {
       int g = 0;
       for (size_t i = 0; i < x_attrs.size(); ++i) {
-        g = g * cards[i] + static_cast<int>(store.column(x_attrs[i]).Get(r));
+        g = g * x_cards[i] + static_cast<int>(store.column(x_attrs[i]).Get(r));
       }
       out->Add(static_cast<int>(z_data[r - begin]), g);
     }
@@ -52,36 +48,57 @@ void AccumulateExact(const ColumnStore& store, int z_attr,
 
 }  // namespace
 
-Result<CountMatrix> ComputeExactCounts(const ColumnStore& store, int z_attr,
+Result<CountDomain> ComputeCountDomain(const Schema& schema, int z_attr,
                                        const std::vector<int>& x_attrs) {
-  const int num_attrs = store.schema().num_attributes();
+  constexpr uint32_t kMaxCells = 1u << 24;
+  const int num_attrs = schema.num_attributes();
   if (z_attr < 0 || z_attr >= num_attrs) {
     return Status::InvalidArgument("z_attr out of range");
   }
   if (x_attrs.empty()) {
     return Status::InvalidArgument("at least one x attribute required");
   }
+  if (schema.attribute(z_attr).cardinality > kMaxCells) {
+    return Status::InvalidArgument("candidate cardinality too large");
+  }
+  CountDomain domain;
+  domain.num_candidates =
+      static_cast<int>(schema.attribute(z_attr).cardinality);
   int64_t groups = 1;
   for (int a : x_attrs) {
     if (a < 0 || a >= num_attrs) {
       return Status::InvalidArgument("x_attr out of range");
     }
-    groups *= store.schema().attribute(a).cardinality;
-    if (groups > (1 << 24)) {
+    // Bound each factor before narrowing it: a u32 cardinality cast to
+    // int could wrap negative and slip through the product check.
+    if (schema.attribute(a).cardinality > kMaxCells) {
+      return Status::InvalidArgument("composite group cardinality too large");
+    }
+    const int card = static_cast<int>(schema.attribute(a).cardinality);
+    domain.x_cards.push_back(card);
+    groups *= card;
+    if (groups > kMaxCells) {
       return Status::InvalidArgument("composite group cardinality too large");
     }
   }
-  const int vz = static_cast<int>(store.schema().attribute(z_attr).cardinality);
-  CountMatrix out(vz, static_cast<int>(groups));
+  domain.num_groups = static_cast<int>(groups);
+  return domain;
+}
+
+Result<CountMatrix> ComputeExactCounts(const ColumnStore& store, int z_attr,
+                                       const std::vector<int>& x_attrs) {
+  FASTMATCH_ASSIGN_OR_RETURN(
+      CountDomain domain, ComputeCountDomain(store.schema(), z_attr, x_attrs));
+  CountMatrix out(domain.num_candidates, domain.num_groups);
   switch (store.schema().attribute(z_attr).type()) {
     case ValueType::kU8:
-      AccumulateExact<uint8_t>(store, z_attr, x_attrs, &out);
+      AccumulateExact<uint8_t>(store, z_attr, x_attrs, domain.x_cards, &out);
       break;
     case ValueType::kU16:
-      AccumulateExact<uint16_t>(store, z_attr, x_attrs, &out);
+      AccumulateExact<uint16_t>(store, z_attr, x_attrs, domain.x_cards, &out);
       break;
     case ValueType::kU32:
-      AccumulateExact<uint32_t>(store, z_attr, x_attrs, &out);
+      AccumulateExact<uint32_t>(store, z_attr, x_attrs, domain.x_cards, &out);
       break;
   }
   return out;

@@ -19,8 +19,27 @@
 
 namespace fastmatch {
 
+/// \brief The candidate/group domain of one (z_attr, x_attrs) binding:
+/// |VZ| candidates by the mixed-radix composite group of the x
+/// attributes (Appendix A.1.3), with each factor's cardinality.
+struct CountDomain {
+  int num_candidates = 0;
+  int num_groups = 0;
+  std::vector<int> x_cards;
+};
+
+/// \brief Validates (z_attr, x_attrs) against `schema` and computes its
+/// domain: the one bound every counting path (the exact scan and the
+/// block reader) applies before allocating a |VZ| x |VX| CountMatrix.
+/// InvalidArgument for an out-of-range attribute, no x attribute, a
+/// candidate or group-factor cardinality over 2^24 (checked before any
+/// narrowing to int), or a composite group cardinality over 2^24.
+Result<CountDomain> ComputeCountDomain(const Schema& schema, int z_attr,
+                                       const std::vector<int>& x_attrs);
+
 /// \brief Exact per-candidate histograms from a full scan; composite
 /// grouping per Appendix A.1.3 when several x-attributes are given.
+/// Rejects the binding exactly as ComputeCountDomain does.
 Result<CountMatrix> ComputeExactCounts(const ColumnStore& store, int z_attr,
                                        const std::vector<int>& x_attrs);
 

@@ -105,7 +105,6 @@ Result<RunOutput> RunQuery(const BoundQuery& query, Approach approach) {
   RunOutput out;
   out.stats.wall_seconds = timer.Seconds();
   out.stats.engine = engine->stats();
-  out.stats.histsim = match.diag;
   out.match = std::move(match);
   return out;
 }

@@ -64,10 +64,10 @@ struct BoundQuery {
 };
 
 /// \brief Timing and I/O accounting for one run.
+/// HistSim's own diagnostics ride in MatchResult::diag.
 struct RunStats {
   double wall_seconds = 0;
-  EngineStats engine;          // zeros for Scan
-  HistSimDiagnostics histsim;  // zeros for Scan
+  EngineStats engine;  // zeros for Scan
 };
 
 struct RunOutput {

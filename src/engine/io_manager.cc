@@ -5,48 +5,12 @@
 
 namespace fastmatch {
 
-Result<IoManager::Domain> IoManager::ComputeDomain(
-    const Schema& schema, int z_attr, const std::vector<int>& x_attrs) {
-  const int num_attrs = schema.num_attributes();
-  if (z_attr < 0 || z_attr >= num_attrs) {
-    return Status::InvalidArgument("z_attr out of range");
-  }
-  if (x_attrs.empty()) {
-    return Status::InvalidArgument("at least one x attribute required");
-  }
-  Domain domain;
-  if (schema.attribute(z_attr).cardinality > (1u << 24)) {
-    return Status::InvalidArgument("candidate cardinality too large");
-  }
-  domain.num_candidates =
-      static_cast<int>(schema.attribute(z_attr).cardinality);
-  int64_t groups = 1;
-  for (int a : x_attrs) {
-    if (a < 0 || a >= num_attrs) {
-      return Status::InvalidArgument("x_attr out of range");
-    }
-    // Bound each factor before narrowing it: a u32 cardinality cast to
-    // int could wrap negative and slip through the product check.
-    if (schema.attribute(a).cardinality > (1u << 24)) {
-      return Status::InvalidArgument("composite group cardinality too large");
-    }
-    const int card = static_cast<int>(schema.attribute(a).cardinality);
-    domain.x_cards.push_back(card);
-    groups *= card;
-    if (groups > (1 << 24)) {
-      return Status::InvalidArgument("composite group cardinality too large");
-    }
-  }
-  domain.num_groups = static_cast<int>(groups);
-  return domain;
-}
-
 Result<std::unique_ptr<IoManager>> IoManager::Create(
     std::shared_ptr<const ColumnStore> store, int z_attr,
     std::vector<int> x_attrs, std::optional<StoreView> view) {
   if (store == nullptr) return Status::InvalidArgument("null store");
-  FASTMATCH_ASSIGN_OR_RETURN(Domain domain,
-                             ComputeDomain(store->schema(), z_attr, x_attrs));
+  FASTMATCH_ASSIGN_OR_RETURN(
+      CountDomain domain, ComputeCountDomain(store->schema(), z_attr, x_attrs));
   if (!view.has_value()) view = store->PinView();
   if (view->pin().store_id != store->id()) {
     return Status::InvalidArgument("store view pins a different store");
@@ -57,7 +21,8 @@ Result<std::unique_ptr<IoManager>> IoManager::Create(
 }
 
 IoManager::IoManager(std::shared_ptr<const ColumnStore> store, int z_attr,
-                     std::vector<int> x_attrs, Domain domain, StoreView view)
+                     std::vector<int> x_attrs, CountDomain domain,
+                     StoreView view)
     : store_(std::move(store)),
       view_(std::move(view)),
       z_attr_(z_attr),
@@ -65,9 +30,8 @@ IoManager::IoManager(std::shared_ptr<const ColumnStore> store, int z_attr,
       x_cards_(std::move(domain.x_cards)),
       num_candidates_(domain.num_candidates),
       num_groups_(domain.num_groups) {
-  // The domain comes exclusively from the bound-checked ComputeDomain —
-  // re-assert its invariants rather than recomputing (and possibly
-  // re-narrowing) them here.
+  // Re-assert ComputeCountDomain's bounds rather than recomputing (and
+  // possibly re-narrowing) them here.
   FASTMATCH_CHECK_GE(num_candidates_, 0);
   FASTMATCH_CHECK_LE(num_candidates_, 1 << 24);
   FASTMATCH_CHECK_GE(num_groups_, 0);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/histogram.h"
+#include "core/verify.h"
 #include "storage/column_store.h"
 #include "util/result.h"
 
@@ -56,22 +57,10 @@ class IoManager {
   const StorePin& pin() const { return view_.pin(); }
 
  private:
-  /// The candidate/group domain of one (z_attr, x_attrs) binding,
-  /// computed and bound-checked in exactly one place: Create() rejects
-  /// out-of-range attributes, composite group cardinalities over 2^24,
-  /// and candidate cardinalities that do not fit an int; the
-  /// constructor re-asserts the invariants instead of recomputing them
-  /// (narrowing casts must not silently drift from the checks).
-  struct Domain {
-    int num_candidates = 0;
-    int num_groups = 0;
-    std::vector<int> x_cards;
-  };
-  static Result<Domain> ComputeDomain(const Schema& schema, int z_attr,
-                                      const std::vector<int>& x_attrs);
-
+  /// `domain` comes from ComputeCountDomain in Create(), the one place
+  /// the binding is bound-checked; the constructor re-asserts it.
   IoManager(std::shared_ptr<const ColumnStore> store, int z_attr,
-            std::vector<int> x_attrs, Domain domain, StoreView view);
+            std::vector<int> x_attrs, CountDomain domain, StoreView view);
 
   template <typename ZT, typename XT>
   int64_t ReadBlockTyped(BlockId b, CountMatrix* out) const;

@@ -96,13 +96,13 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
       slot->last_active = Clock::now();
       slot->thread =
           std::thread(&QueryScheduler::PipelineLoop, this, slot.get());
-      counters_.pipelines.fetch_add(1, std::memory_order_relaxed);
+      Count(&SchedulerStats::pipelines);
     }
     pipeline = slot;
     MutexLock pipeline_lock(&pipeline->mu);
     if (static_cast<int>(pipeline->pending.size()) >=
         options_.max_pending_per_store) {
-      counters_.rejected.fetch_add(1, std::memory_order_relaxed);
+      Count(&SchedulerStats::rejected);
       return Status::ResourceExhausted(
           "store pipeline is saturated (max_pending_per_store); retry "
           "later");
@@ -134,7 +134,7 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
     cancel = ticket.cancel;
     future = ticket.promise.get_future();
     pipeline->pending.push_back(std::move(ticket));
-    counters_.submitted.fetch_add(1, std::memory_order_relaxed);
+    Count(&SchedulerStats::submitted);
   }
   pipeline->cv.NotifyAll();
   QueryHandle handle;
@@ -157,15 +157,16 @@ void QueryScheduler::Deliver(Ticket* ticket, Status status, MatchResult match,
   item.total_seconds = ToSeconds(finished - ticket->enqueued);
   item.joined_midflight = ticket->joined_midflight;
   ticket->fulfilled = true;
+  int64_t SchedulerStats::*terminal = nullptr;
   switch (item.status.code()) {
     case StatusCode::kDeadlineExceeded:
-      counters_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+      terminal = &SchedulerStats::deadline_exceeded;
       break;
     case StatusCode::kCancelled:
-      counters_.cancelled.fetch_add(1, std::memory_order_relaxed);
+      terminal = &SchedulerStats::cancelled;
       break;
     case StatusCode::kUnavailable:
-      counters_.unavailable.fetch_add(1, std::memory_order_relaxed);
+      terminal = &SchedulerStats::unavailable;
       break;
     default:
       break;
@@ -173,7 +174,7 @@ void QueryScheduler::Deliver(Ticket* ticket, Status status, MatchResult match,
   // Count the completion before fulfilling the promise so a caller
   // woken by the future never observes a stats() snapshot missing its
   // query.
-  counters_.completed.fetch_add(1, std::memory_order_relaxed);
+  Count(&SchedulerStats::completed, 1, terminal);
   ticket->promise.set_value(std::move(item));
 }
 
@@ -277,8 +278,7 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
           // filling the batch.
           if (full || draining || Clock::now() >= flush) {
             if (!full && !draining) {
-              counters_.timeout_flushes.fetch_add(1,
-                                                  std::memory_order_relaxed);
+              Count(&SchedulerStats::timeout_flushes);
             }
             const Clock::time_point now = Clock::now();
             while (!pipeline->pending.empty() &&
@@ -287,15 +287,14 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
               if (pipeline->pending.front().join_refused) {
                 // The fallback the earlier refusal predicted actually
                 // happened: the query launches in a fresh batch.
-                counters_.join_fallbacks.fetch_add(1,
-                                                   std::memory_order_relaxed);
+                Count(&SchedulerStats::join_fallbacks);
               }
               Admit(std::move(pipeline->pending.front()), now, batch);
               pipeline->pending.pop_front();
             }
             pipeline->busy = true;
             pipeline->last_active = now;
-            counters_.batches_launched.fetch_add(1, std::memory_order_relaxed);
+            Count(&SchedulerStats::batches_launched);
             launch = true;
           }
         }
@@ -372,7 +371,7 @@ void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
     if (ticket.cancel->cancelled()) {
       ticket.evict_issued = true;
       if (executor->Evict(i).ok()) {
-        counters_.evicted.fetch_add(1, std::memory_order_relaxed);
+        Count(&SchedulerStats::evicted);
       }
     } else if (ticket.budget_seconds > 0 &&
                now >= ticket.admitted + FromSeconds(ticket.budget_seconds)) {
@@ -380,7 +379,7 @@ void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
       // The harvested item resolves OK, so Deliver() counts it as a
       // plain completion; budget_evicted is its only other counter.
       if (executor->EvictWithResult(i).ok()) {
-        counters_.budget_evicted.fetch_add(1, std::memory_order_relaxed);
+        Count(&SchedulerStats::budget_evicted);
       }
     }
     // A refused eviction means the query completed first: its result
@@ -460,11 +459,9 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
     const bool bound = executor->stats().joined_queries > bound_before;
     batch->back().joined_midflight = bound;
     if (bound) {
-      counters_.joined_midflight.fetch_add(1, std::memory_order_relaxed);
-      if (cache_lifted_refusal) {
-        counters_.joins_enabled_by_cache.fetch_add(1,
-                                                   std::memory_order_relaxed);
-      }
+      Count(&SchedulerStats::joined_midflight, 1,
+            cache_lifted_refusal ? &SchedulerStats::joins_enabled_by_cache
+                                 : nullptr);
     }
   }
   FulfillShed(std::move(shed));
@@ -516,7 +513,7 @@ void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
       if (donor.ok() && snap->scan.consumed.size() == donor->num_blocks &&
           snap->scan.consumed.Popcount() < donor->num_blocks) {
         batch_options.resume = snap->scan;
-        counters_.warm_batches_resumed.fetch_add(1, std::memory_order_relaxed);
+        Count(&SchedulerStats::warm_batches_resumed);
       }
     }
   }
@@ -601,10 +598,9 @@ void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
     deliver_ready();
   }
 
-  counters_.batch_blocks_read.fetch_add(executor->stats().blocks_read,
-                                        std::memory_order_relaxed);
-  counters_.batch_progress_snapshots.fetch_add(
-      executor->stats().progress_snapshots, std::memory_order_relaxed);
+  Count(&SchedulerStats::batch_blocks_read, executor->stats().blocks_read);
+  Count(&SchedulerStats::batch_progress_snapshots,
+        executor->stats().progress_snapshots);
   // The executor finished, so the callback has delivered every query.
   FASTMATCH_CHECK_EQ(executor->num_queries(), batch.size());
   for (const Ticket& ticket : batch) FASTMATCH_CHECK(ticket.fulfilled);
@@ -683,7 +679,7 @@ void QueryScheduler::ReaperLoop() {
     for (std::shared_ptr<Pipeline>& pipeline : dead) {
       pipeline->cv.NotifyAll();
       pipeline->thread.join();
-      counters_.pipelines_reaped.fetch_add(1, std::memory_order_relaxed);
+      Count(&SchedulerStats::pipelines_reaped);
     }
     dead.clear();
     if (stage1_cache_ != nullptr) {
@@ -726,48 +722,33 @@ void QueryScheduler::Shutdown() {
   for (const std::shared_ptr<Pipeline>& pipeline : pipelines) {
     if (pipeline->thread.joinable()) pipeline->thread.join();
   }
+  // Every driver drained its queue and exited: each accepted query has
+  // been delivered exactly once.
+  const SchedulerStats drained = stats();
+  FASTMATCH_CHECK_EQ(drained.submitted, drained.completed);
+}
+
+void QueryScheduler::Count(int64_t SchedulerStats::*field, int64_t n,
+                           int64_t SchedulerStats::*also) {
+  MutexLock lock(&stats_mu_);
+  stats_.*field += n;
+  if (also != nullptr) stats_.*also += n;
 }
 
 SchedulerStats QueryScheduler::stats() const {
   SchedulerStats s;
-  s.submitted = counters_.submitted.load(std::memory_order_relaxed);
-  s.rejected = counters_.rejected.load(std::memory_order_relaxed);
-  s.completed = counters_.completed.load(std::memory_order_relaxed);
-  s.batches_launched =
-      counters_.batches_launched.load(std::memory_order_relaxed);
-  s.timeout_flushes = counters_.timeout_flushes.load(std::memory_order_relaxed);
-  s.joined_midflight =
-      counters_.joined_midflight.load(std::memory_order_relaxed);
-  s.join_fallbacks = counters_.join_fallbacks.load(std::memory_order_relaxed);
-  s.pipelines = counters_.pipelines.load(std::memory_order_relaxed);
-  s.deadline_exceeded =
-      counters_.deadline_exceeded.load(std::memory_order_relaxed);
-  s.cancelled = counters_.cancelled.load(std::memory_order_relaxed);
-  s.evicted = counters_.evicted.load(std::memory_order_relaxed);
-  s.budget_evicted = counters_.budget_evicted.load(std::memory_order_relaxed);
-  s.unavailable = counters_.unavailable.load(std::memory_order_relaxed);
-  s.pipelines_reaped =
-      counters_.pipelines_reaped.load(std::memory_order_relaxed);
-  s.joins_enabled_by_cache =
-      counters_.joins_enabled_by_cache.load(std::memory_order_relaxed);
-  s.warm_batches_resumed =
-      counters_.warm_batches_resumed.load(std::memory_order_relaxed);
-  s.batch_blocks_read =
-      counters_.batch_blocks_read.load(std::memory_order_relaxed);
-  s.batch_progress_snapshots =
-      counters_.batch_progress_snapshots.load(std::memory_order_relaxed);
-  if (stage1_cache_ != nullptr) {
-    const Stage1CacheStats cache = stage1_cache_->stats();
-    s.stage1_lookups = cache.lookups;
-    s.stage1_hits = cache.hits;
-    s.stage1_misses = cache.misses;
-    s.stage1_inserts = cache.inserts;
-    s.stage1_stale_evictions = cache.stale_evictions;
-    s.stage1_store_invalidations = cache.store_invalidations;
-    s.stage1_revalidations = cache.revalidations;
-    s.stage1_promotions = cache.promotions;
-    s.stage1_drift_evictions = cache.drift_evictions;
+  {
+    MutexLock lock(&stats_mu_);
+    s = stats_;
   }
+  if (stage1_cache_ != nullptr) {
+    static_cast<Stage1CacheStats&>(s) = stage1_cache_->stats();
+  }
+  FASTMATCH_CHECK_EQ(s.stage1_lookups,
+                     s.stage1_hits + s.stage1_misses + s.stage1_revalidations);
+  FASTMATCH_CHECK_LE(s.completed, s.submitted);
+  FASTMATCH_CHECK_LE(s.deadline_exceeded + s.cancelled + s.unavailable,
+                     s.completed);
   return s;
 }
 

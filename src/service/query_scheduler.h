@@ -179,7 +179,14 @@ struct SubmitOptions {
 
 /// \brief Counters describing scheduler behaviour (monotonic; snapshot
 /// via QueryScheduler::stats()).
-struct SchedulerStats {
+///
+/// The stage1_* counters are the scheduler's Stage1Cache's own (all zero
+/// when the cache is disabled). Lookups count consult EVENTS, not
+/// queries: launch admission consults once per query, and a queued front
+/// query is re-consulted at every chunk boundary of the running batch (a
+/// mid-flight publish can upgrade it to warm), so one cold waiter can
+/// accrue several misses. Every hit became a warm-started query.
+struct SchedulerStats : Stage1CacheStats {
   int64_t submitted = 0;          // accepted by Submit
   int64_t rejected = 0;           // refused by back-pressure
   int64_t completed = 0;          // futures fulfilled (any terminal state)
@@ -203,26 +210,6 @@ struct SchedulerStats {
   int64_t budget_evicted = 0;
   int64_t unavailable = 0;        // shed by scheduler teardown
   int64_t pipelines_reaped = 0;   // idle pipelines joined by the janitor
-  // Stage-1 cache counters (all zero when the cache is disabled). These
-  // mirror Stage1CacheStats. Lookups count consult EVENTS, not queries:
-  // launch admission consults once per query, and a queued front query
-  // is re-consulted at every chunk boundary of the running batch (a
-  // mid-flight publish can upgrade it to warm), so one cold waiter can
-  // accrue several misses. Every hit became a warm-started query.
-  int64_t stage1_lookups = 0;
-  int64_t stage1_hits = 0;
-  int64_t stage1_misses = 0;
-  int64_t stage1_inserts = 0;          // snapshots accepted from executors
-  int64_t stage1_stale_evictions = 0;  // TTL expiries
-  int64_t stage1_store_invalidations = 0;  // entries dropped on reap
-  // Mutable-store drift lifecycle (zero while stores never grow):
-  // lookups that found a generation-stale prior, how many of those
-  // priors the drift test then promoted to the querier's generation,
-  // and how many it evicted as drifted. With the invariant
-  // stage1_lookups == stage1_hits + stage1_misses + stage1_revalidations.
-  int64_t stage1_revalidations = 0;
-  int64_t stage1_promotions = 0;
-  int64_t stage1_drift_evictions = 0;
   int64_t joins_enabled_by_cache = 0;  // joins the suffix policy would have
                                        // refused, admitted because stage 1
                                        // came from cache
@@ -426,8 +413,11 @@ class QueryScheduler {
   /// and janitor threads. Idempotent; called by the destructor.
   void Shutdown() FASTMATCH_EXCLUDES(mu_, shutdown_mu_);
 
-  /// \brief Snapshot of the behaviour counters.
-  SchedulerStats stats() const;
+  /// \brief One consistent snapshot of the behaviour counters. CHECKs
+  /// the counter invariants: stage1_lookups == stage1_hits +
+  /// stage1_misses + stage1_revalidations, completed <= submitted, and
+  /// deadline_exceeded + cancelled + unavailable <= completed.
+  SchedulerStats stats() const FASTMATCH_EXCLUDES(stats_mu_);
 
   /// \brief The stage-1 cache, or nullptr when disabled. Exposed for
   /// tests and tools; thread-safe.
@@ -476,7 +466,7 @@ class QueryScheduler {
   /// Per-store pipeline: bounded pending queue + driver thread.
   /// `mu` sits below the scheduler's map lock mu_ in the hierarchy
   /// (the janitor holds mu_ while claiming a pipeline) and above the
-  /// Stage1Cache/WorkerPool leaf locks.
+  /// Stage1Cache/SharedWorkerPool/stats leaf locks.
   struct Pipeline {
     Mutex mu;
     CondVar cv;
@@ -558,34 +548,19 @@ class QueryScheduler {
   /// Janitor: joins pipelines idle past the timeout.
   void ReaperLoop() FASTMATCH_EXCLUDES(mu_);
 
-  /// Lock-free counters (incremented under assorted mutexes; atomics
-  /// keep stats() safe without a lock-order relationship to them).
-  struct Counters {
-    std::atomic<int64_t> submitted{0};
-    std::atomic<int64_t> rejected{0};
-    std::atomic<int64_t> completed{0};
-    std::atomic<int64_t> batches_launched{0};
-    std::atomic<int64_t> timeout_flushes{0};
-    std::atomic<int64_t> joined_midflight{0};
-    std::atomic<int64_t> join_fallbacks{0};
-    std::atomic<int64_t> pipelines{0};
-    std::atomic<int64_t> deadline_exceeded{0};
-    std::atomic<int64_t> cancelled{0};
-    std::atomic<int64_t> evicted{0};
-    std::atomic<int64_t> budget_evicted{0};
-    std::atomic<int64_t> unavailable{0};
-    std::atomic<int64_t> pipelines_reaped{0};
-    std::atomic<int64_t> joins_enabled_by_cache{0};
-    std::atomic<int64_t> warm_batches_resumed{0};
-    std::atomic<int64_t> batch_blocks_read{0};
-    std::atomic<int64_t> batch_progress_snapshots{0};
-  };
+  /// Adds `n` to `field` and, when given, to `also` in the same
+  /// critical section, so two counters an invariant links never appear
+  /// half-updated to stats(). stats_mu_ is a leaf: callers may hold any
+  /// scheduler or pipeline lock.
+  void Count(int64_t SchedulerStats::*field, int64_t n = 1,
+             int64_t SchedulerStats::*also = nullptr)
+      FASTMATCH_EXCLUDES(stats_mu_);
 
   /// Builds the ticket's SchedulerItem — queue time from enqueue to
-  /// `queued_until`, total time from enqueue to `finished` — counts its
-  /// terminal status, and resolves the promise, exactly once. completed
-  /// is incremented BEFORE set_value so a woken waiter never observes a
-  /// stats() snapshot missing its query.
+  /// `queued_until`, total time from enqueue to `finished` — counts it
+  /// completed together with its terminal status, and resolves the
+  /// promise, exactly once. The count lands BEFORE set_value so a woken
+  /// waiter never observes a stats() snapshot missing its query.
   void Deliver(Ticket* ticket, Status status, MatchResult match,
                Clock::time_point queued_until, Clock::time_point finished);
 
@@ -616,7 +591,9 @@ class QueryScheduler {
   /// Started in the constructor, joined in Shutdown (which serializes
   /// via shutdown_mu_), never touched elsewhere.
   std::thread reaper_;
-  Counters counters_;  // lint: unguarded (std::atomic members only)
+  /// Leaf lock over the one counter record stats() copies whole.
+  mutable Mutex stats_mu_;
+  SchedulerStats stats_ FASTMATCH_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace fastmatch

@@ -18,7 +18,7 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
                           std::shared_ptr<const Stage1Snapshot> snapshot) {
   if (snapshot == nullptr || snapshot->rows_drawn <= 0) return;
   MutexLock lock(&mu_);
-  ++stats_.publishes;
+  ++stats_.stage1_publishes;
   Key key{store_id, partition_id, z_attr, x_attrs};
   auto it = entries_.find(key);
   const Clock::time_point now = Clock::now();
@@ -53,7 +53,7 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
     if (replace) {
       it->second.snapshot = std::move(snapshot);
       it->second.generation = incoming_gen;
-      ++stats_.inserts;
+      ++stats_.stage1_inserts;
     }
     // The stamps renew even when the incoming data was dropped — ON
     // PURPOSE: a publish at ANY generation proves the template is live,
@@ -69,7 +69,7 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
       if (cand->second.last_used < lru->second.last_used) lru = cand;
     }
     entries_.erase(lru);
-    ++stats_.capacity_evictions;
+    ++stats_.stage1_capacity_evictions;
   }
   Entry entry;
   entry.snapshot = std::move(snapshot);
@@ -77,7 +77,7 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
   entry.last_used = tick_++;
   entry.generation = incoming_gen;
   entries_.emplace(std::move(key), std::move(entry));
-  ++stats_.inserts;
+  ++stats_.stage1_inserts;
 }
 
 Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
@@ -86,25 +86,25 @@ Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
                                        int64_t min_rows,
                                        uint64_t generation) {
   MutexLock lock(&mu_);
-  ++stats_.lookups;
+  ++stats_.stage1_lookups;
   Stage1LookupResult result;
   auto it = entries_.find(Key{store_id, partition_id, z_attr, x_attrs});
   if (it == entries_.end()) {
-    ++stats_.misses;
+    ++stats_.stage1_misses;
     return result;
   }
   if (options_.ttl_seconds > 0 &&
       std::chrono::duration<double>(Clock::now() - it->second.published)
               .count() > options_.ttl_seconds) {
     entries_.erase(it);
-    ++stats_.stale_evictions;
-    ++stats_.misses;
+    ++stats_.stage1_stale_evictions;
+    ++stats_.stage1_misses;
     return result;
   }
   if (it->second.snapshot->rows_drawn < min_rows) {
     // Too small for this demand; keep it (a smaller future demand may
     // still be served, and a bigger publish will replace it).
-    ++stats_.misses;
+    ++stats_.stage1_misses;
     return result;
   }
   if (it->second.generation > generation) {
@@ -112,21 +112,21 @@ Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
     // counts are not a uniform sample of the pinned relation, and no
     // revalidation can shrink a sample. Keep the entry (it serves
     // current-generation queries); this querier runs cold.
-    ++stats_.misses;
+    ++stats_.stage1_misses;
     return result;
   }
   if (it->second.generation < generation) {
     // Older-generation prior: hand it back for a drift test, but do
     // NOT tick the LRU — only a passing revalidation (Promote) or a
     // real hit earns the entry its recency.
-    ++stats_.revalidations;
+    ++stats_.stage1_revalidations;
     result.outcome = Stage1Outcome::kRevalidate;
     result.snapshot = it->second.snapshot;
     result.entry_generation = it->second.generation;
     return result;
   }
   it->second.last_used = tick_++;
-  ++stats_.hits;
+  ++stats_.stage1_hits;
   result.outcome = Stage1Outcome::kHit;
   result.snapshot = it->second.snapshot;
   result.entry_generation = it->second.generation;
@@ -147,7 +147,7 @@ bool Stage1Cache::Promote(uint64_t store_id, uint64_t partition_id,
   // as-is, so a promotion neither rescues an entry from TTL expiry nor
   // bumps it in the LRU order — the entry's data saw no new traffic.
   it->second.generation = to_generation;
-  ++stats_.promotions;
+  ++stats_.stage1_promotions;
   return true;
 }
 
@@ -163,7 +163,7 @@ bool Stage1Cache::EvictDrifted(uint64_t store_id, uint64_t partition_id,
     return false;
   }
   entries_.erase(it);
-  ++stats_.drift_evictions;
+  ++stats_.stage1_drift_evictions;
   return true;
 }
 
@@ -172,7 +172,7 @@ void Stage1Cache::InvalidateStore(uint64_t store_id) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (std::get<0>(it->first) == store_id) {
       it = entries_.erase(it);
-      ++stats_.store_invalidations;
+      ++stats_.stage1_store_invalidations;
     } else {
       ++it;
     }

@@ -75,20 +75,23 @@ struct Stage1CacheOptions {
 };
 
 /// \brief Monotonic counters (snapshot via Stage1Cache::stats()).
-/// `lookups == hits + misses + revalidations` always; a stale eviction
-/// or a too-small entry counts as a miss.
+/// `stage1_lookups == stage1_hits + stage1_misses + stage1_revalidations`
+/// always; a stale eviction or a too-small entry counts as a miss. The
+/// base of SchedulerStats, hence the stage1_ prefix.
 struct Stage1CacheStats {
-  int64_t lookups = 0;             // Lookup calls
-  int64_t hits = 0;                // served a covering snapshot
-  int64_t misses = 0;              // lookups - hits - revalidations
-  int64_t publishes = 0;           // Publish calls
-  int64_t inserts = 0;             // publishes that created/replaced an entry
-  int64_t stale_evictions = 0;     // TTL expiries (at lookup)
-  int64_t capacity_evictions = 0;  // LRU evictions (at publish)
-  int64_t store_invalidations = 0; // entries dropped by InvalidateStore
-  int64_t revalidations = 0;       // lookups answered kRevalidate
-  int64_t promotions = 0;          // successful Promote calls
-  int64_t drift_evictions = 0;     // successful EvictDrifted calls
+  int64_t stage1_lookups = 0;             // Lookup calls
+  int64_t stage1_hits = 0;                // served a covering snapshot
+  int64_t stage1_misses = 0;              // lookups - hits - revalidations
+  int64_t stage1_publishes = 0;           // Publish calls
+  int64_t stage1_inserts = 0;             // publishes that created/replaced
+                                          // an entry
+  int64_t stage1_stale_evictions = 0;     // TTL expiries (at lookup)
+  int64_t stage1_capacity_evictions = 0;  // LRU evictions (at publish)
+  int64_t stage1_store_invalidations = 0; // entries dropped by
+                                          // InvalidateStore
+  int64_t stage1_revalidations = 0;       // lookups answered kRevalidate
+  int64_t stage1_promotions = 0;          // successful Promote calls
+  int64_t stage1_drift_evictions = 0;     // successful EvictDrifted calls
 };
 
 /// \brief Generation-aware lookup classification.

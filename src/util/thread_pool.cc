@@ -8,7 +8,7 @@
 
 namespace fastmatch {
 
-WorkerPool::WorkerPool(int num_threads) {
+SharedWorkerPool::SharedWorkerPool(int num_threads) {
   const int n = std::max(num_threads, 1);
   threads_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -16,7 +16,7 @@ WorkerPool::WorkerPool(int num_threads) {
   }
 }
 
-WorkerPool::~WorkerPool() {
+SharedWorkerPool::~SharedWorkerPool() {
   {
     MutexLock lock(&mu_);
     stop_ = true;
@@ -25,7 +25,7 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkerPool::WorkerLoop() {
+void SharedWorkerPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -36,44 +36,21 @@ void WorkerPool::WorkerLoop() {
       tasks_.pop_front();
     }
     task();
-    {
-      MutexLock lock(&mu_);
-      if (--pending_ == 0) cv_idle_.NotifyAll();
-    }
   }
 }
 
-void WorkerPool::Submit(std::function<void()> fn) {
-  {
-    MutexLock lock(&mu_);
-    FASTMATCH_CHECK(!stop_) << "Submit on a stopping WorkerPool";
-    tasks_.push_back(std::move(fn));
-    ++pending_;
-  }
-  cv_task_.NotifyOne();
-}
-
-void WorkerPool::Wait() {
-  MutexLock lock(&mu_);
-  while (pending_ != 0) cv_idle_.Wait(&mu_);
-}
-
-void WorkerPool::ParallelFor(int64_t n,
-                             const std::function<void(int64_t)>& fn) {
-  ParallelFor(n, fn, size());
-}
-
-void WorkerPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
-                             int max_fanout) {
+void SharedWorkerPool::ParallelFor(int64_t n,
+                                   const std::function<void(int64_t)>& fn,
+                                   int quota) {
   if (n <= 0) return;
-  const int fanout = static_cast<int>(
-      std::min<int64_t>(n, std::min(max_fanout, size())));
+  const int fanout =
+      static_cast<int>(std::min<int64_t>(n, std::min(quota, size())));
   if (fanout <= 1) {
     for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Fork-join state private to this call, so concurrent ParallelFors (or
-  // unrelated Submits) never observe each other's completion.
+  // Fork-join state private to this call, so concurrent ParallelFors
+  // never observe each other's completion.
   std::atomic<int64_t> next{0};
   Mutex mu;
   CondVar cv;
@@ -84,7 +61,12 @@ void WorkerPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
     MutexLock lock(&mu);
     if (--remaining == 0) cv.NotifyOne();
   };
-  for (int w = 0; w < fanout; ++w) Submit(body);
+  {
+    MutexLock lock(&mu_);
+    FASTMATCH_CHECK(!stop_) << "ParallelFor on a stopping SharedWorkerPool";
+    for (int w = 0; w < fanout; ++w) tasks_.emplace_back(body);
+  }
+  for (int w = 0; w < fanout; ++w) cv_task_.NotifyOne();
   MutexLock lock(&mu);
   while (remaining != 0) cv.Wait(&mu);
 }

@@ -3,8 +3,8 @@
 // Deliberately minimal: tasks are std::function thunks pushed through one
 // mutex-guarded deque (queue contention is irrelevant at block-scan
 // granularity — each task scans hundreds of blocks), and ParallelFor is a
-// blocking fork-join over an atomic index, the shape the batch executor's
-// per-chunk shard reads want.
+// blocking fork-join over an atomic index under a per-call quota, the
+// shape the batch executor's per-chunk shard reads want.
 //
 // Determinism note: ParallelFor guarantees each index runs exactly once
 // but on an unspecified thread. Callers that need reproducible output
@@ -25,61 +25,14 @@
 
 namespace fastmatch {
 
-class WorkerPool {
- public:
-  /// \brief Spawns `num_threads` workers (clamped to >= 1).
-  explicit WorkerPool(int num_threads);
-
-  /// \brief Drains every outstanding task, then joins the workers.
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  int size() const { return static_cast<int>(threads_.size()); }
-
-  /// \brief Enqueues one task for asynchronous execution.
-  void Submit(std::function<void()> fn);
-
-  /// \brief Blocks until every task submitted so far has finished.
-  void Wait();
-
-  /// \brief Runs fn(i) for every i in [0, n), distributing indices over
-  /// the workers, and blocks until all calls return. fn must be safe to
-  /// call concurrently. Runs inline on the caller when the pool has one
-  /// worker (or n == 1). Must not be called from inside a pool task.
-  void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
-
-  /// \brief ParallelFor bounded to at most `max_fanout` concurrently
-  /// running fn calls (the caller's concurrency quota on this pool).
-  /// Other callers' tasks interleave freely in the remaining capacity.
-  void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
-                   int max_fanout);
-
- private:
-  void WorkerLoop();
-
-  Mutex mu_;
-  CondVar cv_task_;  // workers wait for tasks or stop
-  CondVar cv_idle_;  // Wait() waits for pending_ == 0
-  std::deque<std::function<void()>> tasks_ FASTMATCH_GUARDED_BY(mu_);
-  int64_t pending_ FASTMATCH_GUARDED_BY(mu_) = 0;  // queued + running tasks
-  bool stop_ FASTMATCH_GUARDED_BY(mu_) = false;
-  /// Written only by the constructor, joined only by the destructor;
-  /// size() reads the stable vector length.
-  std::vector<std::thread> threads_;
-};
-
 /// \brief One process-wide worker pool shared by every batch executor.
 ///
-/// Each store pipeline used to spin up a private WorkerPool per batch:
-/// under many concurrent stores the process thread count grew as
-/// pipelines x pool size, and short batches paid pool construction on
-/// their critical path. SharedWorkerPool fixes both: a fixed set of
-/// workers serves every batch, and each batch's slice of it is bounded
-/// by a per-call quota (ParallelFor's max_fanout) — a batch asking for
-/// 4 workers occupies at most 4 of the shared threads while other
-/// batches' tasks interleave in the rest.
+/// A fixed set of workers serves every batch, and each batch's slice of
+/// it is bounded by a per-call quota (ParallelFor's `quota`) — a batch
+/// asking for 4 workers occupies at most 4 of the shared threads while
+/// other batches' tasks interleave in the rest. So the process thread
+/// count stays constant however many store pipelines are live, and no
+/// batch pays pool construction on its critical path.
 ///
 /// Quotas are enforced by fanout, not by preemption: a batch submits at
 /// most `quota` worker-slot tasks per chunk, so it can never hold more
@@ -88,21 +41,23 @@ class WorkerPool {
 class SharedWorkerPool {
  public:
   /// \brief Spawns `num_threads` shared workers (clamped to >= 1).
-  explicit SharedWorkerPool(int num_threads) : pool_(num_threads) {}
+  explicit SharedWorkerPool(int num_threads);
+
+  /// \brief Joins the workers. No ParallelFor may be in flight.
+  ~SharedWorkerPool();
 
   SharedWorkerPool(const SharedWorkerPool&) = delete;
   SharedWorkerPool& operator=(const SharedWorkerPool&) = delete;
 
-  int size() const { return pool_.size(); }
+  int size() const { return static_cast<int>(threads_.size()); }
 
   /// \brief Runs fn(i) for every i in [0, n) using at most `quota` of
   /// the shared workers concurrently, and blocks until all calls
-  /// return. Runs inline on the caller when the effective fanout is 1.
-  /// Must not be called from inside a pool task.
+  /// return. fn must be safe to call concurrently. Runs inline on the
+  /// caller when the effective fanout is 1. Must not be called from
+  /// inside a pool task.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
-                   int quota) {
-    pool_.ParallelFor(n, fn, quota);
-  }
+                   int quota);
 
   /// \brief Lazily-created process-wide instance, sized from
   /// FASTMATCH_POOL_THREADS when set, else hardware concurrency. Never
@@ -110,7 +65,15 @@ class SharedWorkerPool {
   static SharedWorkerPool& Process();
 
  private:
-  WorkerPool pool_;
+  void WorkerLoop();
+
+  Mutex mu_;
+  CondVar cv_task_;  // workers wait for tasks or stop
+  std::deque<std::function<void()>> tasks_ FASTMATCH_GUARDED_BY(mu_);
+  bool stop_ FASTMATCH_GUARDED_BY(mu_) = false;
+  /// Written only by the constructor, joined only by the destructor;
+  /// size() reads the stable vector length.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace fastmatch

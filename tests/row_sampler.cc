@@ -8,42 +8,21 @@ Result<std::unique_ptr<RowSampler>> RowSampler::Create(
     std::shared_ptr<const ColumnStore> store, int z_attr,
     std::vector<int> x_attrs, uint64_t seed) {
   if (store == nullptr) return Status::InvalidArgument("null store");
-  const int num_attrs = store->schema().num_attributes();
-  if (z_attr < 0 || z_attr >= num_attrs) {
-    return Status::InvalidArgument("z_attr out of range");
-  }
-  if (x_attrs.empty()) {
-    return Status::InvalidArgument("at least one x attribute required");
-  }
-  int64_t groups = 1;
-  for (int a : x_attrs) {
-    if (a < 0 || a >= num_attrs) {
-      return Status::InvalidArgument("x_attr out of range");
-    }
-    groups *= store->schema().attribute(a).cardinality;
-    if (groups > (1 << 24)) {
-      return Status::InvalidArgument(
-          "composite group cardinality too large (> 2^24)");
-    }
-  }
-  return std::unique_ptr<RowSampler>(
-      new RowSampler(std::move(store), z_attr, std::move(x_attrs), seed));
+  FASTMATCH_ASSIGN_OR_RETURN(
+      CountDomain domain, ComputeCountDomain(store->schema(), z_attr, x_attrs));
+  return std::unique_ptr<RowSampler>(new RowSampler(
+      std::move(store), z_attr, std::move(x_attrs), std::move(domain), seed));
 }
 
 RowSampler::RowSampler(std::shared_ptr<const ColumnStore> store, int z_attr,
-                       std::vector<int> x_attrs, uint64_t seed)
-    : store_(std::move(store)), z_attr_(z_attr), x_attrs_(std::move(x_attrs)) {
-  num_candidates_ =
-      static_cast<int>(store_->schema().attribute(z_attr_).cardinality);
-  int64_t groups = 1;
-  for (int a : x_attrs_) {
-    const int card =
-        static_cast<int>(store_->schema().attribute(a).cardinality);
-    x_cards_.push_back(card);
-    groups *= card;
-  }
-  num_groups_ = static_cast<int>(groups);
-
+                       std::vector<int> x_attrs, CountDomain domain,
+                       uint64_t seed)
+    : store_(std::move(store)),
+      z_attr_(z_attr),
+      x_attrs_(std::move(x_attrs)),
+      x_cards_(std::move(domain.x_cards)),
+      num_candidates_(domain.num_candidates),
+      num_groups_(domain.num_groups) {
   perm_.resize(store_->num_rows());
   std::iota(perm_.begin(), perm_.end(), 0);
   Rng rng(seed);

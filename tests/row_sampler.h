@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/sampler.h"
+#include "core/verify.h"
 #include "storage/column_store.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -46,7 +47,7 @@ class RowSampler : public Sampler {
 
  private:
   RowSampler(std::shared_ptr<const ColumnStore> store, int z_attr,
-             std::vector<int> x_attrs, uint64_t seed);
+             std::vector<int> x_attrs, CountDomain domain, uint64_t seed);
 
   /// Mixed-radix group id of a row.
   int GroupOf(RowId row) const;

@@ -133,14 +133,41 @@ TEST(ExecutorTest, RunQueryIsDeterministicPerSeed) {
   }
 }
 
+TEST(ExecutorTest, OversizedCandidateDomainIsRefusedByEveryCountingPath) {
+  // Schema cardinality is declarative: six rows may declare a candidate
+  // domain past the 2^24 cell bound. The exact count behind Scan must
+  // refuse it as the block reader does, before sizing a |VZ| x |VX|
+  // matrix (at 2^31 the narrowing to int would make that size negative).
+  for (uint32_t vz : {(1u << 24) + 1, 1u << 31}) {
+    auto store = ColumnStore::FromColumns(
+                     Schema({{"Z", vz}, {"X", 2}}),
+                     {{0, 1, 2, 3, 4, 5}, {0, 1, 0, 1, 0, 1}})
+                     .value();
+    EXPECT_EQ(ComputeExactCounts(*store, 0, {1}).status().code(),
+              StatusCode::kInvalidArgument)
+        << vz;
+    BoundQuery q;
+    q.store = store;
+    q.z_attr = 0;
+    q.x_attrs = {1};
+    q.target = UniformDistribution(2);
+    for (Approach a : {Approach::kScan, Approach::kScanMatch}) {
+      auto out = RunQuery(q, a);
+      ASSERT_FALSE(out.ok()) << ApproachName(a) << " " << vz;
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+          << ApproachName(a) << " " << vz << ": " << out.status().ToString();
+    }
+  }
+}
+
 TEST(ExecutorTest, StatsArePopulated) {
   BoundQuery q = MakeQuery();
   auto out = RunQuery(q, Approach::kFastMatch);
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out->stats.wall_seconds, 0);
   EXPECT_GT(out->stats.engine.blocks_read, 0);
-  EXPECT_GT(out->stats.histsim.stage1_samples, 0);
-  EXPECT_GE(out->stats.histsim.rounds, 1);
+  EXPECT_GT(out->match.diag.stage1_samples, 0);
+  EXPECT_GE(out->match.diag.rounds, 1);
 }
 
 TEST(ExecutorTest, ValidatesQuery) {

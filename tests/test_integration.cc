@@ -122,7 +122,7 @@ TEST_F(IntegrationTest, TaxiPrunesHeavyTail) {
   auto out = RunQuery(prepared->bound, Approach::kFastMatch);
   ASSERT_TRUE(out.ok());
   // Thousands of near-empty locations must be pruned in stage 1.
-  EXPECT_GT(out->stats.histsim.pruned_candidates, 3000);
+  EXPECT_GT(out->match.diag.pruned_candidates, 3000);
   // And none of the pruned may appear in the output.
   for (int i : out->match.topk) {
     EXPECT_FALSE(out->match.pruned[i]);

@@ -31,7 +31,10 @@
 //     final update matching the delivered distances bit-for-bit;
 //   * the process thread count stays bounded by pool size + pipelines
 //     + producers + slack throughout the churn (the SharedWorkerPool /
-//     reaping claim), sampled while the storm runs.
+//     reaping claim), sampled while the storm runs;
+//   * stats() is polled throughout the storm, so its own CHECKs of the
+//     counter invariants fire mid-flight, and submitted == completed
+//     once Shutdown has drained.
 //
 // FASTMATCH_STAGE1_CACHE=1 re-runs the storm with the stage-1 cache
 // enabled (CI's second stress invocation), so warm admission, the
@@ -155,13 +158,16 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
     std::atomic<int64_t> accepted{0};
     std::atomic<int> max_threads{0};
     std::atomic<bool> storm_over{false};
+    std::atomic<int64_t> stats_polls{0};
     SchedulerStats final_stats;
 
     {
       QueryScheduler scheduler(options);
 
-      // Thread-count monitor: samples while the storm runs, so the
-      // bound is checked at peak churn, not after it subsides.
+      // Monitor: samples the thread count while the storm runs, so the
+      // bound is checked at peak churn, not after it subsides, and
+      // polls stats(), whose own CHECKs then test the counter
+      // invariants mid-flight.
       std::thread monitor([&] {
         while (!storm_over.load(std::memory_order_relaxed)) {
           const int now = CountProcessThreads();
@@ -169,6 +175,9 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
           while (now > seen && !max_threads.compare_exchange_weak(
                                    seen, now, std::memory_order_relaxed)) {
           }
+          const SchedulerStats snapshot = scheduler.stats();
+          EXPECT_LE(snapshot.completed, snapshot.submitted);
+          stats_polls.fetch_add(1, std::memory_order_relaxed);
           std::this_thread::sleep_for(std::chrono::microseconds(500));
         }
       });
@@ -318,6 +327,9 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
       scheduler.Shutdown();
       final_stats = scheduler.stats();
     }
+    EXPECT_GT(stats_polls.load(), 0);
+    EXPECT_EQ(final_stats.submitted, final_stats.completed)
+        << "round " << round << ": Shutdown left a query undelivered";
 
     // Lifecycle legality per category. Top-k quality is judged in
     // aggregate, not per query: HistSim's separation guarantee is
@@ -632,6 +644,67 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
   EXPECT_LE(stats.joins_enabled_by_cache, stats.joined_midflight);
   EXPECT_EQ(stats.completed, stats.submitted);
   scheduler.Shutdown();
+}
+
+// ------------------------------------------------ stats invariants
+// stats() CHECKs its counter invariants on every snapshot. A poller
+// snapshots a cache-on scheduler while a cold query primes the cache,
+// an append moves the store to generation 2, and the next query's
+// consult finds the generation-1 prior and revalidates it — so the
+// stage-1 identity is checked mid-flight with stage1_revalidations > 0.
+
+TEST(LifecycleStressTest, StatsInvariantsHoldAcrossARevalidation) {
+  StressStore s = MakeStressStore(20180517);
+  SharedWorkerPool pool(2);
+  SchedulerOptions options;
+  options.batch.num_threads = 2;
+  options.batch.chunk_blocks = 32;
+  options.max_queue_wait_seconds = 0.001;
+  options.stage1_cache = true;
+  options.pool = &pool;
+  QueryScheduler scheduler(options);
+
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> polls{0};
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      const SchedulerStats snapshot = scheduler.stats();
+      EXPECT_LE(snapshot.completed, snapshot.submitted);
+      polls.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  const auto run = [&](uint64_t seed) {
+    BoundQuery query;
+    query.store = s.store;
+    query.z_index = s.index;
+    query.z_attr = 0;
+    query.x_attrs = {1};
+    query.target = UniformDistribution(8);
+    query.params = StressParams(seed);
+    SchedulerItem item = scheduler.Submit(query).value().Get();
+    EXPECT_TRUE(item.status.ok()) << item.status.ToString();
+  };
+  run(1);
+  ASSERT_GE(scheduler.stats().stage1_inserts, 1);
+  // Rows in the store's own candidate/group proportions.
+  std::vector<std::vector<Value>> rows(2);
+  for (int r = 0; r < 1200; ++r) {
+    rows[0].push_back(static_cast<Value>(r % 12));
+    rows[1].push_back(static_cast<Value>(r % 8));
+  }
+  ASSERT_TRUE(s.store->AppendBatch(rows, 7).ok());
+  run(2);
+  done.store(true, std::memory_order_relaxed);
+  poller.join();
+
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_GE(stats.stage1_revalidations, 1);
+  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses +
+                                      stats.stage1_revalidations);
+  EXPECT_GT(polls.load(), 0);
+  scheduler.Shutdown();
+  EXPECT_EQ(scheduler.stats().submitted, scheduler.stats().completed);
 }
 
 }  // namespace

@@ -56,10 +56,10 @@ TEST(Stage1CacheTest, LookupMissesThenHitsAfterPublish) {
   EXPECT_EQ(hit->rows_drawn, 500);
 
   Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, 2);
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.inserts, 1);
+  EXPECT_EQ(stats.stage1_lookups, 2);
+  EXPECT_EQ(stats.stage1_hits, 1);
+  EXPECT_EQ(stats.stage1_misses, 1);
+  EXPECT_EQ(stats.stage1_inserts, 1);
   EXPECT_EQ(cache.size(), 1);
 }
 
@@ -123,7 +123,7 @@ TEST(Stage1CacheTest, InvalidateStoreDropsAllPartitions) {
   EXPECT_EQ(cache.Lookup(7, 32, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.Lookup(7, 32, 5, {2}, 1, kGen).snapshot, nullptr);
   EXPECT_NE(cache.Lookup(8, 31, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.stats().store_invalidations, 4);
+  EXPECT_EQ(cache.stats().stage1_store_invalidations, 4);
 }
 
 TEST(Stage1CacheTest, EntrySmallerThanDemandIsAMiss) {
@@ -179,10 +179,10 @@ TEST(Stage1CacheTest, PublishKeepsTheBiggerSample) {
   EXPECT_EQ(hit, flagged);
   EXPECT_EQ(cache.size(), 1);
   Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.publishes, 7);
+  EXPECT_EQ(stats.stage1_publishes, 7);
   // Only real replacements count: the dominated and all three
   // non-upgrading tied publishes were dropped.
-  EXPECT_EQ(stats.inserts, 3);
+  EXPECT_EQ(stats.stage1_inserts, 3);
 }
 
 TEST(Stage1CacheTest, InvalidSnapshotsIgnored) {
@@ -200,9 +200,9 @@ TEST(Stage1CacheTest, TtlExpiresEntriesAsStale) {
   EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.size(), 0);
   Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.stale_evictions, 1);
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
+  EXPECT_EQ(stats.stage1_stale_evictions, 1);
+  EXPECT_EQ(stats.stage1_misses, 1);
+  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses);
 }
 
 TEST(Stage1CacheTest, CapacityEvictsLeastRecentlyUsed) {
@@ -219,7 +219,7 @@ TEST(Stage1CacheTest, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot,
             nullptr);  // evicted
   EXPECT_NE(cache.Lookup(3, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.stats().capacity_evictions, 1);
+  EXPECT_EQ(cache.stats().stage1_capacity_evictions, 1);
 }
 
 TEST(Stage1CacheTest, InvalidateStoreDropsOnlyThatStore) {
@@ -232,7 +232,7 @@ TEST(Stage1CacheTest, InvalidateStoreDropsOnlyThatStore) {
   EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.Lookup(1, kWhole, 0, {2}, 1, kGen).snapshot, nullptr);
   EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.stats().store_invalidations, 2);
+  EXPECT_EQ(cache.stats().stage1_store_invalidations, 2);
 }
 
 // ------------------------------------------------ generations
@@ -268,10 +268,11 @@ TEST(Stage1CacheGenerationTest, LookupClassifiesHitRevalidateAndMiss) {
             Stage1Outcome::kHit);
 
   Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.revalidations, 1);
-  EXPECT_EQ(stats.hits, 2);
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.lookups, stats.hits + stats.misses + stats.revalidations);
+  EXPECT_EQ(stats.stage1_revalidations, 1);
+  EXPECT_EQ(stats.stage1_hits, 2);
+  EXPECT_EQ(stats.stage1_misses, 1);
+  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses +
+                                      stats.stage1_revalidations);
 }
 
 TEST(Stage1CacheGenerationTest, CoverageAndTtlOutrankRevalidation) {
@@ -292,8 +293,8 @@ TEST(Stage1CacheGenerationTest, CoverageAndTtlOutrankRevalidation) {
   Stage1LookupResult expired = expiring.Lookup(1, kWhole, 0, {1}, 100, 4);
   EXPECT_EQ(expired.outcome, Stage1Outcome::kMiss);
   EXPECT_EQ(expiring.size(), 0);
-  EXPECT_EQ(expiring.stats().stale_evictions, 1);
-  EXPECT_EQ(expiring.stats().revalidations, 0);
+  EXPECT_EQ(expiring.stats().stage1_stale_evictions, 1);
+  EXPECT_EQ(expiring.stats().stage1_revalidations, 0);
 }
 
 TEST(Stage1CacheGenerationTest, PromoteAdvancesTheValidityHorizon) {
@@ -320,7 +321,7 @@ TEST(Stage1CacheGenerationTest, PromoteAdvancesTheValidityHorizon) {
             Stage1Outcome::kHit);
   // Absent key: no-op too.
   EXPECT_FALSE(cache.Promote(9, kWhole, 0, {1}, 3, 4));
-  EXPECT_EQ(cache.stats().promotions, 1);
+  EXPECT_EQ(cache.stats().stage1_promotions, 1);
 }
 
 TEST(Stage1CacheGenerationTest, PromoteDoesNotRenewRecencyOrTtl) {
@@ -347,7 +348,7 @@ TEST(Stage1CacheGenerationTest, PromoteDoesNotRenewRecencyOrTtl) {
   ASSERT_TRUE(expiring.Promote(1, kWhole, 0, {1}, 1, 2));
   EXPECT_EQ(expiring.Lookup(1, kWhole, 0, {1}, 1, 2).outcome,
             Stage1Outcome::kMiss);
-  EXPECT_EQ(expiring.stats().stale_evictions, 1);
+  EXPECT_EQ(expiring.stats().stage1_stale_evictions, 1);
 }
 
 TEST(Stage1CacheGenerationTest, EvictDriftedGuardsOnGeneration) {
@@ -355,7 +356,7 @@ TEST(Stage1CacheGenerationTest, EvictDriftedGuardsOnGeneration) {
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(500, 1));
   EXPECT_TRUE(cache.EvictDrifted(1, kWhole, 0, {1}, 1));
   EXPECT_EQ(cache.size(), 0);
-  EXPECT_EQ(cache.stats().drift_evictions, 1);
+  EXPECT_EQ(cache.stats().stage1_drift_evictions, 1);
 
   // A newer-generation publish raced in before the drift verdict
   // landed: the verdict is about a dead entry; the newcomer survives.
@@ -366,7 +367,7 @@ TEST(Stage1CacheGenerationTest, EvictDriftedGuardsOnGeneration) {
             Stage1Outcome::kHit);
   // Absent key: no-op.
   EXPECT_FALSE(cache.EvictDrifted(9, kWhole, 0, {1}, 1));
-  EXPECT_EQ(cache.stats().drift_evictions, 1);
+  EXPECT_EQ(cache.stats().stage1_drift_evictions, 1);
 }
 
 TEST(Stage1CacheGenerationTest, PublishPrefersNewerGenerations) {
@@ -385,7 +386,7 @@ TEST(Stage1CacheGenerationTest, PublishPrefersNewerGenerations) {
   hit = cache.Lookup(1, kWhole, 0, {1}, 1, 2);
   ASSERT_EQ(hit.outcome, Stage1Outcome::kHit);
   EXPECT_EQ(hit.snapshot->rows_drawn, 100);
-  EXPECT_EQ(cache.stats().inserts, 2);
+  EXPECT_EQ(cache.stats().stage1_inserts, 2);
 }
 
 TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
@@ -452,10 +453,11 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
   }
   for (std::thread& thread : threads) thread.join();
   Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, stats.hits + stats.misses + stats.revalidations);
-  EXPECT_GT(stats.hits, 0);
-  EXPECT_GT(stats.misses, 0);
-  EXPECT_GT(stats.revalidations, 0);
+  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses +
+                                      stats.stage1_revalidations);
+  EXPECT_GT(stats.stage1_hits, 0);
+  EXPECT_GT(stats.stage1_misses, 0);
+  EXPECT_GT(stats.stage1_revalidations, 0);
   EXPECT_LE(cache.size(), 8);
 }
 

@@ -11,70 +11,61 @@
 namespace fastmatch {
 namespace {
 
+// WorkerPoolTest/WorkerPoolStress drive the plain fork-join at full
+// quota (pool.size()); SharedWorkerPoolTest covers the per-call quotas.
+
 TEST(WorkerPoolTest, ClampsThreadCountToAtLeastOne) {
-  WorkerPool pool(0);
+  SharedWorkerPool pool(0);
   EXPECT_EQ(pool.size(), 1);
-  WorkerPool pool2(-3);
+  SharedWorkerPool pool2(-3);
   EXPECT_EQ(pool2.size(), 1);
 }
 
 TEST(WorkerPoolTest, ParallelForCoversEachIndexExactlyOnce) {
-  WorkerPool pool(4);
+  SharedWorkerPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
-  });
+  pool.ParallelFor(
+      1000,
+      [&](int64_t i) {
+        hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+      },
+      pool.size());
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
 }
 
 TEST(WorkerPoolTest, ParallelForHandlesEmptyAndSingleRanges) {
-  WorkerPool pool(3);
+  SharedWorkerPool pool(3);
   int calls = 0;
-  pool.ParallelFor(0, [&](int64_t) { ++calls; });
+  pool.ParallelFor(0, [&](int64_t) { ++calls; }, pool.size());
   EXPECT_EQ(calls, 0);
   // n == 1 runs inline on the caller (no pool thread involved).
-  pool.ParallelFor(1, [&](int64_t i) { calls += static_cast<int>(i) + 1; });
+  pool.ParallelFor(
+      1, [&](int64_t i) { calls += static_cast<int>(i) + 1; }, pool.size());
   EXPECT_EQ(calls, 1);
 }
 
 TEST(WorkerPoolTest, SingleWorkerPoolRunsParallelForInline) {
-  WorkerPool pool(1);
+  SharedWorkerPool pool(1);
   const auto caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen(8);
-  pool.ParallelFor(8, [&](int64_t i) {
-    seen[static_cast<size_t>(i)] = std::this_thread::get_id();
-  });
+  pool.ParallelFor(
+      8,
+      [&](int64_t i) {
+        seen[static_cast<size_t>(i)] = std::this_thread::get_id();
+      },
+      pool.size());
   for (const auto& id : seen) EXPECT_EQ(id, caller);
 }
 
-TEST(WorkerPoolTest, SubmitWaitCompletesAllTasks) {
-  WorkerPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(WorkerPoolTest, DestructorDrainsOutstandingTasks) {
-  std::atomic<int> done{0};
-  {
-    WorkerPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(done.load(), 50);
-}
-
 TEST(WorkerPoolTest, ParallelForSumMatchesSerial) {
-  WorkerPool pool(4);
+  SharedWorkerPool pool(4);
   const int64_t n = 4096;
   std::vector<int64_t> slot(static_cast<size_t>(n), 0);
-  pool.ParallelFor(n, [&](int64_t i) { slot[static_cast<size_t>(i)] = i * i; });
+  pool.ParallelFor(
+      n, [&](int64_t i) { slot[static_cast<size_t>(i)] = i * i; },
+      pool.size());
   int64_t parallel_sum = 0, serial_sum = 0;
   for (int64_t i = 0; i < n; ++i) {
     parallel_sum += slot[static_cast<size_t>(i)];
@@ -88,29 +79,13 @@ TEST(WorkerPoolTest, ParallelForSumMatchesSerial) {
 // the per-call completion latch (run under FASTMATCH_SANITIZE=thread).
 
 TEST(WorkerPoolStress, RepeatedParallelForRounds) {
-  WorkerPool pool(4);
+  SharedWorkerPool pool(4);
   std::vector<int64_t> cells(256, 0);
   for (int round = 0; round < 200; ++round) {
-    pool.ParallelFor(256, [&](int64_t i) { ++cells[static_cast<size_t>(i)]; });
+    pool.ParallelFor(
+        256, [&](int64_t i) { ++cells[static_cast<size_t>(i)]; }, pool.size());
   }
   for (int64_t c : cells) EXPECT_EQ(c, 200);
-}
-
-TEST(WorkerPoolStress, InterleavedSubmitAndParallelFor) {
-  WorkerPool pool(4);
-  std::atomic<int64_t> submitted{0};
-  std::atomic<int64_t> forked{0};
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit(
-          [&] { submitted.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.ParallelFor(
-        64, [&](int64_t) { forked.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(submitted.load(), 50 * 8);
-  EXPECT_EQ(forked.load(), 50 * 64);
 }
 
 TEST(SharedWorkerPoolTest, QuotaCoversEveryIndexExactlyOnce) {
