@@ -1,8 +1,12 @@
 // Per-seed pins of the scan position: which blocks each engine reads,
-// in which order, and what every query answers. The other suites
-// compare runs inside one binary (two runs, two thread counts); these
-// record exact values, so a refactor of the cursor, the consumed set or
-// the exhaustion rule that changes a single read fails here.
+// in which order, and what every query answers, down to the bits of
+// every distance and error bar. The other suites compare runs inside
+// one binary (two runs, two thread counts); these record exact values,
+// so a refactor of the cursor, the consumed set, the exhaustion rule or
+// HistSimMachine's accumulators that changes a single read or answer
+// bit fails here. Two pins cover the machine's mid-run read paths: a
+// fully subscribed batch's whole progress stream, and a best-effort
+// harvest taken mid-stage-2.
 //
 // The store is skewed (50 to 200,000 rows per candidate), so rare
 // candidates reach the zero-read-cycle exhaustion rule as well as the
@@ -11,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 
 #include "engine/batch_executor.h"
@@ -35,23 +40,39 @@ struct Pin {
   int64_t cursor;
   int64_t consumed;
   /// Per query: top-k ids, then the exact-candidate count, then an
-  /// FNV-1a hash of every count cell, as one string; then, for batches
-  /// with a sink, <cursor/consumed> of every exported stage-1 snapshot.
+  /// FNV-1a hash of every count cell and one of the bit patterns of
+  /// every distance and error bar, as one string; then, for batches with
+  /// a sink, <cursor/consumed> of every exported stage-1 snapshot.
   std::string answers;
 };
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
+/// One FNV-1a step over a 64-bit word.
+uint64_t Mix(uint64_t h, uint64_t word) {
+  return (h ^ word) * 1099511628211ull;
+}
+
+uint64_t MixDoubles(uint64_t h, const std::vector<double>& values) {
+  for (double v : values) h = Mix(h, std::bit_cast<uint64_t>(v));
+  return h;
+}
 
 std::string Answer(const MatchResult& m) {
   std::string s = "[";
   for (int id : m.topk) s += std::to_string(id) + " ";
   int exact = 0;
   for (bool e : m.exact) exact += e;
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvBasis;
   for (int i = 0; i < m.counts.num_candidates(); ++i) {
     for (int g = 0; g < m.counts.num_groups(); ++g) {
-      h = (h ^ static_cast<uint64_t>(m.counts.At(i, g))) * 1099511628211ull;
+      h = Mix(h, static_cast<uint64_t>(m.counts.At(i, g)));
     }
   }
-  return s + "e" + std::to_string(exact) + " " + std::to_string(h) + "]";
+  const uint64_t bits =
+      MixDoubles(MixDoubles(kFnvBasis, m.distances), m.error_bars);
+  return s + "e" + std::to_string(exact) + " " + std::to_string(h) + " " +
+         std::to_string(bits) + "]";
 }
 
 void ExpectPin(const Pin& got, const Pin& want, const std::string& what) {
@@ -150,20 +171,28 @@ TEST(ScanPinTest, RunQueryPerSeed) {
                                  Approach::kFastMatch};
   const Pin want[3][3] = {
       {
-          {12516, 0, 625800, 0, -1, -1, "[5 4 6 e12 13836667381342176931]"},
-          {10376, 4324, 518800, 0, -1, -1, "[5 6 4 e5 10266534437276402305]"},
-          {10385, 4304, 519250, 206, -1, -1, "[5 6 4 e5 14041603663786319571]"},
+          {12516, 0, 625800, 0, -1, -1,
+           "[5 4 6 e12 13836667381342176931 12080256962198889602]"},
+          {10376, 4324, 518800, 0, -1, -1,
+           "[5 6 4 e5 10266534437276402305 9854337943603784794]"},
+          {10385, 4304, 519250, 206, -1, -1,
+           "[5 6 4 e5 14041603663786319571 15361747598946328157]"},
       },
       {
-          {12516, 0, 625800, 0, -1, -1, "[5 4 6 e12 13836667381342176931]"},
-          {10183, 5729, 509150, 0, -1, -1, "[5 6 4 e5 8374930346815294857]"},
-          {10422, 5289, 521100, 242, -1, -1, "[5 6 4 e5 1276460919667087097]"},
+          {12516, 0, 625800, 0, -1, -1,
+           "[5 4 6 e12 13836667381342176931 12080256962198889602]"},
+          {10183, 5729, 509150, 0, -1, -1,
+           "[5 6 4 e5 8374930346815294857 1913148819707659860]"},
+          {10422, 5289, 521100, 242, -1, -1,
+           "[5 6 4 e5 1276460919667087097 3609205945190759062]"},
       },
       {
-          {12516, 0, 625800, 0, -1, -1, "[5 4 6 e12 13836667381342176931]"},
-          {11269, 11189, 563450, 0, -1, -1, "[5 4 6 e6 9308395326752320167]"},
+          {12516, 0, 625800, 0, -1, -1,
+           "[5 4 6 e12 13836667381342176931 12080256962198889602]"},
+          {11269, 11189, 563450, 0, -1, -1,
+           "[5 4 6 e6 9308395326752320167 4465171468441780856]"},
           {11301, 11110, 565050, 360, -1, -1,
-           "[5 4 6 e6 2812290590169715079]"},
+           "[5 4 6 e6 2812290590169715079 54847535853284482]"},
       },
   };
   for (size_t s = 0; s < 3; ++s) {
@@ -183,16 +212,22 @@ TEST(ScanPinTest, RunQueryPerSeed) {
 TEST(ScanPinTest, ClosedBatchPerSeed) {
   const Pin want[3] = {
       {9861, 5310, 493050, 393, 8832, 9861,
-       "[0 1 2 e5 17819267987986889783][3 4 2 e5 17819267987986889783]"
-       "[5 6 4 e5 17819267987986889783][1 0 2 e5 17819267987986889783]"
+       "[0 1 2 e5 17819267987986889783 16525768660129420831]"
+       "[3 4 2 e5 17819267987986889783 5483365107611883613]"
+       "[5 6 4 e5 17819267987986889783 3498334519593190805]"
+       "[1 0 2 e5 17819267987986889783 13719531551119343049]"
        "<8861/64><8861/64><8861/64><8861/64>"},
       {10727, 3863, 536350, 466, 960, 10727,
-       "[0 1 2 e6 16482018680137732575][3 4 2 e6 16482018680137732575]"
-       "[5 6 4 e6 16482018680137732575][1 0 2 e6 16482018680137732575]"
+       "[0 1 2 e6 16482018680137732575 7787790521986299288]"
+       "[3 4 2 e6 16482018680137732575 1982109538993160505]"
+       "[5 6 4 e6 16482018680137732575 16399839223946519967]"
+       "[1 0 2 e6 16482018680137732575 14684181416660108395]"
        "<8832/64><8832/64><8832/64><8832/64>"},
       {12510, 3980, 625500, 831, 4032, 12510,
-       "[0 1 2 e5 12246848527150441181][3 4 2 e5 12246848527150441181]"
-       "[5 4 6 e7 9672939013939678161][1 0 2 e5 12246848527150441181]"
+       "[0 1 2 e5 12246848527150441181 9345690225665495113]"
+       "[3 4 2 e5 12246848527150441181 14419120720282772398]"
+       "[5 4 6 e7 9672939013939678161 15849972948194351960]"
+       "[1 0 2 e5 12246848527150441181 13100699106069252543]"
        "<1113/64><1113/64><1113/64><1113/64>"},
   };
   for (size_t s = 0; s < 3; ++s) {
@@ -212,9 +247,12 @@ TEST(ScanPinTest, ClosedBatchPerSeed) {
 
 TEST(ScanPinTest, ResumedBatchPerSeed) {
   const Pin want[3] = {
-      {7597, 6590, 379850, 453, 1920, 9235, "[3 4 2 e3 16738202992478742725]"},
-      {7279, 6716, 363950, 392, 8768, 9158, "[3 4 2 e3 5893407241707184189]"},
-      {7759, 16093, 387950, 704, 11392, 9890, "[3 4 2 e4 767794817369494847]"},
+      {7597, 6590, 379850, 453, 1920, 9235,
+       "[3 4 2 e3 16738202992478742725 11917429049974608676]"},
+      {7279, 6716, 363950, 392, 8768, 9158,
+       "[3 4 2 e3 5893407241707184189 18118239543539975169]"},
+      {7759, 16093, 387950, 704, 11392, 9890,
+       "[3 4 2 e4 767794817369494847 9734001139436373409]"},
   };
   for (size_t s = 0; s < 3; ++s) {
     // A loose donor finishes early and leaves a suffix; the resumed solo
@@ -235,16 +273,19 @@ TEST(ScanPinTest, ResumedBatchPerSeed) {
 TEST(ScanPinTest, JoinedBatchPerSeed) {
   const Pin want[3] = {
       {11304, 2533, 565200, 470, 1216, 11304,
-       "[0 1 2 e6 12196861376834401103][4 5 3 e6 12196861376834401103]"
-       "[2 1 0 e6 12025441076722751239]"
+       "[0 1 2 e6 12196861376834401103 16138586072264189178]"
+       "[4 5 3 e6 12196861376834401103 1711755605469863910]"
+       "[2 1 0 e6 12025441076722751239 17443134241282400384]"
        "<8861/64><8861/64><9053/256>"},
       {10744, 3643, 537200, 459, 512, 10744,
-       "[0 1 2 e5 9700922348502135019][4 5 3 e5 9700922348502135019]"
-       "[2 1 0 e5 9421602392754449251]"
+       "[0 1 2 e5 9700922348502135019 15806820219041246955]"
+       "[4 5 3 e5 9700922348502135019 8384886381741140392]"
+       "[2 1 0 e5 9421602392754449251 274682710572434290]"
        "<8832/64><8832/64><9024/256>"},
       {12187, 7210, 609350, 830, 3968, 12187,
-       "[0 1 2 e4 10971419473197912785][4 3 5 e6 12040690271531658045]"
-       "[2 1 0 e4 3913578506300136951]"
+       "[0 1 2 e4 10971419473197912785 10649606018919610099]"
+       "[4 3 5 e6 12040690271531658045 2661145762960230005]"
+       "[2 1 0 e4 3913578506300136951 16963473323680301466]"
        "<1113/64><1113/64><1305/256>"},
   };
   for (size_t s = 0; s < 3; ++s) {
@@ -266,6 +307,136 @@ TEST(ScanPinTest, JoinedBatchPerSeed) {
     got.answers += sink.log;
     ExpectPin(got, want[s],
               "joined batch seed " + std::to_string(kSeeds[s]));
+  }
+}
+
+/// Per query: the number of progress updates it received, then an
+/// FNV-1a hash over every update's top-k ids, distances, error bars,
+/// exact flags, rows_consumed and final flag, as "{count:hash}".
+class ProgressLog {
+ public:
+  explicit ProgressLog(size_t num_queries)
+      : count_(num_queries, 0), hash_(num_queries, kFnvBasis) {}
+
+  void Record(size_t index, const ProgressUpdate& up) {
+    uint64_t h = hash_.at(index);
+    for (int id : up.topk) h = Mix(h, static_cast<uint64_t>(id));
+    h = MixDoubles(MixDoubles(h, up.distances), up.error_bars);
+    for (bool e : up.exact) h = Mix(h, e);
+    h = Mix(Mix(h, static_cast<uint64_t>(up.rows_consumed)), up.final_update);
+    hash_[index] = h;
+    ++count_[index];
+  }
+
+  std::string Render() const {
+    std::string s;
+    for (size_t i = 0; i < count_.size(); ++i) {
+      s += '{';
+      s += std::to_string(count_[i]);
+      s += ':';
+      s += std::to_string(hash_[i]);
+      s += '}';
+    }
+    return s;
+  }
+
+ private:
+  std::vector<int> count_;
+  std::vector<uint64_t> hash_;
+};
+
+std::string Diag(const HistSimDiagnostics& d) {
+  return "(r" + std::to_string(d.rounds) + " " +
+         std::to_string(d.stage1_samples) + "/" +
+         std::to_string(d.stage2_samples) + "/" +
+         std::to_string(d.stage3_samples) + ")";
+}
+
+TEST(ScanPinTest, ProgressStreamPerSeed) {
+  const Pin want[3] = {
+      {9861, 5310, 493050, 393, 8832, 9861,
+       "[0 1 2 e5 17819267987986889783 16525768660129420831]"
+       "[3 4 2 e5 17819267987986889783 5483365107611883613]"
+       "[5 6 4 e5 17819267987986889783 3498334519593190805]"
+       "[1 0 2 e5 17819267987986889783 13719531551119343049]"
+       "{393:17465065420906226797}{393:15003488899306444990}"
+       "{393:12202658567385184127}{393:2330286954673166355}"},
+      {10727, 3863, 536350, 466, 960, 10727,
+       "[0 1 2 e6 16482018680137732575 7787790521986299288]"
+       "[3 4 2 e6 16482018680137732575 1982109538993160505]"
+       "[5 6 4 e6 16482018680137732575 16399839223946519967]"
+       "[1 0 2 e6 16482018680137732575 14684181416660108395]"
+       "{466:13315210258846156341}{466:10151709875243439104}"
+       "{466:11083698595341070531}{466:17573381651847307042}"},
+      {12510, 3980, 625500, 831, 4032, 12510,
+       "[0 1 2 e5 12246848527150441181 9345690225665495113]"
+       "[3 4 2 e5 12246848527150441181 14419120720282772398]"
+       "[5 4 6 e7 9672939013939678161 15849972948194351960]"
+       "[1 0 2 e5 12246848527150441181 13100699106069252543]"
+       "{439:9172843586771481343}{439:2265521536277367350}"
+       "{831:7689299001204808242}{439:16685339325021001710}"},
+  };
+  for (size_t s = 0; s < 3; ++s) {
+    std::vector<BoundQuery> batch = {Query(0, 1), Query(3, 2), Query(5, 3),
+                                     Query(1, 4)};
+    auto exec = BatchExecutor::Create(batch, Options(kSeeds[s])).value();
+    ProgressLog log(batch.size());
+    exec->SetProgressCallback(
+        [&log](size_t index, const ProgressUpdate& up) {
+          log.Record(index, up);
+        });
+    const std::vector<BatchItem> items = exec->Run();
+    Pin got = BatchPin(*exec, items);
+    got.answers += log.Render();
+    ExpectPin(got, want[s],
+              "progress stream seed " + std::to_string(kSeeds[s]));
+  }
+}
+
+TEST(ScanPinTest, MidStage2HarvestPerSeed) {
+  // Chunks before the harvest: at every seed query 0 has completed one
+  // stage-2 round and is inside its second, short of stage 3.
+  const int kStepsBeforeHarvest = 80;
+  const Pin want[3] = {
+      {9861, 5310, 493050, 393, 8832, 9861,
+       "[0 1 2 e0 6450725417053583411 8412787169234902017]"
+       "[3 4 2 e5 17819267987986889783 5483365107611883613]"
+       "[5 6 4 e5 17819267987986889783 3498334519593190805]"
+       "[1 0 2 e5 17819267987986889783 13719531551119343049]"
+       "(r2 3200/249950/0)"},
+      {10727, 3863, 536350, 466, 960, 10727,
+       "[0 1 2 e0 13959396273037290845 4886717676309322876]"
+       "[3 4 2 e6 16482018680137732575 1982109538993160505]"
+       "[5 6 4 e6 16482018680137732575 16399839223946519967]"
+       "[1 0 2 e6 16482018680137732575 14684181416660108395]"
+       "(r2 3200/237150/0)"},
+      {12510, 3980, 625500, 831, 4032, 12510,
+       "[0 1 2 e0 16636469726773781457 8584498256609504514]"
+       "[3 4 2 e5 12246848527150441181 14419120720282772398]"
+       "[5 4 6 e7 9672939013939678161 15849972948194351960]"
+       "[1 0 2 e5 12246848527150441181 13100699106069252543]"
+       "(r2 3200/230100/0)"},
+  };
+  for (size_t s = 0; s < 3; ++s) {
+    std::vector<BoundQuery> batch = {Query(0, 1), Query(3, 2), Query(5, 3),
+                                     Query(1, 4)};
+    auto exec = BatchExecutor::Create(batch, Options(kSeeds[s])).value();
+    exec->Start();
+    for (int i = 0; i < kStepsBeforeHarvest; ++i) {
+      ASSERT_TRUE(exec->Step()) << "batch finished before the harvest point";
+    }
+    ASSERT_TRUE(exec->EvictWithResult(0).ok());
+    while (exec->Step()) {
+    }
+    const std::vector<BatchItem> items = exec->TakeItems();
+    ASSERT_EQ(items.size(), batch.size());
+    const MatchResult& harvested = items.front().match;
+    EXPECT_TRUE(harvested.best_effort);
+    EXPECT_EQ(harvested.diag.rounds, 2);
+    EXPECT_EQ(harvested.diag.stage3_samples, 0);
+    Pin got = BatchPin(*exec, items);
+    got.answers += Diag(harvested.diag);
+    ExpectPin(got, want[s], "harvest seed " + std::to_string(kSeeds[s]));
   }
 }
 
