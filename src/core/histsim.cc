@@ -93,8 +93,27 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
         "epsilon too small: the required sample count overflows int64");
   }
 
+  // A warm start's prior is caller data, so its checks are statuses,
+  // not CHECKs; a failure leaves the machine failed with no demand (the
+  // same contract as a bad Supply).
+  if (prior != nullptr) {
+    if (prior->counts == nullptr || prior->rows_drawn <= 0) {
+      return Status::InvalidArgument(
+          "stage-1 prior has no counts or a non-positive row count");
+    }
+    if (prior->counts->num_candidates() != vz_ ||
+        prior->counts->num_groups() != vx_) {
+      return Status::InvalidArgument(
+          "stage-1 prior does not match the sampling domain");
+    }
+    if (prior->exhausted != nullptr &&
+        static_cast<int>(prior->exhausted->size()) != vz_) {
+      return Status::InvalidArgument(
+          "stage-1 prior exhausted flags do not match the candidate count");
+    }
+  }
+
   total_ = CountMatrix(vz_, vx_);
-  round_ = CountMatrix(vz_, vx_);
   pruned_.assign(vz_, false);
   exact_.assign(vz_, false);
   tau_.assign(vz_, MaxDistance(params_.metric));
@@ -106,30 +125,7 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
 
   if (prior != nullptr) {
     // Warm start: the stage-1 demand just issued is satisfied from the
-    // prior sample, exactly as if the caller had drawn it. Validation
-    // failures leave the machine failed (same contract as a bad
-    // Supply); the prior is caller data, so they are statuses, not
-    // CHECKs.
-    if (prior->counts == nullptr || prior->rows_drawn <= 0) {
-      phase_ = Phase::kFailed;
-      demand_ = SampleDemand{};
-      return Status::InvalidArgument(
-          "stage-1 prior has no counts or a non-positive row count");
-    }
-    if (prior->counts->num_candidates() != vz_ ||
-        prior->counts->num_groups() != vx_) {
-      phase_ = Phase::kFailed;
-      demand_ = SampleDemand{};
-      return Status::InvalidArgument(
-          "stage-1 prior does not match the sampling domain");
-    }
-    if (prior->exhausted != nullptr &&
-        static_cast<int>(prior->exhausted->size()) != vz_) {
-      phase_ = Phase::kFailed;
-      demand_ = SampleDemand{};
-      return Status::InvalidArgument(
-          "stage-1 prior exhausted flags do not match the candidate count");
-    }
+    // prior sample, exactly as if the caller had drawn it.
     diag_.stage1_warm = true;
     // An overlapping prior's exhaustion flags are dropped, not honored:
     // a candidate marked exact here would skip MarkExact's prior
@@ -170,6 +166,9 @@ Status HistSimMachine::AcceptSupply(const char* caller,
   for (int i = 0; i < vz_; ++i) {
     if (all_consumed || exhausted[i]) MarkExact(i);
   }
+  // Every phase's fresh sample folds into the totals once, here (Alg. 1
+  // l.15-16 for a stage-2 round, which is tested on `fresh` alone).
+  total_.Merge(fresh);
   return Status::OK();
 }
 
@@ -181,13 +180,13 @@ Status HistSimMachine::Supply(const CountMatrix& fresh,
   Status status;
   switch (phase_) {
     case Phase::kStage1:
-      status = FinishStage1(fresh, rows_drawn);
+      status = FinishStage1(rows_drawn);
       break;
     case Phase::kStage2:
       status = FinishStage2Round(fresh, rows_drawn);
       break;
     default:
-      status = FinishStage3(fresh, rows_drawn);
+      status = FinishStage3(rows_drawn);
       break;
   }
   if (!status.ok()) {
@@ -197,9 +196,7 @@ Status HistSimMachine::Supply(const CountMatrix& fresh,
   return status;
 }
 
-Status HistSimMachine::FinishStage1(const CountMatrix& fresh,
-                                    int64_t rows_drawn) {
-  total_.Merge(fresh);
+Status HistSimMachine::FinishStage1(int64_t rows_drawn) {
   diag_.stage1_samples = rows_drawn;
 
   // Under-representation test (null: N_i >= sigma * N) only when a
@@ -258,12 +255,6 @@ Status HistSimMachine::PrepareStage2RoundOrAdvance() {
 
   ++round_t_;
   log_dupper_ -= kLog2;  // delta/3 / 2^t at round t
-
-  // Fold the previous round's samples into the totals (Alg. 1 l.15-16)
-  // and refresh distance estimates.
-  total_.Merge(round_);
-  round_.Reset();
-  for (int i : active_set_) RefreshTau(i);
 
   std::vector<int> order = active_set_;
   std::sort(order.begin(), order.end(),
@@ -340,8 +331,10 @@ Status HistSimMachine::PrepareStage2RoundOrAdvance() {
 
 Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh,
                                          int64_t rows_drawn) {
-  round_.Merge(fresh);
   diag_.stage2_samples += rows_drawn;
+  // The round is already folded into the totals; the next round's
+  // split point and the stage-3 top-ups read the refreshed estimates.
+  for (int i : active_set_) RefreshTau(i);
 
   // The multiple hypothesis test of Lemma 4 over fresh samples.
   std::vector<double> log_pvalues;
@@ -352,20 +345,14 @@ Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh,
       // Fully enumerated candidate: its true distance is known, so the
       // null is simply true or false. A true null can never be
       // rejected; a false null is rejected error-free.
-      const auto total_row = total_.Row(i);
-      const auto round_row = round_.Row(i);
-      std::vector<int64_t> merged(vx_);
-      for (int g = 0; g < vx_; ++g) {
-        merged[g] = total_row[g] + round_row[g];
-      }
-      Distribution nd = Normalize(merged);
-      const double tau_exact = HistDistance(params_.metric, nd, target_);
+      const double tau_exact = HistDistance(
+          params_.metric, total_.NormalizedRow(i), target_);
       const bool null_true = in_m_[i]
                                  ? (tau_exact >= split_s_ + eps_sep_ / 2)
                                  : (tau_exact <= split_s_ - eps_sep_ / 2);
       lp = null_true ? 0.0 : -std::numeric_limits<double>::infinity();
     } else {
-      const Distribution d_round = round_.NormalizedRow(i);
+      const Distribution d_round = fresh.NormalizedRow(i);
       const double tau_round = HistDistance(params_.metric, d_round, target_);
       double eps_i;
       if (in_m_[i]) {
@@ -375,17 +362,12 @@ Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh,
       } else {
         eps_i = std::numeric_limits<double>::infinity();
       }
-      lp = LogDeviationPValue(eps_i, round_.RowTotal(i), vx_);
+      lp = LogDeviationPValue(eps_i, fresh.RowTotal(i), vx_);
     }
     log_pvalues.push_back(lp);
   }
 
-  if (SimultaneousReject(log_pvalues, log_dupper_)) {
-    total_.Merge(round_);
-    round_.Reset();
-    for (int i : active_set_) RefreshTau(i);
-    return BeginStage3();
-  }
+  if (SimultaneousReject(log_pvalues, log_dupper_)) return BeginStage3();
   return PrepareStage2RoundOrAdvance();
 }
 
@@ -416,7 +398,6 @@ Status HistSimMachine::BeginStage3() {
     }
   }
   if (any) {
-    round_.Reset();
     demand_.kind = SampleDemand::Kind::kTargets;
     demand_.rows = 0;
     demand_.targets = std::move(targets);
@@ -426,13 +407,8 @@ Status HistSimMachine::BeginStage3() {
   return Finalize();
 }
 
-Status HistSimMachine::FinishStage3(const CountMatrix& fresh,
-                                    int64_t rows_drawn) {
-  round_.Merge(fresh);
+Status HistSimMachine::FinishStage3(int64_t rows_drawn) {
   diag_.stage3_samples = rows_drawn;
-  total_.Merge(round_);
-  round_.Reset();
-  for (int i : matching_) RefreshTau(i);
   return Finalize();
 }
 
@@ -493,11 +469,9 @@ ProgressUpdate HistSimMachine::Progress(const CountMatrix* partial,
       phase_ != Phase::kStage3) {
     return up;
   }
-  // Pooled estimate: all folded phases (round_ is always folded back
-  // into total_ before a demand goes outstanding; merged defensively
-  // anyway) plus the caller's not-yet-supplied partial phase sample.
+  // Pooled estimate: all folded phases plus the caller's
+  // not-yet-supplied partial phase sample.
   CountMatrix pooled = total_;
-  pooled.Merge(round_);
   if (partial != nullptr) pooled.Merge(*partial);
   up.distances.resize(static_cast<size_t>(vz_));
   up.error_bars.resize(static_cast<size_t>(vz_));
@@ -558,10 +532,6 @@ Status HistSimMachine::HarvestBestEffort(const CountMatrix& fresh,
       break;
   }
   diag_.rounds = round_t_;
-
-  total_.Merge(round_);
-  round_.Reset();
-  total_.Merge(fresh);
   for (int i = 0; i < vz_; ++i) RefreshTau(i);
 
   // Rank whatever the pool says (a harvest mid-stage-1 has no pruning

@@ -267,8 +267,8 @@ class HistSimMachine {
   void MarkExact(int i);
   /// The prologue Supply and HarvestBestEffort share: refuses a call
   /// with no demand outstanding (FailedPrecondition naming `caller`),
-  /// CHECKs the arguments' shape, and marks the signalled candidates
-  /// exact.
+  /// CHECKs the arguments' shape, marks the signalled candidates exact,
+  /// and folds `fresh` into the totals.
   Status AcceptSupply(const char* caller, const CountMatrix& fresh,
                       const std::vector<bool>& exhausted, bool all_consumed);
 
@@ -278,14 +278,16 @@ class HistSimMachine {
   /// final update equals the delivered result bit for bit.
   double ErrorBarFor(bool is_exact, int64_t n) const;
 
-  Status FinishStage1(const CountMatrix& fresh, int64_t rows_drawn);
-  /// Merges the previous round, picks M and the split point, and either
+  Status FinishStage1(int64_t rows_drawn);
+  /// Picks M and the split point from the current estimates, and either
   /// issues the round's targets demand or falls through to stage 3 when
   /// every remaining estimate is exact.
   Status PrepareStage2RoundOrAdvance();
+  /// Tests the round on its own `fresh` sample (already folded into the
+  /// totals by AcceptSupply).
   Status FinishStage2Round(const CountMatrix& fresh, int64_t rows_drawn);
   Status BeginStage3();
-  Status FinishStage3(const CountMatrix& fresh, int64_t rows_drawn);
+  Status FinishStage3(int64_t rows_drawn);
   Status Finalize();
 
   HistSimParams params_;
@@ -304,7 +306,6 @@ class HistSimMachine {
   double log_delta_bar_ = 0;
 
   CountMatrix total_;  // cumulative counts across stages/rounds
-  CountMatrix round_;  // fresh counts of the current stage-2/3 phase
   // Overlapping warm prior: its counts, kept to subtract when the
   // caller's own window exhausts a candidate. Empty when cold or when
   // the prior is disjoint from the caller's window.

@@ -501,7 +501,8 @@ void BatchExecutor::EmitProgress() {
     int64_t partial_rows = 0;
     const CountMatrix partial = FreshSample(q, &partial_rows);
     ProgressUpdate up = q.machine.Progress(&partial, partial_rows);
-    if (up.distances.empty()) continue;  // machine not live yet
+    // An active query's machine has a demand outstanding, so it is live.
+    FASTMATCH_CHECK(!up.distances.empty());
     up.sequence = ++q.progress_seq;
     up.blocks_read = stats_.blocks_read;
     ++stats_.progress_snapshots;

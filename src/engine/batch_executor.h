@@ -90,7 +90,7 @@
 // it has exactly one driver thread (the store's pipeline loop), which
 // calls Start/Step/Join/Evict/TakeItems strictly sequentially, and the
 // only parallelism is the per-chunk ParallelFor fork-join into a
-// SharedWorkerPool (whose own queue is guarded inside WorkerPool;
+// SharedWorkerPool (whose queue is guarded by SharedWorkerPool::mu_;
 // see docs/ARCHITECTURE.md, "Concurrency & lock hierarchy"). Worker
 // slots write disjoint CountMatrix shards, so no executor state needs
 // a mutex and the class stays invisible to the lock hierarchy. The
@@ -175,7 +175,7 @@ class Stage1Sink {
   /// \brief Offers a snapshot for (store_id, partition_id, z_attr,
   /// x_attrs); the executor always publishes under the scanned store's
   /// ColumnStore::id() and kWholeStorePartition. The sink owns admission
-  /// policy (keep the bigger sample, TTL, capacity); a publish may be
+  /// policy (keep the bigger sample, capacity); a publish may be
   /// dropped silently.
   virtual void Publish(uint64_t store_id, uint64_t partition_id, int z_attr,
                        const std::vector<int>& x_attrs,

@@ -19,13 +19,6 @@ std::chrono::steady_clock::duration FromSeconds(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
-std::unique_ptr<Stage1Cache> MakeStage1Cache(const SchedulerOptions& options) {
-  if (!options.stage1_cache) return nullptr;
-  Stage1CacheOptions cache_options;
-  cache_options.ttl_seconds = options.stage1_cache_ttl_seconds;
-  return std::make_unique<Stage1Cache>(cache_options);
-}
-
 /// The query's one progress consumer: publishes to `channel` (when
 /// tracked), then calls `hook`, so a hook that polls the handle sees the
 /// update it is handed. Empty when the query has neither.
@@ -46,7 +39,8 @@ QueryScheduler::QueryScheduler(SchedulerOptions options)
     : options_(std::move(options)),
       pool_(options_.pool != nullptr ? options_.pool
                                      : &SharedWorkerPool::Process()),
-      stage1_cache_(MakeStage1Cache(options_)) {
+      stage1_cache_(options_.stage1_cache ? std::make_unique<Stage1Cache>()
+                                          : nullptr) {
   FASTMATCH_CHECK(options_.max_batch_queries >= 1)
       << "max_batch_queries must be >= 1";
   FASTMATCH_CHECK(options_.max_pending_per_store >= 1)
@@ -362,30 +356,28 @@ void QueryScheduler::AttachWarmStage1(BoundQuery* query) {
 
 void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
                                      std::vector<Ticket>* batch) {
+  // This thread delivers every completion before the next boundary
+  // pass, so an unfulfilled ticket's query is still active in the
+  // executor and its eviction cannot be refused; a query that completed
+  // first is fulfilled already and keeps its result.
   const Clock::time_point now = Clock::now();
   for (size_t i = 0; i < batch->size(); ++i) {
     Ticket& ticket = (*batch)[i];
-    if (ticket.fulfilled || ticket.evict_issued) continue;
+    if (ticket.fulfilled) continue;
     // A query both cancelled and past its budget is evicted Cancelled:
     // nobody waits for its best-effort answer.
     if (ticket.cancel->cancelled()) {
-      ticket.evict_issued = true;
-      if (executor->Evict(i).ok()) {
-        Count(&SchedulerStats::evicted);
-      }
+      const Status evicted = executor->Evict(i);
+      FASTMATCH_CHECK(evicted.ok()) << evicted.ToString();
+      Count(&SchedulerStats::evicted);
     } else if (ticket.budget_seconds > 0 &&
                now >= ticket.admitted + FromSeconds(ticket.budget_seconds)) {
-      ticket.evict_issued = true;
       // The harvested item resolves OK, so Deliver() counts it as a
       // plain completion; budget_evicted is its only other counter.
-      if (executor->EvictWithResult(i).ok()) {
-        Count(&SchedulerStats::budget_evicted);
-      }
+      const Status harvested = executor->EvictWithResult(i);
+      FASTMATCH_CHECK(harvested.ok()) << harvested.ToString();
+      Count(&SchedulerStats::budget_evicted);
     }
-    // A refused eviction means the query completed first: its result
-    // exists and is delivered normally — a cancel never turns a
-    // finished result into a Cancelled future, and a budget expiry
-    // never downgrades it to a partial.
   }
 }
 
@@ -419,6 +411,8 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
                     static_cast<double>(num_blocks);
       const bool below_policy =
           suffix_fraction < options_.min_join_suffix_fraction;
+      // An empty suffix is also the executor's own Join refusal, so the
+      // join below cannot be refused.
       if (executor->consumed_blocks() == num_blocks ||
           (below_policy && !IsWarm(front.query))) {
         // Too little scan left for a statistically useful join — the
@@ -442,16 +436,7 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
     // the executor's sole driver, so no other synchronization applies.
     const int64_t bound_before = executor->stats().joined_queries;
     Result<size_t> joined = executor->Join(batch->back().query);
-    if (!joined.ok()) {
-      // Defensive (the suffix check above normally fires first): the
-      // executor refused the join; requeue for a fresh batch.
-      Ticket refused = std::move(batch->back());
-      batch->pop_back();
-      refused.join_refused = true;
-      MutexLock lock(&pipeline->mu);
-      pipeline->pending.push_front(std::move(refused));
-      break;
-    }
+    FASTMATCH_CHECK(joined.ok()) << joined.status().ToString();
     FASTMATCH_CHECK_EQ(*joined + 1, batch->size());
     // A join whose per-query binding failed still occupies an item slot
     // but never entered the scan: report it as a plain (failed) query,
@@ -469,7 +454,7 @@ void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
 
 void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
   // Admission-time cache consult: queries whose template is warm skip
-  // stage 1 from the first chunk. (Queries requeued after a refused
+  // stage 1 from the first chunk. (Queries left queued by a refused
   // join may already carry their snapshot; AttachWarmStage1 leaves
   // those untouched.) The executor copies what it keeps of each query,
   // so the launch moves them out of their tickets.

@@ -141,8 +141,6 @@ struct SchedulerOptions {
   /// query pays its own stage 1 unless the caller opts in (perfbench's
   /// dashboards run with it on).
   bool stage1_cache = false;
-  /// Cache entry time-to-live (see Stage1CacheOptions::ttl_seconds).
-  double stage1_cache_ttl_seconds = 0;
   /// Worker pool for every batch's block reads. nullptr selects the
   /// process-wide SharedWorkerPool::Process(). A non-null pool must
   /// outlive the scheduler.
@@ -458,9 +456,6 @@ class QueryScheduler {
     /// pass skips such tickets; RunBatch checks every ticket has it once
     /// the executor finishes.
     bool fulfilled = false;
-    /// Evict() or EvictWithResult() already issued; don't re-issue at
-    /// each chunk boundary.
-    bool evict_issued = false;
   };
 
   /// Per-store pipeline: bounded pending queue + driver thread.

@@ -21,7 +21,6 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
   ++stats_.stage1_publishes;
   Key key{store_id, partition_id, z_attr, x_attrs};
   auto it = entries_.find(key);
-  const Clock::time_point now = Clock::now();
   const uint64_t incoming_gen = snapshot->scan.generation;
   if (it != entries_.end()) {
     // A snapshot from a NEWER generation than the resident replaces it
@@ -55,11 +54,10 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
       it->second.generation = incoming_gen;
       ++stats_.stage1_inserts;
     }
-    // The stamps renew even when the incoming data was dropped — ON
+    // The LRU tick renews even when the incoming data was dropped — ON
     // PURPOSE: a publish at ANY generation proves the template is live,
-    // and TTL/LRU measure how long since the template last saw traffic
+    // and recency measures how long since the template last saw traffic
     // (memory hygiene, not validity — generations own validity).
-    it->second.published = now;
     it->second.last_used = tick_++;
     return;
   }
@@ -73,7 +71,6 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
   }
   Entry entry;
   entry.snapshot = std::move(snapshot);
-  entry.published = now;
   entry.last_used = tick_++;
   entry.generation = incoming_gen;
   entries_.emplace(std::move(key), std::move(entry));
@@ -90,14 +87,6 @@ Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
   Stage1LookupResult result;
   auto it = entries_.find(Key{store_id, partition_id, z_attr, x_attrs});
   if (it == entries_.end()) {
-    ++stats_.stage1_misses;
-    return result;
-  }
-  if (options_.ttl_seconds > 0 &&
-      std::chrono::duration<double>(Clock::now() - it->second.published)
-              .count() > options_.ttl_seconds) {
-    entries_.erase(it);
-    ++stats_.stage1_stale_evictions;
     ++stats_.stage1_misses;
     return result;
   }
@@ -143,9 +132,9 @@ bool Stage1Cache::Promote(uint64_t store_id, uint64_t partition_id,
     // revalidator; its verdict no longer describes what's resident.
     return false;
   }
-  // Only the validity horizon moves: published/last_used are left
-  // as-is, so a promotion neither rescues an entry from TTL expiry nor
-  // bumps it in the LRU order — the entry's data saw no new traffic.
+  // Only the validity horizon moves: last_used is left as-is, so a
+  // promotion does not bump the entry in the LRU order — the entry's
+  // data saw no new traffic.
   it->second.generation = to_generation;
   ++stats_.stage1_promotions;
   return true;

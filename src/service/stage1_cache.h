@@ -47,12 +47,12 @@
 // generation than the querier's pin is a plain miss (its rows don't all
 // exist in the pinned prefix). A cached prior is therefore NEVER served
 // at a generation other than its own without a passing revalidation.
-// The TTL and capacity knobs remain memory hygiene, not correctness.
+// Memory is bounded by the LRU capacity and by InvalidateStore when a
+// store's pipeline is reaped; neither is a correctness rule.
 
 #ifndef FASTMATCH_SERVICE_STAGE1_CACHE_H_
 #define FASTMATCH_SERVICE_STAGE1_CACHE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -69,14 +69,11 @@ struct Stage1CacheOptions {
   /// Maximum entries across all stores and templates; the
   /// least-recently-used entry is evicted past it. Must be >= 1.
   int capacity = 64;
-  /// Entries unpublished-to for longer than this are evicted when next
-  /// looked up ("stale"). <= 0 disables expiry.
-  double ttl_seconds = 0;
 };
 
 /// \brief Monotonic counters (snapshot via Stage1Cache::stats()).
 /// `stage1_lookups == stage1_hits + stage1_misses + stage1_revalidations`
-/// always; a stale eviction or a too-small entry counts as a miss. The
+/// always; a too-small or newer-generation entry counts as a miss. The
 /// base of SchedulerStats, hence the stage1_ prefix.
 struct Stage1CacheStats {
   int64_t stage1_lookups = 0;             // Lookup calls
@@ -85,7 +82,6 @@ struct Stage1CacheStats {
   int64_t stage1_publishes = 0;           // Publish calls
   int64_t stage1_inserts = 0;             // publishes that created/replaced
                                           // an entry
-  int64_t stage1_stale_evictions = 0;     // TTL expiries (at lookup)
   int64_t stage1_capacity_evictions = 0;  // LRU evictions (at publish)
   int64_t stage1_store_invalidations = 0; // entries dropped by
                                           // InvalidateStore
@@ -119,8 +115,8 @@ class Stage1Cache : public Stage1Sink {
   explicit Stage1Cache(Stage1CacheOptions options = {});
 
   /// \brief Stage1Sink hook: keeps the snapshot unless the existing
-  /// entry's sample is at least as large (then only the freshness stamp
-  /// is renewed — the bigger sample covers every demand the smaller one
+  /// entry's sample is at least as large (then only the LRU tick is
+  /// renewed — the bigger sample covers every demand the smaller one
   /// could). A same-size snapshot still replaces the resident when it
   /// carries a true exhaustion flag and the resident has none. Evicts
   /// the least-recently-used entry when over capacity.
@@ -129,10 +125,9 @@ class Stage1Cache : public Stage1Sink {
                std::shared_ptr<const Stage1Snapshot> snapshot) override
       FASTMATCH_EXCLUDES(mu_);
 
-  /// \brief Generation-aware lookup. An entry must exist, be within
-  /// TTL, and hold at least `min_rows` rows (a smaller sample would
-  /// under-satisfy the querier's stage-1 demand) to be usable at all;
-  /// then `generation` (the querier's pinned store generation)
+  /// \brief Generation-aware lookup. An entry must exist and hold at
+  /// least `min_rows` rows (a smaller sample would under-satisfy the
+  /// querier's stage-1 demand) to be usable at all; then `generation` (the querier's pinned store generation)
   /// classifies it: equal to the entry's generation => kHit (LRU tick);
   /// entry older => kRevalidate (NO LRU tick — only a passing
   /// revalidation earns the entry its recency); entry newer => kMiss.
@@ -146,8 +141,8 @@ class Stage1Cache : public Stage1Sink {
   /// drift revalidation. Succeeds (true) only when the entry still
   /// exists and still stands at `from_generation` — a racing publish or
   /// eviction makes the promotion a no-op (false). Does NOT renew the
-  /// TTL stamp or the LRU tick beyond recording the new generation: the
-  /// entry's data is unchanged, only its validity horizon moved.
+  /// LRU tick: the entry's data is unchanged, only its validity horizon
+  /// moved.
   bool Promote(uint64_t store_id, uint64_t partition_id, int z_attr,
                const std::vector<int>& x_attrs, uint64_t from_generation,
                uint64_t to_generation) FASTMATCH_EXCLUDES(mu_);
@@ -171,13 +166,11 @@ class Stage1Cache : public Stage1Sink {
   Stage1CacheStats stats() const FASTMATCH_EXCLUDES(mu_);
 
  private:
-  using Clock = std::chrono::steady_clock;
   /// (store id, partition id, z_attr, x_attrs); the store id leads so
   /// InvalidateStore can match on it alone.
   using Key = std::tuple<uint64_t, uint64_t, int, std::vector<int>>;
   struct Entry {
     std::shared_ptr<const Stage1Snapshot> snapshot;
-    Clock::time_point published;
     uint64_t last_used = 0;  // LRU tick
     /// Generation the entry is currently valid at. Seeded from the
     /// snapshot's scan.generation at Publish and advanced by Promote —

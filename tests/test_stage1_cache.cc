@@ -1,7 +1,7 @@
 // Unit tests of the service tier's stage-1 sample cache: lookup/publish
-// policy (min-rows coverage, keep-the-bigger-sample), TTL staleness,
-// LRU capacity eviction, per-store invalidation, partition-key
-// isolation (a partition's snapshot never serves another partition, and
+// policy (min-rows coverage, keep-the-bigger-sample), LRU capacity
+// eviction, per-store invalidation, partition-key isolation (a
+// partition's snapshot never serves another partition, and
 // invalidating the logical store drops every partition's entries),
 // generation classification (hit at the entry's own generation,
 // revalidation-required for an older entry, miss for a newer one),
@@ -192,19 +192,6 @@ TEST(Stage1CacheTest, InvalidSnapshotsIgnored) {
   EXPECT_EQ(cache.size(), 0);
 }
 
-TEST(Stage1CacheTest, TtlExpiresEntriesAsStale) {
-  Stage1CacheOptions options;
-  options.ttl_seconds = 1e-9;  // everything is stale by the next lookup
-  Stage1Cache cache(options);
-  cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(500));
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.size(), 0);
-  Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.stage1_stale_evictions, 1);
-  EXPECT_EQ(stats.stage1_misses, 1);
-  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses);
-}
-
 TEST(Stage1CacheTest, CapacityEvictsLeastRecentlyUsed) {
   Stage1CacheOptions options;
   options.capacity = 2;
@@ -275,7 +262,7 @@ TEST(Stage1CacheGenerationTest, LookupClassifiesHitRevalidateAndMiss) {
                                       stats.stage1_revalidations);
 }
 
-TEST(Stage1CacheGenerationTest, CoverageAndTtlOutrankRevalidation) {
+TEST(Stage1CacheGenerationTest, CoverageOutranksRevalidation) {
   // A stale-generation entry that is also too SMALL is a miss, not a
   // revalidation candidate: no drift test can grow its sample.
   Stage1Cache cache;
@@ -284,17 +271,7 @@ TEST(Stage1CacheGenerationTest, CoverageAndTtlOutrankRevalidation) {
   EXPECT_EQ(r.outcome, Stage1Outcome::kMiss);
   EXPECT_EQ(r.snapshot, nullptr);
   EXPECT_EQ(cache.size(), 1);
-
-  // TTL expiry also wins over revalidation: the entry is simply gone.
-  Stage1CacheOptions options;
-  options.ttl_seconds = 1e-9;
-  Stage1Cache expiring(options);
-  expiring.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(500, 1));
-  Stage1LookupResult expired = expiring.Lookup(1, kWhole, 0, {1}, 100, 4);
-  EXPECT_EQ(expired.outcome, Stage1Outcome::kMiss);
-  EXPECT_EQ(expiring.size(), 0);
-  EXPECT_EQ(expiring.stats().stage1_stale_evictions, 1);
-  EXPECT_EQ(expiring.stats().stage1_revalidations, 0);
+  EXPECT_EQ(cache.stats().stage1_revalidations, 0);
 }
 
 TEST(Stage1CacheGenerationTest, PromoteAdvancesTheValidityHorizon) {
@@ -324,7 +301,7 @@ TEST(Stage1CacheGenerationTest, PromoteAdvancesTheValidityHorizon) {
   EXPECT_EQ(cache.stats().stage1_promotions, 1);
 }
 
-TEST(Stage1CacheGenerationTest, PromoteDoesNotRenewRecencyOrTtl) {
+TEST(Stage1CacheGenerationTest, PromoteDoesNotRenewRecency) {
   // LRU: promotion moves only the validity horizon, so a promoted entry
   // keeps its old recency and is still evicted first at capacity.
   Stage1CacheOptions options;
@@ -339,16 +316,6 @@ TEST(Stage1CacheGenerationTest, PromoteDoesNotRenewRecencyOrTtl) {
             nullptr);  // evicted anyway
   EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_NE(cache.Lookup(3, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-
-  // TTL: promotion does not refresh the publish stamp either.
-  Stage1CacheOptions expiring_options;
-  expiring_options.ttl_seconds = 1e-9;
-  Stage1Cache expiring(expiring_options);
-  expiring.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(100, 1));
-  ASSERT_TRUE(expiring.Promote(1, kWhole, 0, {1}, 1, 2));
-  EXPECT_EQ(expiring.Lookup(1, kWhole, 0, {1}, 1, 2).outcome,
-            Stage1Outcome::kMiss);
-  EXPECT_EQ(expiring.stats().stage1_stale_evictions, 1);
 }
 
 TEST(Stage1CacheGenerationTest, EvictDriftedGuardsOnGeneration) {
@@ -398,7 +365,7 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
   // snapshots carry generations 1-3 while lookups pin generations 1-3,
   // so all three outcomes occur. (Run under TSan in CI via the regular
   // suite.)
-  Stage1Cache cache(Stage1CacheOptions{/*capacity=*/8, /*ttl_seconds=*/0});
+  Stage1Cache cache(Stage1CacheOptions{/*capacity=*/8});
   constexpr int kThreads = 4;
   constexpr int kOps = 400;
   std::vector<std::thread> threads;
