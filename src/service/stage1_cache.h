@@ -127,10 +127,11 @@ class Stage1Cache : public Stage1Sink {
 
   /// \brief Generation-aware lookup. An entry must exist and hold at
   /// least `min_rows` rows (a smaller sample would under-satisfy the
-  /// querier's stage-1 demand) to be usable at all; then `generation` (the querier's pinned store generation)
-  /// classifies it: equal to the entry's generation => kHit (LRU tick);
-  /// entry older => kRevalidate (NO LRU tick — only a passing
-  /// revalidation earns the entry its recency); entry newer => kMiss.
+  /// querier's stage-1 demand) to be usable at all; then `generation`
+  /// (the querier's pinned store generation) classifies it: equal to
+  /// the entry's generation => kHit (LRU tick); entry older =>
+  /// kRevalidate (NO LRU tick — only a passing revalidation earns the
+  /// entry its recency); entry newer => kMiss.
   /// An entry only ever answers its exact (store id, partition id) pair.
   Stage1LookupResult Lookup(uint64_t store_id, uint64_t partition_id,
                             int z_attr, const std::vector<int>& x_attrs,
