@@ -106,11 +106,6 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
       return Status::InvalidArgument(
           "stage-1 prior does not match the sampling domain");
     }
-    if (prior->exhausted != nullptr &&
-        static_cast<int>(prior->exhausted->size()) != vz_) {
-      return Status::InvalidArgument(
-          "stage-1 prior exhausted flags do not match the candidate count");
-    }
   }
 
   total_ = CountMatrix(vz_, vx_);
@@ -127,22 +122,15 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
     // Warm start: the stage-1 demand just issued is satisfied from the
     // prior sample, exactly as if the caller had drawn it.
     diag_.stage1_warm = true;
-    // An overlapping prior's exhaustion flags are dropped, not honored:
-    // a candidate marked exact here would skip MarkExact's prior
-    // subtraction forever, yet the caller's overlapping window keeps
-    // merging that candidate's duplicate rows into the totals — an
-    // inflated count reported as exact. Exactness is instead
-    // re-established by the caller's own exhaustion signal (a small
-    // candidate runs dry in the caller's window too), which MarkExact
-    // makes sound by subtracting the prior's row.
-    const bool overlapping = prior->overlapping && !prior->all_consumed;
-    if (overlapping) prior_counts_ = *prior->counts;
-    const std::vector<bool> no_exhaustion(static_cast<size_t>(vz_), false);
+    // Only a prior spanning the whole relation makes counts exact here;
+    // otherwise exactness comes from the caller's own exhaustion signal,
+    // which MarkExact makes sound for an overlapping prior by
+    // subtracting the prior's row.
+    const bool all_consumed = prior->rows_drawn >= n_total_;
+    if (prior->overlapping && !all_consumed) prior_counts_ = *prior->counts;
     return Supply(*prior->counts,
-                  prior->exhausted != nullptr && !overlapping
-                      ? *prior->exhausted
-                      : no_exhaustion,
-                  prior->all_consumed, prior->rows_drawn);
+                  std::vector<bool>(static_cast<size_t>(vz_), false),
+                  all_consumed, prior->rows_drawn);
   }
   return Status::OK();
 }
@@ -150,7 +138,7 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
 Status HistSimMachine::AcceptSupply(const char* caller,
                                     const CountMatrix& fresh,
                                     const std::vector<bool>& exhausted,
-                                    bool all_consumed) {
+                                    bool all_consumed, int64_t rows_drawn) {
   if (phase_ != Phase::kStage1 && phase_ != Phase::kStage2 &&
       phase_ != Phase::kStage3) {
     return Status::FailedPrecondition(std::string("HistSimMachine::") +
@@ -167,8 +155,13 @@ Status HistSimMachine::AcceptSupply(const char* caller,
     if (all_consumed || exhausted[i]) MarkExact(i);
   }
   // Every phase's fresh sample folds into the totals once, here (Alg. 1
-  // l.15-16 for a stage-2 round, which is tested on `fresh` alone).
+  // l.15-16 for a stage-2 round, which is tested on `fresh` alone), and
+  // its rows are booked to the phase's stage once.
   total_.Merge(fresh);
+  int64_t& samples = phase_ == Phase::kStage1   ? diag_.stage1_samples
+                     : phase_ == Phase::kStage2 ? diag_.stage2_samples
+                                                : diag_.stage3_samples;
+  samples += rows_drawn;
   return Status::OK();
 }
 
@@ -176,17 +169,17 @@ Status HistSimMachine::Supply(const CountMatrix& fresh,
                               const std::vector<bool>& exhausted,
                               bool all_consumed, int64_t rows_drawn) {
   FASTMATCH_RETURN_IF_ERROR(
-      AcceptSupply("Supply", fresh, exhausted, all_consumed));
+      AcceptSupply("Supply", fresh, exhausted, all_consumed, rows_drawn));
   Status status;
   switch (phase_) {
     case Phase::kStage1:
       status = FinishStage1(rows_drawn);
       break;
     case Phase::kStage2:
-      status = FinishStage2Round(fresh, rows_drawn);
+      status = FinishStage2Round(fresh);
       break;
     default:
-      status = FinishStage3(rows_drawn);
+      status = Finalize();
       break;
   }
   if (!status.ok()) {
@@ -197,8 +190,6 @@ Status HistSimMachine::Supply(const CountMatrix& fresh,
 }
 
 Status HistSimMachine::FinishStage1(int64_t rows_drawn) {
-  diag_.stage1_samples = rows_drawn;
-
   // Under-representation test (null: N_i >= sigma * N) only when a
   // pruning threshold was requested and sampling was partial.
   const int64_t k_rare = static_cast<int64_t>(
@@ -329,9 +320,7 @@ Status HistSimMachine::PrepareStage2RoundOrAdvance() {
   return Status::OK();
 }
 
-Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh,
-                                         int64_t rows_drawn) {
-  diag_.stage2_samples += rows_drawn;
+Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh) {
   // The round is already folded into the totals; the next round's
   // split point and the stage-3 top-ups read the refreshed estimates.
   for (int i : active_set_) RefreshTau(i);
@@ -404,11 +393,6 @@ Status HistSimMachine::BeginStage3() {
     phase_ = Phase::kStage3;
     return Status::OK();
   }
-  return Finalize();
-}
-
-Status HistSimMachine::FinishStage3(int64_t rows_drawn) {
-  diag_.stage3_samples = rows_drawn;
   return Finalize();
 }
 
@@ -518,19 +502,8 @@ Status HistSimMachine::HarvestBestEffort(const CountMatrix& fresh,
                                          const std::vector<bool>& exhausted,
                                          bool all_consumed,
                                          int64_t rows_drawn) {
-  FASTMATCH_RETURN_IF_ERROR(
-      AcceptSupply("HarvestBestEffort", fresh, exhausted, all_consumed));
-  switch (phase_) {
-    case Phase::kStage1:
-      diag_.stage1_samples = rows_drawn;
-      break;
-    case Phase::kStage2:
-      diag_.stage2_samples += rows_drawn;
-      break;
-    default:
-      diag_.stage3_samples = rows_drawn;
-      break;
-  }
+  FASTMATCH_RETURN_IF_ERROR(AcceptSupply("HarvestBestEffort", fresh,
+                                         exhausted, all_consumed, rows_drawn));
   diag_.rounds = round_t_;
   for (int i = 0; i < vz_; ++i) RefreshTau(i);
 

@@ -65,12 +65,17 @@ struct MatchResult {
   /// error_bars[i] simultaneously for every candidate (Theorem 1 at
   /// delta/|VZ| per candidate, |tau_hat - tau| <= ||r_hat - r||_1).
   /// 0 for exact candidates; MaxDistance for zero-sample candidates.
+  /// A 0 bar is only as good as `exact` (see below).
   std::vector<double> error_bars;
   /// Final cumulative counts per candidate.
   CountMatrix counts;
   /// Stage-1 pruning decision per candidate.
   std::vector<bool> pruned;
-  /// Candidates whose counts are exact (fully enumerated).
+  /// Candidates the sampling window exhausted. That is the whole
+  /// relation only when the window started at the beginning of the
+  /// scan: a batch query that joined mid-scan, or a run resumed from a
+  /// donor's scan state, is flagged exact (bar 0) on counts that miss
+  /// the rows consumed before its window (a known defect).
   std::vector<bool> exact;
   /// The run was harvested before its three stages completed (execution
   /// budget expired): topk/distances rank whatever samples were pooled
@@ -151,20 +156,12 @@ struct SampleDemand {
 struct Stage1Prior {
   /// Stage-1 counts, |VZ| x |VX|. Required.
   const CountMatrix* counts = nullptr;
-  /// Rows behind `counts`; must be > 0.
+  /// Rows behind `counts`; must be > 0. A prior with rows_drawn >=
+  /// total_rows covers the whole relation (every count exact), and the
+  /// machine then completes immediately with the exact result. No other
+  /// prior marks a candidate exact: only the caller's own exhaustion
+  /// signal in a later Supply does.
   int64_t rows_drawn = 0;
-  /// Optional per-candidate exhaustion knowledge: exhausted[i] asserts
-  /// counts row i is EXACT (every row of candidate i is behind it), not
-  /// merely that some sampling window ran dry. Empty = no knowledge.
-  /// Ignored when `overlapping` is set: the caller's window may then
-  /// re-deliver an exhausted candidate's rows, so honoring the flag
-  /// would freeze an "exact" count that later Supplies keep inflating —
-  /// exactness is instead re-derived from the caller's own exhaustion
-  /// signal with the prior's row subtracted.
-  const std::vector<bool>* exhausted = nullptr;
-  /// Every row of the relation is behind `counts` (all rows exact); the
-  /// machine then completes immediately with the exact result.
-  bool all_consumed = false;
   /// The caller's later sampling window may revisit rows already behind
   /// `counts` (e.g. a warm start into a fresh scan that was NOT resumed
   /// from the prior's position). Pooled totals are statistically fine —
@@ -268,9 +265,11 @@ class HistSimMachine {
   /// The prologue Supply and HarvestBestEffort share: refuses a call
   /// with no demand outstanding (FailedPrecondition naming `caller`),
   /// CHECKs the arguments' shape, marks the signalled candidates exact,
-  /// and folds `fresh` into the totals.
+  /// folds `fresh` into the totals and books `rows_drawn` to the current
+  /// stage's sample counter.
   Status AcceptSupply(const char* caller, const CountMatrix& fresh,
-                      const std::vector<bool>& exhausted, bool all_consumed);
+                      const std::vector<bool>& exhausted, bool all_consumed,
+                      int64_t rows_drawn);
 
   /// Per-candidate deviation radius from `n` pooled rows: 0 when
   /// `is_exact`, MaxDistance when n == 0, else Theorem 1 at delta/|VZ|
@@ -285,9 +284,8 @@ class HistSimMachine {
   Status PrepareStage2RoundOrAdvance();
   /// Tests the round on its own `fresh` sample (already folded into the
   /// totals by AcceptSupply).
-  Status FinishStage2Round(const CountMatrix& fresh, int64_t rows_drawn);
+  Status FinishStage2Round(const CountMatrix& fresh);
   Status BeginStage3();
-  Status FinishStage3(int64_t rows_drawn);
   Status Finalize();
 
   HistSimParams params_;

@@ -187,11 +187,6 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
     const Stage1Snapshot& warm = *query.stage1_warm;
     prior.counts = &warm.counts;
     prior.rows_drawn = warm.rows_drawn;
-    if (!warm.scan.exhausted.empty()) prior.exhausted = &warm.scan.exhausted;
-    // A prior spanning the whole relation carries exact counts for every
-    // candidate: the machine completes instantly without touching the
-    // scan (handled below).
-    prior.all_consumed = warm.rows_drawn >= pin_.num_rows;
     // Disjointness: when every block behind the prior is already in
     // this scan's consumed set (a resume from the snapshot's state, or
     // a join after the scan passed the prior's window), the remaining
@@ -287,7 +282,7 @@ void BatchExecutor::SupplyPhase(QueryState* q, bool all_consumed) {
   const Status status =
       q->machine.Supply(fresh, ts.exhausted, all_consumed, drawn);
   if (stage1_phase && options_.stage1_sink != nullptr && drawn > 0) {
-    ExportStage1(*q, ts, std::move(fresh), drawn);
+    ExportStage1(ts, std::move(fresh), drawn);
   }
   if (!status.ok()) {
     q->status = status;
@@ -303,8 +298,8 @@ void BatchExecutor::SupplyPhase(QueryState* q, bool all_consumed) {
   }
 }
 
-void BatchExecutor::ExportStage1(const QueryState& q, const TemplateState& ts,
-                                 CountMatrix fresh, int64_t drawn) {
+void BatchExecutor::ExportStage1(const TemplateState& ts, CountMatrix fresh,
+                                 int64_t drawn) {
   // Export the completed stage-1 phase. The counts are published even
   // when Supply failed (an all-pruned error is parameter-specific; the
   // sample itself is target-independent and reusable), and even for
@@ -316,15 +311,6 @@ void BatchExecutor::ExportStage1(const QueryState& q, const TemplateState& ts,
   snapshot->scan.consumed = cursor_.consumed();
   snapshot->scan.cursor = cursor_.position();
   snapshot->scan.generation = pin_.generation;
-  if (!options_.resume.has_value() && q.snap_rows == 0 &&
-      ts.rows_cum == stats_.rows_read) {
-    // Only when the counts cover every row this scan read does a
-    // template exhaustion flag certify the counts as exact — the
-    // Stage1Snapshot contract. A joined query's window (snap_rows > 0),
-    // a resumed scan's hidden prefix, or a template that missed early
-    // chunks (rows_cum < rows_read) all break that coverage.
-    snapshot->scan.exhausted = ts.exhausted;
-  }
   options_.stage1_sink->Publish(store_->id(), kWholeStorePartition, ts.z_attr,
                                 ts.x_attrs, std::move(snapshot));
   ++stats_.stage1_exports;

@@ -64,10 +64,11 @@
 // and CaptureScanState() + BatchOptions::resume exist precisely so
 // tests can assert that equivalence. One caveat is inherited
 // exhaustion: when every block of candidate c is consumed, c is
-// "exhausted" for a joined query too — meaning no further fresh samples
-// of c can ever arrive, so its MatchResult::exact flag reports exactness
-// over the query's own sampling window (the suffix), not over the full
-// relation.
+// "exhausted" for a joined query too — no further fresh samples of c
+// can ever arrive — and its MatchResult::exact flag is set with a 0
+// error bar although its counts cover only the suffix, not the full
+// relation. That overclaims (a known defect): the counts are a sample,
+// and the flag and bar say otherwise.
 //
 // Warm stage-1 starts: stage 1 is target-independent per template, so
 // one query's completed stage-1 sample serves every later query on the
@@ -148,12 +149,9 @@ struct ScanResume {
 ///
 /// `counts`/`rows_drawn` follow the stage-1 Supply contract: the
 /// phase's fresh rows and only those. `scan` is the shared scan's state
-/// at export time: `consumed`/`cursor` always describe the donor scan
-/// (feeding them to BatchOptions::resume yields the disjoint-suffix
-/// solo run a warm start is equivalent to); `scan.exhausted` is filled
-/// ONLY when `counts` covers every consumed row, so an exhausted flag
-/// always certifies the row's counts as exact — a consumer may hand it
-/// to Stage1Prior::exhausted as-is.
+/// at export time: `consumed`/`cursor` describe the donor scan (feeding
+/// them to BatchOptions::resume yields the disjoint-suffix solo run a
+/// warm start is equivalent to); `scan.exhausted` stays empty.
 struct Stage1Snapshot {
   CountMatrix counts;
   int64_t rows_drawn = 0;
@@ -473,8 +471,8 @@ class BatchExecutor {
   /// Marks and reads one shared-scan window.
   void ReadChunk();
   /// Publishes a completed stage-1 phase to the sink.
-  void ExportStage1(const QueryState& q, const TemplateState& ts,
-                    CountMatrix fresh, int64_t drawn);
+  void ExportStage1(const TemplateState& ts, CountMatrix fresh,
+                    int64_t drawn);
   /// Fires the terminal callbacks for every newly-inactive query: the
   /// final ProgressUpdate (OK subscribed queries) then the completion
   /// callback.

@@ -1,6 +1,5 @@
 #include "service/stage1_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -31,24 +30,14 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
     // the resident never replaces it (its rows are a subset of what the
     // resident already covers). At EQUAL generation both samples are
     // valid forever against that fixed prefix, so keep the one that
-    // covers more demands: bigger rows_drawn wins; a rows_drawn tie is
-    // broken in favor of a snapshot with a TRUE exhaustion flag over a
-    // resident without one (the flag certifies a candidate's exact
-    // counts to a disjoint consumer — strictly more information at
-    // equal coverage; an all-false vector certifies nothing); otherwise
-    // the resident wins, nothing to gain from the swap. Only a
-    // replacement counts as an insert.
-    const auto certifies = [](const Stage1Snapshot& s) {
-      return std::any_of(s.scan.exhausted.begin(), s.scan.exhausted.end(),
-                         [](bool flag) { return flag; });
-    };
+    // covers more demands: bigger rows_drawn wins; on a tie the resident
+    // stays, nothing to gain from the swap. Only a replacement counts as
+    // an insert.
     const Entry& resident = it->second;
     const bool replace =
         incoming_gen > resident.generation ||
         (incoming_gen == resident.generation &&
-         (snapshot->rows_drawn > resident.snapshot->rows_drawn ||
-          (snapshot->rows_drawn == resident.snapshot->rows_drawn &&
-           certifies(*snapshot) && !certifies(*resident.snapshot))));
+         snapshot->rows_drawn > resident.snapshot->rows_drawn);
     if (replace) {
       it->second.snapshot = std::move(snapshot);
       it->second.generation = incoming_gen;

@@ -117,9 +117,8 @@ class Stage1Cache : public Stage1Sink {
   /// \brief Stage1Sink hook: keeps the snapshot unless the existing
   /// entry's sample is at least as large (then only the LRU tick is
   /// renewed — the bigger sample covers every demand the smaller one
-  /// could). A same-size snapshot still replaces the resident when it
-  /// carries a true exhaustion flag and the resident has none. Evicts
-  /// the least-recently-used entry when over capacity.
+  /// could, and on a tie the resident stays). Evicts the
+  /// least-recently-used entry when over capacity.
   void Publish(uint64_t store_id, uint64_t partition_id, int z_attr,
                const std::vector<int>& x_attrs,
                std::shared_ptr<const Stage1Snapshot> snapshot) override

@@ -1070,53 +1070,6 @@ TEST(BatchExecutorWarmTest, OverlappingWarmExhaustionReportsTrueExactCounts) {
   EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
 }
 
-TEST(BatchExecutorWarmTest, DonorExhaustionFlagsDroppedForOverlappingWarm) {
-  // Variant of the hazard above with a donor snapshot that itself
-  // carries an exhausted flag (a small candidate fully enumerated in
-  // the donor's stage-1 window). The fresh overlapping scan re-delivers
-  // that candidate's rows, so honoring the donor's flag would freeze an
-  // "exact" count that every later merge keeps inflating; the machine
-  // must drop the flags and re-establish exactness from its own window.
-  BatchFixture f = MakeBatchFixture(200, 66, /*rows_per_block=*/25);
-  auto snapshot = std::make_shared<Stage1Snapshot>();
-  snapshot->counts = CountMatrix(12, 8);
-  int64_t prior_rows = 0;
-  for (int i = 0; i < 12; ++i) {
-    int64_t* row = snapshot->counts.MutableData() + i * 8;
-    for (int g = 0; g < 8; ++g) {
-      row[g] = i == 0 ? f.exact.At(i, g) : f.exact.At(i, g) / 2;
-      snapshot->counts.MutableRowTotals()[i] += row[g];
-      prior_rows += row[g];
-    }
-  }
-  snapshot->rows_drawn = prior_rows;
-  snapshot->scan.generation = f.store->Pin().generation;
-  ASSERT_LT(prior_rows, f.store->num_rows());
-  snapshot->scan.exhausted.assign(12, false);
-  snapshot->scan.exhausted[0] = true;
-  // scan.consumed stays default (empty): bind-time disjointness cannot
-  // prove the fresh scan avoids the prior's rows, so the prior is
-  // treated as overlapping.
-
-  BoundQuery warm = MakeQuery(f, f.target, 9);
-  warm.params.stage1_samples = 100;
-  warm.stage1_warm = snapshot;
-  auto exec =
-      BatchExecutor::Create({warm}, Options(2, /*seed=*/33, /*chunk=*/2))
-          .value();
-  std::vector<BatchItem> items = exec->Run();
-  ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-  EXPECT_TRUE(items[0].match.diag.stage1_warm);
-  EXPECT_TRUE(items[0].match.diag.data_exhausted);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(items[0].match.exact[i]);
-    EXPECT_EQ(items[0].match.counts.RowTotal(i), f.exact.RowTotal(i))
-        << "candidate " << i << " inflated by the donor's exhaustion flag";
-  }
-  std::set<int> got(items[0].match.topk.begin(), items[0].match.topk.end());
-  EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
-}
-
 TEST(BatchExecutorWarmTest, FullCoverageSnapshotCompletesAtBind) {
   // A snapshot spanning the whole relation carries exact counts: warm
   // queries complete instantly with the exact result and the scan never

@@ -461,17 +461,6 @@ TEST(HistSimMachineTest, WarmBeginValidation) {
     EXPECT_EQ(machine.Begin(12, 8, s.store->num_rows(), &prior).code(),
               StatusCode::kInvalidArgument);
   }
-  // Exhausted-flag size mismatch.
-  {
-    std::vector<bool> wrong_size(5, false);
-    Stage1Prior prior;
-    prior.counts = &counts;
-    prior.rows_drawn = 100;
-    prior.exhausted = &wrong_size;
-    HistSimMachine machine(TestParams(), s.target);
-    EXPECT_EQ(machine.Begin(12, 8, s.store->num_rows(), &prior).code(),
-              StatusCode::kInvalidArgument);
-  }
 }
 
 TEST(HistSimMachineTest, WarmBeginAllConsumedCompletesInstantly) {
@@ -482,7 +471,6 @@ TEST(HistSimMachineTest, WarmBeginAllConsumedCompletesInstantly) {
   Stage1Prior prior;
   prior.counts = &s.exact;
   prior.rows_drawn = s.store->num_rows();
-  prior.all_consumed = true;
   HistSimMachine machine(TestParams(), s.target);
   ASSERT_TRUE(machine.Begin(12, 8, s.store->num_rows(), &prior).ok());
   ASSERT_TRUE(machine.done());
@@ -495,88 +483,6 @@ TEST(HistSimMachineTest, WarmBeginAllConsumedCompletesInstantly) {
   for (int i = 0; i < 12; ++i) {
     EXPECT_TRUE(result.exact[i]);
     EXPECT_EQ(result.counts.RowTotal(i), s.exact.RowTotal(i));
-  }
-}
-
-TEST(HistSimMachineTest, OverlappingPriorDropsDonorExhaustionFlags) {
-  // A donor's exhaustion flag certifies counts exact only within the
-  // DONOR's window. An overlapping caller rescans those same rows, so
-  // honoring the flag would freeze candidate 0 as "exact" while every
-  // later Supply keeps merging its duplicate rows — inflated counts
-  // reported as exact. The machine must drop the flags (behaving as if
-  // the donor sent none) and re-derive exactness from its own window
-  // with the prior subtracted.
-  std::vector<int64_t> rows = {150, 1500, 1500, 1500, 1500};
-  auto dists = PlantedDistributions(5, 4, {0.0, 0.08, 0.16, 0.24, 0.3});
-  auto store = MakeExactStore(rows, dists, 25);
-  CountMatrix exact = ComputeExactCounts(*store, 0, {1}).value();
-  HistSimParams p = TestParams();
-  p.k = 2;
-
-  // Donor window: all of candidate 0's rows (exhausted in that window)
-  // plus half of every other candidate's.
-  CountMatrix prior_counts(5, 4);
-  int64_t prior_rows = 0;
-  for (int i = 0; i < 5; ++i) {
-    int64_t* row = prior_counts.MutableData() + i * 4;
-    for (int g = 0; g < 4; ++g) {
-      row[g] = i == 0 ? exact.At(i, g) : exact.At(i, g) / 2;
-      prior_counts.MutableRowTotals()[i] += row[g];
-      prior_rows += row[g];
-    }
-  }
-  std::vector<bool> donor_exhausted(5, false);
-  donor_exhausted[0] = true;
-
-  Stage1Prior prior;
-  prior.counts = &prior_counts;
-  prior.rows_drawn = prior_rows;
-  prior.exhausted = &donor_exhausted;
-  prior.overlapping = true;
-  Stage1Prior no_flags = prior;
-  no_flags.exhausted = nullptr;
-
-  const Distribution target = UniformDistribution(4);
-  HistSimMachine with_flags(p, target);
-  HistSimMachine without_flags(p, target);
-  ASSERT_TRUE(with_flags.Begin(5, 4, store->num_rows(), &prior).ok());
-  ASSERT_TRUE(without_flags.Begin(5, 4, store->num_rows(), &no_flags).ok());
-
-  auto s1 = RowSampler::Create(store, 0, {1}, 73).value();
-  auto s2 = RowSampler::Create(store, 0, {1}, 73).value();
-  int phases = 0;
-  while (!with_flags.done() && !without_flags.done()) {
-    ASSERT_LT(phases++, 100) << "machines do not converge";
-    ASSERT_EQ(with_flags.demand().kind, SampleDemand::Kind::kTargets);
-    ASSERT_EQ(with_flags.demand().targets, without_flags.demand().targets);
-    for (RowSampler* sampler : {s1.get(), s2.get()}) {
-      HistSimMachine& machine =
-          sampler == s1.get() ? with_flags : without_flags;
-      CountMatrix fresh(5, 4);
-      std::vector<bool> exhausted(5, false);
-      const int64_t before = sampler->rows_consumed();
-      sampler->SampleUntilTargets(machine.demand().targets, &fresh,
-                                  &exhausted);
-      ASSERT_TRUE(machine
-                      .Supply(fresh, exhausted, sampler->AllConsumed(),
-                              sampler->rows_consumed() - before)
-                      .ok());
-    }
-  }
-  ASSERT_TRUE(with_flags.done());
-  ASSERT_TRUE(without_flags.done());
-  MatchResult got = with_flags.TakeResult();
-  MatchResult want = without_flags.TakeResult();
-  EXPECT_EQ(got.topk, want.topk);
-  EXPECT_EQ(got.distances, want.distances);
-  EXPECT_EQ(got.exact, want.exact);
-  // The tiny store exhausts under TestParams' sample demands: exact
-  // must mean exact, with the donor's duplicated rows subtracted.
-  ASSERT_TRUE(got.diag.data_exhausted);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(got.exact[i]);
-    EXPECT_EQ(got.counts.RowTotal(i), exact.RowTotal(i))
-        << "candidate " << i << " inflated by the overlapping prior";
   }
 }
 

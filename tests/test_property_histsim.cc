@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/histsim.h"
 #include "row_sampler.h"
@@ -163,8 +164,10 @@ TEST_P(SigmaSweep, PrunedCandidatesAreActuallyRare) {
 INSTANTIATE_TEST_SUITE_P(Grid, SigmaSweep,
                          ::testing::Values(0.0, 0.0005, 0.002, 0.01, 0.05),
                          [](const auto& info) {
-                           return "s" + std::to_string(static_cast<int>(
-                                            info.param * 100000));
+                           std::string name = "s";
+                           name += std::to_string(
+                               static_cast<int>(info.param * 100000));
+                           return name;
                          });
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "stats/deviation.h"
 #include "stats/hypergeometric.h"
@@ -123,9 +124,13 @@ INSTANTIATE_TEST_SUITE_P(
                       HypCase{1000, 1, 999}, HypCase{1000, 500, 500},
                       HypCase{5000, 4, 100}, HypCase{333, 111, 222}),
     [](const auto& info) {
-      return "N" + std::to_string(info.param.N) + "_K" +
-             std::to_string(info.param.K) + "_m" +
-             std::to_string(info.param.m);
+      std::string name = "N";
+      name += std::to_string(info.param.N);
+      name += "_K";
+      name += std::to_string(info.param.K);
+      name += "_m";
+      name += std::to_string(info.param.m);
+      return name;
     });
 
 // ------------------------------------------------------- multiple testing

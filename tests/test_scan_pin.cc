@@ -158,8 +158,13 @@ class ScanLogSink : public Stage1Sink {
  public:
   void Publish(uint64_t, uint64_t, int, const std::vector<int>&,
                std::shared_ptr<const Stage1Snapshot> snapshot) override {
-    log += "<" + std::to_string(snapshot->scan.cursor) + "/" +
-           std::to_string(snapshot->scan.consumed.Popcount()) + ">";
+    // A snapshot carries counts and a scan position, never exactness.
+    EXPECT_TRUE(snapshot->scan.exhausted.empty());
+    log += '<';
+    log += std::to_string(snapshot->scan.cursor);
+    log += '/';
+    log += std::to_string(snapshot->scan.consumed.Popcount());
+    log += '>';
   }
   std::string log;
 };

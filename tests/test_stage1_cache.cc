@@ -151,38 +151,12 @@ TEST(Stage1CacheTest, PublishKeepsTheBiggerSample) {
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(2000));  // tie: resident wins
   hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;
   EXPECT_EQ(hit, resident);
-  // An all-false exhausted vector (the common executor export)
-  // certifies nothing: a tie carrying one must not displace the
-  // resident either.
-  auto allfalse_mut = std::make_shared<Stage1Snapshot>();
-  allfalse_mut->counts = CountMatrix(4, 3);
-  allfalse_mut->rows_drawn = 2000;
-  allfalse_mut->scan.generation = kGen;
-  allfalse_mut->scan.exhausted = {false, false, false, false};
-  cache.Publish(1, kWhole, 0, {1}, allfalse_mut);
-  hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;
-  EXPECT_EQ(hit, resident);
-  // A tied snapshot with a TRUE exhaustion flag outranks a resident
-  // without one: at equal coverage the flag certifies a candidate's
-  // exact counts to a disjoint consumer — strictly more information.
-  auto flagged_mut = std::make_shared<Stage1Snapshot>();
-  flagged_mut->counts = CountMatrix(4, 3);
-  flagged_mut->rows_drawn = 2000;
-  flagged_mut->scan.generation = kGen;
-  flagged_mut->scan.exhausted = {true, false, false, false};
-  std::shared_ptr<const Stage1Snapshot> flagged = flagged_mut;
-  cache.Publish(1, kWhole, 0, {1}, flagged);
-  hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;
-  EXPECT_EQ(hit, flagged);
-  cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(2000));  // flagless tie:
-  hit = cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot;  // dropped
-  EXPECT_EQ(hit, flagged);
   EXPECT_EQ(cache.size(), 1);
   Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.stage1_publishes, 7);
-  // Only real replacements count: the dominated and all three
-  // non-upgrading tied publishes were dropped.
-  EXPECT_EQ(stats.stage1_inserts, 3);
+  EXPECT_EQ(stats.stage1_publishes, 4);
+  // Only real replacements count: the dominated and the tied publishes
+  // were dropped.
+  EXPECT_EQ(stats.stage1_inserts, 2);
 }
 
 TEST(Stage1CacheTest, InvalidSnapshotsIgnored) {
