@@ -168,11 +168,10 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
   Stage1Prior prior;
   const Stage1Prior* prior_ptr = nullptr;
   // Generation guard for the warm start: the later of the snapshot's own
-  // scan generation and the caller's validation stamp
-  // (stage1_warm_generation, set by the service tier after a cache hit
-  // or passed revalidation; 0 defers to the snapshot's own) must match
-  // the batch's pin. A mismatch drops the warm start (the query runs
-  // cold); it never silently serves a stale prior.
+  // scan generation and the caller's stamp (stage1_warm_generation; 0
+  // defers to the snapshot's own) must match the batch's pin. A mismatch
+  // drops the warm start (the query runs cold); it never silently serves
+  // a stale prior.
   bool warm_stale = false;
   if (query.stage1_warm != nullptr) {
     const uint64_t snapshot_gen = query.stage1_warm->scan.generation;

@@ -159,8 +159,9 @@ struct Stage1Snapshot {
 };
 
 /// \brief Partition sub-key of every stage-1 publish: a batch always
-/// scans one whole ColumnStore. Kept as a key dimension for source
-/// compatibility of the Stage1Sink / Stage1Cache interfaces.
+/// scans one whole ColumnStore. Kept as a key dimension because the
+/// systems benchmark passes it to Stage1Cache::Lookup; it goes when the
+/// benchmark stops naming it.
 inline constexpr uint64_t kWholeStorePartition = 0;
 
 /// \brief Where the batch executor publishes stage-1 snapshots
@@ -235,9 +236,10 @@ struct BatchStats {
   /// Queries that skipped stage 1 via BoundQuery::stage1_warm.
   int64_t warm_queries = 0;
   /// Warm starts DROPPED because their generation did not match the
-  /// batch's pinned generation (the query ran cold instead): a stage-1
-  /// prior drawn at generation g is never served at generation g' != g
-  /// without the service tier's explicit revalidation.
+  /// batch's pinned generation (the query ran cold instead). The
+  /// scheduler attaches a prior only at its own generation, so this
+  /// counts an append that raced between its consult and the batch's
+  /// pin, or a caller's stale attachment.
   int64_t stale_warm_dropped = 0;
   /// Stage-1 snapshots published to BatchOptions::stage1_sink.
   int64_t stage1_exports = 0;

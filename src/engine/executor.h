@@ -55,11 +55,16 @@ struct BoundQuery {
   /// cache hit made explicit). Must match the query's (store, z_attr,
   /// x_attrs) domain. Ignored by the single-query RunQuery approaches.
   std::shared_ptr<const Stage1Snapshot> stage1_warm;
-  /// Store generation `stage1_warm` was validated against (0 = the
-  /// snapshot's own scan.generation). When the executor's pinned
-  /// generation differs, the warm start is DROPPED and the query runs cold — a prior drawn at
-  /// generation g must never silently stand in for generation g' > g
-  /// (BatchStats::stale_warm_dropped counts these).
+  /// Store generation `stage1_warm` is served at (0 = the snapshot's own
+  /// scan.generation). The executor serves the warm start only when the
+  /// later of the two equals its pinned generation; otherwise it DROPS
+  /// it and the query runs cold (BatchStats::stale_warm_dropped counts
+  /// these). The scheduler sets it to the generation its cache lookup
+  /// was pinned at, which is always the snapshot's own. A stamp ahead
+  /// of the snapshot would serve a prior with no appended row, so no
+  /// library path sets one; the field stays because the systems
+  /// benchmark attaches warm priors the way the scheduler does, through
+  /// it.
   uint64_t stage1_warm_generation = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "service/stage1_revalidator.h"
 #include "util/logging.h"
 
 namespace fastmatch {
@@ -165,10 +164,20 @@ void QueryScheduler::Deliver(Ticket* ticket, Status status, MatchResult match,
     default:
       break;
   }
-  // Count the completion before fulfilling the promise so a caller
-  // woken by the future never observes a stats() snapshot missing its
-  // query.
-  Count(&SchedulerStats::completed, 1, terminal);
+  // Only EvictAtBoundary's Evict() resolves an admitted ticket
+  // Cancelled; a query cancelled while queued is shed before admission.
+  const bool evicted = item.status.code() == StatusCode::kCancelled &&
+                       ticket->admitted != Clock::time_point();
+  // Count the completion, its terminal state and an eviction in one
+  // critical section, before fulfilling the promise: a caller woken by
+  // the future never observes a stats() snapshot missing its query, and
+  // no snapshot sees an eviction without its cancel.
+  {
+    MutexLock lock(&stats_mu_);
+    ++stats_.completed;
+    if (terminal != nullptr) ++(stats_.*terminal);
+    if (evicted) ++stats_.evicted;
+  }
   ticket->promise.set_value(std::move(item));
 }
 
@@ -316,41 +325,15 @@ void QueryScheduler::Admit(Ticket ticket, Clock::time_point now,
 void QueryScheduler::AttachWarmStage1(BoundQuery* query) {
   if (stage1_cache_ == nullptr || IsWarm(*query)) return;
   // A hit must cover the query's full stage-1 demand (the cache treats
-  // smaller entries as misses) AND be valid at the pinned generation.
-  const StorePin pin = query->store->Pin();
+  // smaller entries as misses) AND have been drawn at the pinned
+  // generation.
+  const uint64_t generation = query->store->Pin().generation;
   Stage1LookupResult found = stage1_cache_->Lookup(
       query->store->id(), kWholeStorePartition, query->z_attr, query->x_attrs,
-      query->params.stage1_samples, pin.generation);
-  if (found.outcome == Stage1Outcome::kRevalidate) {
-    // Generation-stale prior: drift-test it synchronously (a small
-    // fresh draw — cheap next to the full stage-1 re-pay it may save).
-    // STABLE promotes the cache entry and serves the prior at the
-    // pinned generation; DRIFTING evicts it and the query runs cold. A
-    // revalidation that itself fails (e.g. the pinned generation
-    // vanished) is treated as a miss — never served unexamined.
-    Result<RevalidationReport> report =
-        RevalidateStage1(query->store, query->z_attr, query->x_attrs,
-                         *found.snapshot, pin.generation);
-    if (!report.ok()) return;
-    if (report->verdict == RevalidationVerdict::kStable) {
-      // The promotion may lose to a racing publish/eviction — the
-      // verdict still holds for OUR snapshot at OUR pin, so it is
-      // served either way; only the cache bookkeeping is best-effort.
-      stage1_cache_->Promote(query->store->id(), kWholeStorePartition,
-                             query->z_attr, query->x_attrs,
-                             found.entry_generation, pin.generation);
-      query->stage1_warm = std::move(found.snapshot);
-      query->stage1_warm_generation = pin.generation;
-    } else {
-      stage1_cache_->EvictDrifted(query->store->id(), kWholeStorePartition,
-                                  query->z_attr, query->x_attrs,
-                                  found.entry_generation);
-    }
-    return;
-  }
+      query->params.stage1_samples, generation);
   if (found.outcome == Stage1Outcome::kHit) {
     query->stage1_warm = std::move(found.snapshot);
-    query->stage1_warm_generation = pin.generation;
+    query->stage1_warm_generation = generation;
   }
 }
 
@@ -367,9 +350,9 @@ void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
     // A query both cancelled and past its budget is evicted Cancelled:
     // nobody waits for its best-effort answer.
     if (ticket.cancel->cancelled()) {
+      // Deliver() counts the eviction with its Cancelled terminal.
       const Status evicted = executor->Evict(i);
       FASTMATCH_CHECK(evicted.ok()) << evicted.ToString();
-      Count(&SchedulerStats::evicted);
     } else if (ticket.budget_seconds > 0 &&
                now >= ticket.admitted + FromSeconds(ticket.budget_seconds)) {
       // The harvested item resolves OK, so Deliver() counts it as a
@@ -470,29 +453,24 @@ void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
   // Warm-batch scan resume: when EVERY query of a fresh batch is warm
   // from the SAME snapshot, the batch continues the donor's scan instead
   // of starting fresh — the donor's prefix blocks are pre-consumed and
-  // never re-read, and the disjointness makes each warm prior exact (no
-  // overlapping downgrade). One shared snapshot implies one template,
-  // so the resume's exhaustion flags are valid. The resume runs AT THE
-  // DONOR'S GENERATION (the executor re-pins it), so its geometry check
-  // uses the donor's pin, not the live store's — and a PROMOTED
-  // snapshot (warm generation ahead of its scan state) skips the
-  // resume: continuing the donor's scan would pin the old generation
-  // while the prior is being served at the new one, and the executor's
-  // stale-warm guard would rightly drop it.
+  // never re-read, so the prior's rows are disjoint from the scan that
+  // follows and exhaustion needs no overlapping-prior subtraction. One
+  // shared snapshot implies one template. The resume runs AT THE
+  // DONOR'S GENERATION (the executor re-pins it), which is the
+  // generation the cache served the snapshot at, so its geometry check
+  // uses the donor's pin, not the live store's.
   if (!batch_options.resume.has_value() &&
       queries.front().stage1_warm != nullptr) {
     const std::shared_ptr<const Stage1Snapshot>& snap =
         queries.front().stage1_warm;
-    const uint64_t warm_gen = queries.front().stage1_warm_generation;
     bool all_same = true;
     for (const BoundQuery& query : queries) {
-      if (query.stage1_warm != snap ||
-          query.stage1_warm_generation != warm_gen) {
+      if (query.stage1_warm != snap) {
         all_same = false;
         break;
       }
     }
-    if (all_same && (warm_gen == 0 || warm_gen == snap->scan.generation)) {
+    if (all_same) {
       const Result<StorePin> donor =
           queries.front().store->PinAt(snap->scan.generation);
       if (donor.ok() && snap->scan.consumed.size() == donor->num_blocks &&
@@ -729,9 +707,9 @@ SchedulerStats QueryScheduler::stats() const {
   if (stage1_cache_ != nullptr) {
     static_cast<Stage1CacheStats&>(s) = stage1_cache_->stats();
   }
-  FASTMATCH_CHECK_EQ(s.stage1_lookups,
-                     s.stage1_hits + s.stage1_misses + s.stage1_revalidations);
+  FASTMATCH_CHECK_EQ(s.stage1_lookups, s.stage1_hits + s.stage1_misses);
   FASTMATCH_CHECK_LE(s.completed, s.submitted);
+  FASTMATCH_CHECK_LE(s.evicted, s.cancelled);
   FASTMATCH_CHECK_LE(s.deadline_exceeded + s.cancelled + s.unavailable,
                      s.completed);
   return s;

@@ -413,7 +413,7 @@ class QueryScheduler {
 
   /// \brief One consistent snapshot of the behaviour counters. CHECKs
   /// the counter invariants: stage1_lookups == stage1_hits +
-  /// stage1_misses + stage1_revalidations, completed <= submitted, and
+  /// stage1_misses, completed <= submitted, evicted <= cancelled, and
   /// deadline_exceeded + cancelled + unavailable <= completed.
   SchedulerStats stats() const FASTMATCH_EXCLUDES(stats_mu_);
 
@@ -448,6 +448,7 @@ class QueryScheduler {
     /// refused cold query to warm).
     bool join_refused = false;
     /// Entry into a scan: queue time ends, the execution budget starts.
+    /// The clock's epoch until Admit sets it.
     Clock::time_point admitted;
     bool joined_midflight = false;
     /// Promise resolved: exactly once, from the completion callback
@@ -524,16 +525,12 @@ class QueryScheduler {
   void EvictAtBoundary(BatchExecutor* executor, std::vector<Ticket>* batch);
   /// Looks the query's template up in the stage-1 cache and attaches
   /// the snapshot on a hit (no-op when the cache is disabled or the
-  /// query already carries warm state). The consult is GENERATION-
-  /// AWARE: geometry comes from one pin taken here, the lookup carries
-  /// the pinned generation, and a generation-stale whole-store prior is
-  /// drift-tested synchronously (service/stage1_revalidator.h) — STABLE
-  /// promotes the entry and attaches it, DRIFTING evicts it and the
-  /// query runs cold. A cached prior is therefore never attached at a
-  /// generation other than the pinned one, and the executor's own
-  /// stale-warm guard backstops any append racing between this consult
-  /// and batch creation. The cache lock is a leaf: callers may hold a
-  /// pipeline lock.
+  /// query already carries warm state). The lookup carries the
+  /// generation of one pin taken here, and only an entry drawn at that
+  /// generation hits, so a cached prior is never attached at another
+  /// generation; the executor's own stale-warm guard backstops an append
+  /// racing between this consult and batch creation. The cache lock is a
+  /// leaf: callers may hold a pipeline lock.
   void AttachWarmStage1(BoundQuery* query);
   /// True when the query will skip stage 1 — the condition that lifts
   /// the min_join_suffix_fraction refusal.
@@ -553,11 +550,13 @@ class QueryScheduler {
 
   /// Builds the ticket's SchedulerItem — queue time from enqueue to
   /// `queued_until`, total time from enqueue to `finished` — counts it
-  /// completed together with its terminal status, and resolves the
+  /// completed together with its terminal status (and, for an admitted
+  /// ticket resolving Cancelled, its eviction), and resolves the
   /// promise, exactly once. The count lands BEFORE set_value so a woken
   /// waiter never observes a stats() snapshot missing its query.
   void Deliver(Ticket* ticket, Status status, MatchResult match,
-               Clock::time_point queued_until, Clock::time_point finished);
+               Clock::time_point queued_until, Clock::time_point finished)
+      FASTMATCH_EXCLUDES(stats_mu_);
 
   const SchedulerOptions options_;
   SharedWorkerPool* const pool_;  // options_.pool or the process pool

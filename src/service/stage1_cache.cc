@@ -23,24 +23,20 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
   const uint64_t incoming_gen = snapshot->scan.generation;
   if (it != entries_.end()) {
     // A snapshot from a NEWER generation than the resident replaces it
-    // unconditionally: the resident describes a strict prefix of the
-    // newer relation and would otherwise need a drift revalidation
-    // before every future serve, while the incoming one is already
-    // valid at the frontier. A snapshot from an OLDER generation than
-    // the resident never replaces it (its rows are a subset of what the
-    // resident already covers). At EQUAL generation both samples are
-    // valid forever against that fixed prefix, so keep the one that
-    // covers more demands: bigger rows_drawn wins; on a tie the resident
-    // stays, nothing to gain from the swap. Only a replacement counts as
-    // an insert.
-    const Entry& resident = it->second;
+    // unconditionally: the resident can only ever serve its own, older
+    // generation again, while the incoming one serves the frontier. A
+    // snapshot from an OLDER generation never replaces the resident. At
+    // EQUAL generation both samples are valid forever against that
+    // fixed prefix, so keep the one that covers more demands: bigger
+    // rows_drawn wins; on a tie the resident stays, nothing to gain from
+    // the swap. Only a replacement counts as an insert.
+    const Stage1Snapshot& resident = *it->second.snapshot;
     const bool replace =
-        incoming_gen > resident.generation ||
-        (incoming_gen == resident.generation &&
-         snapshot->rows_drawn > resident.snapshot->rows_drawn);
+        incoming_gen > resident.scan.generation ||
+        (incoming_gen == resident.scan.generation &&
+         snapshot->rows_drawn > resident.rows_drawn);
     if (replace) {
       it->second.snapshot = std::move(snapshot);
-      it->second.generation = incoming_gen;
       ++stats_.stage1_inserts;
     }
     // The LRU tick renews even when the incoming data was dropped — ON
@@ -61,7 +57,6 @@ void Stage1Cache::Publish(uint64_t store_id, uint64_t partition_id,
   Entry entry;
   entry.snapshot = std::move(snapshot);
   entry.last_used = tick_++;
-  entry.generation = incoming_gen;
   entries_.emplace(std::move(key), std::move(entry));
   ++stats_.stage1_inserts;
 }
@@ -79,70 +74,22 @@ Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
     ++stats_.stage1_misses;
     return result;
   }
-  if (it->second.snapshot->rows_drawn < min_rows) {
-    // Too small for this demand; keep it (a smaller future demand may
-    // still be served, and a bigger publish will replace it).
+  const Stage1Snapshot& snapshot = *it->second.snapshot;
+  if (snapshot.rows_drawn < min_rows ||
+      snapshot.scan.generation != generation) {
+    // Too small for this demand, or drawn at another generation: an
+    // older prior holds no appended row, a newer one holds rows past the
+    // querier's pin, so neither is a uniform sample of the pinned
+    // relation. Keep the entry (it still serves its own generation, and
+    // a fresh publish replaces it); this querier runs cold.
     ++stats_.stage1_misses;
-    return result;
-  }
-  if (it->second.generation > generation) {
-    // The entry samples rows beyond the querier's pinned prefix — its
-    // counts are not a uniform sample of the pinned relation, and no
-    // revalidation can shrink a sample. Keep the entry (it serves
-    // current-generation queries); this querier runs cold.
-    ++stats_.stage1_misses;
-    return result;
-  }
-  if (it->second.generation < generation) {
-    // Older-generation prior: hand it back for a drift test, but do
-    // NOT tick the LRU — only a passing revalidation (Promote) or a
-    // real hit earns the entry its recency.
-    ++stats_.stage1_revalidations;
-    result.outcome = Stage1Outcome::kRevalidate;
-    result.snapshot = it->second.snapshot;
-    result.entry_generation = it->second.generation;
     return result;
   }
   it->second.last_used = tick_++;
   ++stats_.stage1_hits;
   result.outcome = Stage1Outcome::kHit;
   result.snapshot = it->second.snapshot;
-  result.entry_generation = it->second.generation;
   return result;
-}
-
-bool Stage1Cache::Promote(uint64_t store_id, uint64_t partition_id,
-                          int z_attr, const std::vector<int>& x_attrs,
-                          uint64_t from_generation, uint64_t to_generation) {
-  MutexLock lock(&mu_);
-  auto it = entries_.find(Key{store_id, partition_id, z_attr, x_attrs});
-  if (it == entries_.end() || it->second.generation != from_generation) {
-    // A racing publish/eviction moved the entry out from under the
-    // revalidator; its verdict no longer describes what's resident.
-    return false;
-  }
-  // Only the validity horizon moves: last_used is left as-is, so a
-  // promotion does not bump the entry in the LRU order — the entry's
-  // data saw no new traffic.
-  it->second.generation = to_generation;
-  ++stats_.stage1_promotions;
-  return true;
-}
-
-bool Stage1Cache::EvictDrifted(uint64_t store_id, uint64_t partition_id,
-                               int z_attr, const std::vector<int>& x_attrs,
-                               uint64_t generation) {
-  MutexLock lock(&mu_);
-  auto it = entries_.find(Key{store_id, partition_id, z_attr, x_attrs});
-  if (it == entries_.end() || it->second.generation != generation) {
-    // The drift verdict was about an entry that is no longer resident
-    // (e.g. a newer-generation publish replaced it); leave the
-    // newcomer alone.
-    return false;
-  }
-  entries_.erase(it);
-  ++stats_.stage1_drift_evictions;
-  return true;
 }
 
 void Stage1Cache::InvalidateStore(uint64_t store_id) {

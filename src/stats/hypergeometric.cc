@@ -52,14 +52,6 @@ double LogHypergeomCdf(int64_t j, int64_t N, int64_t K, int64_t m) {
   return std::min(0.0, log_acc);
 }
 
-double HypergeomPmf(int64_t j, int64_t N, int64_t K, int64_t m) {
-  return std::exp(LogHypergeomPmf(j, N, K, m));
-}
-
-double HypergeomCdf(int64_t j, int64_t N, int64_t K, int64_t m) {
-  return std::exp(LogHypergeomCdf(j, N, K, m));
-}
-
 HypergeomCdfTable::HypergeomCdfTable(int64_t N, int64_t K, int64_t m,
                                      int64_t j_max)
     : N_(N), K_(K), m_(m) {

@@ -29,10 +29,6 @@ double LogHypergeomPmf(int64_t j, int64_t N, int64_t K, int64_t m);
 /// \brief Lower-tail log P(X <= j) for X ~ HypGeo(N, K, m).
 double LogHypergeomCdf(int64_t j, int64_t N, int64_t K, int64_t m);
 
-/// \brief Linear-space convenience wrappers.
-double HypergeomPmf(int64_t j, int64_t N, int64_t K, int64_t m);
-double HypergeomCdf(int64_t j, int64_t N, int64_t K, int64_t m);
-
 /// \brief Precomputed lower-tail CDF table for fixed (N, K, m).
 ///
 /// Building the table up to j_max costs O(j_max); each lookup is O(1).

@@ -30,7 +30,7 @@ TEST(HypergeomTest, PmfMatchesExactSmallCases) {
         if (m > N) continue;
         for (int64_t j = -1; j <= m + 1; ++j) {
           const double expected = ExactPmf(j, N, K, m);
-          const double actual = HypergeomPmf(j, N, K, m);
+          const double actual = std::exp(LogHypergeomPmf(j, N, K, m));
           EXPECT_NEAR(actual, expected, 1e-10)
               << "j=" << j << " N=" << N << " K=" << K << " m=" << m;
         }
@@ -42,7 +42,9 @@ TEST(HypergeomTest, PmfMatchesExactSmallCases) {
 TEST(HypergeomTest, PmfSumsToOne) {
   const int64_t N = 50, K = 18, m = 23;
   double total = 0;
-  for (int64_t j = 0; j <= m; ++j) total += HypergeomPmf(j, N, K, m);
+  for (int64_t j = 0; j <= m; ++j) {
+    total += std::exp(LogHypergeomPmf(j, N, K, m));
+  }
   EXPECT_NEAR(total, 1.0, 1e-10);
 }
 
@@ -50,7 +52,7 @@ TEST(HypergeomTest, CdfMonotoneAndBounded) {
   const int64_t N = 100, K = 30, m = 40;
   double prev = 0;
   for (int64_t j = 0; j <= m; ++j) {
-    const double c = HypergeomCdf(j, N, K, m);
+    const double c = std::exp(LogHypergeomCdf(j, N, K, m));
     EXPECT_GE(c + 1e-12, prev);
     EXPECT_LE(c, 1.0 + 1e-12);
     prev = c;
@@ -62,8 +64,10 @@ TEST(HypergeomTest, CdfMatchesPmfSum) {
   const int64_t N = 60, K = 25, m = 30;
   double acc = 0;
   for (int64_t j = 0; j <= m; ++j) {
-    acc += HypergeomPmf(j, N, K, m);
-    EXPECT_NEAR(HypergeomCdf(j, N, K, m), std::min(acc, 1.0), 1e-9) << j;
+    acc += std::exp(LogHypergeomPmf(j, N, K, m));
+    EXPECT_NEAR(std::exp(LogHypergeomCdf(j, N, K, m)), std::min(acc, 1.0),
+                1e-9)
+        << j;
   }
 }
 
@@ -81,7 +85,9 @@ TEST(HypergeomTest, MeanMatchesTheory) {
   // E[X] = m*K/N.
   const int64_t N = 200, K = 60, m = 50;
   double mean = 0;
-  for (int64_t j = 0; j <= m; ++j) mean += j * HypergeomPmf(j, N, K, m);
+  for (int64_t j = 0; j <= m; ++j) {
+    mean += j * std::exp(LogHypergeomPmf(j, N, K, m));
+  }
   EXPECT_NEAR(mean, static_cast<double>(m) * K / N, 1e-8);
 }
 

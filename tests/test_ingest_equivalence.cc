@@ -14,8 +14,8 @@
 //     the donor's generation, not the current one);
 //   * the acceptance property of the stage-1 cache work: a cached prior
 //     drawn at generation g is NEVER served at generation g' > g
-//     without an explicit revalidation stamp — the executor drops the
-//     stale warm start and runs the query cold (this test fails if the
+//     unless the caller stamps it for g' — the executor drops the stale
+//     warm start and runs the query cold (this test fails if the
 //     generation check is skipped).
 
 #include <gtest/gtest.h>
@@ -286,7 +286,7 @@ TEST(IngestEquivalenceTest, ResumeRePinsTheDonorGeneration) {
 TEST(IngestEquivalenceTest, StaleWarmPriorIsNeverServedAcrossGenerations) {
   // THE acceptance property of this change: a cached stage-1 prior
   // drawn at generation g must never be served at generation g' > g
-  // without a passing revalidation. The executor is the last line of
+  // unless the caller stamps it for g'. The executor is the last line of
   // defense — a warm start whose generation does not match the batch's
   // pin is DROPPED (counted in stale_warm_dropped) and the query runs
   // cold. If the generation check were skipped, diag.stage1_warm would
@@ -327,7 +327,7 @@ TEST(IngestEquivalenceTest, StaleWarmPriorIsNeverServedAcrossGenerations) {
   ASSERT_TRUE(store->AppendBatch(DriftColumns(3000), 55).ok());
   ASSERT_EQ(store->generation(), 2u);
 
-  // Same attachment, no revalidation stamp: the executor pins
+  // Same attachment, no generation stamp: the executor pins
   // generation 2, sees a generation-1 prior, and refuses it.
   {
     auto exec = BatchExecutor::Create({warm_q}, Options(2)).value();
@@ -342,9 +342,9 @@ TEST(IngestEquivalenceTest, StaleWarmPriorIsNeverServedAcrossGenerations) {
     EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
   }
 
-  // With the service tier's explicit revalidation stamp (the generation
-  // a passing drift test promoted the prior to), the same prior IS
-  // served at generation 2.
+  // With an explicit stamp for generation 2 (the caller vouches for the
+  // prior there; the scheduler never does), the same prior IS served at
+  // generation 2: the guard honours the later of the two generations.
   warm_q.stage1_warm_generation = 2;
   {
     auto exec = BatchExecutor::Create({warm_q}, Options(2)).value();

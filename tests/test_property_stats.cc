@@ -83,7 +83,7 @@ TEST_P(HypergeomSweep, PmfNormalized) {
   const auto [N, K, m] = GetParam();
   double total = 0;
   for (int64_t j = 0; j <= std::min(K, m); ++j) {
-    total += HypergeomPmf(j, N, K, m);
+    total += std::exp(LogHypergeomPmf(j, N, K, m));
   }
   EXPECT_NEAR(total, 1.0, 1e-8);
 }
@@ -112,7 +112,8 @@ TEST_P(HypergeomSweep, MeanWithinSupport) {
   const auto [N, K, m] = GetParam();
   double mean = 0;
   for (int64_t j = 0; j <= std::min(K, m); ++j) {
-    mean += static_cast<double>(j) * HypergeomPmf(j, N, K, m);
+    mean +=
+        static_cast<double>(j) * std::exp(LogHypergeomPmf(j, N, K, m));
   }
   EXPECT_NEAR(mean, static_cast<double>(m) * K / N,
               1e-6 * std::max<double>(1.0, mean));

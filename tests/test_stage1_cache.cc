@@ -3,12 +3,10 @@
 // eviction, per-store invalidation, partition-key isolation (a
 // partition's snapshot never serves another partition, and
 // invalidating the logical store drops every partition's entries),
-// generation classification (hit at the entry's own generation,
-// revalidation-required for an older entry, miss for a newer one),
-// the Promote/EvictDrifted revalidation lifecycle and its
-// compare-and-act generation guards, counter reconciliation
-// (lookups == hits + misses + revalidations always), and a
-// multi-threaded smoke for the internal locking.
+// generation matching (a hit only at the entry's own generation, a
+// miss with no LRU tick at any other), counter reconciliation
+// (lookups == hits + misses always), and a multi-threaded smoke for
+// the internal locking.
 
 #include "service/stage1_cache.h"
 
@@ -36,8 +34,8 @@ std::shared_ptr<const Stage1Snapshot> MakeSnapshot(int64_t rows, int vz = 4,
 }
 
 // A snapshot drawn at a specific store generation (its scan carries the
-// generation of the pin it ran under); Publish seeds the entry's
-// validity horizon from it.
+// generation of the pin it ran under); the entry answers only lookups
+// pinned at that generation.
 std::shared_ptr<const Stage1Snapshot> MakeSnapshotAt(int64_t rows,
                                                      uint64_t generation) {
   auto snapshot = std::make_shared<Stage1Snapshot>();
@@ -198,47 +196,48 @@ TEST(Stage1CacheTest, InvalidateStoreDropsOnlyThatStore) {
 
 // ------------------------------------------------ generations
 
-TEST(Stage1CacheGenerationTest, LookupClassifiesHitRevalidateAndMiss) {
-  Stage1Cache cache;
-  cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(500, 2));
+TEST(Stage1CacheGenerationTest, OlderAndNewerGenerationsBothMissNoLruTick) {
+  Stage1CacheOptions options;
+  options.capacity = 2;
+  Stage1Cache cache(options);
+  cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(500, 2));  // oldest tick
+  cache.Publish(2, kWhole, 0, {1}, MakeSnapshotAt(500, 2));
 
-  // At the entry's own generation: a plain hit.
-  Stage1LookupResult at = cache.Lookup(1, kWhole, 0, {1}, 100, 2);
+  // At the entry's own generation: a plain hit, which renews store 2.
+  Stage1LookupResult at = cache.Lookup(2, kWhole, 0, {1}, 100, 2);
   EXPECT_EQ(at.outcome, Stage1Outcome::kHit);
   ASSERT_NE(at.snapshot, nullptr);
   EXPECT_EQ(at.snapshot->rows_drawn, 500);
-  EXPECT_EQ(at.entry_generation, 2u);
 
-  // Querier pinned PAST the entry: the prior describes a prefix of the
-  // pinned relation — usable only through a drift test, so the snapshot
-  // comes back but the outcome demands revalidation.
-  Stage1LookupResult stale = cache.Lookup(1, kWhole, 0, {1}, 100, 5);
-  EXPECT_EQ(stale.outcome, Stage1Outcome::kRevalidate);
-  ASSERT_NE(stale.snapshot, nullptr);
-  EXPECT_EQ(stale.snapshot, at.snapshot);
-  EXPECT_EQ(stale.entry_generation, 2u);
+  // Querier pinned PAST the entry: the prior holds no appended row, so
+  // it is not a uniform sample of the pinned relation — a miss.
+  Stage1LookupResult older = cache.Lookup(1, kWhole, 0, {1}, 100, 5);
+  EXPECT_EQ(older.outcome, Stage1Outcome::kMiss);
+  EXPECT_EQ(older.snapshot, nullptr);
 
   // Querier pinned BEFORE the entry: the entry samples rows the pin has
-  // never seen; no revalidation can shrink a sample, so this is a plain
-  // miss — but the entry survives for current-generation queriers.
+  // never seen — a miss too.
   Stage1LookupResult newer = cache.Lookup(1, kWhole, 0, {1}, 100, 1);
   EXPECT_EQ(newer.outcome, Stage1Outcome::kMiss);
   EXPECT_EQ(newer.snapshot, nullptr);
-  EXPECT_EQ(cache.size(), 1);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 100, 2).outcome,
-            Stage1Outcome::kHit);
+
+  // Both entries survive the misses, and neither miss renewed store 1's
+  // recency: the next insert evicts store 1, not the store hit last.
+  EXPECT_EQ(cache.size(), 2);
+  cache.Publish(3, kWhole, 0, {1}, MakeSnapshotAt(500, 2));
+  EXPECT_EQ(cache.size(), 2);
+  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 100, 2).snapshot, nullptr);
+  EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 100, 2).snapshot, nullptr);
 
   Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.stage1_revalidations, 1);
   EXPECT_EQ(stats.stage1_hits, 2);
-  EXPECT_EQ(stats.stage1_misses, 1);
-  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses +
-                                      stats.stage1_revalidations);
+  EXPECT_EQ(stats.stage1_misses, 3);
+  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses);
 }
 
 TEST(Stage1CacheGenerationTest, CoverageOutranksRevalidation) {
-  // A stale-generation entry that is also too SMALL is a miss, not a
-  // revalidation candidate: no drift test can grow its sample.
+  // A stale-generation entry that is also too SMALL is a miss on both
+  // counts, and stays resident.
   Stage1Cache cache;
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(500, 1));
   Stage1LookupResult r = cache.Lookup(1, kWhole, 0, {1}, 1000, 4);
@@ -247,80 +246,17 @@ TEST(Stage1CacheGenerationTest, CoverageOutranksRevalidation) {
   EXPECT_EQ(cache.size(), 1);
 }
 
-TEST(Stage1CacheGenerationTest, PromoteAdvancesTheValidityHorizon) {
-  Stage1Cache cache;
-  cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(500, 1));
-  Stage1LookupResult stale = cache.Lookup(1, kWhole, 0, {1}, 100, 3);
-  ASSERT_EQ(stale.outcome, Stage1Outcome::kRevalidate);
-
-  // A passing drift test promotes the entry to the querier's
-  // generation; the SAME snapshot now serves generation 3 as a hit.
-  EXPECT_TRUE(cache.Promote(1, kWhole, 0, {1}, stale.entry_generation, 3));
-  Stage1LookupResult hit = cache.Lookup(1, kWhole, 0, {1}, 100, 3);
-  EXPECT_EQ(hit.outcome, Stage1Outcome::kHit);
-  EXPECT_EQ(hit.snapshot, stale.snapshot);
-  EXPECT_EQ(hit.entry_generation, 3u);
-  // The shared snapshot keeps its original scan stamp — only the
-  // cache's own validity horizon moved.
-  EXPECT_EQ(hit.snapshot->scan.generation, 1u);
-
-  // The compare-and-act guard: a promote naming a generation the entry
-  // no longer stands at is a stale verdict and must be a no-op.
-  EXPECT_FALSE(cache.Promote(1, kWhole, 0, {1}, 1, 4));
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 100, 3).outcome,
-            Stage1Outcome::kHit);
-  // Absent key: no-op too.
-  EXPECT_FALSE(cache.Promote(9, kWhole, 0, {1}, 3, 4));
-  EXPECT_EQ(cache.stats().stage1_promotions, 1);
-}
-
-TEST(Stage1CacheGenerationTest, PromoteDoesNotRenewRecency) {
-  // LRU: promotion moves only the validity horizon, so a promoted entry
-  // keeps its old recency and is still evicted first at capacity.
-  Stage1CacheOptions options;
-  options.capacity = 2;
-  Stage1Cache cache(options);
-  cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(100, 1));  // oldest tick
-  cache.Publish(2, kWhole, 0, {1}, MakeSnapshotAt(200, 1));
-  ASSERT_TRUE(cache.Promote(1, kWhole, 0, {1}, 1, 2));
-  cache.Publish(3, kWhole, 0, {1}, MakeSnapshotAt(300, 1));
-  EXPECT_EQ(cache.size(), 2);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot,
-            nullptr);  // evicted anyway
-  EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_NE(cache.Lookup(3, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-}
-
-TEST(Stage1CacheGenerationTest, EvictDriftedGuardsOnGeneration) {
-  Stage1Cache cache;
-  cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(500, 1));
-  EXPECT_TRUE(cache.EvictDrifted(1, kWhole, 0, {1}, 1));
-  EXPECT_EQ(cache.size(), 0);
-  EXPECT_EQ(cache.stats().stage1_drift_evictions, 1);
-
-  // A newer-generation publish raced in before the drift verdict
-  // landed: the verdict is about a dead entry; the newcomer survives.
-  cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(400, 2));
-  EXPECT_FALSE(cache.EvictDrifted(1, kWhole, 0, {1}, 1));
-  EXPECT_EQ(cache.size(), 1);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 100, 2).outcome,
-            Stage1Outcome::kHit);
-  // Absent key: no-op.
-  EXPECT_FALSE(cache.EvictDrifted(9, kWhole, 0, {1}, 1));
-  EXPECT_EQ(cache.stats().stage1_drift_evictions, 1);
-}
-
 TEST(Stage1CacheGenerationTest, PublishPrefersNewerGenerations) {
   Stage1Cache cache;
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(1000, 1));
   // A newer-generation snapshot replaces unconditionally, even when its
-  // sample is smaller: it is valid at the frontier, the resident would
-  // need a drift test before every future serve.
+  // sample is smaller: it serves the frontier, and the resident could
+  // only ever serve its own, older generation.
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(100, 2));
   Stage1LookupResult hit = cache.Lookup(1, kWhole, 0, {1}, 1, 2);
   ASSERT_EQ(hit.outcome, Stage1Outcome::kHit);
   EXPECT_EQ(hit.snapshot->rows_drawn, 100);
-  EXPECT_EQ(hit.entry_generation, 2u);
+  EXPECT_EQ(hit.snapshot->scan.generation, 2u);
   // An older-generation snapshot never replaces, no matter how big.
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshotAt(5000, 1));
   hit = cache.Lookup(1, kWhole, 0, {1}, 1, 2);
@@ -330,14 +266,13 @@ TEST(Stage1CacheGenerationTest, PublishPrefersNewerGenerations) {
 }
 
 TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
-  // Publishers, lookers, revalidators, and invalidators hammer one
-  // cache; afterwards the books must balance: every lookup is a hit, a
-  // miss, or a revalidation — nothing double-counted. Stores 0-2
-  // publish whole-store entries, stores 3-4 publish per-partition
-  // entries, so partitioned and unpartitioned keys churn together, and
-  // snapshots carry generations 1-3 while lookups pin generations 1-3,
-  // so all three outcomes occur. (Run under TSan in CI via the regular
-  // suite.)
+  // Publishers, lookers, and invalidators hammer one cache; afterwards
+  // the books must balance: every lookup is a hit or a miss — nothing
+  // double-counted. Stores 0-2 publish whole-store entries, stores 3-4
+  // publish per-partition entries, so partitioned and unpartitioned
+  // keys churn together, and snapshots carry generations 1-3 while
+  // lookups pin generations 1-3, so hits and generation misses both
+  // occur. (Run under TSan in CI via the regular suite.)
   Stage1Cache cache(Stage1CacheOptions{/*capacity=*/8});
   constexpr int kThreads = 4;
   constexpr int kOps = 400;
@@ -345,10 +280,10 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kOps; ++i) {
-        // One store per 5-op cycle (publish, lookups, lifecycle,
-        // invalidate all target it), cycling across stores — so hits,
-        // revalidations, and misses all occur even if the threads
-        // happen to run back-to-back instead of interleaved.
+        // One store per 5-op cycle (publish, lookups, invalidate all
+        // target it), cycling across stores — so hits and misses both
+        // occur even if the threads happen to run back-to-back instead
+        // of interleaved.
         const uint64_t store = static_cast<uint64_t>((t + i / 5) % 5);
         const uint64_t partition =
             store >= 3 ? static_cast<uint64_t>(100 + i % 3) : kWhole;
@@ -360,25 +295,9 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
             break;
           case 1:
           case 2:
+          case 3:
             cache.Lookup(store, partition, 0, {1}, 50, generation);
             break;
-          case 3: {
-            // Full revalidation lifecycle driven off a real lookup, so
-            // Promote/EvictDrifted race with publishes the way the
-            // scheduler's do.
-            Stage1LookupResult r =
-                cache.Lookup(store, partition, 0, {1}, 50, generation);
-            if (r.outcome == Stage1Outcome::kRevalidate) {
-              if (i % 2 == 0) {
-                cache.Promote(store, partition, 0, {1}, r.entry_generation,
-                              generation);
-              } else {
-                cache.EvictDrifted(store, partition, 0, {1},
-                                   r.entry_generation);
-              }
-            }
-            break;
-          }
           default:
             if (i % 40 == 4) {
               cache.InvalidateStore(store);
@@ -393,11 +312,9 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
   }
   for (std::thread& thread : threads) thread.join();
   Stage1CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses +
-                                      stats.stage1_revalidations);
+  EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses);
   EXPECT_GT(stats.stage1_hits, 0);
   EXPECT_GT(stats.stage1_misses, 0);
-  EXPECT_GT(stats.stage1_revalidations, 0);
   EXPECT_LE(cache.size(), 8);
 }
 
