@@ -1,13 +1,13 @@
 // Append stress suite for streaming ingest (ctest label `stress` via
 // the _stress filename; runs TSan-clean under FASTMATCH_SANITIZE=thread):
 //
-//   * deterministic append lifecycle through the scheduler: a cached
-//     stage-1 prior drawn at generation g is never served at g' > g,
-//     whether the append keeps the candidate marginals (benign) or
-//     floods one candidate. The post-append query misses, runs cold and
-//     meets both guarantees against the grown relation; its cold batch
-//     republishes at g', and the next query is served warm from that
-//     publish;
+//   * deterministic append lifecycle through the scheduler, one test
+//     for an append that keeps the candidate marginals and one that
+//     floods one candidate: a cached stage-1 prior drawn at generation
+//     g is never served at g' > g. The post-append query misses, runs
+//     cold and meets both guarantees against the grown relation; its
+//     cold batch republishes at g', and the next query is served warm
+//     from that publish;
 //   * concurrent appenders + query traffic against one scheduler with
 //     the cache on: every future resolves exactly once with a terminal
 //     status, and the stage-1 books balance (lookups == hits + misses)
@@ -97,71 +97,73 @@ SchedulerOptions CacheOptions() {
 
 // ------------------------------------------------ deterministic lifecycle
 
-TEST(IngestStressTest, AppendMissesRunsColdThenServesTheNewGeneration) {
-  struct AppendKind {
-    const char* name;
-    uint64_t store_seed;
-    uint64_t query_seed;
-    uint64_t append_seed;
-    std::vector<std::vector<Value>> columns;
-  };
-  // Benign: 1,000 more rows per candidate. Flood: candidate 0's share
-  // of the relation moves from 1/12 to over half.
-  const std::vector<AppendKind> kinds = {
-      {"benign", 401, 11, 77, BenignColumns(12000)},
-      {"flood", 402, 21, 78, FloodColumns(100000)},
-  };
-  for (const AppendKind& kind : kinds) {
-    SCOPED_TRACE(kind.name);
-    auto store = MakeStore(kind.store_seed);
-    auto index = BitmapIndex::Build(*store, 0).value();
-    QueryScheduler scheduler(CacheOptions());
+/// One append lifecycle through a cache-enabled scheduler: a cold query
+/// at generation 1 publishes a prior; `columns` are appended; the next
+/// query pins generation 2, misses (the generation-1 prior holds no
+/// appended row), runs cold and meets both guarantees against the grown
+/// relation; its cold batch republishes at generation 2, replacing the
+/// old entry, so a third query is served warm from that publish.
+void RunAppendLifecycle(uint64_t store_seed, uint64_t query_seed,
+                        uint64_t append_seed,
+                        const std::vector<std::vector<Value>>& columns) {
+  auto store = MakeStore(store_seed);
+  auto index = BitmapIndex::Build(*store, 0).value();
+  QueryScheduler scheduler(CacheOptions());
 
-    // Cold run at generation 1 populates the cache.
-    SchedulerItem first =
-        scheduler.Submit(MakeQuery(store, index, kind.query_seed))
-            .value()
-            .Get();
-    ASSERT_TRUE(first.status.ok()) << first.status.ToString();
-    EXPECT_FALSE(first.match.diag.stage1_warm);
-    ASSERT_GE(scheduler.stats().stage1_inserts, 1);
+  // Cold run at generation 1 populates the cache.
+  SchedulerItem first =
+      scheduler.Submit(MakeQuery(store, index, query_seed)).value().Get();
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_FALSE(first.match.diag.stage1_warm);
+  ASSERT_GE(scheduler.stats().stage1_inserts, 1);
+  ASSERT_EQ(scheduler.stage1_cache()->size(), 1);
 
-    ASSERT_TRUE(store->AppendBatch(kind.columns, kind.append_seed).ok());
-    ASSERT_EQ(store->generation(), 2u);
+  ASSERT_TRUE(store->AppendBatch(columns, append_seed).ok());
+  ASSERT_EQ(store->generation(), 2u);
 
-    // The next query pins generation 2. The generation-1 prior holds no
-    // appended row, so its lookup is a miss and the query runs cold —
-    // and correctly: both guarantees hold against generation-2 ground
-    // truth.
-    const SchedulerStats before = scheduler.stats();
-    const BoundQuery query = MakeQuery(store, index, kind.query_seed + 1);
-    SchedulerItem second = scheduler.Submit(query).value().Get();
-    ASSERT_TRUE(second.status.ok()) << second.status.ToString();
-    EXPECT_FALSE(second.match.diag.stage1_warm);
-    const CountMatrix exact = ComputeExactCounts(*store, 0, {1}).value();
-    const HistSimParams& p = query.params;
-    const GroundTruth truth =
-        ComputeGroundTruth(exact, query.target, p.metric, p.sigma, p.k);
-    const GuaranteeCheck check =
-        CheckGuarantees(second.match, exact, truth, query.target, p);
-    EXPECT_TRUE(check.separation_ok) << check.worst_separation;
-    EXPECT_TRUE(check.reconstruction_ok) << check.worst_reconstruction;
+  // The next query pins generation 2: its lookup misses and it runs
+  // cold, correctly against generation-2 ground truth.
+  const SchedulerStats before = scheduler.stats();
+  const BoundQuery query = MakeQuery(store, index, query_seed + 1);
+  SchedulerItem second = scheduler.Submit(query).value().Get();
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_FALSE(second.match.diag.stage1_warm);
+  const CountMatrix exact = ComputeExactCounts(*store, 0, {1}).value();
+  const HistSimParams& p = query.params;
+  const GroundTruth truth =
+      ComputeGroundTruth(exact, query.target, p.metric, p.sigma, p.k);
+  const GuaranteeCheck check =
+      CheckGuarantees(second.match, exact, truth, query.target, p);
+  EXPECT_TRUE(check.separation_ok) << check.worst_separation;
+  EXPECT_TRUE(check.reconstruction_ok) << check.worst_reconstruction;
 
-    const SchedulerStats after = scheduler.stats();
-    EXPECT_GT(after.stage1_misses, before.stage1_misses);
-    EXPECT_EQ(after.stage1_hits, before.stage1_hits);
-    EXPECT_EQ(after.stage1_lookups, after.stage1_hits + after.stage1_misses);
+  const SchedulerStats after = scheduler.stats();
+  EXPECT_GT(after.stage1_misses, before.stage1_misses);
+  EXPECT_EQ(after.stage1_hits, before.stage1_hits);
+  EXPECT_EQ(after.stage1_lookups, after.stage1_hits + after.stage1_misses);
+  // The republish replaced the generation-1 prior in place.
+  EXPECT_GT(after.stage1_inserts, before.stage1_inserts);
+  EXPECT_EQ(scheduler.stage1_cache()->size(), 1);
 
-    // The cold run republished at generation 2, replacing the old
-    // entry: the third query is served warm from that publish.
-    SchedulerItem third =
-        scheduler.Submit(MakeQuery(store, index, kind.query_seed + 2))
-            .value()
-            .Get();
-    ASSERT_TRUE(third.status.ok()) << third.status.ToString();
-    EXPECT_TRUE(third.match.diag.stage1_warm);
-    EXPECT_GT(scheduler.stats().stage1_hits, after.stage1_hits);
-  }
+  SchedulerItem third =
+      scheduler.Submit(MakeQuery(store, index, query_seed + 2))
+          .value()
+          .Get();
+  ASSERT_TRUE(third.status.ok()) << third.status.ToString();
+  EXPECT_TRUE(third.match.diag.stage1_warm);
+  EXPECT_GT(scheduler.stats().stage1_hits, after.stage1_hits);
+}
+
+TEST(IngestStressTest, StableAppendMissesRunsColdThenServesTheNewGeneration) {
+  // 1,000 more rows per candidate: the candidate marginal is unchanged,
+  // and still the generation-1 prior is not served at generation 2.
+  RunAppendLifecycle(401, 11, 77, BenignColumns(12000));
+}
+
+TEST(IngestStressTest, DriftingAppendEvictsThePriorAndRunsCold) {
+  // Flood candidate 0: its share of the relation moves from 1/12 to
+  // over half.
+  RunAppendLifecycle(402, 21, 78, FloodColumns(100000));
 }
 
 // ------------------------------------------------ concurrent churn
