@@ -315,6 +315,53 @@ TEST(ScanPinTest, JoinedBatchPerSeed) {
   }
 }
 
+/// Keeps the first stage-1 snapshot a batch exports.
+class FirstSnapshotSink : public Stage1Sink {
+ public:
+  void Publish(uint64_t, uint64_t, int, const std::vector<int>&,
+               std::shared_ptr<const Stage1Snapshot> published) override {
+    if (snapshot == nullptr) snapshot = std::move(published);
+  }
+  std::shared_ptr<const Stage1Snapshot> snapshot;
+};
+
+TEST(ScanPinTest, WarmResumedBatchPerSeed) {
+  const Pin want[3] = {
+      {9797, 5310, 489850, 392, 8832, 9861,
+       "[0 1 2 e5 17819267987986889783 16525768660129420831]"
+       "[3 4 2 e5 17819267987986889783 5483365107611883613]"
+       "[5 6 4 e5 17819267987986889783 3498334519593190805]"},
+      {10663, 3863, 533150, 465, 960, 10727,
+       "[0 1 2 e6 16482018680137732575 7787790521986299288]"
+       "[3 4 2 e6 16482018680137732575 1982109538993160505]"
+       "[5 6 4 e6 16482018680137732575 16399839223946519967]"},
+      {12446, 3980, 622300, 830, 4032, 12510,
+       "[0 1 2 e5 12246848527150441181 9345690225665495113]"
+       "[3 4 2 e5 12246848527150441181 14419120720282772398]"
+       "[5 4 6 e7 9672939013939678161 15849972948194351960]"},
+  };
+  for (size_t s = 0; s < 3; ++s) {
+    // A donor batch exports its stage-1 sample; a batch whose every query
+    // is warm from that snapshot continues the donor's scan from the
+    // snapshot's position, so it never re-reads the prior's blocks.
+    FirstSnapshotSink sink;
+    BatchOptions donor_options = Options(kSeeds[s]);
+    donor_options.stage1_sink = &sink;
+    BatchExecutor::Create({Query(2, 5)}, donor_options).value()->Run();
+    ASSERT_NE(sink.snapshot, nullptr);
+    std::vector<BoundQuery> batch = {Query(0, 10), Query(3, 11),
+                                     Query(5, 12)};
+    for (BoundQuery& q : batch) q.stage1_warm = sink.snapshot;
+    BatchOptions options = Options(kSeeds[s] + 100);
+    options.resume = sink.snapshot->scan;
+    auto exec = BatchExecutor::Create(batch, options).value();
+    const std::vector<BatchItem> items = exec->Run();
+    EXPECT_EQ(exec->stats().warm_queries, 3);
+    ExpectPin(BatchPin(*exec, items), want[s],
+              "warm resumed batch seed " + std::to_string(kSeeds[s]));
+  }
+}
+
 /// Per query: the number of progress updates it received, then an
 /// FNV-1a hash over every update's top-k ids, distances, error bars,
 /// exact flags, rows_consumed and final flag, as "{count:hash}".
