@@ -83,6 +83,13 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                still compiles and the docs still describe. No header is
                exempt.
 
+  bench-vestige  BENCH_VESTIGES lists the names src/ keeps only because
+               the systems benchmark (perfbench/) names them. Each must
+               still be named in both trees: once perfbench/ stops
+               naming one, the change that did so must delete it from
+               src/ and from the table, and once src/ drops one, the
+               table entry goes too, so the table never goes stale.
+
 Zero third-party dependencies; line-based on purpose (a full C++ parse
 buys little for these rules and costs a clang dependency the lint gate
 must not have). Exit 0 when clean, 1 with file:line diagnostics if not.
@@ -163,6 +170,11 @@ INCLUDE = re.compile(r'^\s*#\s*include\s+"(?P<path>[^"]+)"', re.MULTILINE)
 
 # A src/ path in the first cell of a lock-hierarchy table row.
 LOCK_TABLE_FILE = re.compile(r"`(src/[\w/.]+\.(?:h|cc))`")
+
+# Names src/ keeps only for perfbench/ (see the bench-vestige rule).
+BENCH_VESTIGES = ("kWholeStorePartition", "Stage1Outcome",
+                  "stage1_warm_generation", "stage1_promotions",
+                  "stage1_drift_evictions", "allow_joins")
 
 
 def read(path: Path) -> str:
@@ -439,6 +451,26 @@ def check_orphan_headers(violations: list):
              "or move it to tests/"))
 
 
+def check_bench_vestiges(violations: list):
+    """Every BENCH_VESTIGES name is still named under perfbench/ and still
+    defined or used under src/."""
+    def code(tree: str) -> str:
+        return "\n".join(read(p) for p in sorted((REPO / tree).rglob("*"))
+                         if p.suffix in (".h", ".cc", ".py"))
+    trees = {"perfbench": code("perfbench"), "src": code("src")}
+    for name in BENCH_VESTIGES:
+        word = re.compile(r"\b" + name + r"\b")
+        if not word.search(trees["perfbench"]):
+            violations.append(
+                ("perfbench", 1, "bench-vestige",
+                 f"perfbench/ no longer names {name}: delete it from src/ "
+                 "and from BENCH_VESTIGES"))
+        if not word.search(trees["src"]):
+            violations.append(
+                ("src", 1, "bench-vestige",
+                 f"src/ no longer has {name}: drop it from BENCH_VESTIGES"))
+
+
 def main() -> int:
     violations = []
     mutex_files = []
@@ -455,6 +487,7 @@ def main() -> int:
     check_lock_hierarchy_doc(mutex_files, violations)
     check_nodiscard_attr(violations)
     check_orphan_headers(violations)
+    check_bench_vestiges(violations)
     for rel, line, rule, msg in violations:
         print(f"{rel}:{line}: [{rule}] {msg}")
     if violations:

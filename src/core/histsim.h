@@ -65,17 +65,14 @@ struct MatchResult {
   /// error_bars[i] simultaneously for every candidate (Theorem 1 at
   /// delta/|VZ| per candidate, |tau_hat - tau| <= ||r_hat - r||_1).
   /// 0 for exact candidates; MaxDistance for zero-sample candidates.
-  /// A 0 bar is only as good as `exact` (see below).
   std::vector<double> error_bars;
   /// Final cumulative counts per candidate.
   CountMatrix counts;
   /// Stage-1 pruning decision per candidate.
   std::vector<bool> pruned;
-  /// Candidates the sampling window exhausted. That is the whole
-  /// relation only when the window started at the beginning of the
-  /// scan: a batch query that joined mid-scan, or a run resumed from a
-  /// donor's scan state, is flagged exact (bar 0) on counts that miss
-  /// the rows consumed before its window (a known defect).
+  /// Candidates whose every row of the relation is in `counts`: the
+  /// run's own scan enumerated them, or the scan a warm prior resumed
+  /// from did so together with it.
   std::vector<bool> exact;
   /// The run was harvested before its three stages completed (execution
   /// budget expired): topk/distances rank whatever samples were pooled
@@ -94,7 +91,7 @@ struct MatchResult {
 /// pre-shuffled store (plus any warm prior, itself such a prefix), so
 /// the pooled per-candidate counts are uniform without-replacement
 /// samples and Theorem 1 applies at the pooled size — the same §4.1
-/// argument that makes suffix joins and stage-1 reuse sound. Bars are
+/// argument that makes block sampling and stage-1 reuse sound. Bars are
 /// per-candidate at delta/|VZ| (union bound), so all of them contain
 /// the true distances simultaneously with probability > 1 - delta, and
 /// they shrink weakly as the scan pools more rows.

@@ -178,6 +178,15 @@ GuaranteeCheck CheckGuarantees(const MatchResult& result,
   }
   check.reconstruction_ok = check.worst_reconstruction < eps_rec;
 
+  // --------------------------------------------------------- Exactness
+  for (size_t i = 0; i < result.exact.size() && check.exact_ok; ++i) {
+    if (!result.exact[i]) continue;
+    const int c = static_cast<int>(i);
+    check.exact_ok = c < result.counts.num_candidates() &&
+                     c < exact.num_candidates() &&
+                     std::ranges::equal(result.counts.Row(c), exact.Row(c));
+  }
+
   // ----------------------------------------------------------- Delta_d
   double est_sum = 0;
   for (int i : result.topk) {

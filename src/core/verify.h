@@ -72,6 +72,10 @@ struct GuaranteeCheck {
   double worst_separation = 0;
   /// Worst reconstruction error among outputs.
   double worst_reconstruction = 0;
+  /// Every candidate that MatchResult::exact flags has a `counts` row
+  /// equal to its true row: an exact flag is a fact about the relation,
+  /// not a probabilistic claim, so this must hold on every answer.
+  bool exact_ok = true;
 };
 
 /// \brief Verifies Guarantees 1 and 2 and computes Delta_d (paper 5.3):
@@ -80,7 +84,8 @@ struct GuaranteeCheck {
 ///             / sum_{j in M*} d(r*_j, q)
 ///
 /// where M is the approximate output with *estimated* histograms and M*
-/// is the exact top-k (Delta_d can therefore be negative).
+/// is the exact top-k (Delta_d can therefore be negative). Also checks
+/// every exact flag against `exact` (GuaranteeCheck::exact_ok).
 GuaranteeCheck CheckGuarantees(const MatchResult& result,
                                const CountMatrix& exact,
                                const GroundTruth& truth,

@@ -50,11 +50,34 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
   // generation.
   StorePin pin;
   if (options.resume.has_value()) {
-    if (options.resume->generation == 0) {
-      return Status::InvalidArgument(
-          "resume has no generation; capture it with CaptureScanState");
+    const ScanResume& resume = *options.resume;
+    if (resume.generation == 0) {
+      return Status::InvalidArgument("resume has no generation");
     }
-    FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(options.resume->generation));
+    // A resumed scan never reads the blocks behind the resume, so only a
+    // query whose prior covers exactly those blocks may ride it: every
+    // query warm, at the resume's generation, from one snapshot whose
+    // scan is the resume. A cold query would count only the suffix and
+    // could flag a candidate exact on part of its rows.
+    const std::shared_ptr<const Stage1Snapshot>& warm =
+        queries.front().stage1_warm;
+    for (const BoundQuery& q : queries) {
+      if (q.stage1_warm == nullptr || q.stage1_warm != warm ||
+          (q.stage1_warm_generation != 0 &&
+           q.stage1_warm_generation != resume.generation)) {
+        return Status::InvalidArgument(
+            "a resumed batch needs every query warm from the snapshot it "
+            "resumes");
+      }
+    }
+    if (warm->scan.generation != resume.generation ||
+        warm->scan.cursor != resume.cursor ||
+        warm->scan.consumed.size() != resume.consumed.size() ||
+        warm->scan.consumed.words() != resume.consumed.words()) {
+      return Status::InvalidArgument(
+          "resume does not match the warm snapshot's scan");
+    }
+    FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(resume.generation));
   } else {
     pin = store->Pin();
   }
@@ -74,29 +97,12 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
   auto executor = std::unique_ptr<BatchExecutor>(
       new BatchExecutor(store, pin, std::move(options)));
   if (executor->cursor_.AllConsumed()) {
-    // Same condition Join() rejects: with no suffix left the machines
-    // would "finish" instantly on zero samples and report fabricated
-    // exact results.
+    // With no suffix left the machines would "finish" instantly on zero
+    // samples and report fabricated exact results.
     return Status::FailedPrecondition(
         "resume state has no unconsumed blocks; nothing to scan");
   }
   for (const BoundQuery& q : queries) executor->AddQuery(q);
-  if (executor->options_.resume.has_value() &&
-      !executor->options_.resume->exhausted.empty()) {
-    // Donor-scan exhaustion knowledge is per candidate of one template;
-    // a multi-template resume has no well-defined recipient.
-    if (executor->templates_.size() != 1) {
-      return Status::InvalidArgument(
-          "resume exhausted flags require a single-template batch");
-    }
-    TemplateState& ts = executor->templates_.front();
-    if (executor->options_.resume->exhausted.size() != ts.exhausted.size()) {
-      return Status::InvalidArgument(
-          "resume exhausted flags do not match the template's candidate "
-          "count");
-    }
-    ts.exhausted = executor->options_.resume->exhausted;
-  }
   executor->stats_.num_templates =
       static_cast<int>(executor->templates_.size());
   return executor;
@@ -110,9 +116,8 @@ void BatchExecutor::AddQuery(const BoundQuery& query) {
     qs.status = status;
     qs.active = false;
     // Drop a template created for a query that then failed binding
-    // (index validation, machine Begin): it has no consumer, and its
-    // existence must not change batch-level validation (the
-    // single-template resume rule) or add per-chunk work.
+    // (index validation, machine Begin): it has no consumer and must not
+    // add per-chunk work.
     if (templates_.size() > templates_before) templates_.pop_back();
   }
   queries_.push_back(std::move(qs));
@@ -186,33 +191,20 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
     const Stage1Snapshot& warm = *query.stage1_warm;
     prior.counts = &warm.counts;
     prior.rows_drawn = warm.rows_drawn;
-    // Disjointness: when every block behind the prior is already in
-    // this scan's consumed set (a resume from the snapshot's state, or
-    // a join after the scan passed the prior's window), the remaining
-    // scan can never revisit the prior's rows. Otherwise the machine
-    // must treat the prior as overlapping: an exhaustion signal then
-    // only certifies the scan window's counts, not prior + window.
-    bool disjoint = warm.scan.consumed.size() == cursor_.num_blocks();
-    if (disjoint) {
-      const std::vector<uint64_t>& prior_words = warm.scan.consumed.words();
-      const std::vector<uint64_t>& scan_words = cursor_.consumed().words();
-      for (size_t w = 0; w < prior_words.size(); ++w) {
-        if ((prior_words[w] & ~scan_words[w]) != 0) {
-          disjoint = false;
-          break;
-        }
-      }
-    }
-    prior.overlapping = !disjoint;
+    // Create admits a resume only from the prior's own scan, so a
+    // resumed scan never revisits the prior's rows. A fresh scan may:
+    // the machine then treats the prior as overlapping, and an
+    // exhaustion signal certifies only the scan window's counts, not
+    // prior + window.
+    prior.overlapping = !options_.resume.has_value();
     prior_ptr = &prior;
   }
   FASTMATCH_RETURN_IF_ERROR(qs->machine.Begin(
       ts.io->num_candidates(), ts.io->num_groups(), pin_.num_rows, prior_ptr));
   if (prior_ptr != nullptr) ++stats_.warm_queries;
   // Fresh counts for the query's NEXT phase are cumulative minus this
-  // snapshot. At Create the cumulative matrix is zero; a Join()ed query
-  // re-snapshots at admission. A warm query's first phase is stage 2,
-  // whose fresh rows likewise start at the current cumulative state.
+  // snapshot; at Create the cumulative matrix is zero. A warm query's
+  // first phase is stage 2, whose fresh rows likewise start here.
   qs->snapshot = ts.cum;
   qs->snap_rows = ts.rows_cum;
   if (qs->machine.done()) {
@@ -231,12 +223,6 @@ bool BatchExecutor::AnyActive() const {
     if (q.active) return true;
   }
   return false;
-}
-
-int BatchExecutor::num_active() const {
-  int n = 0;
-  for (const QueryState& q : queries_) n += q.active;
-  return n;
 }
 
 bool BatchExecutor::DemandSatisfied(const QueryState& q,
@@ -301,9 +287,11 @@ void BatchExecutor::ExportStage1(const TemplateState& ts, CountMatrix fresh,
                                  int64_t drawn) {
   // Export the completed stage-1 phase. The counts are published even
   // when Supply failed (an all-pruned error is parameter-specific; the
-  // sample itself is target-independent and reusable), and even for
-  // mid-batch windows: any fresh window of the pre-shuffled store's
-  // scan is a uniform without-replacement sample.
+  // sample itself is target-independent and reusable). Every query binds
+  // at Create, before the scan reads a block, so the phase's rows are
+  // exactly the rows of the consumed blocks recorded below: a batch
+  // resumed from this scan never counts a row the prior holds, and never
+  // misses one it lacks.
   auto snapshot = std::make_shared<Stage1Snapshot>();
   snapshot->counts = std::move(fresh);
   snapshot->rows_drawn = drawn;
@@ -565,67 +553,6 @@ Status BatchExecutor::Remove(size_t index, bool harvest) {
   q.wall_seconds = timer_.Seconds();
   NotifyCompletions();
   return Status::OK();
-}
-
-Result<size_t> BatchExecutor::Join(const BoundQuery& query) {
-  if (!started_) {
-    return Status::FailedPrecondition(
-        "Join before Start: add the query to the Create batch instead");
-  }
-  if (taken_) {
-    return Status::FailedPrecondition("batch already finished");
-  }
-  if (query.store.get() != store_.get()) {
-    return Status::InvalidArgument(
-        "joined query must share the batch's ColumnStore");
-  }
-  if (cursor_.AllConsumed()) {
-    // Nothing left to feed the newcomer: every block is consumed, so its
-    // machine would finish instantly on zero samples. The caller must
-    // route it to a fresh batch.
-    return Status::FailedPrecondition(
-        "scan suffix is empty; route the query to a fresh batch");
-  }
-  const size_t index = queries_.size();
-  AddQuery(query);
-  QueryState& qs = queries_.back();
-  if (!qs.active) {
-    // Failed binding or instant warm completion (all-consumed prior):
-    // the query "completed" at join time, not at batch start — stamp it
-    // so item latencies stay monotone for late arrivals.
-    qs.wall_seconds = timer_.Seconds();
-  } else {
-    // The join snapshot (fresh counts = cumulative minus admission
-    // state, so the query is fed from the remaining scan suffix only)
-    // was already taken inside BindQuery, which snapshots the
-    // template's current state for every admission path.
-    //
-    // The exhaustion rule needs the unmet sets stable over an idle
-    // cycle; windows already passed were never checked against the
-    // newcomer's candidates, so the cycle restarts.
-    cursor_.RestartIdleCycle();
-  }
-  // A query that bound joined the batch, whether it is now scanning or
-  // a whole-store warm prior completed it at bind; a binding failure
-  // did not.
-  if (qs.status.ok()) ++stats_.joined_queries;
-  stats_.num_templates = static_cast<int>(templates_.size());
-  // A join that failed binding or completed at bind is complete
-  // already; report it now so the callback contract (every query, at
-  // its completion instant) holds for joins too.
-  NotifyCompletions();
-  return index;
-}
-
-ScanResume BatchExecutor::CaptureScanState() const {
-  ScanResume resume;
-  resume.consumed = cursor_.consumed();
-  resume.cursor = cursor_.position();
-  if (templates_.size() == 1) {
-    resume.exhausted = templates_.front().exhausted;
-  }
-  resume.generation = pin_.generation;
-  return resume;
 }
 
 std::vector<BatchItem> BatchExecutor::TakeItems() {

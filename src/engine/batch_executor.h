@@ -46,30 +46,6 @@
 // never hurt; the single-query engine over-delivers the same way at
 // block granularity).
 //
-// Streaming admission (mid-flight Join): a batch need not be closed at
-// Create. A late query may Join() a running scan at any chunk boundary;
-// it snapshots the shared cumulative counts at entry, so its per-phase
-// fresh counts come from the remaining scan suffix only. This is sound
-// for the same reason block-level sampling is sound: the store's rows are
-// pre-shuffled across blocks, so marginally over the shuffle, any scan
-// suffix is still a uniform without-replacement sample of the relation —
-// the joined machine runs against the full-relation population (Begin is
-// given the store's total row count) and simply starts drawing at a later
-// position of the permutation. A joined query is therefore EQUIVALENT to
-// a fresh solo batch resumed from the donor scan's state —
-// *bit-for-bit* when no other query is still active (otherwise
-// concurrent queries' union demand reads extra blocks, over-delivering
-// uniform samples to the joined machine: statistically harmless, but
-// not byte-identical to a solo resume driven by its demand alone) —
-// and CaptureScanState() + BatchOptions::resume exist precisely so
-// tests can assert that equivalence. One caveat is inherited
-// exhaustion: when every block of candidate c is consumed, c is
-// "exhausted" for a joined query too — no further fresh samples of c
-// can ever arrive — and its MatchResult::exact flag is set with a 0
-// error bar although its counts cover only the suffix, not the full
-// relation. That overclaims (a known defect): the counts are a sample,
-// and the flag and bar say otherwise.
-//
 // Warm stage-1 starts: stage 1 is target-independent per template, so
 // one query's completed stage-1 sample serves every later query on the
 // same (store, template). The executor participates at both ends: it
@@ -77,19 +53,20 @@
 // Stage1Snapshot (BatchOptions::stage1_sink, typically the service
 // tier's Stage1Cache), and it CONSUMES a snapshot attached to a query
 // (BoundQuery::stage1_warm) by warm-starting that query's machine past
-// stage 1 — at Create or mid-flight at Join, where a warm newcomer no
-// longer needs the scan suffix to cover its stage-1 draw. Soundness is
-// the same pre-shuffled-store argument as suffix joins: the cached
-// prefix is a uniform without-replacement sample, every later phase
-// draws its own fresh sample, and each phase's statistics use only its
-// own sample (the fresh-counter rule). A warm query resumed from the
-// snapshot's scan state (BatchOptions::resume = snapshot.scan) is
+// stage 1. Soundness rests on the pre-shuffled store: the cached prefix
+// is a uniform without-replacement sample, every later phase draws its
+// own fresh sample, and each phase's statistics use only its own sample
+// (the fresh-counter rule). A batch whose every query is warm from one
+// snapshot may continue the snapshot's scan (BatchOptions::resume =
+// snapshot.scan): it never revisits the prior's blocks, and it is
 // bit-for-bit identical to the cold run that produced the snapshot —
-// the equivalence the warm-start tests assert.
+// the equivalence the warm-start tests assert. Every other batch starts
+// its own scan, so each query's sample is drawn by a scan that can
+// visit every block, and an `exact` flag always covers the relation.
 //
 // Concurrency contract: the executor itself holds NO locks — by design
 // it has exactly one driver thread (the store's pipeline loop), which
-// calls Start/Step/Join/Evict/TakeItems strictly sequentially, and the
+// calls Start/Step/Evict/TakeItems strictly sequentially, and the
 // only parallelism is the per-chunk ParallelFor fork-join into a
 // SharedWorkerPool (whose queue is guarded by SharedWorkerPool::mu_;
 // see docs/ARCHITECTURE.md, "Concurrency & lock hierarchy"). Worker
@@ -120,19 +97,14 @@ namespace fastmatch {
 
 /// \brief A scan position to resume from: which blocks a donor scan has
 /// already consumed (they will never be read) and where its cursor
-/// stands. Produced by BatchExecutor::CaptureScanState() and accepted via
-/// BatchOptions::resume; a resumed solo run is the reference semantics of
-/// a mid-flight Join() (bit-for-bit identical, see the header comment).
+/// stands. Every Stage1Snapshot carries one; BatchOptions::resume
+/// accepts it for a batch warm from that snapshot.
 struct ScanResume {
   /// Blocks already consumed by the donor scan; size must equal the
   /// store's block count AT THE DONOR'S PINNED GENERATION.
   BitVector consumed;
   /// Cursor position the donor scan would read next; in [0, num_blocks).
   BlockId cursor = 0;
-  /// Candidate-exhaustion knowledge learned by the donor scan. Optional;
-  /// when non-empty the resumed batch must form exactly one (Z, X)
-  /// template and the size must equal its candidate count.
-  std::vector<bool> exhausted;
   /// Store generation the donor scan was pinned at. A resuming batch
   /// re-pins THIS generation (not the current one), so the resumed run
   /// scans exactly the donor's block space even if the store has grown
@@ -149,9 +121,9 @@ struct ScanResume {
 ///
 /// `counts`/`rows_drawn` follow the stage-1 Supply contract: the
 /// phase's fresh rows and only those. `scan` is the shared scan's state
-/// at export time: `consumed`/`cursor` describe the donor scan (feeding
-/// them to BatchOptions::resume yields the disjoint-suffix solo run a
-/// warm start is equivalent to); `scan.exhausted` stays empty.
+/// at export time: `consumed`/`cursor` describe the donor scan, and
+/// feeding them to BatchOptions::resume continues it for a batch warm
+/// from this snapshot.
 struct Stage1Snapshot {
   CountMatrix counts;
   int64_t rows_drawn = 0;
@@ -194,7 +166,9 @@ struct BatchOptions {
   uint64_t seed = 42;
   /// When set, the scan continues a donor scan instead of starting
   /// fresh: pre-consumed blocks are never read and the cursor starts at
-  /// the donor's position. See ScanResume.
+  /// the donor's position. Create accepts it only when every query is
+  /// warm from one Stage1Snapshot whose `scan` equals it, so the prior
+  /// covers exactly the blocks the resumed scan skips.
   std::optional<ScanResume> resume;
   /// Pool the block reads run on, at most num_threads tasks at once (the
   /// batch's quota); null means SharedWorkerPool::Process(). The pool
@@ -223,10 +197,6 @@ struct BatchStats {
   int64_t blocks_skipped = 0;
   /// Scan rounds (chunks) executed.
   int64_t chunks = 0;
-  /// Queries bound mid-flight through Join(), including one that a
-  /// whole-store warm prior completes at bind; a join whose binding
-  /// fails is not counted.
-  int64_t joined_queries = 0;
   /// Queries removed mid-flight through Evict().
   int64_t evicted_queries = 0;
   /// Queries removed mid-flight through EvictWithResult(): their machine
@@ -252,8 +222,7 @@ struct BatchStats {
 };
 
 /// \brief Per-query outcome of a batch run, returned by TakeItems()/Run()
-/// or handed to the completion callback (same index order as the input;
-/// joined queries follow in Join() order).
+/// or handed to the completion callback (same index order as the input).
 struct BatchItem {
   /// Per-query status: one query failing (bad parameters, everything
   /// pruned) never sinks the rest of the batch.
@@ -261,29 +230,29 @@ struct BatchItem {
   /// Valid when status.ok().
   MatchResult match;
   /// Seconds from batch start (Start()/Run()) until this query
-  /// completed. For a joined query this still counts from batch start,
-  /// not from its Join().
+  /// completed.
   double wall_seconds = 0;
 };
 
 /// \brief Shared-scan executor for N concurrent queries over one store.
 ///
-/// Two driving protocols:
-///   * closed batch:  Create() then Run() — everything in one call;
-///   * streaming:     Create(), Start(), then Step() until it returns
-///     false, then TakeItems(). Between Step() calls (chunk boundaries)
-///     late queries may be admitted with Join(). With a completion
-///     callback set, the callback delivers each item instead of
-///     TakeItems(); this is how the service-tier QueryScheduler drives
-///     it.
+/// Every batch is closed at Create: a query that arrives later waits
+/// for the next batch. Two driving protocols:
+///   * one call:  Create() then Run();
+///   * stepwise:  Create(), Start(), then Step() until it returns false,
+///     then TakeItems(). Between Step() calls (chunk boundaries) running
+///     queries may be evicted. With a completion callback set, the
+///     callback delivers each item instead of TakeItems(); this is how
+///     the service-tier QueryScheduler drives it.
 class BatchExecutor {
  public:
   /// \brief Creates an executor for one batch. All queries must share one
   /// ColumnStore (shared-scan batching is per store; route queries over
   /// different stores to different batches). Structural problems (empty
-  /// batch, mixed stores, invalid index, malformed resume state) fail
-  /// here; per-query problems (bad parameters, wrong target size)
-  /// surface as per-item statuses.
+  /// batch, mixed stores, invalid index, malformed resume state, a
+  /// resume that some query is not warm from) fail here; per-query
+  /// problems (bad parameters, wrong target size) surface as per-item
+  /// statuses.
   static Result<std::unique_ptr<BatchExecutor>> Create(
       const std::vector<BoundQuery>& queries, BatchOptions options);
 
@@ -292,8 +261,7 @@ class BatchExecutor {
   std::vector<BatchItem> Run();
 
   /// \brief Starts the scan's timer and settles any
-  /// immediately-satisfiable phases. Call exactly once before
-  /// Step()/Join().
+  /// immediately-satisfiable phases. Call exactly once before Step().
   void Start();
 
   /// \brief Executes one shared-scan chunk (mark, read, settle) and
@@ -301,20 +269,6 @@ class BatchExecutor {
   /// A false return means every query completed: call TakeItems(), or,
   /// with a completion callback set, every item has been delivered.
   bool Step();
-
-  /// \brief Admits a late query into the running scan at the current
-  /// chunk boundary. The query's machine snapshots the template's shared
-  /// cumulative counts at entry, so it is fed exclusively from the
-  /// remaining scan suffix (see the header comment for why that is a
-  /// sound uniform without-replacement sample).
-  ///
-  /// Returns the query's item index on success. Structural
-  /// errors return a Status: Join() before Start() or after TakeItems(),
-  /// a query over a different store, or an empty scan suffix (every
-  /// block already consumed — the caller must fall back to a fresh
-  /// batch). Per-query binding problems are accepted and surface as the
-  /// item's status, exactly as in Create().
-  Result<size_t> Join(const BoundQuery& query);
 
   /// \brief Removes a still-active query from the running batch: its
   /// machine stops, its template's contribution leaves the union block
@@ -354,9 +308,7 @@ class BatchExecutor {
   /// Start()/Step() until Step() returns false.
   ///
   /// Calls happen synchronously on the driving thread, inside Start(),
-  /// Step(), Join() (a join whose binding fails, or that a whole-store
-  /// warm prior completes, finishes instantly), Evict() and
-  /// EvictWithResult(). Must be set before Start(); fn must not
+  /// Step(), Evict() and EvictWithResult(). Must be set before Start(); fn must not
   /// re-enter the executor. Queries already failed at Create() are
   /// reported from Start().
   void SetCompletionCallback(std::function<void(size_t, BatchItem)> fn);
@@ -392,22 +344,12 @@ class BatchExecutor {
   /// \brief True once every admitted query has completed (or failed).
   bool finished() const { return !AnyActive(); }
 
-  /// \brief Queries still running (admitted minus completed/failed).
-  int num_active() const;
-
-  /// \brief Total queries admitted so far (Create() plus Join()).
+  /// \brief Queries in the batch.
   size_t num_queries() const { return queries_.size(); }
 
-  /// \brief Snapshot of the scan position: consumed blocks, cursor, and
-  /// (single-template batches only) candidate-exhaustion knowledge.
-  /// Feeding this to BatchOptions::resume yields the suffix-only solo
-  /// run a Join() at this boundary is equivalent to.
-  ScanResume CaptureScanState() const;
-
-  /// \brief Unique blocks consumed so far (pre-consumed resume blocks
-  /// included). Equal to the store's block count iff the suffix is
-  /// empty, at which point Join() is rejected.
-  int64_t consumed_blocks() const { return cursor_.consumed_blocks(); }
+  /// \brief The shared scan's position: cursor and consumed blocks
+  /// (pre-consumed resume blocks included).
+  const ScanCursor& scan() const { return cursor_; }
 
   /// \brief I/O accounting so far (final after the last Step()/Run()).
   const BatchStats& stats() const { return stats_; }

@@ -46,9 +46,8 @@ QueryScheduler::QueryScheduler(SchedulerOptions options)
       << "max_pending_per_store must be >= 1";
   FASTMATCH_CHECK(options_.max_queue_wait_seconds >= 0)
       << "max_queue_wait_seconds must be >= 0";
-  FASTMATCH_CHECK(options_.min_join_suffix_fraction >= 0 &&
-                  options_.min_join_suffix_fraction <= 1)
-      << "min_join_suffix_fraction must be in [0, 1]";
+  FASTMATCH_CHECK(!options_.allow_joins)
+      << "allow_joins must be false: every batch is closed at launch";
   FASTMATCH_CHECK(options_.batch.num_threads >= 1)
       << "batch.num_threads (the shared-pool quota) must be >= 1";
   if (options_.idle_pipeline_timeout_seconds > 0) {
@@ -148,7 +147,6 @@ void QueryScheduler::Deliver(Ticket* ticket, Status status, MatchResult match,
   item.match = std::move(match);
   item.queue_seconds = ToSeconds(queued_until - ticket->enqueued);
   item.total_seconds = ToSeconds(finished - ticket->enqueued);
-  item.joined_midflight = ticket->joined_midflight;
   ticket->fulfilled = true;
   int64_t SchedulerStats::*terminal = nullptr;
   switch (item.status.code()) {
@@ -287,12 +285,8 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
             while (!pipeline->pending.empty() &&
                    static_cast<int>(batch->size()) <
                        options_.max_batch_queries) {
-              if (pipeline->pending.front().join_refused) {
-                // The fallback the earlier refusal predicted actually
-                // happened: the query launches in a fresh batch.
-                Count(&SchedulerStats::join_fallbacks);
-              }
-              Admit(std::move(pipeline->pending.front()), now, batch);
+              pipeline->pending.front().admitted = now;
+              batch->push_back(std::move(pipeline->pending.front()));
               pipeline->pending.pop_front();
             }
             pipeline->busy = true;
@@ -316,14 +310,8 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
   }
 }
 
-void QueryScheduler::Admit(Ticket ticket, Clock::time_point now,
-                           std::vector<Ticket>* batch) {
-  ticket.admitted = now;
-  batch->push_back(std::move(ticket));
-}
-
 void QueryScheduler::AttachWarmStage1(BoundQuery* query) {
-  if (stage1_cache_ == nullptr || IsWarm(*query)) return;
+  if (stage1_cache_ == nullptr || query->stage1_warm != nullptr) return;
   // A hit must cover the query's full stage-1 demand (the cache treats
   // smaller entries as misses) AND have been drawn at the pinned
   // generation.
@@ -364,83 +352,10 @@ void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
   }
 }
 
-void QueryScheduler::TryJoins(Pipeline* pipeline, BatchExecutor* executor,
-                              int64_t num_blocks, std::vector<Ticket>* batch) {
-  std::vector<Shed> shed;
-  for (;;) {
-    Ticket ticket;
-    bool cache_lifted_refusal = false;
-    {
-      MutexLock lock(&pipeline->mu);
-      // Never join a query that is already cancelled or past deadline.
-      ShedLocked(pipeline, &shed);
-      if (pipeline->pending.empty() ||
-          executor->num_active() >= options_.max_batch_queries) {
-        break;
-      }
-      // Serve stage 1 from the cache when it can: a warm join draws
-      // only stage-2/3 samples from the suffix. The snapshot stays
-      // attached if the join is refused, so a fresh-batch fallback
-      // launches warm too. A front query that missed is re-looked-up at
-      // each chunk boundary ON PURPOSE — the running batch's own
-      // stage-1 completions publish mid-flight, upgrading a cold
-      // waiter to warm — so stage1_lookups counts consult EVENTS, not
-      // queries. (The cache's mutex is a leaf lock: Lookup never takes
-      // pipeline or scheduler locks.)
-      Ticket& front = pipeline->pending.front();
-      AttachWarmStage1(&front.query);
-      const double suffix_fraction =
-          1.0 - static_cast<double>(executor->consumed_blocks()) /
-                    static_cast<double>(num_blocks);
-      const bool below_policy =
-          suffix_fraction < options_.min_join_suffix_fraction;
-      // An empty suffix is also the executor's own Join refusal, so the
-      // join below cannot be refused.
-      if (executor->consumed_blocks() == num_blocks ||
-          (below_policy && !IsWarm(front.query))) {
-        // Too little scan left for a statistically useful join — the
-        // suffix must still cover stage 1 for a cold query. Leave the
-        // query queued; a later chunk may still join it (e.g. after a
-        // publish turns it warm), else it launches in a fresh batch
-        // when this one ends — join_fallbacks counts at that launch.
-        front.join_refused = true;
-        break;
-      }
-      cache_lifted_refusal = below_policy;
-      ticket = std::move(pipeline->pending.front());
-      pipeline->pending.pop_front();
-    }
-    // Admit BEFORE the join: a join that completes instantly (a warm
-    // prior covering the whole store) publishes its final update from
-    // inside Join(), routed by index to this ticket's progress sink.
-    Admit(std::move(ticket), Clock::now(), batch);
-    // Join (template binding, machine Begin) runs outside the pipeline
-    // lock so Submit callers are never blocked on it; this thread is
-    // the executor's sole driver, so no other synchronization applies.
-    const int64_t bound_before = executor->stats().joined_queries;
-    Result<size_t> joined = executor->Join(batch->back().query);
-    FASTMATCH_CHECK(joined.ok()) << joined.status().ToString();
-    FASTMATCH_CHECK_EQ(*joined + 1, batch->size());
-    // A join whose per-query binding failed still occupies an item slot
-    // but never entered the scan: report it as a plain (failed) query,
-    // keeping joined_midflight consistent with the executor's stat.
-    const bool bound = executor->stats().joined_queries > bound_before;
-    batch->back().joined_midflight = bound;
-    if (bound) {
-      Count(&SchedulerStats::joined_midflight, 1,
-            cache_lifted_refusal ? &SchedulerStats::joins_enabled_by_cache
-                                 : nullptr);
-    }
-  }
-  FulfillShed(std::move(shed));
-}
-
 void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
-  // Admission-time cache consult: queries whose template is warm skip
-  // stage 1 from the first chunk. (Queries left queued by a refused
-  // join may already carry their snapshot; AttachWarmStage1 leaves
-  // those untouched.) The executor copies what it keeps of each query,
-  // so the launch moves them out of their tickets.
+  // Launch-time cache consult: queries whose template is warm skip
+  // stage 1 from the first chunk. The executor copies what it keeps of
+  // each query, so the launch moves them out of their tickets.
   std::vector<BoundQuery> queries;
   queries.reserve(batch.size());
   for (Ticket& ticket : batch) {
@@ -450,22 +365,25 @@ void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
   BatchOptions batch_options = options_.batch;
   batch_options.shared_pool = pool_;
   batch_options.stage1_sink = stage1_cache_.get();
-  // Warm-batch scan resume: when EVERY query of a fresh batch is warm
-  // from the SAME snapshot, the batch continues the donor's scan instead
-  // of starting fresh — the donor's prefix blocks are pre-consumed and
+  // Warm-batch scan resume: when EVERY query of a batch is warm from the
+  // SAME snapshot, the batch continues the donor's scan instead of
+  // starting fresh — the donor's prefix blocks are pre-consumed and
   // never re-read, so the prior's rows are disjoint from the scan that
-  // follows and exhaustion needs no overlapping-prior subtraction. One
-  // shared snapshot implies one template. The resume runs AT THE
-  // DONOR'S GENERATION (the executor re-pins it), which is the
-  // generation the cache served the snapshot at, so its geometry check
-  // uses the donor's pin, not the live store's.
+  // follows and exhaustion needs no overlapping-prior subtraction. This
+  // is the only resume the executor accepts. One shared snapshot
+  // implies one template. The resume runs AT THE DONOR'S GENERATION
+  // (the executor re-pins it), which is the generation the cache served
+  // the snapshot at, so its geometry check uses the donor's pin, not
+  // the live store's.
   if (!batch_options.resume.has_value() &&
       queries.front().stage1_warm != nullptr) {
     const std::shared_ptr<const Stage1Snapshot>& snap =
         queries.front().stage1_warm;
     bool all_same = true;
     for (const BoundQuery& query : queries) {
-      if (query.stage1_warm != snap) {
+      if (query.stage1_warm != snap ||
+          (query.stage1_warm_generation != 0 &&
+           query.stage1_warm_generation != snap->scan.generation)) {
         all_same = false;
         break;
       }
@@ -492,73 +410,44 @@ void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
     return;
   }
   std::unique_ptr<BatchExecutor> executor = std::move(*create);
-  // Join policy measures the scan the batch will ACTUALLY run — the
-  // executor's pinned geometry — not the live store, whose block count
-  // an append can move mid-batch.
-  const int64_t num_blocks = executor->pin().num_blocks;
-
   const Clock::time_point batch_start = Clock::now();
   // Eager delivery: machine completions surface here, synchronously on
-  // this thread from inside Start/Step/Join/Evict/EvictWithResult, and
-  // this callback is every item's only delivery path. Buffered rather
-  // than fulfilled inline because a Join()'s instant completion
-  // (binding failure, or a warm prior covering the whole store) fires
-  // before TryJoins knows whether the query bound, which its
-  // joined_midflight reports.
-  std::vector<std::pair<size_t, BatchItem>> ready;
-  executor->SetCompletionCallback([&ready](size_t index, BatchItem item) {
-    ready.emplace_back(index, std::move(item));
-  });
+  // this thread from inside Start/Step/Evict/EvictWithResult with no
+  // pipeline lock held, and this callback is every item's only delivery
+  // path. The executor stamps wall_seconds from batch start, so
+  // batch_start + wall_seconds is when the query's machine finished.
+  executor->SetCompletionCallback(
+      [this, &batch, batch_start](size_t index, BatchItem item) {
+        FASTMATCH_CHECK(index < batch.size());
+        Ticket& ticket = batch[index];
+        FASTMATCH_CHECK(!ticket.fulfilled);
+        Deliver(&ticket, std::move(item.status), std::move(item.match),
+                ticket.admitted, batch_start + FromSeconds(item.wall_seconds));
+      });
   // Anytime streaming: the executor emits per-query snapshots at every
   // chunk boundary; route each to its ticket's progress sink. Runs on
-  // THIS thread inside Step/Join/EvictWithResult with no pipeline lock
-  // held (the promise-resolution discipline applies to progress
-  // publication too). `batch` only grows, and only between Steps or
-  // just before a Join (TryJoins admits the ticket first), so the index
-  // map is stable whenever either function runs. The predicate keeps a
-  // query that opted out free: the executor builds no snapshot for it.
+  // THIS thread inside Step/EvictWithResult with no pipeline lock held
+  // (the promise-resolution discipline applies to progress publication
+  // too). The predicate keeps a query that opted out free: the executor
+  // builds no snapshot for it.
   executor->SetProgressCallback(
       [&batch](size_t index, const ProgressUpdate& update) {
         batch[index].progress_sink(update);
       },
       [&batch](size_t index) {
-        // Every ticket exists before Start() or Join() can emit for it.
         FASTMATCH_CHECK(index < batch.size());
         return static_cast<bool>(batch[index].progress_sink);
       });
-  const auto deliver_ready = [&] {
-    for (auto& [index, item] : ready) {
-      FASTMATCH_CHECK(index < batch.size());
-      Ticket& ticket = batch[index];
-      FASTMATCH_CHECK(!ticket.fulfilled);
-      // Per-item completion instant: the executor stamps wall_seconds
-      // from batch start, so batch_start + wall_seconds is when the
-      // query's machine actually finished (delivery lands after the rest
-      // of that chunk boundary's work — "now" would overstate latency).
-      Deliver(&ticket, std::move(item.status), std::move(item.match),
-              ticket.admitted, batch_start + FromSeconds(item.wall_seconds));
-    }
-    ready.clear();
-  };
 
   executor->Start();
-  deliver_ready();
   for (;;) {
-    // Chunk-boundary lifecycle pass, in dependency order: shed the
-    // queue (a cancelled/expired query must not be joined), evict
-    // cancelled and out-of-budget running queries (frees executor
-    // slots), then admit joins — checking before the finished test also
-    // lets a late arrival revive an executor whose own queries all
-    // completed while scan suffix remains.
+    // Chunk-boundary lifecycle pass: shed the queue (a cancelled or
+    // expired query waiting for the next batch resolves now), then evict
+    // cancelled and out-of-budget running queries.
     ShedPending(pipeline);
     EvictAtBoundary(executor.get(), &batch);
-    if (options_.allow_joins) {
-      TryJoins(pipeline, executor.get(), num_blocks, &batch);
-    }
-    deliver_ready();
     if (executor->finished()) break;
     executor->Step();
-    deliver_ready();
   }
 
   Count(&SchedulerStats::batch_blocks_read, executor->stats().blocks_read);

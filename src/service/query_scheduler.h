@@ -1,5 +1,5 @@
-// Service-tier query scheduling: cross-store batching with streaming
-// admission and per-query lifecycle management.
+// Service-tier query scheduling: cross-store batching with per-query
+// lifecycle management.
 //
 // engine::BatchExecutor amortizes block reads across queries, but it
 // executes one batch over one ColumnStore. A service endpoint sees an
@@ -23,11 +23,13 @@
 //                 reads on the process-wide SharedWorkerPool under the
 //                 batch's quota)
 //                          ▲
-//                          │  between chunks: late arrivals Join() the
-//                          │  running scan mid-flight, expired/cancelled
-//                          │  queued queries are shed, cancelled running
+//                          │  between chunks: expired/cancelled queued
+//                          │  queries are shed, cancelled running
 //                          │  queries are Evict()ed, and finished
 //                          │  machines' futures are fulfilled eagerly
+//
+// A batch is closed at launch: a query that arrives while its store's
+// batch runs waits in the queue for the next one.
 //
 // Query lifecycle. Every accepted Submit terminates in EXACTLY one of
 // four states, delivered through the handle's future exactly once:
@@ -107,9 +109,8 @@ struct SchedulerOptions {
   /// is overridden by the scheduler: every batch runs on `pool` (or the
   /// process pool) with batch.num_threads as its concurrency quota.
   BatchOptions batch;
-  /// Maximum concurrently active queries per executor. A pipeline
-  /// launches as soon as this many are pending, and mid-flight joins are
-  /// admitted only while the live count is below it.
+  /// Maximum queries per executor. A pipeline launches as soon as this
+  /// many are pending.
   int max_batch_queries = 16;
   /// A pending query waits at most this long for the batch to fill; the
   /// pipeline then launches a partial batch (never an empty one).
@@ -117,15 +118,10 @@ struct SchedulerOptions {
   /// Back-pressure bound: Submit returns ResourceExhausted once a
   /// store's pending queue holds this many queries.
   int max_pending_per_store = 1024;
-  /// Streaming admission: let late arrivals Join() a running scan at
-  /// chunk boundaries. When false every batch is closed at launch;
-  /// perfbench's closed-loop workloads run this way, so a batch's
-  /// composition never depends on arrival timing.
-  bool allow_joins = true;
-  /// Refuse mid-flight joins once less than this fraction of the
-  /// store's blocks remains unconsumed; the query waits for a fresh
-  /// batch instead. 0 admits joins until the scan's final chunk.
-  double min_join_suffix_fraction = 0.05;
+  /// Must stay false (the constructor CHECKs it): every batch is closed
+  /// at launch. Kept only because the systems benchmark assigns it; it
+  /// goes when the benchmark stops naming it (ROADMAP item 1).
+  bool allow_joins = false;
   /// Reap a store pipeline (join its driver thread, drop its queue)
   /// once it has had no pending or running work for this long; <= 0
   /// disables reaping. A reaped store transparently gets a fresh
@@ -134,9 +130,7 @@ struct SchedulerOptions {
   /// Per-store stage-1 sample cache (service Stage1Cache): stage-1
   /// snapshots exported by running batches are served back to later
   /// queries on the same (store, template), which skip stage 1
-  /// entirely, and a warm template lifts the min_join_suffix_fraction
-  /// refusal (stage 1 no longer needs the scan suffix). Reaping a
-  /// store's pipeline invalidates its entries. The cache keeps
+  /// entirely. Reaping a store's pipeline invalidates its entries. The cache keeps
   /// Stage1CacheOptions' default capacity. Off by default, so every
   /// query pays its own stage 1 unless the caller opts in (perfbench's
   /// dashboards run with it on).
@@ -179,23 +173,15 @@ struct SubmitOptions {
 /// via QueryScheduler::stats()).
 ///
 /// The stage1_* counters are the scheduler's Stage1Cache's own (all zero
-/// when the cache is disabled). Lookups count consult EVENTS, not
-/// queries: launch admission consults once per query, and a queued front
-/// query is re-consulted at every chunk boundary of the running batch (a
-/// mid-flight publish can upgrade it to warm), so one cold waiter can
-/// accrue several misses. Every hit became a warm-started query.
+/// when the cache is disabled). A launch consults the cache once for
+/// each of its queries that does not already carry a prior, so a lookup
+/// is one launched query. Every hit became a warm-started query.
 struct SchedulerStats : Stage1CacheStats {
   int64_t submitted = 0;          // accepted by Submit
   int64_t rejected = 0;           // refused by back-pressure
   int64_t completed = 0;          // futures fulfilled (any terminal state)
   int64_t batches_launched = 0;   // executors created
   int64_t timeout_flushes = 0;    // partial batches launched on deadline
-  int64_t joined_midflight = 0;   // queries admitted via Join()
-  // Once-refused joins whose query then launched in a fresh batch. A
-  // refusal alone does not count: the driver re-consults every chunk,
-  // and a mid-flight cache publish can still upgrade a refused cold
-  // query to warm and join it (counted in joined_midflight instead).
-  int64_t join_fallbacks = 0;
   int64_t pipelines = 0;          // pipelines ever created
   int64_t deadline_exceeded = 0;  // shed while queued, deadline passed
   int64_t cancelled = 0;          // terminal Cancelled (queued + evicted)
@@ -208,9 +194,6 @@ struct SchedulerStats : Stage1CacheStats {
   int64_t budget_evicted = 0;
   int64_t unavailable = 0;        // shed by scheduler teardown
   int64_t pipelines_reaped = 0;   // idle pipelines joined by the janitor
-  int64_t joins_enabled_by_cache = 0;  // joins the suffix policy would have
-                                       // refused, admitted because stage 1
-                                       // came from cache
   // Warm-batch resume.
   int64_t warm_batches_resumed = 0;   // fresh batches whose every query was
                                       // warm from one snapshot, launched with
@@ -239,8 +222,6 @@ struct SchedulerItem {
   /// + execution). The future is fulfilled at that same moment (eager
   /// delivery).
   double total_seconds = 0;
-  /// True when the query joined a running scan mid-flight.
-  bool joined_midflight = false;
 };
 
 class QueryScheduler;
@@ -382,8 +363,8 @@ class QueryHandle {
 };
 
 /// \brief Routes a stream of BoundQuerys to per-store shared-scan
-/// pipelines with streaming batch admission and per-query lifecycle
-/// management (deadlines, cancellation, eager delivery, idle reaping).
+/// pipelines with per-query lifecycle management (deadlines,
+/// cancellation, eager delivery, idle reaping).
 class QueryScheduler {
  public:
   explicit QueryScheduler(SchedulerOptions options);
@@ -441,16 +422,9 @@ class QueryScheduler {
     /// when the query opted out of both, so the executor builds no
     /// snapshot for it.
     std::function<void(const ProgressUpdate&)> progress_sink;
-    /// A mid-flight join was refused at least once. Counted into
-    /// join_fallbacks only if the query actually launches in a fresh
-    /// batch — a later chunk boundary may still join it (the driver
-    /// re-consults each chunk, and a cache publish can upgrade a
-    /// refused cold query to warm).
-    bool join_refused = false;
     /// Entry into a scan: queue time ends, the execution budget starts.
-    /// The clock's epoch until Admit sets it.
+    /// The clock's epoch until the batch launches.
     Clock::time_point admitted;
-    bool joined_midflight = false;
     /// Promise resolved: exactly once, from the completion callback
     /// (eager delivery, eviction or harvest), or with the Create status
     /// when the batch's executor cannot be built. The chunk-boundary
@@ -488,18 +462,10 @@ class QueryScheduler {
   /// drained).
   bool GatherLaunchBatch(Pipeline* pipeline, std::vector<Ticket>* batch)
       FASTMATCH_EXCLUDES(pipeline->mu);
-  /// Runs one executor to completion: joins, sheds, evictions, and
-  /// eager deliveries all happen at chunk boundaries.
+  /// Runs one executor to completion: sheds and evictions happen at
+  /// chunk boundaries, deliveries the moment each query completes.
   void RunBatch(Pipeline* pipeline, std::vector<Ticket> batch)
       FASTMATCH_EXCLUDES(pipeline->mu);
-  /// Admits pending queries into the running scan while policy allows.
-  void TryJoins(Pipeline* pipeline, BatchExecutor* executor,
-                int64_t num_blocks, std::vector<Ticket>* batch)
-      FASTMATCH_EXCLUDES(pipeline->mu);
-  /// Enters `ticket` into a scan at `now` as batch item batch->size():
-  /// the one admission path of launches and joins.
-  static void Admit(Ticket ticket, Clock::time_point now,
-                    std::vector<Ticket>* batch);
   /// Removes cancelled/expired entries from the pending deque; terminal
   /// fulfillment happens in FulfillShed, outside the lock (the
   /// promise-resolution rule, now compiler-visible: this method REQUIRES
@@ -525,18 +491,13 @@ class QueryScheduler {
   void EvictAtBoundary(BatchExecutor* executor, std::vector<Ticket>* batch);
   /// Looks the query's template up in the stage-1 cache and attaches
   /// the snapshot on a hit (no-op when the cache is disabled or the
-  /// query already carries warm state). The lookup carries the
+  /// caller attached a prior). The lookup carries the
   /// generation of one pin taken here, and only an entry drawn at that
   /// generation hits, so a cached prior is never attached at another
   /// generation; the executor's own stale-warm guard backstops an append
   /// racing between this consult and batch creation. The cache lock is a
   /// leaf: callers may hold a pipeline lock.
   void AttachWarmStage1(BoundQuery* query);
-  /// True when the query will skip stage 1 — the condition that lifts
-  /// the min_join_suffix_fraction refusal.
-  static bool IsWarm(const BoundQuery& query) {
-    return query.stage1_warm != nullptr;
-  }
   /// Janitor: joins pipelines idle past the timeout.
   void ReaperLoop() FASTMATCH_EXCLUDES(mu_);
 
@@ -561,7 +522,7 @@ class QueryScheduler {
   const SchedulerOptions options_;
   SharedWorkerPool* const pool_;  // options_.pool or the process pool
   /// Created when options_.stage1_cache; executors publish into it
-  /// (BatchOptions::stage1_sink) and admission/join paths Lookup it.
+  /// (BatchOptions::stage1_sink) and each launch Looks it up.
   /// Internally locked (leaf) — safe from pipeline threads and the
   /// janitor. The pointer itself is immutable after construction.
   const std::unique_ptr<Stage1Cache> stage1_cache_;

@@ -5,18 +5,15 @@
 // candidate targets exist, so the counts it produces are
 // target-independent per (store, template): every future query over the
 // same ColumnStore and (z_attr, x_attrs) grouping could reuse them —
-// yet without a cache each batch re-pays the draw, and a mid-flight
-// Join() must carve stage 1 out of the scan suffix. Stage1Cache closes
+// yet without a cache each batch re-pays the draw. Stage1Cache closes
 // that loop: BatchExecutors publish Stage1Snapshots as batches run
 // (BatchOptions::stage1_sink), and the QueryScheduler consults the
-// cache at admission time — a query whose template has a warm entry
-// covering its stage-1 demand skips stage 1 entirely
-// (BoundQuery::stage1_warm), and a join no longer needs the suffix to
-// cover stage 1 (the min_join_suffix_fraction refusal is lifted when
-// the cache serves it).
+// cache when it launches a batch — a query whose template has a warm
+// entry covering its stage-1 demand skips stage 1 entirely
+// (BoundQuery::stage1_warm).
 //
-// Soundness is the pre-shuffled-store argument already used for suffix
-// joins: a cached scan prefix is a uniform without-replacement sample
+// Soundness is the pre-shuffled-store argument behind block sampling:
+// a cached scan prefix is a uniform without-replacement sample
 // of the relation, and the warm query's later stages draw their own
 // fresh uniform samples — each phase's test statistics use only that
 // phase's sample (the per-call fresh-counter rule), so serving stage 1

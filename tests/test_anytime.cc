@@ -23,8 +23,8 @@
 //   * progress cost follows subscribers: the scheduler builds snapshots
 //     only for queries with a progress consumer (none for a batch
 //     nobody subscribed to) without changing any result or block count,
-//     and a tracked query whose join completes instantly still
-//     receives its final update.
+//     and a query whose warm prior completes it at bind still receives
+//     its final update.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +42,7 @@
 #include "engine/batch_executor.h"
 #include "index/bitmap_index.h"
 #include "service/query_scheduler.h"
+#include "service/stage1_cache.h"
 #include "test_helpers.h"
 #include "util/sync.h"
 
@@ -265,7 +266,6 @@ SchedulerOptions AnytimeSchedOptions() {
   options.batch.chunk_blocks = 4;
   options.max_batch_queries = 8;
   options.max_queue_wait_seconds = 0.002;
-  options.min_join_suffix_fraction = 0.0;
   return options;
 }
 
@@ -445,7 +445,6 @@ SubscriptionRun RunSubscriptionBatch(const AnytimeFixture& f,
   // One closed batch holding every query, launched once it is full.
   options.max_batch_queries = static_cast<int>(consumers.size());
   options.max_queue_wait_seconds = 3600;
-  options.allow_joins = false;
   QueryScheduler scheduler(options);
   Mutex mu;
   std::vector<int64_t> callback_updates(consumers.size(), 0);
@@ -530,72 +529,45 @@ TEST(AnytimeTest, SchedulerBuildsSnapshotsOnlyForSubscribedQueries) {
   }
 }
 
-TEST(AnytimeTest, InstantWarmJoinStreamsItsFinalUpdate) {
-  // A tracked query joins a running batch of another template and is
-  // served by a stage-1 cache entry covering the whole store, so its
-  // machine completes inside Join(). Its final update must still reach
-  // its channel. The join window is probabilistic on a single-core
-  // host: bounded retries, like the scheduler's streaming-admission
-  // tests.
+TEST(AnytimeTest, InstantWarmStartStreamsItsFinalUpdate) {
+  // A query served by a stage-1 snapshot that covers the whole store
+  // completes at bind, before the scan reads a block. Its final update
+  // must still stream, from Start(), and mirror the delivered result.
   AnytimeFixture f = MakeAnytimeFixture(2000, 59);
   const int64_t num_rows = f.store->num_rows();
-  // Template (Z = column 1, X = column 0): 8 candidates over 12 groups.
-  const auto swapped_query = [&f, num_rows](uint64_t seed) {
-    BoundQuery q;
-    q.store = f.store;
-    q.z_attr = 1;
-    q.x_attrs = {0};
-    q.target = UniformDistribution(12);
-    q.params = AnytimeParams(seed);
-    q.params.stage1_samples = num_rows;
-    return q;
-  };
-  bool joined = false;
-  for (int attempt = 0; attempt < 40 && !joined; ++attempt) {
-    SchedulerOptions options = AnytimeSchedOptions();
-    options.stage1_cache = true;
-    QueryScheduler scheduler(options);
-    // Donor: its stage 1 draws every row, so the published snapshot
-    // covers the whole store.
-    auto donor = scheduler.Submit(swapped_query(1));
-    ASSERT_TRUE(donor.ok());
-    ASSERT_TRUE(donor->Get().status.ok());
-    ASSERT_GE(scheduler.stats().stage1_inserts, 1);
+  Stage1Cache cache;
+  BatchOptions donor_options = ExecOptions(2);
+  donor_options.stage1_sink = &cache;
+  BoundQuery donor = MakeQuery(f, 1);
+  donor.params.stage1_samples = num_rows;
+  ASSERT_TRUE(BatchExecutor::Create({donor}, donor_options)
+                  .value()
+                  ->Run()[0]
+                  .status.ok());
 
-    BoundQuery slow = MakeQuery(f, 2);
-    slow.params.epsilon = 0.03;
-    auto running = scheduler.Submit(std::move(slow));
-    ASSERT_TRUE(running.ok());
-    for (int spin = 0; scheduler.stats().batches_launched < 2 && spin < 10000;
-         ++spin) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    SubmitOptions submit;
-    submit.track_progress = true;
-    auto tracked = scheduler.Submit(swapped_query(3), submit);
-    ASSERT_TRUE(tracked.ok());
-    SchedulerItem item = tracked->Get();
-    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
-    ASSERT_TRUE(running->Get().status.ok());
-    EXPECT_TRUE(item.match.diag.stage1_warm);
-    EXPECT_TRUE(item.match.diag.data_exhausted);
-
-    std::optional<ProgressUpdate> latest = tracked->Progress();
-    ASSERT_TRUE(latest.has_value()) << "attempt " << attempt;
-    EXPECT_TRUE(latest->final_update);
-    EXPECT_EQ(latest->topk, item.match.topk);
-    EXPECT_EQ(latest->topk_distances, item.match.topk_distances);
-    EXPECT_EQ(latest->distances, item.match.distances);
-    EXPECT_EQ(latest->error_bars, item.match.error_bars);
-    EXPECT_EQ(latest->exact, item.match.exact);
-    // Served by the running batch (no batch of its own): the join path.
-    // A join that its warm prior completes at bind still counts as one.
-    joined = scheduler.stats().batches_launched == 2;
-    EXPECT_EQ(item.joined_midflight, joined);
-    EXPECT_EQ(scheduler.stats().joined_midflight, joined ? 1 : 0);
-    scheduler.Shutdown();
-  }
-  EXPECT_TRUE(joined) << "the tracked query never joined in 40 attempts";
+  BoundQuery warm = MakeQuery(f, 3);
+  warm.stage1_warm = cache
+                         .Lookup(f.store->id(), kWholeStorePartition, 0, {1},
+                                 num_rows, f.store->Pin().generation)
+                         .snapshot;
+  ASSERT_NE(warm.stage1_warm, nullptr);
+  auto executor = BatchExecutor::Create({warm}, ExecOptions(2)).value();
+  std::vector<ProgressUpdate> updates;
+  std::optional<BatchItem> delivered;
+  executor->SetCompletionCallback(
+      [&delivered](size_t, BatchItem item) { delivered = std::move(item); });
+  executor->SetProgressCallback(
+      [&updates](size_t, const ProgressUpdate& up) { updates.push_back(up); },
+      [](size_t) { return true; });
+  executor->Start();
+  ASSERT_TRUE(delivered.has_value());
+  ASSERT_TRUE(delivered->status.ok()) << delivered->status.ToString();
+  EXPECT_TRUE(delivered->match.diag.stage1_warm);
+  EXPECT_TRUE(delivered->match.diag.data_exhausted);
+  ASSERT_EQ(updates.size(), 1u);
+  CheckUpdateStream(updates, delivered->match);
+  EXPECT_FALSE(executor->Step());
+  EXPECT_EQ(executor->stats().blocks_read, 0);
 }
 
 }  // namespace

@@ -392,10 +392,9 @@ TEST(BatchExecutorTest, WorksWithoutAnIndex) {
   EXPECT_EQ(executor->stats().blocks_skipped, 0);
 }
 
-// ------------------------------------------------ streaming admission
-// The Start/Step/TakeItems protocol and mid-flight Join: a joined query
-// is fed from the scan suffix only and must be bit-for-bit equivalent to
-// a solo batch resumed from the donor's captured scan state.
+// ------------------------------------------------ stepwise driving
+// The Start/Step/TakeItems protocol, eager completion, eviction and the
+// resume contract.
 
 void ExpectSameCounts(const CountMatrix& a, const CountMatrix& b,
                       const char* what) {
@@ -425,7 +424,6 @@ TEST(BatchExecutorStreamTest, StepwiseDriveMatchesRun) {
   while (step_exec->Step()) {
   }
   EXPECT_TRUE(step_exec->finished());
-  EXPECT_EQ(step_exec->num_active(), 0);
   std::vector<BatchItem> step_items = step_exec->TakeItems();
 
   ASSERT_EQ(run_items.size(), step_items.size());
@@ -436,192 +434,6 @@ TEST(BatchExecutorStreamTest, StepwiseDriveMatchesRun) {
     ExpectSameCounts(run_items[q].match.counts, step_items[q].match.counts,
                      "stepwise vs run");
   }
-}
-
-TEST(BatchExecutorStreamTest, JoinedQueryMatchesSuffixSoloRunEveryThreadCount) {
-  // The acceptance determinism test: run query A to completion, Join B
-  // at that chunk boundary, and compare B against a solo batch resumed
-  // from the captured scan state — counts must be bit-for-bit identical
-  // for every (joined, solo) thread-count combination.
-  BatchFixture f = MakeBatchFixture(20000, 13);
-  BoundQuery b = MakeQuery(f, f.exact.NormalizedRow(4), /*seed=*/321);
-
-  // A's loose epsilon makes it finish early, leaving a large suffix.
-  BoundQuery a = MakeQuery(f, f.target);
-  a.params.epsilon = 0.1;
-
-  std::vector<BatchItem> reference;  // joined B at threads=1
-  for (int threads : {1, 2, 5}) {
-    auto exec = BatchExecutor::Create({a}, Options(threads)).value();
-    exec->Start();
-    while (exec->Step()) {
-    }
-    ASSERT_TRUE(exec->finished());
-    // A must leave a real suffix behind, or the scenario is vacuous.
-    ASSERT_GT(exec->consumed_blocks(), 0);
-    ASSERT_LT(exec->consumed_blocks(), f.store->num_blocks());
-    ScanResume capture = exec->CaptureScanState();
-    ASSERT_EQ(capture.consumed.Popcount(), exec->consumed_blocks());
-    for (size_t i = 0; i < capture.exhausted.size(); ++i) {
-      ASSERT_FALSE(capture.exhausted[i]) << "unexpected pre-join exhaustion";
-    }
-
-    auto joined = exec->Join(b);
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    EXPECT_EQ(*joined, 1u);
-    while (exec->Step()) {
-    }
-    std::vector<BatchItem> items = exec->TakeItems();
-    ASSERT_EQ(items.size(), 2u);
-    ASSERT_TRUE(items[1].status.ok()) << items[1].status.ToString();
-    EXPECT_EQ(exec->stats().joined_queries, 1);
-
-    // The suffix-only solo reference, itself at several thread counts.
-    for (int solo_threads : {1, 3}) {
-      BatchOptions solo_options = Options(solo_threads);
-      solo_options.resume = capture;
-      auto solo = BatchExecutor::Create({b}, solo_options).value();
-      std::vector<BatchItem> solo_items = solo->Run();
-      ASSERT_TRUE(solo_items[0].status.ok())
-          << solo_items[0].status.ToString();
-      EXPECT_EQ(items[1].match.topk, solo_items[0].match.topk);
-      EXPECT_EQ(items[1].match.distances, solo_items[0].match.distances);
-      EXPECT_EQ(items[1].match.exact, solo_items[0].match.exact);
-      ExpectSameCounts(items[1].match.counts, solo_items[0].match.counts,
-                       "joined vs suffix-only solo");
-    }
-    if (reference.empty()) {
-      reference = std::move(items);
-    } else {
-      EXPECT_EQ(items[1].match.topk, reference[1].match.topk);
-      ExpectSameCounts(items[1].match.counts, reference[1].match.counts,
-                       "joined across thread counts");
-    }
-  }
-}
-
-TEST(BatchExecutorStreamTest, JoinDuringActiveScanDeterministicAcrossThreads) {
-  // B joins while A1/A2 are still scanning (a fixed chunk boundary, so
-  // every thread count sees the same join point): all three results must
-  // be bit-for-bit identical across worker counts.
-  BatchFixture f = MakeBatchFixture(20000, 14);
-  BoundQuery a1 = MakeQuery(f, f.target, 1);
-  BoundQuery a2 = MakeQuery(f, f.exact.NormalizedRow(7), 2);
-  BoundQuery b = MakeQuery(f, f.exact.NormalizedRow(2), 3);
-
-  std::vector<std::vector<BatchItem>> runs;
-  for (int threads : {1, 2, 5}) {
-    auto exec = BatchExecutor::Create({a1, a2}, Options(threads)).value();
-    exec->Start();
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(exec->Step()) << "fixture finished before the join point";
-    }
-    auto joined = exec->Join(b);
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    EXPECT_EQ(*joined, 2u);
-    while (exec->Step()) {
-    }
-    runs.push_back(exec->TakeItems());
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[r].size(), 3u);
-    for (size_t q = 0; q < 3; ++q) {
-      ASSERT_TRUE(runs[r][q].status.ok());
-      EXPECT_EQ(runs[r][q].match.topk, runs[0][q].match.topk);
-      ExpectSameCounts(runs[r][q].match.counts, runs[0][q].match.counts,
-                       "mid-scan join across thread counts");
-    }
-  }
-}
-
-TEST(BatchExecutorStreamTest, JoinedQueriesMeetGuarantees) {
-  // Statistical sanity: queries admitted mid-flight still satisfy the
-  // paper's separation/reconstruction guarantees (their suffix samples
-  // are uniform without replacement over the relation).
-  BatchFixture f = MakeBatchFixture(20000, 15);
-  auto exec =
-      BatchExecutor::Create({MakeQuery(f, f.target, 1)}, Options(2)).value();
-  exec->Start();
-  ASSERT_TRUE(exec->Step());
-  ASSERT_TRUE(exec->Step());
-  std::vector<BoundQuery> joined_queries = {
-      MakeQuery(f, f.exact.NormalizedRow(1), 11),
-      MakeQuery(f, f.exact.NormalizedRow(6), 12),
-      MakeQuery(f, f.target, 13)};
-  std::vector<size_t> indices;
-  for (const BoundQuery& q : joined_queries) {
-    auto joined = exec->Join(q);
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    indices.push_back(*joined);
-  }
-  while (exec->Step()) {
-  }
-  std::vector<BatchItem> items = exec->TakeItems();
-  EXPECT_EQ(exec->stats().joined_queries, 3);
-  int violations = 0;
-  for (size_t j = 0; j < joined_queries.size(); ++j) {
-    const BatchItem& item = items[indices[j]];
-    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
-    const HistSimParams& p = joined_queries[j].params;
-    GroundTruth truth = ComputeGroundTruth(f.exact, joined_queries[j].target,
-                                           p.metric, p.sigma, p.k);
-    auto check = CheckGuarantees(item.match, f.exact, truth,
-                                 joined_queries[j].target, p);
-    violations += !check.separation_ok || !check.reconstruction_ok;
-  }
-  // delta = 0.05 per query; zero tolerance over 3 draws would be flaky
-  // by design — allow at most 1 (same convention as the batch tests).
-  EXPECT_LE(violations, 1);
-}
-
-TEST(BatchExecutorStreamTest, JoinAfterFinalChunkRejected) {
-  // Tiny store: the batch consumes every block. A join arriving after
-  // the final chunk has no suffix to sample and must be refused — the
-  // caller falls back to a fresh batch.
-  BatchFixture f = MakeBatchFixture(200, 16, /*rows_per_block=*/25);
-  HistSimParams p = BatchParams();
-  p.stage1_samples = 100;
-  BoundQuery q = MakeQuery(f, f.target);
-  q.params = p;
-  auto exec = BatchExecutor::Create({q}, Options(2)).value();
-  exec->Start();
-  while (exec->Step()) {
-  }
-  ASSERT_EQ(exec->consumed_blocks(), f.store->num_blocks());
-
-  auto joined = exec->Join(MakeQuery(f, f.target, 99));
-  ASSERT_FALSE(joined.ok());
-  EXPECT_EQ(joined.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(exec->stats().joined_queries, 0);
-
-  // The fallback: the same query in a fresh batch completes normally.
-  auto fresh = BatchExecutor::Create({MakeQuery(f, f.target, 99)}, Options(2))
-                   .value();
-  std::vector<BatchItem> items = fresh->Run();
-  ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-}
-
-TEST(BatchExecutorStreamTest, JoinValidation) {
-  BatchFixture f = MakeBatchFixture(2000, 17);
-  // Join before Start is a structural error.
-  auto exec = BatchExecutor::Create({MakeQuery(f, f.target)}, Options(2))
-                  .value();
-  EXPECT_EQ(exec->Join(MakeQuery(f, f.target)).status().code(),
-            StatusCode::kFailedPrecondition);
-  exec->Start();
-  // A query over a different store cannot share the scan.
-  BatchFixture g = MakeBatchFixture(2000, 18);
-  EXPECT_EQ(exec->Join(MakeQuery(g, g.target)).status().code(),
-            StatusCode::kInvalidArgument);
-  // Per-query binding problems are accepted and surface as item status.
-  BoundQuery bad = MakeQuery(f, UniformDistribution(5));  // |VX| is 8
-  auto joined = exec->Join(bad);
-  ASSERT_TRUE(joined.ok());
-  while (exec->Step()) {
-  }
-  std::vector<BatchItem> items = exec->TakeItems();
-  ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-  EXPECT_EQ(items[*joined].status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BatchExecutorStreamTest, EagerCompletionMatchesRetireTimeDelivery) {
@@ -784,61 +596,92 @@ TEST(BatchExecutorStreamTest, SharedPoolMatchesPrivatePoolBitForBit) {
 
 TEST(BatchExecutorStreamTest, ResumeValidation) {
   BatchFixture f = MakeBatchFixture(2000, 19);
-  BoundQuery q = MakeQuery(f, f.target);
-  // Every bad case below carries the store's real generation, so each
-  // fails for its own reason, not for a missing generation.
-  const uint64_t generation = f.store->Pin().generation;
-  const auto resume_at = [generation](int64_t num_blocks) {
-    ScanResume resume;
-    resume.consumed = BitVector(num_blocks);
-    resume.generation = generation;
-    return resume;
+  Stage1Cache cache;
+  BatchOptions donor_options = Options(2);
+  donor_options.stage1_sink = &cache;
+  ASSERT_TRUE(BatchExecutor::Create({MakeQuery(f, f.target)}, donor_options)
+                  .value()
+                  ->Run()[0]
+                  .status.ok());
+  const std::shared_ptr<const Stage1Snapshot> snapshot =
+      cache
+          .Lookup(f.store->id(), kWholeStorePartition, 0, {1}, 3000,
+                  f.store->Pin().generation)
+          .snapshot;
+  ASSERT_NE(snapshot, nullptr);
+
+  // Structural cases: the query is warm from a copy of the snapshot whose
+  // scan IS the resume, so each fails for its own reason, not for a
+  // resume the query is not warm from.
+  const auto create = [&](const ScanResume& resume) {
+    auto warm = std::make_shared<Stage1Snapshot>(*snapshot);
+    warm->scan = resume;
+    BoundQuery q = MakeQuery(f, f.target);
+    q.stage1_warm = warm;
+    BatchOptions options = Options(2);
+    options.resume = resume;
+    return BatchExecutor::Create({q}, options).status().code();
   };
+  ScanResume bad_size = snapshot->scan;
+  bad_size.consumed = BitVector(f.store->num_blocks() + 1);
+  EXPECT_EQ(create(bad_size), StatusCode::kInvalidArgument);
 
-  BatchOptions bad_size = Options(2);
-  bad_size.resume = resume_at(f.store->num_blocks() + 1);
-  EXPECT_FALSE(BatchExecutor::Create({q}, bad_size).ok());
-
-  BatchOptions bad_cursor = Options(2);
-  bad_cursor.resume = resume_at(f.store->num_blocks());
-  bad_cursor.resume->cursor = f.store->num_blocks();
-  EXPECT_FALSE(BatchExecutor::Create({q}, bad_cursor).ok());
-
-  BatchOptions bad_exhausted = Options(2);
-  bad_exhausted.resume = resume_at(f.store->num_blocks());
-  bad_exhausted.resume->exhausted.assign(5, false);  // |VZ| is 12
-  EXPECT_FALSE(BatchExecutor::Create({q}, bad_exhausted).ok());
+  ScanResume bad_cursor = snapshot->scan;
+  bad_cursor.cursor = f.store->num_blocks();
+  EXPECT_EQ(create(bad_cursor), StatusCode::kInvalidArgument);
 
   // A resume with every block consumed has nothing to scan: the
-  // machines would finish instantly on zero samples (same condition
-  // Join() rejects).
-  BatchOptions all_consumed = Options(2);
-  all_consumed.resume = resume_at(f.store->num_blocks());
-  all_consumed.resume->consumed.SetAll();
-  EXPECT_EQ(BatchExecutor::Create({q}, all_consumed).status().code(),
-            StatusCode::kFailedPrecondition);
+  // machines would finish instantly on zero samples.
+  ScanResume all_consumed = snapshot->scan;
+  all_consumed.consumed.SetAll();
+  EXPECT_EQ(create(all_consumed), StatusCode::kFailedPrecondition);
 
   // Store generations start at 1: a resume without one names no block
   // space to re-pin.
-  BatchOptions no_generation = Options(2);
-  no_generation.resume = resume_at(f.store->num_blocks());
-  no_generation.resume->generation = 0;
-  EXPECT_EQ(BatchExecutor::Create({q}, no_generation).status().code(),
-            StatusCode::kInvalidArgument);
+  ScanResume no_generation = snapshot->scan;
+  no_generation.generation = 0;
+  EXPECT_EQ(create(no_generation), StatusCode::kInvalidArgument);
 
-  BatchOptions good = Options(2);
-  good.resume = resume_at(f.store->num_blocks());
-  good.resume->exhausted.assign(12, false);
-  EXPECT_TRUE(BatchExecutor::Create({q}, good).ok());
+  EXPECT_EQ(create(snapshot->scan), StatusCode::kOk);
+
+  // The resume must be the scan behind every query's prior. A cold query
+  // would count only the suffix and could flag a candidate exact on part
+  // of its rows.
+  BoundQuery warm = MakeQuery(f, f.target, 1);
+  warm.stage1_warm = snapshot;
+  BatchOptions resumed = Options(2);
+  resumed.resume = snapshot->scan;
+  EXPECT_EQ(BatchExecutor::Create({warm, MakeQuery(f, f.target, 2)}, resumed)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Warm from a second snapshot object, even one with the same scan.
+  BoundQuery other = MakeQuery(f, f.target, 3);
+  other.stage1_warm = std::make_shared<Stage1Snapshot>(*snapshot);
+  EXPECT_EQ(BatchExecutor::Create({warm, other}, resumed).status().code(),
+            StatusCode::kInvalidArgument);
+  // Resumed from a position other than the prior's own.
+  BatchOptions elsewhere = resumed;
+  elsewhere.resume->cursor =
+      (snapshot->scan.cursor + 1) % f.store->num_blocks();
+  EXPECT_EQ(BatchExecutor::Create({warm}, elsewhere).status().code(),
+            StatusCode::kInvalidArgument);
+  // Stamped with a generation other than the resume's, where the warm
+  // start would be dropped and the query would run cold.
+  BoundQuery stale = warm;
+  stale.stage1_warm_generation = snapshot->scan.generation + 1;
+  EXPECT_EQ(BatchExecutor::Create({stale}, resumed).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(BatchExecutor::Create({warm}, resumed).ok());
 }
 
 // ------------------------------------------------ warm stage-1 starts
 // The stage-1 cache path: a cold batch exports its stage-1 snapshot
 // (BatchOptions::stage1_sink), later queries consume it
-// (BoundQuery::stage1_warm) and skip stage 1. The acceptance property
-// mirrors the suffix-join suite: a cache-served query must be
-// bit-for-bit identical to a solo run seeded with the same cached
-// stage-1 state, across seeds x thread counts.
+// (BoundQuery::stage1_warm) and skip stage 1. The acceptance property:
+// a cache-served query resumed from the snapshot's scan must be
+// bit-for-bit identical to the cold run that exported it, across seeds
+// x thread counts.
 
 TEST(BatchExecutorWarmTest, WarmResumeFromSnapshotMatchesColdRunBitForBit) {
   // The strongest equivalence: a warm run resumed from the snapshot's
@@ -892,76 +735,6 @@ TEST(BatchExecutorWarmTest, WarmResumeFromSnapshotMatchesColdRunBitForBit) {
   }
 }
 
-TEST(BatchExecutorWarmTest, WarmJoinMatchesWarmSoloResumeEveryThreadCount) {
-  // Mid-flight: W joins a running scan with its stage 1 served from
-  // cache, so only its stage-2/3 demands touch the suffix. Reference:
-  // a solo batch resumed from the join-point scan state with the same
-  // warm snapshot — bit-for-bit identical, like the suffix-join
-  // property this mirrors.
-  BatchFixture f = MakeBatchFixture(20000, 61);
-  BoundQuery w = MakeQuery(f, f.exact.NormalizedRow(4), /*seed=*/321);
-
-  // A's loose epsilon makes it finish early, leaving a large suffix;
-  // its stage-1 phase populates the cache for the shared template.
-  BoundQuery a = MakeQuery(f, f.target);
-  a.params.epsilon = 0.1;
-
-  std::vector<BatchItem> reference;
-  for (int threads : {1, 2, 5}) {
-    Stage1Cache cache;
-    BatchOptions options = Options(threads);
-    options.stage1_sink = &cache;
-    auto exec = BatchExecutor::Create({a}, options).value();
-    exec->Start();
-    while (exec->Step()) {
-    }
-    ASSERT_TRUE(exec->finished());
-    ASSERT_GT(exec->consumed_blocks(), 0);
-    ASSERT_LT(exec->consumed_blocks(), f.store->num_blocks());
-    ScanResume capture = exec->CaptureScanState();
-
-    auto snapshot =
-        cache
-            .Lookup(f.store->id(), kWholeStorePartition, 0, {1},
-                    w.params.stage1_samples, f.store->Pin().generation)
-            .snapshot;
-    ASSERT_NE(snapshot, nullptr);
-    BoundQuery warm_w = w;
-    warm_w.stage1_warm = snapshot;
-
-    auto joined = exec->Join(warm_w);
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    while (exec->Step()) {
-    }
-    std::vector<BatchItem> items = exec->TakeItems();
-    ASSERT_EQ(items.size(), 2u);
-    ASSERT_TRUE(items[1].status.ok()) << items[1].status.ToString();
-    EXPECT_TRUE(items[1].match.diag.stage1_warm);
-    EXPECT_EQ(exec->stats().warm_queries, 1);
-
-    for (int solo_threads : {1, 3}) {
-      BatchOptions solo_options = Options(solo_threads);
-      solo_options.resume = capture;
-      auto solo = BatchExecutor::Create({warm_w}, solo_options).value();
-      std::vector<BatchItem> solo_items = solo->Run();
-      ASSERT_TRUE(solo_items[0].status.ok())
-          << solo_items[0].status.ToString();
-      EXPECT_EQ(items[1].match.topk, solo_items[0].match.topk);
-      EXPECT_EQ(items[1].match.distances, solo_items[0].match.distances);
-      EXPECT_EQ(items[1].match.exact, solo_items[0].match.exact);
-      ExpectSameCounts(items[1].match.counts, solo_items[0].match.counts,
-                       "warm joined vs warm suffix-only solo");
-    }
-    if (reference.empty()) {
-      reference = std::move(items);
-    } else {
-      EXPECT_EQ(items[1].match.topk, reference[1].match.topk);
-      ExpectSameCounts(items[1].match.counts, reference[1].match.counts,
-                       "warm joined across thread counts");
-    }
-  }
-}
-
 TEST(BatchExecutorWarmTest, WarmQueriesMeetGuarantees) {
   // Statistical soundness of the overlapping case: warm queries in a
   // FRESH batch (no resume) draw stage-2/3 samples from a scan that may
@@ -1002,8 +775,8 @@ TEST(BatchExecutorWarmTest, WarmQueriesMeetGuarantees) {
                                  warm_queries[j].target, p);
     violations += !check.separation_ok || !check.reconstruction_ok;
   }
-  // delta = 0.05 per query; same flakiness convention as the batch and
-  // join suites: allow at most 1 of 3.
+  // delta = 0.05 per query; same flakiness convention as the batch
+  // suite: allow at most 1 of 3.
   EXPECT_LE(violations, 1);
 }
 

@@ -9,9 +9,10 @@
 //   * a scan pinned at generation g is bit-for-bit stable under
 //     concurrent appends — identical results, identical I/O — because
 //     appends only ever write rows past every older pin's row count;
-//   * ScanResume round-trips its generation: a resume created before an
-//     append replays identically after it (the resumed batch re-pins
-//     the donor's generation, not the current one);
+//   * a stage-1 snapshot's scan round-trips its generation: a warm
+//     batch resumed from it before an append replays identically after
+//     it (the resumed batch re-pins the donor's generation, not the
+//     current one);
 //   * the acceptance property of the stage-1 cache work: a cached prior
 //     drawn at generation g is NEVER served at generation g' > g
 //     unless the caller stamps it for g' — the executor drops the stale
@@ -240,28 +241,32 @@ TEST(IngestEquivalenceTest, PinnedScanIsBitForBitStableUnderAppends) {
 }
 
 TEST(IngestEquivalenceTest, ResumeRePinsTheDonorGeneration) {
-  // ScanResume carries the donor's generation: a batch resumed from it
-  // scans exactly the donor's block space even after the store has
-  // grown — the resumed run before and after an append are the same
-  // run.
+  // A stage-1 snapshot's scan carries the donor's generation: a warm
+  // batch resumed from it scans exactly the donor's block space even
+  // after the store has grown — the resumed run before and after an
+  // append are the same run.
   auto dists = PlantedDistributions(kCandidates, kGroups, StaggeredOffsets());
   auto store = MakeExactStore(std::vector<int64_t>(kCandidates, 20000), dists,
                               /*seed=*/95, /*rows_per_block=*/50);
   auto index = BitmapIndex::Build(*store, 0).value();
   BoundQuery q = MakeQuery(store, index);
 
-  auto donor = BatchExecutor::Create({q}, Options(2)).value();
-  donor->Start();
-  for (int i = 0; i < 3 && donor->Step(); ++i) {
-  }
-  ScanResume capture = donor->CaptureScanState();
-  EXPECT_EQ(capture.generation, 1u);
-  while (donor->Step()) {
-  }
-  donor->TakeItems();
+  Stage1Cache cache;
+  BatchOptions donor_options = Options(2);
+  donor_options.stage1_sink = &cache;
+  ASSERT_TRUE(
+      BatchExecutor::Create({q}, donor_options).value()->Run()[0].status.ok());
+  std::shared_ptr<const Stage1Snapshot> snapshot =
+      cache
+          .Lookup(store->id(), kWholeStorePartition, 0, q.x_attrs,
+                  q.params.stage1_samples, 1)
+          .snapshot;
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->scan.generation, 1u);
+  q.stage1_warm = snapshot;
 
   BatchOptions resumed_options = Options(2);
-  resumed_options.resume = capture;
+  resumed_options.resume = snapshot->scan;
   auto before = BatchExecutor::Create({q}, resumed_options).value();
   std::vector<BatchItem> expect = before->Run();
   ASSERT_TRUE(expect[0].status.ok()) << expect[0].status.ToString();

@@ -37,8 +37,8 @@
 //     once Shutdown has drained.
 //
 // FASTMATCH_STAGE1_CACHE=1 re-runs the storm with the stage-1 cache
-// enabled (CI's second stress invocation), so warm admission, the
-// join-refusal lift, and reap invalidation all race under TSan too.
+// enabled (CI's second stress invocation), so warm admission, warm
+// resumes and reap invalidation all race under TSan too.
 // The cache-specific churn test (stores dropped and recreated under a
 // live cache) is CacheChurnAcrossStoreLifetimes below.
 
@@ -147,7 +147,6 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
     options.batch.chunk_blocks = 32;
     options.max_batch_queries = 4;
     options.max_queue_wait_seconds = 0.002;
-    options.min_join_suffix_fraction = 0.0;
     options.idle_pipeline_timeout_seconds = 0.02;
     options.pool = &pool;
     // CI soaks the storm twice: cold (default) and with the stage-1
@@ -229,8 +228,8 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
               submit.budget_seconds = 5e-5 + uni(rng) * 2e-3;
             }
             // Half the plain/budget traffic opens a progress channel,
-            // so chunk-boundary publication races eviction, joins, and
-            // eager delivery under TSan.
+            // so chunk-boundary publication races eviction and eager
+            // delivery under TSan.
             const bool tracked =
                 (action == Action::kPlain || action == Action::kBudget) &&
                 rng() % 2 == 0;
@@ -319,7 +318,6 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
         // even while admission races reaps and evictions.
         EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses)
             << "round " << round << ": cache counters do not reconcile";
-        EXPECT_LE(stats.joins_enabled_by_cache, stats.joined_midflight);
       }
 
       storm_over.store(true, std::memory_order_relaxed);
@@ -469,7 +467,6 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
   options.batch.chunk_blocks = 32;
   options.max_batch_queries = 4;
   options.max_queue_wait_seconds = 0.002;
-  options.min_join_suffix_fraction = 0.0;
   // Long enough that no pipeline dies between waves of one phase; the
   // phase end polls for the reap explicitly.
   options.idle_pipeline_timeout_seconds = 2.0;
@@ -613,13 +610,12 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
               before_drop.stage1_store_invalidations);
   }
 
-  // Final reconciliation: every lookup accounted for, joins enabled by
-  // the cache are a subset of joins, and every future resolved.
+  // Final reconciliation: every lookup accounted for and every future
+  // resolved.
   SchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses);
   EXPECT_GT(stats.stage1_hits, 0);
   EXPECT_GT(stats.stage1_inserts, 0);
-  EXPECT_LE(stats.joins_enabled_by_cache, stats.joined_midflight);
   EXPECT_EQ(stats.completed, stats.submitted);
   scheduler.Shutdown();
 }

@@ -1,10 +1,9 @@
 // Tests of the service-tier QueryScheduler: per-store routing, admission
 // policy (timeout flush of partial batches, bounded-queue back-pressure),
-// streaming mid-flight joins, late arrivals falling back to fresh
-// batches, drain-on-shutdown, and the per-query lifecycle — deadlines,
-// cancellation (queued and running), abandoned handles, eager delivery,
-// and idle-pipeline reaping. The randomized concurrency torture test
-// lives in test_lifecycle_stress.cc.
+// late arrivals waiting for the next batch, drain-on-shutdown, and the
+// per-query lifecycle — deadlines, cancellation (queued and running),
+// abandoned handles, eager delivery, and idle-pipeline reaping. The
+// randomized concurrency torture test lives in test_lifecycle_stress.cc.
 
 #include "service/query_scheduler.h"
 
@@ -79,7 +78,6 @@ SchedulerOptions FastOptions() {
   o.batch.chunk_blocks = 64;
   o.max_batch_queries = 8;
   o.max_queue_wait_seconds = 0.002;
-  o.min_join_suffix_fraction = 0.0;
   return o;
 }
 
@@ -184,71 +182,9 @@ TEST(QuerySchedulerTest, BackPressureRejectsWhenSaturated) {
   EXPECT_EQ(scheduler.stats().completed, 2);
 }
 
-TEST(QuerySchedulerTest, StreamingAdmissionJoinsARunningScan) {
-  // A slow first batch (tight epsilon over a larger store) and a
-  // follower submitted right after launch: the follower joins the
-  // running scan mid-flight rather than waiting for the next batch.
-  //
-  // The race is real concurrency, so landing the follower inside the
-  // batch's window is probabilistic — on a single-core host the
-  // pipeline thread can run a whole batch before the submitting thread
-  // is rescheduled. Each attempt is valid either way (results stay
-  // correct); the test retries until one attempt demonstrates the
-  // mid-flight join. Join *correctness* (suffix equivalence, bit-for-
-  // bit determinism) is proven deterministically in
-  // test_batch_executor.cc; this asserts the scheduler wires it up.
-  SchedFixture f = MakeSchedFixture(30000, 6);
-  bool joined = false;
-  for (int attempt = 0; attempt < 40 && !joined; ++attempt) {
-    SchedulerOptions options = FastOptions();
-    options.max_queue_wait_seconds = 0.001;
-    QueryScheduler scheduler(options);
-
-    BoundQuery slow = MakeQuery(f, 1);
-    slow.params.epsilon = 0.03;
-    auto first = scheduler.Submit(std::move(slow));
-    ASSERT_TRUE(first.ok());
-    // Wait for the batch to launch (the counter ticks before the
-    // executor is even created, well before its scan can finish).
-    for (int spin = 0; scheduler.stats().batches_launched < 1 && spin < 10000;
-         ++spin) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    ASSERT_GE(scheduler.stats().batches_launched, 1);
-
-    auto follower = scheduler.Submit(MakeQuery(f, 2));
-    ASSERT_TRUE(follower.ok());
-    SchedulerItem follower_item = follower->Get();
-    // Status only, not top-k: each attempt draws fresh samples, and the
-    // top-k is a 1-delta probabilistic property — hard-asserting it
-    // inside a retry loop multiplies the per-draw violation odds into a
-    // test flake. Quality under joins is pinned (with the aggregate
-    // tolerance the guarantee actually gives) in test_batch_executor.cc
-    // and the stress suite.
-    ASSERT_TRUE(follower_item.status.ok()) << follower_item.status.ToString();
-    ASSERT_TRUE(first->Get().status.ok());
-
-    SchedulerStats stats = scheduler.stats();
-    EXPECT_EQ(stats.completed, 2);
-    if (follower_item.joined_midflight) {
-      joined = true;
-      EXPECT_EQ(stats.joined_midflight, 1);
-      EXPECT_EQ(stats.batches_launched, 1);
-    } else {
-      // Missed the window: the follower ran in its own fresh batch.
-      EXPECT_EQ(stats.joined_midflight, 0);
-      EXPECT_GE(stats.batches_launched, 2);
-    }
-  }
-  EXPECT_TRUE(joined)
-      << "follower never joined a running scan in 40 attempts";
-}
-
 TEST(QuerySchedulerTest, LateArrivalAfterScanEndGetsFreshBatch) {
   // Tiny store: each batch consumes every block, so a query submitted
-  // after a batch retires can never join it — it must get a fresh batch
-  // (the scheduler-level face of BatchExecutor's empty-suffix Join
-  // rejection).
+  // after a batch retires gets a fresh batch.
   SchedFixture f = MakeSchedFixture(200, 7, /*rows_per_block=*/25);
   SchedulerOptions options = FastOptions();
   QueryScheduler scheduler(options);
@@ -262,24 +198,19 @@ TEST(QuerySchedulerTest, LateArrivalAfterScanEndGetsFreshBatch) {
   ASSERT_TRUE(b.ok());
   SchedulerItem second = b->Get();
   ASSERT_TRUE(second.status.ok()) << second.status.ToString();
-  EXPECT_FALSE(second.joined_midflight);
 
   SchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.batches_launched, 2);
-  EXPECT_EQ(stats.joined_midflight, 0);
   EXPECT_EQ(stats.completed, 2);
 }
 
-TEST(QuerySchedulerTest, SuffixFractionPolicyRefusesLateJoins) {
-  // With min_join_suffix_fraction = 1.0, a join is refused as soon as a
-  // single block has been consumed (an untouched scan, fraction exactly
-  // 1.0, is still joinable — it is simply a full run). A follower
-  // arriving after the scan started therefore always lands in a fresh
-  // batch: the latency/amortization policy knob in its extreme position.
+TEST(QuerySchedulerTest, LateArrivalWaitsForTheNextBatch) {
+  // Every batch is closed at launch: a follower submitted while the
+  // first batch is scanning waits in the queue and launches in a batch
+  // of its own.
   SchedFixture f = MakeSchedFixture(30000, 8);
   SchedulerOptions options = FastOptions();
   options.max_queue_wait_seconds = 0.001;
-  options.min_join_suffix_fraction = 1.0;
   QueryScheduler scheduler(options);
 
   BoundQuery slow = MakeQuery(f, 1);
@@ -288,14 +219,8 @@ TEST(QuerySchedulerTest, SuffixFractionPolicyRefusesLateJoins) {
   track.track_progress = true;
   auto first = scheduler.Submit(std::move(slow), track);
   ASSERT_TRUE(first.ok());
-  // Condition, not timing: a ProgressUpdate is published only at a
-  // chunk boundary, i.e. after the scan has consumed at least one
-  // block — from that moment the suffix fraction is < 1.0 for the rest
-  // of the batch and a join must be refused. (A blind sleep here let
-  // the follower slip in BEFORE the first chunk on a slow box, where
-  // the fraction is still exactly 1.0 and joining is legal.) If the
-  // batch already finished, the final update satisfies the wait and
-  // the follower lands in a fresh batch — still not a mid-flight join.
+  // A ProgressUpdate is published only at a chunk boundary, so the
+  // first batch has launched (and may have finished) once one exists.
   for (int spin = 0; !first->Progress().has_value() && spin < 10000; ++spin) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
@@ -303,11 +228,11 @@ TEST(QuerySchedulerTest, SuffixFractionPolicyRefusesLateJoins) {
       << "scan never reached a chunk boundary";
   auto follower = scheduler.Submit(MakeQuery(f, 2));
   ASSERT_TRUE(follower.ok());
-  SchedulerItem follower_item = follower->Get();
-  ExpectTop3(follower_item);
+  ExpectTop3(follower->Get());
   ExpectTop3(first->Get());
-  EXPECT_FALSE(follower_item.joined_midflight);
-  EXPECT_EQ(scheduler.stats().joined_midflight, 0);
+  SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches_launched, 2);
+  EXPECT_EQ(stats.completed, 2);
 }
 
 TEST(QuerySchedulerTest, SubmitValidation) {
@@ -661,7 +586,7 @@ TEST(QueryLifecycleTest, ShutdownResolvesEveryAcceptedQuery) {
 
 // ------------------------------------------------- stage-1 cache
 // Scheduler-level cache wiring: cold batches populate the per-store
-// cache, later admissions (launch and join) are served warm, reaping a
+// cache, later launches are served warm, reaping a
 // pipeline invalidates its store's entries. Warm-start *correctness*
 // (bit-for-bit equivalence) is proven in test_batch_executor.cc; these
 // assert the scheduler drives it.
@@ -722,123 +647,38 @@ TEST(Stage1CacheSchedulerTest, SecondWaveIsServedWarm) {
   EXPECT_EQ(stats.stage1_lookups, stats.stage1_hits + stats.stage1_misses);
 }
 
-TEST(Stage1CacheSchedulerTest, WarmTemplateLiftsSuffixRefusal) {
-  // min_join_suffix_fraction = 1.0 refuses every cold join after the
-  // first consumed block (SuffixFractionPolicyRefusesLateJoins). With a
-  // warm template, stage 1 never needs the suffix, so the same follower
-  // may join — counted in joins_enabled_by_cache. The join window is
-  // probabilistic on a single-core host: bounded retries, like the
-  // streaming-admission test.
-  SchedFixture f = MakeSchedFixture(30000, 42);
-  bool lifted = false;
-  for (int attempt = 0; attempt < 40 && !lifted; ++attempt) {
-    SchedulerOptions options = FastOptions();
-    options.max_queue_wait_seconds = 0.001;
-    options.min_join_suffix_fraction = 1.0;
-    options.stage1_cache = true;
-    QueryScheduler scheduler(options);
-
-    // Prime the template: one cold query end to end.
-    auto prime = scheduler.Submit(MakeQuery(f, 1));
-    ASSERT_TRUE(prime.ok());
-    ASSERT_TRUE(prime->Get().status.ok());
-    ASSERT_GE(scheduler.stats().stage1_inserts, 1);
-
-    BoundQuery slow = MakeQuery(f, 2);
-    slow.params.epsilon = 0.03;
-    auto first = scheduler.Submit(std::move(slow));
-    ASSERT_TRUE(first.ok());
-    for (int spin = 0; scheduler.stats().batches_launched < 2 && spin < 10000;
-         ++spin) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-
-    auto follower = scheduler.Submit(MakeQuery(f, 3));
-    ASSERT_TRUE(follower.ok());
-    SchedulerItem follower_item = follower->Get();
-    // Status only inside the retry loop — top-k is a 1-delta property
-    // per draw; its quality under warm starts is pinned with the proper
-    // tolerance in test_batch_executor.cc.
-    ASSERT_TRUE(follower_item.status.ok()) << follower_item.status.ToString();
-    ASSERT_TRUE(first->Get().status.ok());
-
-    SchedulerStats stats = scheduler.stats();
-    // A join that landed before the scan consumed its first block has
-    // suffix fraction exactly 1.0 and needed no lift — keep retrying
-    // until a join lands mid-scan, where only the cache admits it.
-    if (follower_item.joined_midflight && stats.joins_enabled_by_cache >= 1) {
-      lifted = true;
-      EXPECT_TRUE(follower_item.match.diag.stage1_warm);
-      EXPECT_LE(stats.joins_enabled_by_cache, stats.joined_midflight);
-    }
-  }
-  EXPECT_TRUE(lifted)
-      << "no cache-enabled join landed in 40 attempts";
-}
-
-TEST(Stage1CacheSchedulerTest, RefusedThenJoinedQueryIsNotAFallback) {
-  // join_fallbacks counts at the fresh-batch launch, not at the
-  // refusal: a cold follower refused by the suffix policy at early
-  // chunk boundaries can still join once the running batch's own
-  // stage-1 completion publishes its template, and must then leave the
-  // counter untouched — the fallback the refusal predicted never
-  // happened. The join window is probabilistic on a single-core host:
-  // bounded retries, like the streaming-admission test.
+TEST(Stage1CacheSchedulerTest, LateArrivalLaunchesWarmFromTheRunningBatch) {
+  // A running batch publishes its stage-1 sample mid-scan. A follower
+  // submitted after that publish waits for the next batch, which the
+  // cache serves warm and which resumes the publishing scan.
   SchedFixture f = MakeSchedFixture(30000, 44);
-  bool joined = false;
-  for (int attempt = 0; attempt < 40 && !joined; ++attempt) {
-    SchedulerOptions options = FastOptions();
-    options.max_queue_wait_seconds = 0.001;
-    options.min_join_suffix_fraction = 1.0;
-    options.stage1_cache = true;
-    QueryScheduler scheduler(options);
+  SchedulerOptions options = FastOptions();
+  options.max_queue_wait_seconds = 0.001;
+  options.stage1_cache = true;
+  QueryScheduler scheduler(options);
 
-    BoundQuery slow = MakeQuery(f, 1);
-    slow.params.epsilon = 0.03;
-    auto first = scheduler.Submit(std::move(slow));
-    ASSERT_TRUE(first.ok());
-    // Condition-driven sequencing, not a wall-clock guess: a suffix
-    // refusal can only be upgraded AFTER the running batch publishes
-    // its stage-1 template, so wait for the publish itself
-    // (stage1_inserts) and only then submit the follower — its very
-    // first admission consult finds the warm template while the batch
-    // is still mid-scan. Void the attempt if the batch retired before
-    // (or without) publishing; the follower would prove nothing.
-    for (int spin = 0;
-         scheduler.stats().stage1_inserts < 1 &&
-         scheduler.stats().completed < 1 && spin < 10000;
-         ++spin) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    if (scheduler.stats().stage1_inserts < 1 ||
-        scheduler.stats().completed >= 1) {
-      ASSERT_TRUE(first->Get().status.ok());
-      continue;
-    }
-    auto follower = scheduler.Submit(MakeQuery(f, 2));
-    ASSERT_TRUE(follower.ok());
-    SchedulerItem follower_item = follower->Get();
-    ASSERT_TRUE(follower_item.status.ok()) << follower_item.status.ToString();
-    ASSERT_TRUE(first->Get().status.ok());
-
-    SchedulerStats stats = scheduler.stats();
-    if (follower_item.joined_midflight) {
-      joined = true;
-      // The follower never launched in a fresh batch, and the first
-      // query faced an idle pipeline (no running batch to refuse it):
-      // nothing may count as a fallback, however many chunk boundaries
-      // refused the follower before the publish upgraded it.
-      EXPECT_EQ(stats.join_fallbacks, 0);
-    } else {
-      // The follower really fell back: one fresh-batch launch of an
-      // (at most once-)refused query. Counted at most once, never per
-      // re-refusing chunk boundary — and zero when the first batch
-      // retired before any consult could refuse.
-      EXPECT_EQ(stats.batches_launched, 2);
-      EXPECT_LE(stats.join_fallbacks, 1);
-    }
+  BoundQuery slow = MakeQuery(f, 1);
+  slow.params.epsilon = 0.03;
+  auto first = scheduler.Submit(std::move(slow));
+  ASSERT_TRUE(first.ok());
+  for (int spin = 0; scheduler.stats().stage1_inserts < 1 && spin < 10000;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  EXPECT_TRUE(joined) << "no mid-flight join landed in 40 attempts";
+  ASSERT_GE(scheduler.stats().stage1_inserts, 1);
+  auto follower = scheduler.Submit(MakeQuery(f, 2));
+  ASSERT_TRUE(follower.ok());
+  SchedulerItem follower_item = follower->Get();
+  ExpectTop3(follower_item);
+  EXPECT_TRUE(follower_item.match.diag.stage1_warm);
+  ExpectTop3(first->Get());
+
+  SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches_launched, 2);
+  EXPECT_EQ(stats.warm_batches_resumed, 1);
+  // One consult per launched query: the first missed, the follower hit.
+  EXPECT_EQ(stats.stage1_lookups, 2);
+  EXPECT_EQ(stats.stage1_hits, 1);
 }
 
 TEST(Stage1CacheSchedulerTest, WarmWaveResumesTheDonorsScan) {

@@ -36,7 +36,8 @@ struct Pin {
   /// EngineStats::marker_batches for RunQuery, BatchStats::chunks for a
   /// batch.
   int64_t windows;
-  /// CaptureScanState() after the batch (-1 for RunQuery).
+  /// The batch's scan cursor and consumed-block count after the run (-1
+  /// for RunQuery).
   int64_t cursor;
   int64_t consumed;
   /// Per query: top-k ids, then the exact-candidate count, then an
@@ -143,9 +144,8 @@ BatchOptions Options(uint64_t seed) {
 
 Pin BatchPin(const BatchExecutor& exec, const std::vector<BatchItem>& items) {
   const BatchStats& s = exec.stats();
-  const ScanResume scan = exec.CaptureScanState();
   Pin pin{s.blocks_read, s.blocks_skipped, s.rows_read, s.chunks,
-          scan.cursor,   scan.consumed.Popcount(), ""};
+          exec.scan().position(), exec.scan().consumed_blocks(), ""};
   for (const BatchItem& item : items) {
     EXPECT_TRUE(item.status.ok()) << item.status.ToString();
     pin.answers += Answer(item.match);
@@ -158,8 +158,6 @@ class ScanLogSink : public Stage1Sink {
  public:
   void Publish(uint64_t, uint64_t, int, const std::vector<int>&,
                std::shared_ptr<const Stage1Snapshot> snapshot) override {
-    // A snapshot carries counts and a scan position, never exactness.
-    EXPECT_TRUE(snapshot->scan.exhausted.empty());
     log += '<';
     log += std::to_string(snapshot->scan.cursor);
     log += '/';
@@ -247,71 +245,6 @@ TEST(ScanPinTest, ClosedBatchPerSeed) {
     got.answers += sink.log;
     ExpectPin(got, want[s],
               "closed batch seed " + std::to_string(kSeeds[s]));
-  }
-}
-
-TEST(ScanPinTest, ResumedBatchPerSeed) {
-  const Pin want[3] = {
-      {7597, 6590, 379850, 453, 1920, 9235,
-       "[3 4 2 e3 16738202992478742725 11917429049974608676]"},
-      {7279, 6716, 363950, 392, 8768, 9158,
-       "[3 4 2 e3 5893407241707184189 18118239543539975169]"},
-      {7759, 16093, 387950, 704, 11392, 9890,
-       "[3 4 2 e4 767794817369494847 9734001139436373409]"},
-  };
-  for (size_t s = 0; s < 3; ++s) {
-    // A loose donor finishes early and leaves a suffix; the resumed solo
-    // batch scans only that suffix, from the donor's cursor.
-    auto donor = BatchExecutor::Create({Query(2, 5, /*epsilon=*/0.2)},
-                                       Options(kSeeds[s]))
-                     .value();
-    donor->Run();
-    BatchOptions options = Options(kSeeds[s] + 100);
-    options.resume = donor->CaptureScanState();
-    auto exec = BatchExecutor::Create({Query(3, 6)}, options).value();
-    const std::vector<BatchItem> items = exec->Run();
-    ExpectPin(BatchPin(*exec, items), want[s],
-              "resumed batch seed " + std::to_string(kSeeds[s]));
-  }
-}
-
-TEST(ScanPinTest, JoinedBatchPerSeed) {
-  const Pin want[3] = {
-      {11304, 2533, 565200, 470, 1216, 11304,
-       "[0 1 2 e6 12196861376834401103 16138586072264189178]"
-       "[4 5 3 e6 12196861376834401103 1711755605469863910]"
-       "[2 1 0 e6 12025441076722751239 17443134241282400384]"
-       "<8861/64><8861/64><9053/256>"},
-      {10744, 3643, 537200, 459, 512, 10744,
-       "[0 1 2 e5 9700922348502135019 15806820219041246955]"
-       "[4 5 3 e5 9700922348502135019 8384886381741140392]"
-       "[2 1 0 e5 9421602392754449251 274682710572434290]"
-       "<8832/64><8832/64><9024/256>"},
-      {12187, 7210, 609350, 830, 3968, 12187,
-       "[0 1 2 e4 10971419473197912785 10649606018919610099]"
-       "[4 3 5 e6 12040690271531658045 2661145762960230005]"
-       "[2 1 0 e4 3913578506300136951 16963473323680301466]"
-       "<1113/64><1113/64><1305/256>"},
-  };
-  for (size_t s = 0; s < 3; ++s) {
-    ScanLogSink sink;
-    BatchOptions options = Options(kSeeds[s]);
-    options.stage1_sink = &sink;
-    auto exec =
-        BatchExecutor::Create({Query(0, 7), Query(4, 8)}, options).value();
-    exec->Start();
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(exec->Step()) << "batch finished before the join point";
-    }
-    ASSERT_TRUE(exec->Join(Query(2, 9)).ok());
-    while (exec->Step()) {
-    }
-    const std::vector<BatchItem> items = exec->TakeItems();
-    ASSERT_EQ(items.size(), 3u);
-    Pin got = BatchPin(*exec, items);
-    got.answers += sink.log;
-    ExpectPin(got, want[s],
-              "joined batch seed " + std::to_string(kSeeds[s]));
   }
 }
 

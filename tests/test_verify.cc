@@ -145,6 +145,39 @@ TEST(CheckGuaranteesTest, DetectsReconstructionViolation) {
   EXPECT_GT(check.worst_reconstruction, 1.0);
 }
 
+TEST(CheckGuaranteesTest, DetectsFalseExactness) {
+  // An exact flag must come with the candidate's true row; a sampled row
+  // flagged exact is caught even where both guarantees hold.
+  auto dists = PlantedDistributions(2, 4, {0.0, 0.1});
+  auto store = MakeExactStore({5000, 5000}, dists, 10);
+  auto exact = ComputeExactCounts(*store, 0, {1}).value();
+  Distribution target = UniformDistribution(4);
+  HistSimParams params;
+  params.k = 1;
+  params.epsilon = 0.05;
+  params.sigma = 0;
+  GroundTruth truth = ComputeGroundTruth(exact, target, Metric::kL1, 0, 1);
+
+  MatchResult result;
+  result.topk = {0};
+  result.counts = exact;
+  result.exact = {true, true};
+  EXPECT_TRUE(CheckGuarantees(result, exact, truth, target, params).exact_ok);
+  // Candidate 1 loses one row: flagged exact, it is now a false claim;
+  // unflagged, the same counts are just an estimate.
+  result.counts = CountMatrix(2, 4);
+  for (int i = 0; i < 2; ++i) {
+    for (int g = 0; g < 4; ++g) {
+      for (int64_t n = 0; n < exact.At(i, g) - (i == 1 && g == 0); ++n) {
+        result.counts.Add(i, g);
+      }
+    }
+  }
+  EXPECT_FALSE(CheckGuarantees(result, exact, truth, target, params).exact_ok);
+  result.exact = {true, false};
+  EXPECT_TRUE(CheckGuarantees(result, exact, truth, target, params).exact_ok);
+}
+
 TEST(CheckGuaranteesTest, DeltaDUsesEstimatedHistograms) {
   // Estimated counts slightly off: delta_d reflects estimated-vs-true
   // distance sums and can be negative (paper Section 5.3).
