@@ -308,9 +308,9 @@ class BatchExecutor {
   /// Start()/Step() until Step() returns false.
   ///
   /// Calls happen synchronously on the driving thread, inside Start(),
-  /// Step(), Evict() and EvictWithResult(). Must be set before Start(); fn must not
-  /// re-enter the executor. Queries already failed at Create() are
-  /// reported from Start().
+  /// Step(), Evict() and EvictWithResult(). Must be set before Start();
+  /// fn must not re-enter the executor. Queries already failed at
+  /// Create() are reported from Start().
   void SetCompletionCallback(std::function<void(size_t, BatchItem)> fn);
 
   /// \brief Registers `fn`, called at every chunk boundary for every

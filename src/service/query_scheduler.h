@@ -130,10 +130,10 @@ struct SchedulerOptions {
   /// Per-store stage-1 sample cache (service Stage1Cache): stage-1
   /// snapshots exported by running batches are served back to later
   /// queries on the same (store, template), which skip stage 1
-  /// entirely. Reaping a store's pipeline invalidates its entries. The cache keeps
-  /// Stage1CacheOptions' default capacity. Off by default, so every
-  /// query pays its own stage 1 unless the caller opts in (perfbench's
-  /// dashboards run with it on).
+  /// entirely. Reaping a store's pipeline invalidates its entries. The
+  /// cache keeps Stage1CacheOptions' default capacity. Off by default,
+  /// so every query pays its own stage 1 unless the caller opts in
+  /// (perfbench's dashboards run with it on).
   bool stage1_cache = false;
   /// Worker pool for every batch's block reads. nullptr selects the
   /// process-wide SharedWorkerPool::Process(). A non-null pool must
