@@ -66,6 +66,14 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                executor users outside src/ (tests, perfbench) may still
                subscribe every query.
 
+  live-column  No file under src/core/ or src/engine/ may call
+               ColumnStore::column(...) (any `.column(` / `->column(`).
+               A Column's Get()/chunk_data() read the live chunk vector,
+               which AppendBatch may reallocate mid-read, and a count
+               taken through it can mix generations. Reads go through
+               one pinned StoreView (ColumnStore::PinView/PinViewAt),
+               whose pin also gives the row count the reads describe.
+
   scan-position  The scan position has one home, ScanCursor in
                src/engine/block_policy.{h,cc}: its seeded start, its
                consumed-block set and its zero-read-cycle exhaustion
@@ -150,6 +158,10 @@ PINNED_SCAN_RECEIVERS = ("store",)
 # by a return type or the class qualifier) are skipped by the caller.
 PROGRESS_CALLBACK_CALL = re.compile(r"\bSetProgressCallback\s*\(")
 PROGRESS_CALLBACK_DECL = re.compile(r"(\bvoid|::)\s*$")
+
+# A live Column handle: store.column(a) / store->column(a).
+LIVE_COLUMN = re.compile(r"(?:\.|->)\s*column\s*\(")
+LIVE_COLUMN_DIRS = ("src/core/", "src/engine/")
 
 # The scan position's home, and what only it may do (matched per
 # statement of comment-stripped code).
@@ -341,6 +353,14 @@ def check_file(rel: str, text: str, violations: list):
 
     if rel.startswith("src/"):
         check_progress_subscription(rel, text, violations)
+
+    if rel.startswith(LIVE_COLUMN_DIRS):
+        for k, line in enumerate(lines, 1):
+            if LIVE_COLUMN.search(line):
+                violations.append(
+                    (rel, k, "live-column",
+                     "live Column read in core/engine code; read through "
+                     "one pinned StoreView (ColumnStore::PinView) instead"))
 
     if rel.startswith("src/engine/") and rel not in SCAN_POSITION_HOME:
         check_scan_position(rel, text, violations)

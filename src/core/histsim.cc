@@ -34,27 +34,6 @@ void HistSimMachine::RefreshTau(int i) {
   tau_[i] = HistDistance(params_.metric, d, target_);
 }
 
-void HistSimMachine::MarkExact(int i) {
-  if (exact_[i]) return;
-  if (prior_counts_.num_candidates() == vz_) {
-    // The caller's exhaustion proves ITS window's counts exact, and an
-    // overlapping prior may double-count rows of that window: remove
-    // the prior's row so the exact claim covers exactly the caller's
-    // window (the same semantics a cold query has).
-    int64_t* row =
-        total_.MutableData() + static_cast<size_t>(i) * total_.num_groups();
-    const auto prior_row = prior_counts_.Row(i);
-    int64_t removed = 0;
-    for (int g = 0; g < total_.num_groups(); ++g) {
-      row[g] -= prior_row[static_cast<size_t>(g)];
-      removed += prior_row[static_cast<size_t>(g)];
-    }
-    total_.MutableRowTotals()[i] -= removed;
-    RefreshTau(i);
-  }
-  exact_[i] = true;
-}
-
 Status HistSimMachine::Begin(int num_candidates, int num_groups,
                              int64_t total_rows, const Stage1Prior* prior) {
   if (phase_ != Phase::kCreated) {
@@ -123,14 +102,10 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
     // prior sample, exactly as if the caller had drawn it.
     diag_.stage1_warm = true;
     // Only a prior spanning the whole relation makes counts exact here;
-    // otherwise exactness comes from the caller's own exhaustion signal,
-    // which MarkExact makes sound for an overlapping prior by
-    // subtracting the prior's row.
-    const bool all_consumed = prior->rows_drawn >= n_total_;
-    if (prior->overlapping && !all_consumed) prior_counts_ = *prior->counts;
+    // otherwise exactness comes from the caller's own exhaustion signal.
     return Supply(*prior->counts,
                   std::vector<bool>(static_cast<size_t>(vz_), false),
-                  all_consumed, prior->rows_drawn);
+                  prior->rows_drawn >= n_total_, prior->rows_drawn);
   }
   return Status::OK();
 }
@@ -148,11 +123,11 @@ Status HistSimMachine::AcceptSupply(const char* caller,
   FASTMATCH_CHECK_EQ(fresh.num_groups(), vx_);
   FASTMATCH_CHECK_EQ(static_cast<int>(exhausted.size()), vz_);
 
-  // The caller's exhaustion signal certifies window exactness (MarkExact
-  // handles overlapping warm priors).
+  // The caller's exhaustion signal certifies exactness: its window
+  // shares no row with a warm prior (Stage1Prior).
   data_exhausted_ = all_consumed;
   for (int i = 0; i < vz_; ++i) {
-    if (all_consumed || exhausted[i]) MarkExact(i);
+    if (all_consumed || exhausted[i]) exact_[i] = true;
   }
   // Every phase's fresh sample folds into the totals once, here (Alg. 1
   // l.15-16 for a stage-2 round, which is tested on `fresh` alone), and

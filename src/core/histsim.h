@@ -149,7 +149,11 @@ struct SampleDemand {
 /// phases' samples). The prior must itself be a uniform
 /// without-replacement sample of the relation — e.g. a scan prefix of a
 /// pre-shuffled store, which is exactly what the batch executor
-/// exports (engine Stage1Snapshot).
+/// exports (engine Stage1Snapshot) — and the caller's later sampling
+/// windows must share no row with it: they continue the prior's own
+/// scan, or there are none because the prior holds every row. The
+/// prior is then the prefix of the query's own scan, and an exhaustion
+/// signal certifies prior plus window.
 struct Stage1Prior {
   /// Stage-1 counts, |VZ| x |VX|. Required.
   const CountMatrix* counts = nullptr;
@@ -159,15 +163,6 @@ struct Stage1Prior {
   /// prior marks a candidate exact: only the caller's own exhaustion
   /// signal in a later Supply does.
   int64_t rows_drawn = 0;
-  /// The caller's later sampling window may revisit rows already behind
-  /// `counts` (e.g. a warm start into a fresh scan that was NOT resumed
-  /// from the prior's position). Pooled totals are statistically fine —
-  /// two independent uniform samples — but an exactness signal from the
-  /// caller then covers only the caller's own window: the machine
-  /// subtracts the prior's row before trusting a candidate's counts as
-  /// exact, restoring the cold window-exactness semantics. Leave false
-  /// when the caller's window is disjoint from the prior's rows.
-  bool overlapping = false;
 };
 
 /// \brief One HistSim run as a resumable state machine.
@@ -254,11 +249,6 @@ class HistSimMachine {
   /// requested k while stage 1 has not fixed it). Shared by Progress
   /// and HarvestBestEffort.
   std::vector<int> RankedTopK(const std::vector<double>& tau) const;
-  /// Marks candidate i exact on the caller's exhaustion signal. With an
-  /// overlapping warm prior, the prior's row is first removed from the
-  /// totals: the caller's exhaustion only proves ITS window's counts
-  /// exact, and the prior's rows may double-count that window.
-  void MarkExact(int i);
   /// The prologue Supply and HarvestBestEffort share: refuses a call
   /// with no demand outstanding (FailedPrecondition naming `caller`),
   /// CHECKs the arguments' shape, marks the signalled candidates exact,
@@ -301,10 +291,6 @@ class HistSimMachine {
   double log_delta_bar_ = 0;
 
   CountMatrix total_;  // cumulative counts across stages/rounds
-  // Overlapping warm prior: its counts, kept to subtract when the
-  // caller's own window exhausts a candidate. Empty when cold or when
-  // the prior is disjoint from the caller's window.
-  CountMatrix prior_counts_;
   std::vector<bool> pruned_;
   std::vector<bool> exact_;
   std::vector<double> tau_;     // estimated distance per candidate

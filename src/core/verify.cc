@@ -14,20 +14,19 @@ namespace {
 /// precomputed per-row group id would cost memory, so composite groups are
 /// computed inline (the common case is a single x attribute).
 template <typename ZT>
-void AccumulateExact(const ColumnStore& store, int z_attr,
+void AccumulateExact(const StoreView& view, int z_attr,
                      const std::vector<int>& x_attrs,
                      const std::vector<int>& x_cards, CountMatrix* out) {
-  const Column& z_col = store.column(z_attr);
-  const StorePin pin = store.Pin();
+  const StorePin& pin = view.pin();
   if (x_attrs.size() == 1) {
-    const Column& x_col = store.column(x_attrs[0]);
+    const int x_attr = x_attrs[0];
     for (BlockId b = 0; b < pin.num_blocks; ++b) {
       RowId begin, end;
       pin.BlockRowRange(b, &begin, &end);
-      const ZT* z_data = z_col.chunk_data<ZT>(b);
+      const ZT* z_data = view.chunk_data<ZT>(z_attr, b);
       for (RowId r = begin; r < end; ++r) {
         out->Add(static_cast<int>(z_data[r - begin]),
-                 static_cast<int>(x_col.Get(r)));
+                 static_cast<int>(view.Get(x_attr, r)));
       }
     }
     return;
@@ -35,11 +34,11 @@ void AccumulateExact(const ColumnStore& store, int z_attr,
   for (BlockId b = 0; b < pin.num_blocks; ++b) {
     RowId begin, end;
     pin.BlockRowRange(b, &begin, &end);
-    const ZT* z_data = z_col.chunk_data<ZT>(b);
+    const ZT* z_data = view.chunk_data<ZT>(z_attr, b);
     for (RowId r = begin; r < end; ++r) {
       int g = 0;
       for (size_t i = 0; i < x_attrs.size(); ++i) {
-        g = g * x_cards[i] + static_cast<int>(store.column(x_attrs[i]).Get(r));
+        g = g * x_cards[i] + static_cast<int>(view.Get(x_attrs[i], r));
       }
       out->Add(static_cast<int>(z_data[r - begin]), g);
     }
@@ -85,23 +84,29 @@ Result<CountDomain> ComputeCountDomain(const Schema& schema, int z_attr,
   return domain;
 }
 
-Result<CountMatrix> ComputeExactCounts(const ColumnStore& store, int z_attr,
+Result<CountMatrix> ComputeExactCounts(const Schema& schema,
+                                       const StoreView& view, int z_attr,
                                        const std::vector<int>& x_attrs) {
-  FASTMATCH_ASSIGN_OR_RETURN(
-      CountDomain domain, ComputeCountDomain(store.schema(), z_attr, x_attrs));
+  FASTMATCH_ASSIGN_OR_RETURN(CountDomain domain,
+                             ComputeCountDomain(schema, z_attr, x_attrs));
   CountMatrix out(domain.num_candidates, domain.num_groups);
-  switch (store.schema().attribute(z_attr).type()) {
+  switch (schema.attribute(z_attr).type()) {
     case ValueType::kU8:
-      AccumulateExact<uint8_t>(store, z_attr, x_attrs, domain.x_cards, &out);
+      AccumulateExact<uint8_t>(view, z_attr, x_attrs, domain.x_cards, &out);
       break;
     case ValueType::kU16:
-      AccumulateExact<uint16_t>(store, z_attr, x_attrs, domain.x_cards, &out);
+      AccumulateExact<uint16_t>(view, z_attr, x_attrs, domain.x_cards, &out);
       break;
     case ValueType::kU32:
-      AccumulateExact<uint32_t>(store, z_attr, x_attrs, domain.x_cards, &out);
+      AccumulateExact<uint32_t>(view, z_attr, x_attrs, domain.x_cards, &out);
       break;
   }
   return out;
+}
+
+Result<CountMatrix> ComputeExactCounts(const ColumnStore& store, int z_attr,
+                                       const std::vector<int>& x_attrs) {
+  return ComputeExactCounts(store.schema(), store.PinView(), z_attr, x_attrs);
 }
 
 GroundTruth ComputeGroundTruth(const CountMatrix& exact,

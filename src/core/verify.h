@@ -37,9 +37,16 @@ struct CountDomain {
 Result<CountDomain> ComputeCountDomain(const Schema& schema, int z_attr,
                                        const std::vector<int>& x_attrs);
 
-/// \brief Exact per-candidate histograms from a full scan; composite
-/// grouping per Appendix A.1.3 when several x-attributes are given.
-/// Rejects the binding exactly as ComputeCountDomain does.
+/// \brief Exact per-candidate histograms from a full scan of one pinned
+/// view (`schema` is its store's); composite grouping per Appendix
+/// A.1.3 when several x-attributes are given. Rejects the binding
+/// exactly as ComputeCountDomain does.
+Result<CountMatrix> ComputeExactCounts(const Schema& schema,
+                                       const StoreView& view, int z_attr,
+                                       const std::vector<int>& x_attrs);
+
+/// \brief ComputeExactCounts over one PinView() of `store`'s current
+/// generation, so a concurrent append cannot tear the count.
 Result<CountMatrix> ComputeExactCounts(const ColumnStore& store, int z_attr,
                                        const std::vector<int>& x_attrs);
 

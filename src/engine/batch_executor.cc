@@ -48,60 +48,68 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
   // donor's generation (the resumed scan runs in the donor's block space
   // even if the store has since grown); otherwise pin the current
   // generation.
+  const std::optional<ScanResume>& resume = options.resume;
   StorePin pin;
-  if (options.resume.has_value()) {
-    const ScanResume& resume = *options.resume;
-    if (resume.generation == 0) {
+  if (resume.has_value()) {
+    if (resume->generation == 0) {
       return Status::InvalidArgument("resume has no generation");
     }
-    // A resumed scan never reads the blocks behind the resume, so only a
-    // query whose prior covers exactly those blocks may ride it: every
-    // query warm, at the resume's generation, from one snapshot whose
-    // scan is the resume. A cold query would count only the suffix and
-    // could flag a candidate exact on part of its rows.
-    const std::shared_ptr<const Stage1Snapshot>& warm =
-        queries.front().stage1_warm;
-    for (const BoundQuery& q : queries) {
-      if (q.stage1_warm == nullptr || q.stage1_warm != warm ||
-          (q.stage1_warm_generation != 0 &&
-           q.stage1_warm_generation != resume.generation)) {
-        return Status::InvalidArgument(
-            "a resumed batch needs every query warm from the snapshot it "
-            "resumes");
-      }
-    }
-    if (warm->scan.generation != resume.generation ||
-        warm->scan.cursor != resume.cursor ||
-        warm->scan.consumed.size() != resume.consumed.size() ||
-        warm->scan.consumed.words() != resume.consumed.words()) {
-      return Status::InvalidArgument(
-          "resume does not match the warm snapshot's scan");
-    }
-    FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(resume.generation));
+    FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(resume->generation));
   } else {
     pin = store->Pin();
   }
   if (pin.num_rows == 0) {
     return Status::FailedPrecondition("empty store");
   }
-  if (options.resume.has_value()) {
-    const ScanResume& resume = *options.resume;
-    if (resume.consumed.size() != pin.num_blocks) {
+  if (resume.has_value()) {
+    if (resume->consumed.size() != pin.num_blocks) {
       return Status::InvalidArgument(
           "resume consumed bitvector size does not match store block count");
     }
-    if (resume.cursor < 0 || resume.cursor >= pin.num_blocks) {
+    if (resume->cursor < 0 || resume->cursor >= pin.num_blocks) {
       return Status::InvalidArgument("resume cursor out of range");
+    }
+  }
+  // A warm prior may share no row with the batch's scan, so that it is
+  // the prefix of its query's own scan: either the batch resumes the
+  // prior's own scan, which never revisits the prior's blocks, or the
+  // prior holds every pinned row and its query completes at bind. A
+  // resumed batch is warm throughout, from one snapshot: a cold query
+  // would count only the suffix and could flag a candidate exact on part
+  // of its rows.
+  const std::shared_ptr<const Stage1Snapshot>& first =
+      queries.front().stage1_warm;
+  for (const BoundQuery& q : queries) {
+    const Stage1Snapshot* warm = q.stage1_warm.get();
+    if (warm == nullptr && !resume.has_value()) continue;
+    const bool covers_pin = warm != nullptr &&
+                            warm->scan.generation == pin.generation &&
+                            warm->rows_drawn >= pin.num_rows;
+    const bool resumes_own_scan =
+        resume.has_value() && warm != nullptr && q.stage1_warm == first &&
+        warm->scan.generation == resume->generation &&
+        warm->scan.cursor == resume->cursor &&
+        warm->scan.consumed.size() == resume->consumed.size() &&
+        warm->scan.consumed.words() == resume->consumed.words();
+    if (resume.has_value() ? !resumes_own_scan : !covers_pin) {
+      return Status::InvalidArgument(
+          "a warm prior must hold every pinned row, or ride a batch that "
+          "resumes its own scan with every query warm from it");
+    }
+    if (q.stage1_warm_generation != 0 &&
+        q.stage1_warm_generation != warm->scan.generation) {
+      return Status::InvalidArgument(
+          "warm prior stamped for a generation other than its own");
+    }
+    if (!covers_pin && resume->consumed.Popcount() == pin.num_blocks) {
+      // A resume with no suffix left: the machine would finish on the
+      // prior alone and flag every count exact.
+      return Status::FailedPrecondition(
+          "resume state has no unconsumed blocks; nothing to scan");
     }
   }
   auto executor = std::unique_ptr<BatchExecutor>(
       new BatchExecutor(store, pin, std::move(options)));
-  if (executor->cursor_.AllConsumed()) {
-    // With no suffix left the machines would "finish" instantly on zero
-    // samples and report fabricated exact results.
-    return Status::FailedPrecondition(
-        "resume state has no unconsumed blocks; nothing to scan");
-  }
   for (const BoundQuery& q : queries) executor->AddQuery(q);
   executor->stats_.num_templates =
       static_cast<int>(executor->templates_.size());
@@ -170,38 +178,17 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
     if (ts.index == nullptr) ts.index = query.z_index;
   }
   qs->tmpl = t;
+  // Create admitted a warm prior only if it shares no row with this
+  // batch's scan.
   Stage1Prior prior;
-  const Stage1Prior* prior_ptr = nullptr;
-  // Generation guard for the warm start: the later of the snapshot's own
-  // scan generation and the caller's stamp (stage1_warm_generation; 0
-  // defers to the snapshot's own) must match the batch's pin. A mismatch
-  // drops the warm start (the query runs cold); it never silently serves
-  // a stale prior.
-  bool warm_stale = false;
   if (query.stage1_warm != nullptr) {
-    const uint64_t snapshot_gen = query.stage1_warm->scan.generation;
-    const uint64_t effective_gen =
-        std::max(snapshot_gen, query.stage1_warm_generation);
-    if (effective_gen != pin_.generation) {
-      warm_stale = true;
-      ++stats_.stale_warm_dropped;
-    }
-  }
-  if (query.stage1_warm != nullptr && !warm_stale) {
-    const Stage1Snapshot& warm = *query.stage1_warm;
-    prior.counts = &warm.counts;
-    prior.rows_drawn = warm.rows_drawn;
-    // Create admits a resume only from the prior's own scan, so a
-    // resumed scan never revisits the prior's rows. A fresh scan may:
-    // the machine then treats the prior as overlapping, and an
-    // exhaustion signal certifies only the scan window's counts, not
-    // prior + window.
-    prior.overlapping = !options_.resume.has_value();
-    prior_ptr = &prior;
+    prior.counts = &query.stage1_warm->counts;
+    prior.rows_drawn = query.stage1_warm->rows_drawn;
   }
   FASTMATCH_RETURN_IF_ERROR(qs->machine.Begin(
-      ts.io->num_candidates(), ts.io->num_groups(), pin_.num_rows, prior_ptr));
-  if (prior_ptr != nullptr) ++stats_.warm_queries;
+      ts.io->num_candidates(), ts.io->num_groups(), pin_.num_rows,
+      query.stage1_warm != nullptr ? &prior : nullptr));
+  if (query.stage1_warm != nullptr) ++stats_.warm_queries;
   // Fresh counts for the query's NEXT phase are cumulative minus this
   // snapshot; at Create the cumulative matrix is zero. A warm query's
   // first phase is stage 2, whose fresh rows likewise start here.

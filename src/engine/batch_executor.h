@@ -53,16 +53,16 @@
 // Stage1Snapshot (BatchOptions::stage1_sink, typically the service
 // tier's Stage1Cache), and it CONSUMES a snapshot attached to a query
 // (BoundQuery::stage1_warm) by warm-starting that query's machine past
-// stage 1. Soundness rests on the pre-shuffled store: the cached prefix
-// is a uniform without-replacement sample, every later phase draws its
-// own fresh sample, and each phase's statistics use only its own sample
-// (the fresh-counter rule). A batch whose every query is warm from one
-// snapshot may continue the snapshot's scan (BatchOptions::resume =
-// snapshot.scan): it never revisits the prior's blocks, and it is
-// bit-for-bit identical to the cold run that produced the snapshot —
-// the equivalence the warm-start tests assert. Every other batch starts
-// its own scan, so each query's sample is drawn by a scan that can
-// visit every block, and an `exact` flag always covers the relation.
+// stage 1. A prior is accepted only when it shares no row with the
+// batch's scan, so it is the prefix of its query's own scan: either the
+// batch continues the prior's own scan (BatchOptions::resume =
+// snapshot.scan, every query warm from that one snapshot), which never
+// revisits the prior's blocks and is bit-for-bit identical to the cold
+// run that produced the snapshot, or the prior holds every pinned row
+// and its query completes at bind. Create refuses any other prior.
+// Every query's sample is then one uniform without-replacement scan of
+// the pre-shuffled store, and an `exact` flag always covers the
+// relation.
 //
 // Concurrency contract: the executor itself holds NO locks — by design
 // it has exactly one driver thread (the store's pipeline loop), which
@@ -168,7 +168,8 @@ struct BatchOptions {
   /// fresh: pre-consumed blocks are never read and the cursor starts at
   /// the donor's position. Create accepts it only when every query is
   /// warm from one Stage1Snapshot whose `scan` equals it, so the prior
-  /// covers exactly the blocks the resumed scan skips.
+  /// covers exactly the blocks the resumed scan skips. A resume with no
+  /// block left is accepted only from a prior that holds every row.
   std::optional<ScanResume> resume;
   /// Pool the block reads run on, at most num_threads tasks at once (the
   /// batch's quota); null means SharedWorkerPool::Process(). The pool
@@ -205,12 +206,6 @@ struct BatchStats {
   int64_t harvested_queries = 0;
   /// Queries that skipped stage 1 via BoundQuery::stage1_warm.
   int64_t warm_queries = 0;
-  /// Warm starts DROPPED because their generation did not match the
-  /// batch's pinned generation (the query ran cold instead). The
-  /// scheduler attaches a prior only at its own generation, so this
-  /// counts an append that raced between its consult and the batch's
-  /// pin, or a caller's stale attachment.
-  int64_t stale_warm_dropped = 0;
   /// Stage-1 snapshots published to BatchOptions::stage1_sink.
   int64_t stage1_exports = 0;
   /// ProgressUpdates built and handed to the progress callback
@@ -249,10 +244,10 @@ class BatchExecutor {
   /// \brief Creates an executor for one batch. All queries must share one
   /// ColumnStore (shared-scan batching is per store; route queries over
   /// different stores to different batches). Structural problems (empty
-  /// batch, mixed stores, invalid index, malformed resume state, a
-  /// resume that some query is not warm from) fail here; per-query
-  /// problems (bad parameters, wrong target size) surface as per-item
-  /// statuses.
+  /// batch, mixed stores, malformed resume state, a warm prior that
+  /// would share rows with the scan) fail here; per-query problems (bad
+  /// parameters, a wrong index or target size, a prior of the wrong
+  /// domain) surface as per-item statuses.
   static Result<std::unique_ptr<BatchExecutor>> Create(
       const std::vector<BoundQuery>& queries, BatchOptions options);
 

@@ -36,14 +36,14 @@ Status ValidateQuery(const BoundQuery& query) {
   return query.params.Validate();
 }
 
-/// The exact baseline: one pass, exact histograms, exact selectivity
-/// pruning, exact top-k.
+/// The exact baseline: one pass over one pinned view, exact histograms,
+/// exact selectivity pruning, exact top-k.
 Result<RunOutput> RunScan(const BoundQuery& query) {
   WallTimer timer;
-  const StorePin pin = query.store->Pin();
+  const StoreView view = query.store->PinView();
   FASTMATCH_ASSIGN_OR_RETURN(
-      CountMatrix exact,
-      ComputeExactCounts(*query.store, query.z_attr, query.x_attrs));
+      CountMatrix exact, ComputeExactCounts(query.store->schema(), view,
+                                            query.z_attr, query.x_attrs));
   GroundTruth truth =
       ComputeGroundTruth(exact, query.target, query.params.metric,
                          query.params.sigma, query.params.k);
@@ -59,14 +59,15 @@ Result<RunOutput> RunScan(const BoundQuery& query) {
   const int vz = out.match.counts.num_candidates();
   out.match.pruned.resize(vz);
   for (int i = 0; i < vz; ++i) out.match.pruned[i] = !truth.eligible[i];
+  out.match.error_bars.assign(vz, 0.0);
   out.match.exact.assign(vz, true);
   out.match.diag.chosen_k = static_cast<int>(truth.topk.size());
   out.match.diag.exact_candidates = vz;
   out.match.diag.data_exhausted = true;
 
   out.stats.wall_seconds = timer.Seconds();
-  out.stats.engine.rows_read = pin.num_rows;
-  out.stats.engine.blocks_read = pin.num_blocks;
+  out.stats.engine.rows_read = view.pin().num_rows;
+  out.stats.engine.blocks_read = view.pin().num_blocks;
   return out;
 }
 

@@ -53,18 +53,15 @@ struct BoundQuery {
   /// Warm start for the batch executor: when set, the query's machine
   /// begins past stage 1, seeded with this snapshot's counts (a stage-1
   /// cache hit made explicit). Must match the query's (store, z_attr,
-  /// x_attrs) domain. Ignored by the single-query RunQuery approaches.
+  /// x_attrs) domain, and must share no row with the batch's scan:
+  /// BatchExecutor::Create accepts it only in a batch that resumes the
+  /// snapshot's own scan, or when it holds every pinned row. Ignored by
+  /// the single-query RunQuery approaches.
   std::shared_ptr<const Stage1Snapshot> stage1_warm;
-  /// Store generation `stage1_warm` is served at (0 = the snapshot's own
-  /// scan.generation). The executor serves the warm start only when the
-  /// later of the two equals its pinned generation; otherwise it DROPS
-  /// it and the query runs cold (BatchStats::stale_warm_dropped counts
-  /// these). The scheduler sets it to the generation its cache lookup
-  /// was pinned at, which is always the snapshot's own. A stamp ahead
-  /// of the snapshot would serve a prior with no appended row, so no
-  /// library path sets one; the field stays because the systems
-  /// benchmark attaches warm priors the way the scheduler does, through
-  /// it.
+  /// Store generation `stage1_warm` is served at: 0 or the snapshot's
+  /// own scan.generation, which mean the same; Create refuses any other
+  /// stamp. The field stays only because the systems benchmark attaches
+  /// warm priors through it.
   uint64_t stage1_warm_generation = 0;
 };
 

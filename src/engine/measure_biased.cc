@@ -16,15 +16,18 @@ Result<std::shared_ptr<ColumnStore>> BuildMeasureBiasedSample(
   if (sample_rows <= 0) {
     return Status::InvalidArgument("sample_rows must be > 0");
   }
-  const int64_t n = store.Pin().num_rows;
+  // One pinned view for the weights and the draws: a concurrent append
+  // cannot tear either.
+  const StoreView view = store.PinView();
+  const int64_t n = view.pin().num_rows;
   if (n == 0) return Status::FailedPrecondition("empty store");
 
   // Row weights = Y magnitudes.
   std::vector<double> weights(static_cast<size_t>(n));
-  const Column& y_col = store.column(y_attr);
   double total = 0;
   for (RowId r = 0; r < n; ++r) {
-    weights[static_cast<size_t>(r)] = static_cast<double>(y_col.Get(r));
+    weights[static_cast<size_t>(r)] =
+        static_cast<double>(view.Get(y_attr, r));
     total += weights[static_cast<size_t>(r)];
   }
   if (total <= 0) {
@@ -42,7 +45,7 @@ Result<std::shared_ptr<ColumnStore>> BuildMeasureBiasedSample(
   for (int64_t i = 0; i < sample_rows; ++i) {
     const RowId r = static_cast<RowId>(row_sampler.Sample(&rng));
     for (int a = 0; a < num_attrs; ++a) {
-      row[static_cast<size_t>(a)] = store.column(a).Get(r);
+      row[static_cast<size_t>(a)] = view.Get(a, r);
     }
     sample->AppendRow(row);
   }

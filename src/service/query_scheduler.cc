@@ -48,6 +48,8 @@ QueryScheduler::QueryScheduler(SchedulerOptions options)
       << "max_queue_wait_seconds must be >= 0";
   FASTMATCH_CHECK(!options_.allow_joins)
       << "allow_joins must be false: every batch is closed at launch";
+  FASTMATCH_CHECK(!options_.batch.resume.has_value())
+      << "batch.resume must be unset: the scheduler resumes warm batches";
   FASTMATCH_CHECK(options_.batch.num_threads >= 1)
       << "batch.num_threads (the shared-pool quota) must be >= 1";
   if (options_.idle_pipeline_timeout_seconds > 0) {
@@ -61,6 +63,11 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
                                            SubmitOptions submit) {
   if (query.store == nullptr) {
     return Status::InvalidArgument("query has no store");
+  }
+  if (query.stage1_warm != nullptr) {
+    return Status::InvalidArgument(
+        "warm priors come from the scheduler's stage-1 cache; submit the "
+        "query without one");
   }
   // The janitor's invalidation of a reaped pipeline's cache entries
   // matches this same id.
@@ -310,19 +317,24 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
   }
 }
 
-void QueryScheduler::AttachWarmStage1(BoundQuery* query) {
-  if (stage1_cache_ == nullptr || query->stage1_warm != nullptr) return;
-  // A hit must cover the query's full stage-1 demand (the cache treats
-  // smaller entries as misses) AND have been drawn at the pinned
-  // generation.
-  const uint64_t generation = query->store->Pin().generation;
-  Stage1LookupResult found = stage1_cache_->Lookup(
-      query->store->id(), kWholeStorePartition, query->z_attr, query->x_attrs,
-      query->params.stage1_samples, generation);
-  if (found.outcome == Stage1Outcome::kHit) {
-    query->stage1_warm = std::move(found.snapshot);
-    query->stage1_warm_generation = generation;
+std::shared_ptr<const Stage1Snapshot> QueryScheduler::SharedWarmSnapshot(
+    const std::vector<BoundQuery>& queries) {
+  if (stage1_cache_ == nullptr) return nullptr;
+  // One pin for the batch: every query shares its store, and a hit must
+  // cover the query's full stage-1 demand (the cache treats smaller
+  // entries as misses) AND have been drawn at this generation.
+  const uint64_t generation = queries.front().store->Pin().generation;
+  std::shared_ptr<const Stage1Snapshot> shared;
+  bool all_hit = true;
+  for (const BoundQuery& query : queries) {
+    Stage1LookupResult found = stage1_cache_->Lookup(
+        query.store->id(), kWholeStorePartition, query.z_attr, query.x_attrs,
+        query.params.stage1_samples, generation);
+    if (shared == nullptr) shared = found.snapshot;
+    all_hit = all_hit && found.outcome == Stage1Outcome::kHit &&
+              found.snapshot == shared;
   }
+  return all_hit ? shared : nullptr;
 }
 
 void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
@@ -344,59 +356,37 @@ void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
     } else if (ticket.budget_seconds > 0 &&
                now >= ticket.admitted + FromSeconds(ticket.budget_seconds)) {
       // The harvested item resolves OK, so Deliver() counts it as a
-      // plain completion; budget_evicted is its only other counter.
+      // plain completion; budget_evicted is its only other counter,
+      // counted before the harvest fulfils the future so a woken caller
+      // never reads stats() without it.
+      Count(&SchedulerStats::budget_evicted);
       const Status harvested = executor->EvictWithResult(i);
       FASTMATCH_CHECK(harvested.ok()) << harvested.ToString();
-      Count(&SchedulerStats::budget_evicted);
     }
   }
 }
 
 void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
-  // Launch-time cache consult: queries whose template is warm skip
-  // stage 1 from the first chunk. The executor copies what it keeps of
-  // each query, so the launch moves them out of their tickets.
+  // The executor copies what it keeps of each query, so the launch
+  // moves them out of their tickets.
   std::vector<BoundQuery> queries;
   queries.reserve(batch.size());
-  for (Ticket& ticket : batch) {
-    AttachWarmStage1(&ticket.query);
-    queries.push_back(std::move(ticket.query));
-  }
+  for (Ticket& ticket : batch) queries.push_back(std::move(ticket.query));
   BatchOptions batch_options = options_.batch;
   batch_options.shared_pool = pool_;
   batch_options.stage1_sink = stage1_cache_.get();
-  // Warm-batch scan resume: when EVERY query of a batch is warm from the
-  // SAME snapshot, the batch continues the donor's scan instead of
-  // starting fresh — the donor's prefix blocks are pre-consumed and
-  // never re-read, so the prior's rows are disjoint from the scan that
-  // follows and exhaustion needs no overlapping-prior subtraction. This
-  // is the only resume the executor accepts. One shared snapshot
-  // implies one template. The resume runs AT THE DONOR'S GENERATION
+  // Warm or cold, for the whole batch. It launches warm only when every
+  // query hits the same stage-1 snapshot, and then it continues that
+  // snapshot's scan, so each prior is the prefix of its query's own
+  // scan and is never reread. The resume runs AT THE DONOR'S GENERATION
   // (the executor re-pins it), which is the generation the cache served
-  // the snapshot at, so its geometry check uses the donor's pin, not
-  // the live store's.
-  if (!batch_options.resume.has_value() &&
-      queries.front().stage1_warm != nullptr) {
-    const std::shared_ptr<const Stage1Snapshot>& snap =
-        queries.front().stage1_warm;
-    bool all_same = true;
-    for (const BoundQuery& query : queries) {
-      if (query.stage1_warm != snap ||
-          (query.stage1_warm_generation != 0 &&
-           query.stage1_warm_generation != snap->scan.generation)) {
-        all_same = false;
-        break;
-      }
-    }
-    if (all_same) {
-      const Result<StorePin> donor =
-          queries.front().store->PinAt(snap->scan.generation);
-      if (donor.ok() && snap->scan.consumed.size() == donor->num_blocks &&
-          snap->scan.consumed.Popcount() < donor->num_blocks) {
-        batch_options.resume = snap->scan;
-        Count(&SchedulerStats::warm_batches_resumed);
-      }
-    }
+  // the snapshot at, so an append racing this launch cannot move the
+  // batch's relation. Otherwise every query runs cold.
+  if (std::shared_ptr<const Stage1Snapshot> warm =
+          SharedWarmSnapshot(queries)) {
+    for (BoundQuery& query : queries) query.stage1_warm = warm;
+    batch_options.resume = warm->scan;
+    Count(&SchedulerStats::warm_batches_resumed);
   }
   Result<std::unique_ptr<BatchExecutor>> create =
       BatchExecutor::Create(queries, batch_options);

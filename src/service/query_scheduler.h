@@ -130,10 +130,12 @@ struct SchedulerOptions {
   /// Per-store stage-1 sample cache (service Stage1Cache): stage-1
   /// snapshots exported by running batches are served back to later
   /// queries on the same (store, template), which skip stage 1
-  /// entirely. Reaping a store's pipeline invalidates its entries. The
-  /// cache keeps Stage1CacheOptions' default capacity. Off by default,
-  /// so every query pays its own stage 1 unless the caller opts in
-  /// (perfbench's dashboards run with it on).
+  /// entirely: a batch whose every query hits one snapshot resumes that
+  /// snapshot's scan, and any other batch launches cold. Reaping a
+  /// store's pipeline invalidates its entries. The cache keeps
+  /// Stage1CacheOptions' default capacity. Off by default, so every
+  /// query pays its own stage 1 unless the caller opts in (perfbench's
+  /// dashboards run with it on).
   bool stage1_cache = false;
   /// Worker pool for every batch's block reads. nullptr selects the
   /// process-wide SharedWorkerPool::Process(). A non-null pool must
@@ -174,8 +176,9 @@ struct SubmitOptions {
 ///
 /// The stage1_* counters are the scheduler's Stage1Cache's own (all zero
 /// when the cache is disabled). A launch consults the cache once for
-/// each of its queries that does not already carry a prior, so a lookup
-/// is one launched query. Every hit became a warm-started query.
+/// each of its queries, so a lookup is one launched query. A hit
+/// warm-starts its query only when the whole batch hits one snapshot
+/// (warm_batches_resumed); otherwise the batch launches cold.
 struct SchedulerStats : Stage1CacheStats {
   int64_t submitted = 0;          // accepted by Submit
   int64_t rejected = 0;           // refused by back-pressure
@@ -195,8 +198,8 @@ struct SchedulerStats : Stage1CacheStats {
   int64_t unavailable = 0;        // shed by scheduler teardown
   int64_t pipelines_reaped = 0;   // idle pipelines joined by the janitor
   // Warm-batch resume.
-  int64_t warm_batches_resumed = 0;   // fresh batches whose every query was
-                                      // warm from one snapshot, launched with
+  int64_t warm_batches_resumed = 0;   // batches whose every query hit one
+                                      // snapshot, launched warm with
                                       // BatchOptions::resume = snapshot.scan
                                       // (the donor's prefix is never re-read)
   int64_t batch_blocks_read = 0;      // blocks read across all retired
@@ -378,8 +381,10 @@ class QueryScheduler {
   /// \brief Enqueues a query on its store's pipeline (created on first
   /// use, recreated transparently after a reap) and returns its handle.
   /// Fails fast with ResourceExhausted when the store's pending queue
-  /// is full, with InvalidArgument for a query without a store, and
-  /// with FailedPrecondition after Shutdown(). Per-query execution
+  /// is full, with InvalidArgument for a query without a store or one
+  /// that already carries a stage-1 prior (priors come from the
+  /// scheduler's own cache), and with FailedPrecondition after
+  /// Shutdown(). Per-query execution
   /// problems are NOT Submit errors; they arrive as the future's item
   /// status. Every accepted Submit's future resolves exactly once with
   /// a result, DeadlineExceeded, Cancelled, or Unavailable — including
@@ -489,15 +494,14 @@ class QueryScheduler {
   /// completion callback. An eviction racing the machine's completion
   /// loses: the finished result is delivered.
   void EvictAtBoundary(BatchExecutor* executor, std::vector<Ticket>* batch);
-  /// Looks the query's template up in the stage-1 cache and attaches
-  /// the snapshot on a hit (no-op when the cache is disabled or the
-  /// caller attached a prior). The lookup carries the
-  /// generation of one pin taken here, and only an entry drawn at that
-  /// generation hits, so a cached prior is never attached at another
-  /// generation; the executor's own stale-warm guard backstops an append
-  /// racing between this consult and batch creation. The cache lock is a
-  /// leaf: callers may hold a pipeline lock.
-  void AttachWarmStage1(BoundQuery* query);
+  /// Looks every query of a launching batch up in the stage-1 cache,
+  /// once each, and returns the snapshot they all hit, or null when the
+  /// cache is disabled, any query misses, or two hit different
+  /// snapshots. The lookups carry the generation of one pin taken here,
+  /// and only an entry drawn at that generation hits. The cache lock is
+  /// a leaf: callers may hold a pipeline lock.
+  std::shared_ptr<const Stage1Snapshot> SharedWarmSnapshot(
+      const std::vector<BoundQuery>& queries);
   /// Janitor: joins pipelines idle past the timeout.
   void ReaperLoop() FASTMATCH_EXCLUDES(mu_);
 

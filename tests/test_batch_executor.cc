@@ -666,13 +666,28 @@ TEST(BatchExecutorStreamTest, ResumeValidation) {
       (snapshot->scan.cursor + 1) % f.store->num_blocks();
   EXPECT_EQ(BatchExecutor::Create({warm}, elsewhere).status().code(),
             StatusCode::kInvalidArgument);
-  // Stamped with a generation other than the resume's, where the warm
-  // start would be dropped and the query would run cold.
+  // Stamped with a generation other than the snapshot's own.
   BoundQuery stale = warm;
   stale.stage1_warm_generation = snapshot->scan.generation + 1;
   EXPECT_EQ(BatchExecutor::Create({stale}, resumed).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(BatchExecutor::Create({warm}, resumed).ok());
+
+  // Without a resume, a partial prior would be pooled with a fresh scan
+  // that rereads its rows.
+  EXPECT_EQ(BatchExecutor::Create({warm}, Options(2)).status().code(),
+            StatusCode::kInvalidArgument);
+  // A prior holding every pinned row completes at bind and needs no
+  // resume, but only at its own generation: a stamp for another
+  // generation is refused.
+  auto whole = std::make_shared<Stage1Snapshot>(*snapshot);
+  whole->rows_drawn = f.store->num_rows();
+  BoundQuery covering = MakeQuery(f, f.target, 4);
+  covering.stage1_warm = whole;
+  EXPECT_TRUE(BatchExecutor::Create({covering}, Options(2)).ok());
+  covering.stage1_warm_generation = whole->scan.generation + 1;
+  EXPECT_EQ(BatchExecutor::Create({covering}, Options(2)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------ warm stage-1 starts
@@ -736,10 +751,11 @@ TEST(BatchExecutorWarmTest, WarmResumeFromSnapshotMatchesColdRunBitForBit) {
 }
 
 TEST(BatchExecutorWarmTest, WarmQueriesMeetGuarantees) {
-  // Statistical soundness of the overlapping case: warm queries in a
-  // FRESH batch (no resume) draw stage-2/3 samples from a scan that may
-  // revisit the cached prefix's rows. Each phase's statistics use only
-  // its own uniform sample, so the paper's guarantees must still hold.
+  // Statistical soundness across targets: warm queries with targets
+  // other than the donor's resume the snapshot's scan, so each one's
+  // sample is the donor's stage-1 prefix continued. Each phase's
+  // statistics use only its own uniform sample, so the paper's
+  // guarantees must hold for every target.
   BatchFixture f = MakeBatchFixture(20000, 62);
   Stage1Cache cache;
 
@@ -760,8 +776,9 @@ TEST(BatchExecutorWarmTest, WarmQueriesMeetGuarantees) {
       MakeQuery(f, f.exact.NormalizedRow(6), 12),
       MakeQuery(f, f.target, 13)};
   for (BoundQuery& q : warm_queries) q.stage1_warm = snapshot;
-  auto exec =
-      BatchExecutor::Create(warm_queries, Options(2, /*seed=*/97)).value();
+  BatchOptions resumed = Options(2, /*seed=*/97);
+  resumed.resume = snapshot->scan;
+  auto exec = BatchExecutor::Create(warm_queries, resumed).value();
   std::vector<BatchItem> items = exec->Run();
   EXPECT_EQ(exec->stats().warm_queries, 3);
   int violations = 0;
@@ -782,65 +799,37 @@ TEST(BatchExecutorWarmTest, WarmQueriesMeetGuarantees) {
 
 TEST(BatchExecutorWarmTest, MismatchedWarmSnapshotSurfacesAsItemStatus) {
   // A warm snapshot whose domain does not match the query's template is
-  // a per-query error, never a batch-sinking one.
+  // a per-query error, never a structural one: the resumed batch is
+  // created and each of its items reports the mismatch.
   BatchFixture f = MakeBatchFixture(2000, 63);
-  auto bogus = std::make_shared<Stage1Snapshot>();
+  Stage1Cache cache;
+  BatchOptions donor_options = Options(2);
+  donor_options.stage1_sink = &cache;
+  ASSERT_TRUE(BatchExecutor::Create({MakeQuery(f, f.target)}, donor_options)
+                  .value()
+                  ->Run()[0]
+                  .status.ok());
+  auto bogus = std::make_shared<Stage1Snapshot>(
+      *cache
+           .Lookup(f.store->id(), kWholeStorePartition, 0, {1}, 3000,
+                   f.store->Pin().generation)
+           .snapshot);
   bogus->counts = CountMatrix(5, 4);  // template is 12 x 8
-  bogus->rows_drawn = 1000;
-  bogus->scan.generation = f.store->Pin().generation;
-  BoundQuery bad = MakeQuery(f, f.target, 1);
-  bad.stage1_warm = bogus;
-  BoundQuery good = MakeQuery(f, f.target, 2);
+  BoundQuery first = MakeQuery(f, f.target, 1);
+  first.stage1_warm = bogus;
+  BoundQuery second = MakeQuery(f, f.exact.NormalizedRow(4), 2);
+  second.stage1_warm = bogus;
+  BatchOptions resumed = Options(2);
+  resumed.resume = bogus->scan;
 
-  auto exec = BatchExecutor::Create({bad, good}, Options(2)).value();
+  auto exec = BatchExecutor::Create({first, second}, resumed).value();
   std::vector<BatchItem> items = exec->Run();
   ASSERT_EQ(items.size(), 2u);
-  EXPECT_EQ(items[0].status.code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(items[1].status.ok()) << items[1].status.ToString();
-  std::set<int> got(items[1].match.topk.begin(), items[1].match.topk.end());
-  EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
-}
-
-TEST(BatchExecutorWarmTest, OverlappingWarmExhaustionReportsTrueExactCounts) {
-  // The overlap-exactness hazard: a warm query in a FRESH batch (no
-  // resume) rescans rows already behind its cached prior. Pooled totals
-  // are fine as estimates, but when the scan then exhausts the store,
-  // "exact" must mean the true histograms — the machine subtracts the
-  // overlapping prior before trusting an exhaustion signal, so the
-  // result equals ground truth rather than prior + truth.
-  BatchFixture f = MakeBatchFixture(200, 65, /*rows_per_block=*/25);
-  Stage1Cache cache;
-  BoundQuery donor = MakeQuery(f, f.target);
-  donor.params.stage1_samples = 100;  // a strict prefix, not the store
-  BatchOptions donor_options = Options(2, /*seed=*/7, /*chunk=*/2);
-  donor_options.stage1_sink = &cache;
-  auto prime = BatchExecutor::Create({donor}, donor_options).value();
-  ASSERT_TRUE(prime->Run()[0].status.ok());
-
-  auto snapshot = cache
-                      .Lookup(f.store->id(), kWholeStorePartition, 0, {1},
-                              100, f.store->Pin().generation)
-                      .snapshot;
-  ASSERT_NE(snapshot, nullptr);
-  ASSERT_LT(snapshot->rows_drawn, f.store->num_rows());
-
-  BoundQuery warm = MakeQuery(f, f.target, 9);
-  warm.params.stage1_samples = 100;
-  warm.stage1_warm = snapshot;
-  auto exec =
-      BatchExecutor::Create({warm}, Options(2, /*seed=*/31, /*chunk=*/2))
-          .value();
-  std::vector<BatchItem> items = exec->Run();
-  ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-  EXPECT_TRUE(items[0].match.diag.data_exhausted);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(items[0].match.exact[i]);
-    // Exact means exact: the prior's double-counted rows must be gone.
-    EXPECT_EQ(items[0].match.counts.RowTotal(i), f.exact.RowTotal(i))
-        << "candidate " << i << " counts inflated by the cached prior";
+  for (const BatchItem& item : items) {
+    EXPECT_EQ(item.status.code(), StatusCode::kInvalidArgument);
   }
-  std::set<int> got(items[0].match.topk.begin(), items[0].match.topk.end());
-  EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
+  EXPECT_EQ(exec->stats().warm_queries, 0);
+  EXPECT_EQ(exec->stats().blocks_read, 0);
 }
 
 TEST(BatchExecutorWarmTest, FullCoverageSnapshotCompletesAtBind) {
@@ -866,17 +855,24 @@ TEST(BatchExecutorWarmTest, FullCoverageSnapshotCompletesAtBind) {
 
   BoundQuery warm = MakeQuery(f, f.exact.NormalizedRow(3), 9);
   warm.stage1_warm = snapshot;
-  auto exec = BatchExecutor::Create({warm}, Options(2)).value();
-  std::vector<BatchItem> items = exec->Run();
-  ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-  EXPECT_EQ(exec->stats().blocks_read, 0);
-  EXPECT_TRUE(items[0].match.diag.data_exhausted);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(items[0].match.exact[i]);
-    EXPECT_EQ(items[0].match.counts.RowTotal(i), f.exact.RowTotal(i));
+  // In a fresh scan, and resumed from the snapshot's own scan, which has
+  // no block left: both complete at bind.
+  BatchOptions resumed = Options(2);
+  resumed.resume = snapshot->scan;
+  for (const BatchOptions& options : {Options(2), resumed}) {
+    auto exec = BatchExecutor::Create({warm}, options).value();
+    std::vector<BatchItem> items = exec->Run();
+    ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
+    EXPECT_EQ(exec->stats().blocks_read, 0);
+    EXPECT_TRUE(items[0].match.diag.data_exhausted);
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_TRUE(items[0].match.exact[i]);
+      EXPECT_EQ(items[0].match.counts.RowTotal(i), f.exact.RowTotal(i));
+    }
+    // Exact distances to candidate 3's own distribution: 3 is the top
+    // hit.
+    EXPECT_EQ(items[0].match.topk.front(), 3);
   }
-  // Exact distances to candidate 3's own distribution: 3 is the top hit.
-  EXPECT_EQ(items[0].match.topk.front(), 3);
 }
 
 // ------------------------------------------------ concurrency stress

@@ -72,6 +72,24 @@ TEST(ExecutorTest, ScanIsExact) {
   EXPECT_EQ(out->stats.engine.rows_read, q.store->num_rows());
 }
 
+TEST(ExecutorTest, EveryApproachReportsOneErrorBarPerCandidate) {
+  // MatchResult::error_bars holds one bar per candidate, 0 where the
+  // candidate is exact: Scan's answer is exact throughout.
+  BoundQuery q = MakeQuery();
+  for (Approach a : kAll) {
+    auto out = RunQuery(q, a);
+    ASSERT_TRUE(out.ok()) << ApproachName(a) << ": "
+                          << out.status().ToString();
+    const MatchResult& m = out->match;
+    ASSERT_EQ(m.error_bars.size(), 10u) << ApproachName(a);
+    for (size_t i = 0; i < m.error_bars.size(); ++i) {
+      if (a == Approach::kScan || m.exact[i]) {
+        EXPECT_EQ(m.error_bars[i], 0.0) << ApproachName(a) << " " << i;
+      }
+    }
+  }
+}
+
 TEST(ExecutorTest, ApproximateApproachesSatisfyGuarantees) {
   BoundQuery q = MakeQuery();
   auto exact = ComputeExactCounts(*q.store, 0, {1}).value();

@@ -14,10 +14,9 @@
 //     it (the resumed batch re-pins the donor's generation, not the
 //     current one);
 //   * the acceptance property of the stage-1 cache work: a cached prior
-//     drawn at generation g is NEVER served at generation g' > g
-//     unless the caller stamps it for g' — the executor drops the stale
-//     warm start and runs the query cold (this test fails if the
-//     generation check is skipped).
+//     drawn at generation g is NEVER served at generation g' != g —
+//     BatchExecutor::Create refuses the attachment, stamped or not
+//     (this test fails if the generation check is skipped).
 
 #include <gtest/gtest.h>
 
@@ -289,13 +288,12 @@ TEST(IngestEquivalenceTest, ResumeRePinsTheDonorGeneration) {
 // ------------------------------------------------ acceptance pinning
 
 TEST(IngestEquivalenceTest, StaleWarmPriorIsNeverServedAcrossGenerations) {
-  // THE acceptance property of this change: a cached stage-1 prior
-  // drawn at generation g must never be served at generation g' > g
-  // unless the caller stamps it for g'. The executor is the last line of
-  // defense — a warm start whose generation does not match the batch's
-  // pin is DROPPED (counted in stale_warm_dropped) and the query runs
-  // cold. If the generation check were skipped, diag.stage1_warm would
-  // be true below and this test fails.
+  // THE acceptance property: a cached stage-1 prior drawn at generation
+  // g is never served at generation g' != g. A prior is served only by
+  // continuing its own scan, which re-pins g; the executor refuses, at
+  // Create, any attachment that would serve it at the grown store's
+  // generation, with or without a caller's stamp. If the generation
+  // check were skipped, either Create below would succeed.
   auto dists = PlantedDistributions(kCandidates, kGroups, StaggeredOffsets());
   auto store = MakeExactStore(std::vector<int64_t>(kCandidates, 20000), dists,
                               /*seed=*/97, /*rows_per_block=*/50);
@@ -314,17 +312,19 @@ TEST(IngestEquivalenceTest, StaleWarmPriorIsNeverServedAcrossGenerations) {
                       .snapshot;
   ASSERT_NE(snapshot, nullptr);
   ASSERT_EQ(snapshot->scan.generation, 1u);
+  ASSERT_LT(snapshot->rows_drawn, store->num_rows());
 
-  // Positive control at the snapshot's own generation: served warm.
+  // Positive control: resumed from its own scan, served warm.
   BoundQuery warm_q = q;
   warm_q.stage1_warm = snapshot;
+  BatchOptions resumed = Options(2);
+  resumed.resume = snapshot->scan;
   {
-    auto warm = BatchExecutor::Create({warm_q}, Options(2)).value();
+    auto warm = BatchExecutor::Create({warm_q}, resumed).value();
     std::vector<BatchItem> items = warm->Run();
     ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
     EXPECT_TRUE(items[0].match.diag.stage1_warm);
     EXPECT_EQ(warm->stats().warm_queries, 1);
-    EXPECT_EQ(warm->stats().stale_warm_dropped, 0);
   }
 
   // The store grows (with drifted rows, to make silent serving WRONG,
@@ -332,33 +332,23 @@ TEST(IngestEquivalenceTest, StaleWarmPriorIsNeverServedAcrossGenerations) {
   ASSERT_TRUE(store->AppendBatch(DriftColumns(3000), 55).ok());
   ASSERT_EQ(store->generation(), 2u);
 
-  // Same attachment, no generation stamp: the executor pins
-  // generation 2, sees a generation-1 prior, and refuses it.
-  {
-    auto exec = BatchExecutor::Create({warm_q}, Options(2)).value();
-    ASSERT_EQ(exec->pin().generation, 2u);
-    std::vector<BatchItem> items = exec->Run();
-    ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-    EXPECT_FALSE(items[0].match.diag.stage1_warm);
-    EXPECT_EQ(exec->stats().warm_queries, 0);
-    EXPECT_EQ(exec->stats().stale_warm_dropped, 1);
-    // Dropped means ran cold and correct, not served-and-wrong.
-    std::set<int> got(items[0].match.topk.begin(), items[0].match.topk.end());
-    EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
-  }
+  // Same attachment, no resume: the batch would pin generation 2 and
+  // pool a generation-1 prior with a fresh scan. Refused.
+  EXPECT_EQ(BatchExecutor::Create({warm_q}, Options(2)).status().code(),
+            StatusCode::kInvalidArgument);
 
-  // With an explicit stamp for generation 2 (the caller vouches for the
-  // prior there; the scheduler never does), the same prior IS served at
-  // generation 2: the guard honours the later of the two generations.
+  // A stamp for generation 2 vouches for nothing: refused too, with or
+  // without the resume.
   warm_q.stage1_warm_generation = 2;
-  {
-    auto exec = BatchExecutor::Create({warm_q}, Options(2)).value();
-    std::vector<BatchItem> items = exec->Run();
-    ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-    EXPECT_TRUE(items[0].match.diag.stage1_warm);
-    EXPECT_EQ(exec->stats().warm_queries, 1);
-    EXPECT_EQ(exec->stats().stale_warm_dropped, 0);
-  }
+  EXPECT_EQ(BatchExecutor::Create({warm_q}, Options(2)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BatchExecutor::Create({warm_q}, resumed).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The resumed batch still serves the prior, at generation 1 only.
+  warm_q.stage1_warm_generation = 0;
+  auto again = BatchExecutor::Create({warm_q}, resumed).value();
+  EXPECT_EQ(again->pin().generation, 1u);
 }
 
 }  // namespace

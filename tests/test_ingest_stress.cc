@@ -11,7 +11,9 @@
 //   * concurrent appenders + query traffic against one scheduler with
 //     the cache on: every future resolves exactly once with a terminal
 //     status, and the stage-1 books balance (lookups == hits + misses)
-//     under churn.
+//     under churn;
+//   * the Scan baseline racing appends: every answer counts one pinned
+//     generation, exactly.
 
 #include <gtest/gtest.h>
 
@@ -240,6 +242,59 @@ TEST(IngestStressTest, ConcurrentAppendsAndQueriesResolveExactlyOnce) {
   EXPECT_EQ(store->generation(), 1u + kAppends);
   EXPECT_EQ(store->num_rows(),
             static_cast<int64_t>(kCandidates) * 8000 + kAppends * 3000);
+}
+
+TEST(IngestStressTest, ScanCountsOnePinnedGenerationUnderAppends) {
+  // RunQuery(kScan) races AppendBatch. Every answer must describe ONE
+  // generation: its rows_read is that generation's row count, its row
+  // totals add up to it, and its counts equal that generation's exact
+  // counts, computed after the appends through a view pinned at it.
+  // Run under TSan in CI: a count read through the live chunk vector,
+  // which an append may reallocate, is a data race there.
+  auto store = MakeStore(404, /*rows_per_candidate=*/2000);
+  BoundQuery query = MakeQuery(store, nullptr, 5);
+  constexpr int kAppends = 20;
+  constexpr int64_t kAppendRows = 600;
+
+  std::atomic<bool> appending{true};
+  std::vector<RunOutput> answers;
+  std::thread scanner([&] {
+    while (appending.load() || answers.size() < 3) {
+      auto out = RunQuery(query, Approach::kScan);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      answers.push_back(std::move(*out));
+    }
+  });
+  for (int i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(store
+                    ->AppendBatch(BenignColumns(kAppendRows),
+                                  700 + static_cast<uint64_t>(i))
+                    .ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  appending.store(false);
+  scanner.join();
+
+  const int64_t base_rows = store->PinAt(1).value().num_rows;
+  for (const RunOutput& out : answers) {
+    const int64_t rows = out.stats.engine.rows_read;
+    ASSERT_EQ((rows - base_rows) % kAppendRows, 0) << rows;
+    const uint64_t generation =
+        1 + static_cast<uint64_t>((rows - base_rows) / kAppendRows);
+    const StoreView view = store->PinViewAt(generation).value();
+    ASSERT_EQ(view.pin().num_rows, rows);
+    const CountMatrix exact =
+        ComputeExactCounts(store->schema(), view, 0, {1}).value();
+    int64_t total = 0;
+    for (int i = 0; i < kCandidates; ++i) {
+      total += out.match.counts.RowTotal(i);
+      for (int g = 0; g < kGroups; ++g) {
+        ASSERT_EQ(out.match.counts.At(i, g), exact.At(i, g))
+            << "generation " << generation << " candidate " << i;
+      }
+    }
+    EXPECT_EQ(total, rows);
+  }
 }
 
 }  // namespace

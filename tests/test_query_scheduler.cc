@@ -242,6 +242,13 @@ TEST(QuerySchedulerTest, SubmitValidation) {
   no_store.store = nullptr;
   EXPECT_EQ(scheduler.Submit(std::move(no_store)).status().code(),
             StatusCode::kInvalidArgument);
+  // Priors come from the scheduler's own stage-1 cache, never the
+  // caller.
+  BoundQuery carries_prior = MakeQuery(f, 3);
+  carries_prior.stage1_warm = std::make_shared<Stage1Snapshot>();
+  EXPECT_EQ(scheduler.Submit(std::move(carries_prior)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(scheduler.stats().submitted, 0);
   scheduler.Shutdown();
   EXPECT_EQ(scheduler.Submit(MakeQuery(f, 2)).status().code(),
             StatusCode::kFailedPrecondition);
@@ -736,6 +743,66 @@ TEST(Stage1CacheSchedulerTest, WarmWaveResumesTheDonorsScan) {
   // suffix the donor left unconsumed.
   EXPECT_LE(after.batch_blocks_read - before.batch_blocks_read,
             batches * (num_blocks - prefix_blocks));
+}
+
+TEST(Stage1CacheSchedulerTest, TwoTemplatesHitTwoSnapshotsAndLaunchCold) {
+  // A batch launches warm only when every query hits ONE snapshot: that
+  // snapshot's scan is the only one the batch can continue. Queries of
+  // two templates hit two snapshots, so their batch launches cold.
+  SchedFixture f = MakeSchedFixture(8000, 46);
+  const CountMatrix exact_b = ComputeExactCounts(*f.store, 1, {0}).value();
+  SchedulerOptions options = FastOptions();
+  options.max_batch_queries = 2;
+  options.max_queue_wait_seconds = 5.0;  // each wave launches when full
+  options.stage1_cache = true;
+  QueryScheduler scheduler(options);
+
+  // Template A is (0, {1}); template B swaps the roles: (1, {0}), with
+  // no bitmap index.
+  const auto query_b = [&](uint64_t seed) {
+    BoundQuery q = MakeQuery(f, seed);
+    q.z_index = nullptr;
+    q.z_attr = 1;
+    q.x_attrs = {0};
+    q.target = exact_b.NormalizedRow(2);
+    return q;
+  };
+  const auto wave = [&](uint64_t seed) {
+    std::vector<BoundQuery> queries = {MakeQuery(f, seed), query_b(seed + 1)};
+    std::vector<QueryHandle> handles;
+    for (const BoundQuery& q : queries) {
+      auto handle = scheduler.Submit(q);
+      EXPECT_TRUE(handle.ok());
+      handles.push_back(std::move(*handle));
+    }
+    std::vector<SchedulerItem> items;
+    for (size_t i = 0; i < handles.size(); ++i) {
+      items.push_back(handles[i].Get());
+      const SchedulerItem& item = items.back();
+      EXPECT_TRUE(item.status.ok()) << item.status.ToString();
+      EXPECT_FALSE(item.match.diag.stage1_warm);
+      const CountMatrix& exact = i == 0 ? f.exact : exact_b;
+      const HistSimParams& p = queries[i].params;
+      const GroundTruth truth = ComputeGroundTruth(exact, queries[i].target,
+                                                   p.metric, p.sigma, p.k);
+      const GuaranteeCheck check = CheckGuarantees(
+          item.match, exact, truth, queries[i].target, p);
+      EXPECT_TRUE(check.separation_ok) << check.worst_separation;
+      EXPECT_TRUE(check.reconstruction_ok) << check.worst_reconstruction;
+      EXPECT_TRUE(check.exact_ok);
+    }
+  };
+
+  // Wave 1 misses and publishes one snapshot per template.
+  wave(100);
+  ASSERT_EQ(scheduler.stage1_cache()->size(), 2);
+  // Wave 2: both queries hit, but different snapshots.
+  wave(200);
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches_launched, 2);
+  EXPECT_EQ(stats.stage1_lookups, 4);
+  EXPECT_EQ(stats.stage1_hits, 2);
+  EXPECT_EQ(stats.warm_batches_resumed, 0);
 }
 
 TEST(Stage1CacheSchedulerTest, ReapInvalidatesTheStoresEntries) {
