@@ -4,9 +4,10 @@
 // one binary (two runs, two thread counts); these record exact values,
 // so a refactor of the cursor, the consumed set, the exhaustion rule or
 // HistSimMachine's accumulators that changes a single read or answer
-// bit fails here. Two pins cover the machine's mid-run read paths: a
-// fully subscribed batch's whole progress stream, and a best-effort
-// harvest taken mid-stage-2.
+// bit fails here. Three pins cover the machine's mid-run read paths: a
+// fully subscribed batch's whole progress stream, a best-effort harvest
+// taken mid-stage-2, and both again for a batch warm-resumed from a
+// stage-1 snapshot.
 //
 // The store is skewed (50 to 200,000 rows per candidate), so rare
 // candidates reach the zero-read-cycle exhaustion rule as well as the
@@ -258,6 +259,23 @@ class FirstSnapshotSink : public Stage1Sink {
   std::shared_ptr<const Stage1Snapshot> snapshot;
 };
 
+/// A donor batch exports its stage-1 sample; the returned batch, whose
+/// every query is warm from that snapshot, continues the donor's scan
+/// from the snapshot's position, so it never re-reads the prior's
+/// blocks.
+std::unique_ptr<BatchExecutor> WarmResumedBatch(uint64_t seed) {
+  FirstSnapshotSink sink;
+  BatchOptions donor_options = Options(seed);
+  donor_options.stage1_sink = &sink;
+  BatchExecutor::Create({Query(2, 5)}, donor_options).value()->Run();
+  EXPECT_NE(sink.snapshot, nullptr);
+  std::vector<BoundQuery> batch = {Query(0, 10), Query(3, 11), Query(5, 12)};
+  for (BoundQuery& q : batch) q.stage1_warm = sink.snapshot;
+  BatchOptions options = Options(seed + 100);
+  options.resume = sink.snapshot->scan;
+  return BatchExecutor::Create(batch, options).value();
+}
+
 TEST(ScanPinTest, WarmResumedBatchPerSeed) {
   const Pin want[3] = {
       {9797, 5310, 489850, 392, 8832, 9861,
@@ -274,20 +292,7 @@ TEST(ScanPinTest, WarmResumedBatchPerSeed) {
        "[5 4 6 e7 9672939013939678161 15849972948194351960]"},
   };
   for (size_t s = 0; s < 3; ++s) {
-    // A donor batch exports its stage-1 sample; a batch whose every query
-    // is warm from that snapshot continues the donor's scan from the
-    // snapshot's position, so it never re-reads the prior's blocks.
-    FirstSnapshotSink sink;
-    BatchOptions donor_options = Options(kSeeds[s]);
-    donor_options.stage1_sink = &sink;
-    BatchExecutor::Create({Query(2, 5)}, donor_options).value()->Run();
-    ASSERT_NE(sink.snapshot, nullptr);
-    std::vector<BoundQuery> batch = {Query(0, 10), Query(3, 11),
-                                     Query(5, 12)};
-    for (BoundQuery& q : batch) q.stage1_warm = sink.snapshot;
-    BatchOptions options = Options(kSeeds[s] + 100);
-    options.resume = sink.snapshot->scan;
-    auto exec = BatchExecutor::Create(batch, options).value();
+    auto exec = WarmResumedBatch(kSeeds[s]);
     const std::vector<BatchItem> items = exec->Run();
     EXPECT_EQ(exec->stats().warm_queries, 3);
     ExpectPin(BatchPin(*exec, items), want[s],
@@ -422,6 +427,62 @@ TEST(ScanPinTest, MidStage2HarvestPerSeed) {
     Pin got = BatchPin(*exec, items);
     got.answers += Diag(harvested.diag);
     ExpectPin(got, want[s], "harvest seed " + std::to_string(kSeeds[s]));
+  }
+}
+
+TEST(ScanPinTest, WarmResumedProgressAndHarvestPerSeed) {
+  // WarmResumedBatchPerSeed's batch, fully subscribed, harvests query 0
+  // inside a stage-2 round: a warm query's progress stream and its
+  // best-effort harvest both pool the prior with the resumed scan. At
+  // every seed, after these chunks, query 0 has completed one stage-2
+  // round and is inside its second.
+  const int kStepsBeforeHarvest = 60;
+  const Pin want[3] = {
+      {9797, 5310, 489850, 392, 8832, 9861,
+       "[0 1 2 e0 17204411673087824665 15178565247281535866]"
+       "[3 4 2 e5 17819267987986889783 5483365107611883613]"
+       "[5 6 4 e5 17819267987986889783 3498334519593190805]"
+       "{61:5784126251093255980}{392:8373192437241369056}"
+       "{392:5225823639044358584}(r2 3200/189150/0)"},
+      {10663, 3863, 533150, 465, 960, 10727,
+       "[0 1 2 e0 5571552335411088173 17508830781403154504]"
+       "[3 4 2 e6 16482018680137732575 1982109538993160505]"
+       "[5 6 4 e6 16482018680137732575 16399839223946519967]"
+       "{61:7299619600211253638}{465:12390098060717621285}"
+       "{465:11625180403937451210}(r2 3200/189850/0)"},
+      {12443, 4789, 622150, 880, 7232, 12507,
+       "[0 1 2 e0 14410436819910659059 13013345571544490155]"
+       "[3 4 2 e5 15974182782784579107 12223858659469803055]"
+       "[5 4 6 e7 8827330010823703611 10252870537430906724]"
+       "{61:14612112197796221596}{488:16685133203590865453}"
+       "{880:12349069018607804999}(r2 3200/188300/0)"},
+  };
+  for (size_t s = 0; s < 3; ++s) {
+    auto exec = WarmResumedBatch(kSeeds[s]);
+    ProgressLog log(exec->num_queries());
+    exec->SetProgressCallback(
+        [&log](size_t index, const ProgressUpdate& up) {
+          log.Record(index, up);
+        });
+    exec->Start();
+    for (int i = 0; i < kStepsBeforeHarvest; ++i) {
+      ASSERT_TRUE(exec->Step()) << "batch finished before the harvest point";
+    }
+    ASSERT_TRUE(exec->EvictWithResult(0).ok());
+    while (exec->Step()) {
+    }
+    const std::vector<BatchItem> items = exec->TakeItems();
+    EXPECT_EQ(exec->stats().warm_queries, 3);
+    const MatchResult& harvested = items.front().match;
+    EXPECT_TRUE(harvested.best_effort);
+    EXPECT_TRUE(harvested.diag.stage1_warm);
+    EXPECT_EQ(harvested.diag.rounds, 2);
+    EXPECT_EQ(harvested.diag.stage3_samples, 0);
+    Pin got = BatchPin(*exec, items);
+    got.answers += log.Render();
+    got.answers += Diag(harvested.diag);
+    ExpectPin(got, want[s],
+              "warm resumed harvest seed " + std::to_string(kSeeds[s]));
   }
 }
 
