@@ -11,18 +11,6 @@ void CountMatrix::Merge(const CountMatrix& other) {
   }
 }
 
-void CountMatrix::Subtract(const CountMatrix& other) {
-  FASTMATCH_CHECK_EQ(num_candidates_, other.num_candidates_);
-  FASTMATCH_CHECK_EQ(num_groups_, other.num_groups_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] -= other.counts_[i];
-    FASTMATCH_CHECK_GE(counts_[i], 0) << "Subtract of a non-snapshot";
-  }
-  for (size_t i = 0; i < row_totals_.size(); ++i) {
-    row_totals_[i] -= other.row_totals_[i];
-  }
-}
-
 void CountMatrix::Reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   std::fill(row_totals_.begin(), row_totals_.end(), 0);

@@ -50,12 +50,6 @@ class CountMatrix {
   /// \brief Adds `other` cell-wise (accumulating a round into the total).
   void Merge(const CountMatrix& other);
 
-  /// \brief Subtracts `other` cell-wise. `other` must be a snapshot of an
-  /// earlier state of this matrix (counts never go negative); used to
-  /// compute per-phase fresh counts as cumulative-minus-snapshot in the
-  /// shared-scan batch executor.
-  void Subtract(const CountMatrix& other);
-
   /// \brief Zeroes all cells and totals, keeping the shape.
   void Reset();
 

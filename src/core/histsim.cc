@@ -111,17 +111,23 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
 }
 
 Status HistSimMachine::AcceptSupply(const char* caller,
-                                    const CountMatrix& fresh,
+                                    const CountMatrix& pooled,
                                     const std::vector<bool>& exhausted,
-                                    bool all_consumed, int64_t rows_drawn) {
+                                    bool all_consumed) {
   if (phase_ != Phase::kStage1 && phase_ != Phase::kStage2 &&
       phase_ != Phase::kStage3) {
     return Status::FailedPrecondition(std::string("HistSimMachine::") +
                                       caller + ": no demand outstanding");
   }
-  FASTMATCH_CHECK_EQ(fresh.num_candidates(), vz_);
-  FASTMATCH_CHECK_EQ(fresh.num_groups(), vx_);
+  FASTMATCH_CHECK_EQ(pooled.num_candidates(), vz_);
+  FASTMATCH_CHECK_EQ(pooled.num_groups(), vx_);
   FASTMATCH_CHECK_EQ(static_cast<int>(exhausted.size()), vz_);
+  // The pooled sample only grows: every held count is still in it.
+  for (int i = 0; i < vz_; ++i) {
+    for (int g = 0; g < vx_; ++g) {
+      FASTMATCH_CHECK_GE(pooled.At(i, g), total_.At(i, g)) << "lost a row";
+    }
+  }
 
   // The caller's exhaustion signal certifies exactness: its window
   // shares no row with a warm prior (Stage1Prior).
@@ -129,29 +135,44 @@ Status HistSimMachine::AcceptSupply(const char* caller,
   for (int i = 0; i < vz_; ++i) {
     if (all_consumed || exhausted[i]) exact_[i] = true;
   }
-  // Every phase's fresh sample folds into the totals once, here (Alg. 1
-  // l.15-16 for a stage-2 round, which is tested on `fresh` alone), and
-  // its rows are booked to the phase's stage once.
-  total_.Merge(fresh);
-  int64_t& samples = phase_ == Phase::kStage1   ? diag_.stage1_samples
-                     : phase_ == Phase::kStage2 ? diag_.stage2_samples
-                                                : diag_.stage3_samples;
-  samples += rows_drawn;
   return Status::OK();
 }
 
-Status HistSimMachine::Supply(const CountMatrix& fresh,
+int64_t HistSimMachine::FoldPooled(const CountMatrix& pooled,
+                                   int64_t pooled_rows) {
+  // Every phase's fresh rows join the held counts once, here, and are
+  // booked to the phase's stage once.
+  const int64_t drawn = pooled_rows - diag_.stage1_samples -
+                        diag_.stage2_samples - diag_.stage3_samples;
+  FASTMATCH_CHECK_GE(drawn, 0) << "pooled rows lost a held row";
+  int64_t& samples = phase_ == Phase::kStage1   ? diag_.stage1_samples
+                     : phase_ == Phase::kStage2 ? diag_.stage2_samples
+                                                : diag_.stage3_samples;
+  samples += drawn;
+  total_ = pooled;
+  return drawn;
+}
+
+Status HistSimMachine::Supply(const CountMatrix& pooled,
                               const std::vector<bool>& exhausted,
-                              bool all_consumed, int64_t rows_drawn) {
+                              bool all_consumed, int64_t pooled_rows) {
   FASTMATCH_RETURN_IF_ERROR(
-      AcceptSupply("Supply", fresh, exhausted, all_consumed, rows_drawn));
+      AcceptSupply("Supply", pooled, exhausted, all_consumed));
+  // A stage-2 round is tested on its own fresh rows, so the test reads
+  // the held counts before the round joins them.
+  const bool rejected =
+      phase_ == Phase::kStage2 && Stage2RoundRejects(pooled);
+  const int64_t drawn = FoldPooled(pooled, pooled_rows);
   Status status;
   switch (phase_) {
     case Phase::kStage1:
-      status = FinishStage1(rows_drawn);
+      status = FinishStage1(drawn);
       break;
     case Phase::kStage2:
-      status = FinishStage2Round(fresh);
+      // The next round's split point and the stage-3 top-ups read the
+      // refreshed estimates.
+      for (int i : active_set_) RefreshTau(i);
+      status = rejected ? BeginStage3() : PrepareStage2RoundOrAdvance();
       break;
     default:
       status = Finalize();
@@ -295,12 +316,8 @@ Status HistSimMachine::PrepareStage2RoundOrAdvance() {
   return Status::OK();
 }
 
-Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh) {
-  // The round is already folded into the totals; the next round's
-  // split point and the stage-3 top-ups read the refreshed estimates.
-  for (int i : active_set_) RefreshTau(i);
-
-  // The multiple hypothesis test of Lemma 4 over fresh samples.
+bool HistSimMachine::Stage2RoundRejects(const CountMatrix& pooled) const {
+  std::vector<int64_t> fresh(static_cast<size_t>(vx_));
   std::vector<double> log_pvalues;
   log_pvalues.reserve(active_set_.size());
   for (int i : active_set_) {
@@ -309,15 +326,18 @@ Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh) {
       // Fully enumerated candidate: its true distance is known, so the
       // null is simply true or false. A true null can never be
       // rejected; a false null is rejected error-free.
-      const double tau_exact = HistDistance(
-          params_.metric, total_.NormalizedRow(i), target_);
+      const double tau_exact =
+          HistDistance(params_.metric, pooled.NormalizedRow(i), target_);
       const bool null_true = in_m_[i]
                                  ? (tau_exact >= split_s_ + eps_sep_ / 2)
                                  : (tau_exact <= split_s_ - eps_sep_ / 2);
       lp = null_true ? 0.0 : -std::numeric_limits<double>::infinity();
     } else {
-      const Distribution d_round = fresh.NormalizedRow(i);
-      const double tau_round = HistDistance(params_.metric, d_round, target_);
+      for (int g = 0; g < vx_; ++g) {
+        fresh[static_cast<size_t>(g)] = pooled.At(i, g) - total_.At(i, g);
+      }
+      const double tau_round =
+          HistDistance(params_.metric, Normalize(fresh), target_);
       double eps_i;
       if (in_m_[i]) {
         eps_i = split_s_ + eps_sep_ / 2 - tau_round;
@@ -326,13 +346,12 @@ Status HistSimMachine::FinishStage2Round(const CountMatrix& fresh) {
       } else {
         eps_i = std::numeric_limits<double>::infinity();
       }
-      lp = LogDeviationPValue(eps_i, fresh.RowTotal(i), vx_);
+      lp = LogDeviationPValue(eps_i, pooled.RowTotal(i) - total_.RowTotal(i),
+                              vx_);
     }
     log_pvalues.push_back(lp);
   }
-
-  if (SimultaneousReject(log_pvalues, log_dupper_)) return BeginStage3();
-  return PrepareStage2RoundOrAdvance();
+  return SimultaneousReject(log_pvalues, log_dupper_);
 }
 
 Status HistSimMachine::BeginStage3() {
@@ -419,8 +438,8 @@ MatchResult HistSimMachine::TakeResult() {
   return std::move(result_);
 }
 
-ProgressUpdate HistSimMachine::Progress(const CountMatrix* partial,
-                                        int64_t partial_rows) const {
+ProgressUpdate HistSimMachine::Progress(const CountMatrix& pooled,
+                                        int64_t pooled_rows) const {
   ProgressUpdate up;
   // Only a live machine has a pool to report: kDone has moved its counts
   // into the result, kCreated/kFailed never had one.
@@ -428,23 +447,18 @@ ProgressUpdate HistSimMachine::Progress(const CountMatrix* partial,
       phase_ != Phase::kStage3) {
     return up;
   }
-  // Pooled estimate: all folded phases plus the caller's
-  // not-yet-supplied partial phase sample.
-  CountMatrix pooled = total_;
-  if (partial != nullptr) pooled.Merge(*partial);
+  FASTMATCH_CHECK_EQ(pooled.num_candidates(), vz_);
+  FASTMATCH_CHECK_EQ(pooled.num_groups(), vx_);
   up.distances.resize(static_cast<size_t>(vz_));
   up.error_bars.resize(static_cast<size_t>(vz_));
   up.exact = exact_;
   for (int i = 0; i < vz_; ++i) {
-    const int64_t n = pooled.RowTotal(i);
     up.distances[static_cast<size_t>(i)] =
         HistDistance(params_.metric, pooled.NormalizedRow(i), target_);
-    up.error_bars[static_cast<size_t>(i)] = ErrorBarFor(exact_[i], n);
+    up.error_bars[static_cast<size_t>(i)] =
+        ErrorBarFor(exact_[i], pooled.RowTotal(i));
   }
-  // Completed stages logged their drawn rows into the diag counters;
-  // the in-flight phase's rows are the caller's partial.
-  up.rows_consumed = diag_.stage1_samples + diag_.stage2_samples +
-                     diag_.stage3_samples + partial_rows;
+  up.rows_consumed = pooled_rows;
   up.topk = RankedTopK(up.distances);
   up.topk_distances.reserve(up.topk.size());
   for (int i : up.topk) {
@@ -473,12 +487,13 @@ std::vector<int> HistSimMachine::RankedTopK(
   return order;
 }
 
-Status HistSimMachine::HarvestBestEffort(const CountMatrix& fresh,
+Status HistSimMachine::HarvestBestEffort(const CountMatrix& pooled,
                                          const std::vector<bool>& exhausted,
                                          bool all_consumed,
-                                         int64_t rows_drawn) {
-  FASTMATCH_RETURN_IF_ERROR(AcceptSupply("HarvestBestEffort", fresh,
-                                         exhausted, all_consumed, rows_drawn));
+                                         int64_t pooled_rows) {
+  FASTMATCH_RETURN_IF_ERROR(
+      AcceptSupply("HarvestBestEffort", pooled, exhausted, all_consumed));
+  FoldPooled(pooled, pooled_rows);
   diag_.rounds = round_t_;
   for (int i = 0; i < vz_; ++i) RefreshTau(i);
 
@@ -514,23 +529,20 @@ Result<MatchResult> HistSim::Run(Sampler* sampler) {
                                           sampler->num_groups(),
                                           sampler->total_rows()));
 
+  // One cumulative matrix: the samplers add each phase's fresh rows to
+  // it, and the machine takes them as pooled minus what it holds.
   const int vz = sampler->num_candidates();
-  const int vx = sampler->num_groups();
-  CountMatrix fresh(vz, vx);
+  CountMatrix pooled(vz, sampler->num_groups());
   while (!machine.done()) {
     const SampleDemand& demand = machine.demand();
-    fresh.Reset();
     std::vector<bool> exhausted(vz, false);
-    int64_t drawn;
     if (demand.kind == SampleDemand::Kind::kRows) {
-      drawn = sampler->SampleRows(demand.rows, &fresh);
+      sampler->SampleRows(demand.rows, &pooled);
     } else {
-      const int64_t consumed_before = sampler->rows_consumed();
-      sampler->SampleUntilTargets(demand.targets, &fresh, &exhausted);
-      drawn = sampler->rows_consumed() - consumed_before;
+      sampler->SampleUntilTargets(demand.targets, &pooled, &exhausted);
     }
-    FASTMATCH_RETURN_IF_ERROR(
-        machine.Supply(fresh, exhausted, sampler->AllConsumed(), drawn));
+    FASTMATCH_RETURN_IF_ERROR(machine.Supply(
+        pooled, exhausted, sampler->AllConsumed(), sampler->rows_consumed()));
   }
   return machine.TakeResult();
 }

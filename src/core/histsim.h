@@ -143,17 +143,17 @@ struct SampleDemand {
 /// Stage 1 is target-independent: it draws a fixed number of uniform
 /// rows before any candidate targets exist, so one query's stage-1
 /// counts are reusable by every other query on the same (store,
-/// template). `counts`/`rows_drawn` follow the same per-call
-/// fresh-counter contract as a stage-1 Supply(): counts cover the rows
-/// drawn for that stage-1 phase and ONLY those rows (never later
+/// template). `counts`/`rows_drawn` are what a stage-1 Supply() would
+/// pass: the sample at the end of stage 1, ONLY its rows (never later
 /// phases' samples). The prior must itself be a uniform
 /// without-replacement sample of the relation — e.g. a scan prefix of a
 /// pre-shuffled store, which is exactly what the batch executor
 /// exports (engine Stage1Snapshot) — and the caller's later sampling
 /// windows must share no row with it: they continue the prior's own
 /// scan, or there are none because the prior holds every row. The
-/// prior is then the prefix of the query's own scan, and an exhaustion
-/// signal certifies prior plus window.
+/// prior is then the prefix of the query's own scan, the caller's later
+/// pooled counts start from it, and an exhaustion signal certifies
+/// prior plus window.
 struct Stage1Prior {
   /// Stage-1 counts, |VZ| x |VX|. Required.
   const CountMatrix* counts = nullptr;
@@ -202,39 +202,41 @@ class HistSimMachine {
   /// \brief Feeds the samples that satisfied the current demand and
   /// advances to the next demand (or to completion).
   ///
-  /// `fresh` holds every tuple consumed for this phase — and ONLY this
-  /// phase (the per-call fresh-counter rule; callers that keep
-  /// cumulative counts must pass cumulative-minus-phase-snapshot, as
-  /// the batch executor does); `exhausted[i]` marks candidate i fully
-  /// enumerated within the caller's sampling window (its cumulative
-  /// counts are treated as exact); `all_consumed` marks the whole
-  /// window consumed; `rows_drawn` is the fresh-tuple count behind
-  /// `fresh`.
-  Status Supply(const CountMatrix& fresh, const std::vector<bool>& exhausted,
-                bool all_consumed, int64_t rows_drawn);
+  /// `pooled` is the query's whole sample so far, this phase's tuples
+  /// included: a superset of held() cell for cell (CHECKed), and the
+  /// phase's fresh sample is `pooled - held()`. `exhausted[i]` marks
+  /// candidate i fully enumerated within the caller's sampling window
+  /// (its pooled counts are treated as exact); `all_consumed` marks the
+  /// whole window consumed; `pooled_rows` is the tuple count behind
+  /// `pooled`.
+  Status Supply(const CountMatrix& pooled, const std::vector<bool>& exhausted,
+                bool all_consumed, int64_t pooled_rows);
 
   /// \brief Moves the finished result out. Requires done(); valid once.
   MatchResult TakeResult();
 
   /// \brief Point-in-time answer snapshot from a live machine (any
-  /// phase with a demand outstanding; also valid when done). `partial`
-  /// is the caller's not-yet-supplied fresh counts for the current
-  /// phase (nullptr = none) and `partial_rows` the rows behind them;
-  /// both pool with the machine's own totals. Const: never advances the
-  /// machine. rows_consumed is filled from the pooled totals;
+  /// phase with a demand outstanding; also valid when done) over the
+  /// caller's pooled sample (the Supply contract). Const: never advances
+  /// the machine. rows_consumed is `pooled_rows`;
   /// blocks_read/sequence/final_update are the caller's to stamp.
-  ProgressUpdate Progress(const CountMatrix* partial,
-                          int64_t partial_rows) const;
+  ProgressUpdate Progress(const CountMatrix& pooled,
+                          int64_t pooled_rows) const;
 
-  /// \brief Completes the machine NOW from whatever it holds plus the
-  /// caller's partial phase sample, producing a best_effort MatchResult
-  /// (TakeResult becomes valid). Arguments follow the Supply contract
-  /// (fresh = the current phase's counts so far). Valid only with a
-  /// demand outstanding; a failure leaves the machine failed, exactly
-  /// like a bad Supply.
-  Status HarvestBestEffort(const CountMatrix& fresh,
+  /// \brief Completes the machine NOW from the caller's pooled sample,
+  /// producing a best_effort MatchResult (TakeResult becomes valid).
+  /// Arguments follow the Supply contract. Valid only with a demand
+  /// outstanding; a failure leaves the machine failed, exactly like a
+  /// bad Supply.
+  Status HarvestBestEffort(const CountMatrix& pooled,
                            const std::vector<bool>& exhausted,
-                           bool all_consumed, int64_t rows_drawn);
+                           bool all_consumed, int64_t pooled_rows);
+
+  /// \brief The counts the machine holds: the pooled sample of the last
+  /// phase supplied (zero before the first, a warm prior's after Begin).
+  /// A caller's pooled counts minus these are the in-flight phase's
+  /// fresh sample. Valid while a demand is outstanding.
+  const CountMatrix& held() const { return total_; }
 
  private:
   enum class Phase { kCreated, kStage1, kStage2, kStage3, kDone, kFailed };
@@ -251,12 +253,13 @@ class HistSimMachine {
   std::vector<int> RankedTopK(const std::vector<double>& tau) const;
   /// The prologue Supply and HarvestBestEffort share: refuses a call
   /// with no demand outstanding (FailedPrecondition naming `caller`),
-  /// CHECKs the arguments' shape, marks the signalled candidates exact,
-  /// folds `fresh` into the totals and books `rows_drawn` to the current
-  /// stage's sample counter.
-  Status AcceptSupply(const char* caller, const CountMatrix& fresh,
-                      const std::vector<bool>& exhausted, bool all_consumed,
-                      int64_t rows_drawn);
+  /// CHECKs the arguments' shape and that `pooled` holds every held
+  /// cell, and marks the signalled candidates exact.
+  Status AcceptSupply(const char* caller, const CountMatrix& pooled,
+                      const std::vector<bool>& exhausted, bool all_consumed);
+  /// Makes `pooled` the held counts and books its new rows to the
+  /// current stage's sample counter; returns those rows.
+  int64_t FoldPooled(const CountMatrix& pooled, int64_t pooled_rows);
 
   /// Per-candidate deviation radius from `n` pooled rows: 0 when
   /// `is_exact`, MaxDistance when n == 0, else Theorem 1 at delta/|VZ|
@@ -269,9 +272,10 @@ class HistSimMachine {
   /// issues the round's targets demand or falls through to stage 3 when
   /// every remaining estimate is exact.
   Status PrepareStage2RoundOrAdvance();
-  /// Tests the round on its own `fresh` sample (already folded into the
-  /// totals by AcceptSupply).
-  Status FinishStage2Round(const CountMatrix& fresh);
+  /// The multiple hypothesis test of Lemma 4 on the round's own fresh
+  /// sample, `pooled - held()` (Alg. 1 l.15-16): true when every null
+  /// is rejected simultaneously. Runs before the round is folded in.
+  bool Stage2RoundRejects(const CountMatrix& pooled) const;
   Status BeginStage3();
   Status Finalize();
 
@@ -290,7 +294,7 @@ class HistSimMachine {
   /// log(delta / |VZ|): the per-candidate level behind error bars.
   double log_delta_bar_ = 0;
 
-  CountMatrix total_;  // cumulative counts across stages/rounds
+  CountMatrix total_;  // held counts: the pooled sample of every phase
   std::vector<bool> pruned_;
   std::vector<bool> exact_;
   std::vector<double> tau_;     // estimated distance per candidate

@@ -82,6 +82,11 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
   for (const BoundQuery& q : queries) {
     const Stage1Snapshot* warm = q.stage1_warm.get();
     if (warm == nullptr && !resume.has_value()) continue;
+    if (warm != nullptr &&
+        (warm->z_attr != q.z_attr || warm->x_attrs != q.x_attrs)) {
+      return Status::InvalidArgument(
+          "warm prior was drawn for another (z_attr, x_attrs) template");
+    }
     const bool covers_pin = warm != nullptr &&
                             warm->scan.generation == pin.generation &&
                             warm->rows_drawn >= pin.num_rows;
@@ -189,11 +194,14 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
       ts.io->num_candidates(), ts.io->num_groups(), pin_.num_rows,
       query.stage1_warm != nullptr ? &prior : nullptr));
   if (query.stage1_warm != nullptr) ++stats_.warm_queries;
-  // Fresh counts for the query's NEXT phase are cumulative minus this
-  // snapshot; at Create the cumulative matrix is zero. A warm query's
-  // first phase is stage 2, whose fresh rows likewise start here.
-  qs->snapshot = ts.cum;
-  qs->snap_rows = ts.rows_cum;
+  // The template's `cum` is every query's pooled sample. A resumed
+  // batch's queries are all warm from the one prior whose scan it
+  // continues, so its pool starts at that prior (copied once, when the
+  // first query accepts it); any other batch's starts at zero.
+  if (options_.resume.has_value() && ts.rows_cum == 0) {
+    ts.cum = query.stage1_warm->counts;
+    ts.rows_cum = query.stage1_warm->rows_drawn;
+  }
   if (qs->machine.done()) {
     // Completed at bind (an all-consumed warm prior): the result exists
     // before the scan ever runs.
@@ -220,7 +228,9 @@ bool BatchExecutor::DemandSatisfied(const QueryState& q,
   const TemplateState& ts = templates_[q.tmpl];
   const SampleDemand& demand = q.machine.demand();
   if (demand.kind == SampleDemand::Kind::kRows) {
-    return ts.rows_cum - q.snap_rows >= demand.rows;
+    // Stage 1 is a cold query's first phase: the machine holds no row,
+    // so every pooled row is fresh.
+    return ts.rows_cum >= demand.rows;
   }
   for (size_t i = 0; i < demand.targets.size(); ++i) {
     if (Unmet(q, ts, i)) return false;
@@ -233,28 +243,17 @@ bool BatchExecutor::Unmet(const QueryState& q, const TemplateState& ts,
   const int64_t target = q.machine.demand().targets[i];
   if (target < 0 || ts.exhausted[i]) return false;
   const int c = static_cast<int>(i);
-  return ts.cum.RowTotal(c) - q.snapshot.RowTotal(c) < target;
-}
-
-CountMatrix BatchExecutor::FreshSample(const QueryState& q,
-                                       int64_t* rows) const {
-  const TemplateState& ts = templates_[q.tmpl];
-  CountMatrix fresh = ts.cum;
-  fresh.Subtract(q.snapshot);
-  *rows = ts.rows_cum - q.snap_rows;
-  return fresh;
+  return ts.cum.RowTotal(c) - q.machine.held().RowTotal(c) < target;
 }
 
 void BatchExecutor::SupplyPhase(QueryState* q, bool all_consumed) {
   TemplateState& ts = templates_[q->tmpl];
   const bool stage1_phase =
       q->machine.demand().kind == SampleDemand::Kind::kRows;
-  int64_t drawn = 0;
-  CountMatrix fresh = FreshSample(*q, &drawn);
   const Status status =
-      q->machine.Supply(fresh, ts.exhausted, all_consumed, drawn);
-  if (stage1_phase && options_.stage1_sink != nullptr && drawn > 0) {
-    ExportStage1(ts, std::move(fresh), drawn);
+      q->machine.Supply(ts.cum, ts.exhausted, all_consumed, ts.rows_cum);
+  if (stage1_phase && options_.stage1_sink != nullptr && ts.rows_cum > 0) {
+    ExportStage1(ts);
   }
   if (!status.ok()) {
     q->status = status;
@@ -264,24 +263,22 @@ void BatchExecutor::SupplyPhase(QueryState* q, bool all_consumed) {
     q->match = q->machine.TakeResult();
     q->active = false;
     q->wall_seconds = timer_.Seconds();
-  } else {
-    q->snapshot = ts.cum;
-    q->snap_rows = ts.rows_cum;
   }
 }
 
-void BatchExecutor::ExportStage1(const TemplateState& ts, CountMatrix fresh,
-                                 int64_t drawn) {
+void BatchExecutor::ExportStage1(const TemplateState& ts) {
   // Export the completed stage-1 phase. The counts are published even
   // when Supply failed (an all-pruned error is parameter-specific; the
-  // sample itself is target-independent and reusable). Every query binds
-  // at Create, before the scan reads a block, so the phase's rows are
+  // sample itself is target-independent and reusable). A query in
+  // stage 1 is cold, its batch unresumed, so the template's pool is
   // exactly the rows of the consumed blocks recorded below: a batch
   // resumed from this scan never counts a row the prior holds, and never
   // misses one it lacks.
   auto snapshot = std::make_shared<Stage1Snapshot>();
-  snapshot->counts = std::move(fresh);
-  snapshot->rows_drawn = drawn;
+  snapshot->counts = ts.cum;
+  snapshot->rows_drawn = ts.rows_cum;
+  snapshot->z_attr = ts.z_attr;
+  snapshot->x_attrs = ts.x_attrs;
   snapshot->scan.consumed = cursor_.consumed();
   snapshot->scan.cursor = cursor_.position();
   snapshot->scan.generation = pin_.generation;
@@ -456,11 +453,8 @@ void BatchExecutor::EmitProgress() {
   for (size_t i = 0; i < queries_.size(); ++i) {
     QueryState& q = queries_[i];
     if (!q.active || !ProgressSubscribed(i)) continue;
-    // The machine pools the in-flight phase's fresh sample with its
-    // folded phases for the snapshot.
-    int64_t partial_rows = 0;
-    const CountMatrix partial = FreshSample(q, &partial_rows);
-    ProgressUpdate up = q.machine.Progress(&partial, partial_rows);
+    const TemplateState& ts = templates_[q.tmpl];
+    ProgressUpdate up = q.machine.Progress(ts.cum, ts.rows_cum);
     // An active query's machine has a demand outstanding, so it is live.
     FASTMATCH_CHECK(!up.distances.empty());
     up.sequence = ++q.progress_seq;
@@ -518,13 +512,12 @@ Status BatchExecutor::Remove(size_t index, bool harvest) {
     return Status::FailedPrecondition("query already completed");
   }
   if (harvest) {
-    // Hand the machine its in-flight phase's fresh sample and harvest:
-    // it folds everything pooled so far into a best-effort result with
-    // honest non-exact error bars.
-    int64_t drawn = 0;
-    const CountMatrix fresh = FreshSample(q, &drawn);
+    // Harvest the machine from the template's pool: it folds everything
+    // pooled so far into a best-effort result with honest non-exact
+    // error bars.
+    const TemplateState& ts = templates_[q.tmpl];
     const Status status = q.machine.HarvestBestEffort(
-        fresh, templates_[q.tmpl].exhausted, cursor_.AllConsumed(), drawn);
+        ts.cum, ts.exhausted, cursor_.AllConsumed(), ts.rows_cum);
     if (status.ok()) q.match = q.machine.TakeResult();
     q.status = status;
     ++stats_.harvested_queries;

@@ -11,13 +11,14 @@
 // rule, the same one the single-query engine scans with), so a block
 // read once feeds every query that needs it.
 //
-// Queries are grouped by (z_attr, x_attrs) "template". Queries sharing a
-// template also share cumulative counts: a query's per-phase fresh counts
-// are cumulative-minus-snapshot, where the snapshot is taken when the
-// phase's demand is issued. Every query therefore folds a prefix of the
-// shared block stream, which preserves the without-replacement sampling
-// model per query (the store is pre-shuffled; the stream visits each
-// block at most once).
+// Queries are grouped by (z_attr, x_attrs) "template". Each template's
+// `cum` is every live query's pooled sample (every query binds before
+// the scan reads a block; a resumed batch's pool starts at the one prior
+// its queries are warm from), and each machine's totals are the phase
+// baseline: a phase's fresh sample is `cum` minus them. Every query
+// therefore folds a prefix of the shared block stream, which preserves
+// the without-replacement sampling model per query (the store is
+// pre-shuffled; the stream visits each block at most once).
 //
 // Per chunk (a window of `chunk_blocks` cursor positions):
 //   1. union the unmet candidates of every outstanding targets demand per
@@ -120,13 +121,17 @@ struct ScanResume {
 /// future target.
 ///
 /// `counts`/`rows_drawn` follow the stage-1 Supply contract: the
-/// phase's fresh rows and only those. `scan` is the shared scan's state
-/// at export time: `consumed`/`cursor` describe the donor scan, and
-/// feeding them to BatchOptions::resume continues it for a batch warm
-/// from this snapshot.
+/// phase's rows and only those. `z_attr`/`x_attrs` name the template
+/// they were counted on; Create serves the snapshot only to a query on
+/// that template. `scan` is the shared scan's state at export time:
+/// `consumed`/`cursor` describe the donor scan, and feeding them to
+/// BatchOptions::resume continues it for a batch warm from this
+/// snapshot.
 struct Stage1Snapshot {
   CountMatrix counts;
   int64_t rows_drawn = 0;
+  int z_attr = -1;
+  std::vector<int> x_attrs;
   ScanResume scan;
 };
 
@@ -245,7 +250,8 @@ class BatchExecutor {
   /// ColumnStore (shared-scan batching is per store; route queries over
   /// different stores to different batches). Structural problems (empty
   /// batch, mixed stores, malformed resume state, a warm prior that
-  /// would share rows with the scan) fail here; per-query problems (bad
+  /// would share rows with the scan or was counted on another template)
+  /// fail here; per-query problems (bad
   /// parameters, a wrong index or target size, a prior of the wrong
   /// domain) surface as per-item statuses.
   static Result<std::unique_ptr<BatchExecutor>> Create(
@@ -368,6 +374,7 @@ class BatchExecutor {
     /// AnyActive marking authority (null => no block skipping, targets
     /// demands force sequential consumption).
     std::shared_ptr<const BitmapIndex> index;
+    /// Every live query's pooled sample and the rows behind it.
     CountMatrix cum;
     int64_t rows_cum = 0;
     std::vector<bool> exhausted;  // sticky: candidate fully enumerated
@@ -383,8 +390,6 @@ class BatchExecutor {
     explicit QueryState(HistSimMachine m) : machine(std::move(m)) {}
     HistSimMachine machine;
     size_t tmpl = 0;
-    CountMatrix snapshot;  // cumulative counts at current phase start
-    int64_t snap_rows = 0;
     bool active = false;
     bool notified = false;  // terminal callbacks already fired
     Status status;
@@ -400,18 +405,14 @@ class BatchExecutor {
   void Settle();
   bool DemandSatisfied(const QueryState& q, bool all_consumed) const;
   /// Candidate `i` of q's targets demand still wants fresh samples: it
-  /// has a target, is not exhausted, and its fresh rows fall short.
+  /// has a target, is not exhausted, and its fresh rows (the pool's
+  /// minus the machine's held ones) fall short.
   static bool Unmet(const QueryState& q, const TemplateState& ts, size_t i);
-  /// The in-flight phase's fresh sample: the template's cumulative
-  /// counts minus q's phase-start snapshot (CountMatrix::Subtract checks
-  /// every cell), with its row count in `rows`.
-  CountMatrix FreshSample(const QueryState& q, int64_t* rows) const;
   void SupplyPhase(QueryState* q, bool all_consumed);
   /// Marks and reads one shared-scan window.
   void ReadChunk();
-  /// Publishes a completed stage-1 phase to the sink.
-  void ExportStage1(const TemplateState& ts, CountMatrix fresh,
-                    int64_t drawn);
+  /// Publishes the template's pool as a completed stage-1 phase.
+  void ExportStage1(const TemplateState& ts);
   /// Fires the terminal callbacks for every newly-inactive query: the
   /// final ProgressUpdate (OK subscribed queries) then the completion
   /// callback.

@@ -52,11 +52,11 @@ struct BoundQuery {
   int lookahead = 1024;
   /// Warm start for the batch executor: when set, the query's machine
   /// begins past stage 1, seeded with this snapshot's counts (a stage-1
-  /// cache hit made explicit). Must match the query's (store, z_attr,
-  /// x_attrs) domain, and must share no row with the batch's scan:
-  /// BatchExecutor::Create accepts it only in a batch that resumes the
-  /// snapshot's own scan, or when it holds every pinned row. Ignored by
-  /// the single-query RunQuery approaches.
+  /// cache hit made explicit). Must be counted on the query's (store,
+  /// z_attr, x_attrs) template, and must share no row with the batch's
+  /// scan: BatchExecutor::Create accepts it only in a batch that resumes
+  /// the snapshot's own scan, or when it holds every pinned row. Ignored
+  /// by the single-query RunQuery approaches.
   std::shared_ptr<const Stage1Snapshot> stage1_warm;
   /// Store generation `stage1_warm` is served at: 0 or the snapshot's
   /// own scan.generation, which mean the same; Create refuses any other

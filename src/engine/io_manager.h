@@ -5,7 +5,8 @@
 // through the scan kernels in engine/scan_kernel.h (AVX2 when the
 // build and host support it, the scalar reference otherwise — the two
 // are bit-for-bit interchangeable). Callers derive per-candidate fresh
-// counts from the matrix row totals (cumulative minus a snapshot).
+// counts from the matrix row totals (pooled minus the baseline held at
+// phase start).
 
 #ifndef FASTMATCH_ENGINE_IO_MANAGER_H_
 #define FASTMATCH_ENGINE_IO_MANAGER_H_

@@ -90,9 +90,9 @@ void SamplingEngine::SampleUntilTargets(const std::vector<int64_t>& targets,
   FASTMATCH_CHECK_EQ(static_cast<int>(exhausted->size()), vz);
 
   // Targets demand samples drawn during this call: a candidate's fresh
-  // count is its row total minus the total at entry (the batch
-  // executor's cumulative-minus-snapshot rule), whatever `out` already
-  // holds from earlier rounds.
+  // count is its row total minus the total at entry (the machine's
+  // pooled-minus-held rule), whatever `out` already holds from earlier
+  // rounds.
   std::vector<int64_t> entry(static_cast<size_t>(vz));
   for (int i = 0; i < vz; ++i) entry[static_cast<size_t>(i)] = out->RowTotal(i);
   const auto fresh = [&](int i) {

@@ -688,6 +688,49 @@ TEST(BatchExecutorStreamTest, ResumeValidation) {
   covering.stage1_warm_generation = whole->scan.generation + 1;
   EXPECT_EQ(BatchExecutor::Create({covering}, Options(2)).status().code(),
             StatusCode::kInvalidArgument);
+
+  // A prior counted on another template is refused even when its shape
+  // matches: on a square store, (z=1, x={0}) and (z=0, x={1}) are both
+  // 8 x 8, and serving one's counts to the other would warm-start a
+  // query on the wrong attribute's histograms.
+  const std::vector<double> offsets = {0.0,  0.01, 0.02, 0.06,
+                                       0.09, 0.12, 0.15, 0.17};
+  std::shared_ptr<ColumnStore> square = testing_util::MakeExactStore(
+      std::vector<int64_t>(8, 2000),
+      testing_util::PlantedDistributions(8, 8, offsets), 23, 50);
+  BoundQuery transposed;
+  transposed.store = square;
+  transposed.z_attr = 1;
+  transposed.x_attrs = {0};
+  transposed.target = UniformDistribution(8);
+  transposed.params = BatchParams();
+  Stage1Cache square_cache;
+  BatchOptions square_donor = Options(2);
+  square_donor.stage1_sink = &square_cache;
+  BatchExecutor::Create({transposed}, square_donor).value()->Run();
+  const std::shared_ptr<const Stage1Snapshot> foreign =
+      square_cache
+          .Lookup(square->id(), kWholeStorePartition, 1, {0}, 3000,
+                  square->Pin().generation)
+          .snapshot;
+  ASSERT_NE(foreign, nullptr);
+  BoundQuery upright = transposed;
+  upright.z_attr = 0;
+  upright.x_attrs = {1};
+  upright.stage1_warm = foreign;
+  BatchOptions resumes_foreign = Options(2);
+  resumes_foreign.resume = foreign->scan;
+  EXPECT_EQ(BatchExecutor::Create({upright}, resumes_foreign).status().code(),
+            StatusCode::kInvalidArgument);
+  // The same for a prior holding every row (completes at bind).
+  auto foreign_whole = std::make_shared<Stage1Snapshot>(*foreign);
+  foreign_whole->rows_drawn = square->num_rows();
+  upright.stage1_warm = foreign_whole;
+  EXPECT_EQ(BatchExecutor::Create({upright}, Options(2)).status().code(),
+            StatusCode::kInvalidArgument);
+  // Its own template's query is served.
+  transposed.stage1_warm = foreign;
+  EXPECT_TRUE(BatchExecutor::Create({transposed}, resumes_foreign).ok());
 }
 
 // ------------------------------------------------ warm stage-1 starts

@@ -284,21 +284,21 @@ TEST(HistSimMachineTest, DrivesToCompletionViaDemands) {
                   .ok());
   EXPECT_EQ(machine.demand().kind, SampleDemand::Kind::kRows);
   int phases = 0;
+  // Every Supply passes the whole sample so far (the pooled contract).
+  CountMatrix pooled(12, 8);
   while (!machine.done()) {
     ASSERT_LT(phases++, 100) << "machine does not converge";
     const SampleDemand& demand = machine.demand();
-    CountMatrix fresh(12, 8);
     std::vector<bool> exhausted(12, false);
-    int64_t drawn = 0;
     if (demand.kind == SampleDemand::Kind::kRows) {
-      drawn = sampler->SampleRows(demand.rows, &fresh);
+      sampler->SampleRows(demand.rows, &pooled);
     } else {
-      const int64_t before = sampler->rows_consumed();
-      sampler->SampleUntilTargets(demand.targets, &fresh, &exhausted);
-      drawn = sampler->rows_consumed() - before;
+      sampler->SampleUntilTargets(demand.targets, &pooled, &exhausted);
     }
-    ASSERT_TRUE(
-        machine.Supply(fresh, exhausted, sampler->AllConsumed(), drawn).ok());
+    ASSERT_TRUE(machine
+                    .Supply(pooled, exhausted, sampler->AllConsumed(),
+                            sampler->rows_consumed())
+                    .ok());
   }
   MatchResult result = machine.TakeResult();
   std::set<int> got(result.topk.begin(), result.topk.end());
@@ -320,20 +320,19 @@ TEST(HistSimMachineTest, ManualDriveMatchesRunDriver) {
   ASSERT_TRUE(machine.Begin(s2->num_candidates(), s2->num_groups(),
                             s2->total_rows())
                   .ok());
+  CountMatrix pooled(12, 8);
   while (!machine.done()) {
     const SampleDemand& demand = machine.demand();
-    CountMatrix fresh(12, 8);
     std::vector<bool> exhausted(12, false);
-    int64_t drawn = 0;
     if (demand.kind == SampleDemand::Kind::kRows) {
-      drawn = s2->SampleRows(demand.rows, &fresh);
+      s2->SampleRows(demand.rows, &pooled);
     } else {
-      const int64_t before = s2->rows_consumed();
-      s2->SampleUntilTargets(demand.targets, &fresh, &exhausted);
-      drawn = s2->rows_consumed() - before;
+      s2->SampleUntilTargets(demand.targets, &pooled, &exhausted);
     }
-    ASSERT_TRUE(
-        machine.Supply(fresh, exhausted, s2->AllConsumed(), drawn).ok());
+    ASSERT_TRUE(machine
+                    .Supply(pooled, exhausted, s2->AllConsumed(),
+                            s2->rows_consumed())
+                    .ok());
   }
   MatchResult manual = machine.TakeResult();
   EXPECT_EQ(manual.topk, run_result->topk);
@@ -400,15 +399,15 @@ TEST(HistSimMachineTest, WarmBeginMatchesColdSupplyBitForBit) {
     ASSERT_EQ(cold.demand().rows, warm.demand().rows);
     ASSERT_EQ(cold.demand().targets, warm.demand().targets);
     for (RowSampler* sampler : {s1.get(), s2.get()}) {
+      // Each machine's pool starts at its stage-1 sample.
       HistSimMachine& machine = sampler == s1.get() ? cold : warm;
-      CountMatrix fresh(12, 8);
+      CountMatrix& pooled = sampler == s1.get() ? stage1 : stage1_again;
       std::vector<bool> exhausted(12, false);
-      const int64_t before = sampler->rows_consumed();
-      sampler->SampleUntilTargets(machine.demand().targets, &fresh,
+      sampler->SampleUntilTargets(machine.demand().targets, &pooled,
                                   &exhausted);
       ASSERT_TRUE(machine
-                      .Supply(fresh, exhausted, sampler->AllConsumed(),
-                              sampler->rows_consumed() - before)
+                      .Supply(pooled, exhausted, sampler->AllConsumed(),
+                              sampler->rows_consumed())
                       .ok());
     }
   }
