@@ -66,8 +66,9 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                executor users outside src/ (tests, perfbench) may still
                subscribe every query.
 
-  live-column  No file under src/core/ or src/engine/ may call
-               ColumnStore::column(...) (any `.column(` / `->column(`).
+  live-column  No file under src/core/, src/engine/ or src/index/ may
+               call ColumnStore::column(...) (any `.column(` /
+               `->column(`).
                A Column's Get()/chunk_data() read the live chunk vector,
                which AppendBatch may reallocate mid-read, and a count
                taken through it can mix generations. Reads go through
@@ -161,7 +162,7 @@ PROGRESS_CALLBACK_DECL = re.compile(r"(\bvoid|::)\s*$")
 
 # A live Column handle: store.column(a) / store->column(a).
 LIVE_COLUMN = re.compile(r"(?:\.|->)\s*column\s*\(")
-LIVE_COLUMN_DIRS = ("src/core/", "src/engine/")
+LIVE_COLUMN_DIRS = ("src/core/", "src/engine/", "src/index/")
 
 # The scan position's home, and what only it may do (matched per
 # statement of comment-stripped code).
@@ -359,8 +360,9 @@ def check_file(rel: str, text: str, violations: list):
             if LIVE_COLUMN.search(line):
                 violations.append(
                     (rel, k, "live-column",
-                     "live Column read in core/engine code; read through "
-                     "one pinned StoreView (ColumnStore::PinView) instead"))
+                     "live Column read in core/engine/index code; read "
+                     "through one pinned StoreView (ColumnStore::PinView) "
+                     "instead"))
 
     if rel.startswith("src/engine/") and rel not in SCAN_POSITION_HOME:
         check_scan_position(rel, text, violations)

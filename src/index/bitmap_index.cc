@@ -5,14 +5,14 @@ namespace fastmatch {
 namespace {
 
 template <typename T>
-void FillBitmaps(const ColumnStore& store, int attr, const StorePin& pin,
+void FillBitmaps(const StoreView& view, int attr,
                  std::vector<BitVector>* bitmaps) {
-  const Column& col = store.column(attr);
+  const StorePin& pin = view.pin();
   for (BlockId b = 0; b < pin.num_blocks; ++b) {
     RowId begin, end;
     pin.BlockRowRange(b, &begin, &end);
     // Chunk b holds block b's rows at local offsets.
-    const T* data = col.chunk_data<T>(b);
+    const T* data = view.chunk_data<T>(attr, b);
     for (RowId r = begin; r < end; ++r) {
       (*bitmaps)[data[r - begin]].Set(b);
     }
@@ -27,26 +27,27 @@ Result<std::shared_ptr<BitmapIndex>> BitmapIndex::Build(
     return Status::InvalidArgument("BitmapIndex::Build: bad attribute index " +
                                    std::to_string(attr));
   }
-  // Build against a pinned snapshot: an append racing the build can
-  // only add rows past the pin, which the index then simply does not
-  // cover (num_rows() tells scans where coverage ends).
-  const StorePin pin = store.Pin();
+  // Build through one pinned view: an append racing the build can only
+  // add rows past the pin, which the index then simply does not cover
+  // (num_rows() tells scans where coverage ends), and can never move the
+  // chunks the view reads.
+  const StoreView view = store.PinView();
   auto index = std::make_shared<BitmapIndex>();
   index->attr_ = attr;
-  index->num_blocks_ = pin.num_blocks;
-  index->num_rows_ = pin.num_rows;
+  index->num_blocks_ = view.pin().num_blocks;
+  index->num_rows_ = view.pin().num_rows;
   const uint32_t card = store.schema().attribute(attr).cardinality;
   index->bitmaps_.assign(card, BitVector(index->num_blocks_));
 
   switch (store.schema().attribute(attr).type()) {
     case ValueType::kU8:
-      FillBitmaps<uint8_t>(store, attr, pin, &index->bitmaps_);
+      FillBitmaps<uint8_t>(view, attr, &index->bitmaps_);
       break;
     case ValueType::kU16:
-      FillBitmaps<uint16_t>(store, attr, pin, &index->bitmaps_);
+      FillBitmaps<uint16_t>(view, attr, &index->bitmaps_);
       break;
     case ValueType::kU32:
-      FillBitmaps<uint32_t>(store, attr, pin, &index->bitmaps_);
+      FillBitmaps<uint32_t>(view, attr, &index->bitmaps_);
       break;
   }
 

@@ -13,7 +13,9 @@
 //     status, and the stage-1 books balance (lookups == hits + misses)
 //     under churn;
 //   * the Scan baseline racing appends: every answer counts one pinned
-//     generation, exactly.
+//     generation, exactly;
+//   * BitmapIndex::Build racing appends: every index describes the rows
+//     it claims to cover, exactly.
 
 #include <gtest/gtest.h>
 
@@ -294,6 +296,55 @@ TEST(IngestStressTest, ScanCountsOnePinnedGenerationUnderAppends) {
       }
     }
     EXPECT_EQ(total, rows);
+  }
+}
+
+TEST(IngestStressTest, BitmapBuildIndexesOnePinnedGenerationUnderAppends) {
+  // BitmapIndex::Build races AppendBatch. Every index must describe the
+  // rows [0, num_rows()) it claims to cover: a value's bit is set for a
+  // block iff one of those rows in the block holds the value, checked
+  // against the final store. Run under TSan in CI: a build read through
+  // the live chunk vector, which an append may reallocate, is a data
+  // race there.
+  auto store = MakeStore(405, /*rows_per_candidate=*/2000);
+  constexpr int kAppends = 20;
+  constexpr int64_t kAppendRows = 600;
+
+  std::atomic<bool> appending{true};
+  std::vector<std::shared_ptr<BitmapIndex>> indexes;
+  std::thread builder([&] {
+    while (appending.load() || indexes.size() < 3) {
+      auto index = BitmapIndex::Build(*store, 0);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      indexes.push_back(std::move(*index));
+    }
+  });
+  for (int i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(store
+                    ->AppendBatch(BenignColumns(kAppendRows),
+                                  800 + static_cast<uint64_t>(i))
+                    .ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  appending.store(false);
+  builder.join();
+
+  const StoreView view = store->PinView();
+  const int64_t rows_per_block = view.pin().rows_per_block;
+  for (const std::shared_ptr<BitmapIndex>& index : indexes) {
+    const int64_t rows = index->num_rows();
+    ASSERT_GT(rows, 0);
+    ASSERT_LE(rows, view.pin().num_rows);
+    ASSERT_EQ(index->num_blocks(),
+              (rows + rows_per_block - 1) / rows_per_block);
+    std::vector<BitVector> want(kCandidates, BitVector(index->num_blocks()));
+    for (RowId r = 0; r < rows; ++r) {
+      want[static_cast<size_t>(view.Get(0, r))].Set(r / rows_per_block);
+    }
+    for (int v = 0; v < kCandidates; ++v) {
+      ASSERT_EQ(index->bitmap(v).words(), want[static_cast<size_t>(v)].words())
+          << "rows " << rows << " value " << v;
+    }
   }
 }
 
