@@ -570,11 +570,9 @@ void QueryScheduler::Shutdown() {
   FASTMATCH_CHECK_EQ(drained.submitted, drained.completed);
 }
 
-void QueryScheduler::Count(int64_t SchedulerStats::*field, int64_t n,
-                           int64_t SchedulerStats::*also) {
+void QueryScheduler::Count(int64_t SchedulerStats::*field, int64_t n) {
   MutexLock lock(&stats_mu_);
   stats_.*field += n;
-  if (also != nullptr) stats_.*also += n;
 }
 
 SchedulerStats QueryScheduler::stats() const {

@@ -505,12 +505,9 @@ class QueryScheduler {
   /// Janitor: joins pipelines idle past the timeout.
   void ReaperLoop() FASTMATCH_EXCLUDES(mu_);
 
-  /// Adds `n` to `field` and, when given, to `also` in the same
-  /// critical section, so two counters an invariant links never appear
-  /// half-updated to stats(). stats_mu_ is a leaf: callers may hold any
+  /// Adds `n` to `field`. stats_mu_ is a leaf: callers may hold any
   /// scheduler or pipeline lock.
-  void Count(int64_t SchedulerStats::*field, int64_t n = 1,
-             int64_t SchedulerStats::*also = nullptr)
+  void Count(int64_t SchedulerStats::*field, int64_t n = 1)
       FASTMATCH_EXCLUDES(stats_mu_);
 
   /// Builds the ticket's SchedulerItem — queue time from enqueue to
