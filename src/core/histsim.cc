@@ -35,7 +35,7 @@ void HistSimMachine::RefreshTau(int i) {
 }
 
 Status HistSimMachine::Begin(int num_candidates, int num_groups,
-                             int64_t total_rows, const Stage1Prior* prior) {
+                             int64_t total_rows) {
   if (phase_ != Phase::kCreated) {
     return Status::FailedPrecondition("HistSimMachine::Begin called twice");
   }
@@ -72,21 +72,6 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
         "epsilon too small: the required sample count overflows int64");
   }
 
-  // A warm start's prior is caller data, so its checks are statuses,
-  // not CHECKs; a failure leaves the machine failed with no demand (the
-  // same contract as a bad Supply).
-  if (prior != nullptr) {
-    if (prior->counts == nullptr || prior->rows_drawn <= 0) {
-      return Status::InvalidArgument(
-          "stage-1 prior has no counts or a non-positive row count");
-    }
-    if (prior->counts->num_candidates() != vz_ ||
-        prior->counts->num_groups() != vx_) {
-      return Status::InvalidArgument(
-          "stage-1 prior does not match the sampling domain");
-    }
-  }
-
   total_ = CountMatrix(vz_, vx_);
   pruned_.assign(vz_, false);
   exact_.assign(vz_, false);
@@ -96,24 +81,12 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
   demand_.rows = params_.stage1_samples;
   demand_.targets.clear();
   phase_ = Phase::kStage1;
-
-  if (prior != nullptr) {
-    // Warm start: the stage-1 demand just issued is satisfied from the
-    // prior sample, exactly as if the caller had drawn it.
-    diag_.stage1_warm = true;
-    // Only a prior spanning the whole relation makes counts exact here;
-    // otherwise exactness comes from the caller's own exhaustion signal.
-    return Supply(*prior->counts,
-                  std::vector<bool>(static_cast<size_t>(vz_), false),
-                  prior->rows_drawn >= n_total_, prior->rows_drawn);
-  }
   return Status::OK();
 }
 
 Status HistSimMachine::AcceptSupply(const char* caller,
                                     const CountMatrix& pooled,
-                                    const std::vector<bool>& exhausted,
-                                    bool all_consumed) {
+                                    const std::vector<bool>& exhausted) {
   if (phase_ != Phase::kStage1 && phase_ != Phase::kStage2 &&
       phase_ != Phase::kStage3) {
     return Status::FailedPrecondition(std::string("HistSimMachine::") +
@@ -129,11 +102,9 @@ Status HistSimMachine::AcceptSupply(const char* caller,
     }
   }
 
-  // The caller's exhaustion signal certifies exactness: its window
-  // shares no row with a warm prior (Stage1Prior).
-  data_exhausted_ = all_consumed;
+  // The caller's exhaustion signal is the only source of exactness.
   for (int i = 0; i < vz_; ++i) {
-    if (all_consumed || exhausted[i]) exact_[i] = true;
+    if (exhausted[i]) exact_[i] = true;
   }
   return Status::OK();
 }
@@ -155,9 +126,8 @@ int64_t HistSimMachine::FoldPooled(const CountMatrix& pooled,
 
 Status HistSimMachine::Supply(const CountMatrix& pooled,
                               const std::vector<bool>& exhausted,
-                              bool all_consumed, int64_t pooled_rows) {
-  FASTMATCH_RETURN_IF_ERROR(
-      AcceptSupply("Supply", pooled, exhausted, all_consumed));
+                              int64_t pooled_rows) {
+  FASTMATCH_RETURN_IF_ERROR(AcceptSupply("Supply", pooled, exhausted));
   // A stage-2 round is tested on its own fresh rows, so the test reads
   // the held counts before the round joins them.
   const bool rejected =
@@ -187,11 +157,14 @@ Status HistSimMachine::Supply(const CountMatrix& pooled,
 
 Status HistSimMachine::FinishStage1(int64_t rows_drawn) {
   // Under-representation test (null: N_i >= sigma * N) only when a
-  // pruning threshold was requested and sampling was partial.
+  // pruning threshold was requested and sampling was partial: every
+  // candidate exact means every row of the relation was read.
+  const bool data_exhausted =
+      std::find(exact_.begin(), exact_.end(), false) == exact_.end();
   const int64_t k_rare = static_cast<int64_t>(
       std::ceil(params_.sigma * static_cast<double>(n_total_)));
   if (params_.sigma > 0 && k_rare >= 1 && rows_drawn > 0 &&
-      !data_exhausted_) {
+      !data_exhausted) {
     int64_t max_ni = 0;
     for (int i = 0; i < vz_; ++i) {
       max_ni = std::max(max_ni, total_.RowTotal(i));
@@ -204,7 +177,7 @@ Status HistSimMachine::FinishStage1(int64_t rows_drawn) {
     for (int i : HolmBonferroniReject(log_pvalues, log_delta_third_)) {
       pruned_[i] = true;
     }
-  } else if (data_exhausted_ && params_.sigma > 0) {
+  } else if (data_exhausted && params_.sigma > 0) {
     // Complete data: prune by exact selectivity (Scan's behaviour).
     for (int i = 0; i < vz_; ++i) {
       if (static_cast<double>(total_.RowTotal(i)) <
@@ -424,7 +397,7 @@ Status HistSimMachine::Finalize() {
   result_.exact = exact_;
   diag_.exact_candidates = static_cast<int>(
       std::count(exact_.begin(), exact_.end(), true));
-  diag_.data_exhausted = data_exhausted_;
+  diag_.data_exhausted = diag_.exact_candidates == vz_;
   result_.diag = diag_;
 
   phase_ = Phase::kDone;
@@ -489,10 +462,9 @@ std::vector<int> HistSimMachine::RankedTopK(
 
 Status HistSimMachine::HarvestBestEffort(const CountMatrix& pooled,
                                          const std::vector<bool>& exhausted,
-                                         bool all_consumed,
                                          int64_t pooled_rows) {
   FASTMATCH_RETURN_IF_ERROR(
-      AcceptSupply("HarvestBestEffort", pooled, exhausted, all_consumed));
+      AcceptSupply("HarvestBestEffort", pooled, exhausted));
   FoldPooled(pooled, pooled_rows);
   diag_.rounds = round_t_;
   for (int i = 0; i < vz_; ++i) RefreshTau(i);
@@ -541,8 +513,10 @@ Result<MatchResult> HistSim::Run(Sampler* sampler) {
     } else {
       sampler->SampleUntilTargets(demand.targets, &pooled, &exhausted);
     }
-    FASTMATCH_RETURN_IF_ERROR(machine.Supply(
-        pooled, exhausted, sampler->AllConsumed(), sampler->rows_consumed()));
+    // A consumed relation has enumerated every candidate.
+    if (sampler->AllConsumed()) exhausted.assign(exhausted.size(), true);
+    FASTMATCH_RETURN_IF_ERROR(
+        machine.Supply(pooled, exhausted, sampler->rows_consumed()));
   }
   return machine.TakeResult();
 }

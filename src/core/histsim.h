@@ -42,12 +42,13 @@ struct HistSimDiagnostics {
   int64_t stage3_samples = 0;   ///< fresh tuples drawn in stage 3
   int rounds = 0;               ///< stage-2 rounds executed
   int pruned_candidates = 0;    ///< flagged rare in stage 1
-  /// Stage 1 was served from a prior sample (HistSimMachine::Begin with
-  /// a Stage1Prior): stage1_samples counts the prior's rows, none of
-  /// which were drawn by this run.
+  /// Stage 1 was served from a prior sample (the batch executor supplied
+  /// a warm query's stage 1 from its Stage1Snapshot): stage1_samples
+  /// counts the prior's rows, none of which were drawn by this run.
   bool stage1_warm = false;
   int exact_candidates = 0;     ///< fully enumerated (exhausted) candidates
-  bool data_exhausted = false;  ///< the whole relation was consumed
+  /// Every candidate is exact: the whole relation was consumed.
+  bool data_exhausted = false;
   int chosen_k = 0;             ///< k actually returned (k-range extension)
 };
 
@@ -137,34 +138,6 @@ struct SampleDemand {
   std::vector<int64_t> targets;
 };
 
-/// \brief A completed stage-1 sample to warm-start a machine from,
-/// skipping the stage-1 draw entirely.
-///
-/// Stage 1 is target-independent: it draws a fixed number of uniform
-/// rows before any candidate targets exist, so one query's stage-1
-/// counts are reusable by every other query on the same (store,
-/// template). `counts`/`rows_drawn` are what a stage-1 Supply() would
-/// pass: the sample at the end of stage 1, ONLY its rows (never later
-/// phases' samples). The prior must itself be a uniform
-/// without-replacement sample of the relation — e.g. a scan prefix of a
-/// pre-shuffled store, which is exactly what the batch executor
-/// exports (engine Stage1Snapshot) — and the caller's later sampling
-/// windows must share no row with it: they continue the prior's own
-/// scan, or there are none because the prior holds every row. The
-/// prior is then the prefix of the query's own scan, the caller's later
-/// pooled counts start from it, and an exhaustion signal certifies
-/// prior plus window.
-struct Stage1Prior {
-  /// Stage-1 counts, |VZ| x |VX|. Required.
-  const CountMatrix* counts = nullptr;
-  /// Rows behind `counts`; must be > 0. A prior with rows_drawn >=
-  /// total_rows covers the whole relation (every count exact), and the
-  /// machine then completes immediately with the exact result. No other
-  /// prior marks a candidate exact: only the caller's own exhaustion
-  /// signal in a later Supply does.
-  int64_t rows_drawn = 0;
-};
-
 /// \brief One HistSim run as a resumable state machine.
 ///
 /// Protocol: Begin() once, then alternate demand() / Supply() until
@@ -180,14 +153,9 @@ class HistSimMachine {
   HistSimMachine(HistSimParams params, Distribution target);
 
   /// \brief Validates parameters against the sampling domain and issues
-  /// the stage-1 demand. With a `prior`, the stage-1 demand is satisfied
-  /// immediately from the prior sample (a warm start: the machine
-  /// advances past stage 1 — or straight to completion when the prior
-  /// covers the whole relation — without the caller drawing a row);
-  /// equivalent to a cold Begin followed by Supply(prior...), and the
-  /// prior must meet Supply's stage-1 contract.
-  Status Begin(int num_candidates, int num_groups, int64_t total_rows,
-               const Stage1Prior* prior = nullptr);
+  /// the stage-1 demand. A caller holding a stage-1 sample already (a
+  /// warm start) satisfies that demand with an ordinary Supply.
+  Status Begin(int num_candidates, int num_groups, int64_t total_rows);
 
   /// \brief True once the run completed; TakeResult() is then valid.
   bool done() const { return phase_ == Phase::kDone; }
@@ -205,12 +173,13 @@ class HistSimMachine {
   /// `pooled` is the query's whole sample so far, this phase's tuples
   /// included: a superset of held() cell for cell (CHECKed), and the
   /// phase's fresh sample is `pooled - held()`. `exhausted[i]` marks
-  /// candidate i fully enumerated within the caller's sampling window
-  /// (its pooled counts are treated as exact); `all_consumed` marks the
-  /// whole window consumed; `pooled_rows` is the tuple count behind
-  /// `pooled`.
+  /// candidate i fully enumerated: every one of its rows in the relation
+  /// is in `pooled`, so its counts are exact from then on. It is the
+  /// machine's only exactness signal; a caller that consumed the whole
+  /// relation marks every candidate. `pooled_rows` is the tuple count
+  /// behind `pooled`.
   Status Supply(const CountMatrix& pooled, const std::vector<bool>& exhausted,
-                bool all_consumed, int64_t pooled_rows);
+                int64_t pooled_rows);
 
   /// \brief Moves the finished result out. Requires done(); valid once.
   MatchResult TakeResult();
@@ -230,10 +199,10 @@ class HistSimMachine {
   /// bad Supply.
   Status HarvestBestEffort(const CountMatrix& pooled,
                            const std::vector<bool>& exhausted,
-                           bool all_consumed, int64_t pooled_rows);
+                           int64_t pooled_rows);
 
   /// \brief The counts the machine holds: the pooled sample of the last
-  /// phase supplied (zero before the first, a warm prior's after Begin).
+  /// phase supplied (zero before the first).
   /// A caller's pooled counts minus these are the in-flight phase's
   /// fresh sample. Valid while a demand is outstanding.
   const CountMatrix& held() const { return total_; }
@@ -256,7 +225,7 @@ class HistSimMachine {
   /// CHECKs the arguments' shape and that `pooled` holds every held
   /// cell, and marks the signalled candidates exact.
   Status AcceptSupply(const char* caller, const CountMatrix& pooled,
-                      const std::vector<bool>& exhausted, bool all_consumed);
+                      const std::vector<bool>& exhausted);
   /// Makes `pooled` the held counts and books its new rows to the
   /// current stage's sample counter; returns those rows.
   int64_t FoldPooled(const CountMatrix& pooled, int64_t pooled_rows);
@@ -307,7 +276,6 @@ class HistSimMachine {
   bool need_stage2_ = false;
   double log_dupper_ = 0;
   int round_t_ = 0;
-  bool data_exhausted_ = false;
 };
 
 /// \brief One top-k-similar query execution over a Sampler (the

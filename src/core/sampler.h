@@ -56,13 +56,14 @@ class Sampler {
   ///
   /// `exhausted` (size |VZ|) is set true for every candidate known to be
   /// fully enumerated across the sampler's lifetime (all its tuples have
-  /// been consumed); such candidates' cumulative counts are exact.
+  /// been consumed); such candidates' cumulative counts are exact. These
+  /// flags are HistSimMachine's only exactness signal.
   virtual void SampleUntilTargets(const std::vector<int64_t>& targets,
                                   CountMatrix* out,
                                   std::vector<bool>* exhausted) = 0;
 
-  /// \brief True when every tuple has been consumed (cumulative counts of
-  /// all candidates are exact).
+  /// \brief True when every tuple has been consumed: every candidate is
+  /// then exhausted, which HistSim::Run marks before its next Supply.
   virtual bool AllConsumed() const = 0;
 
   /// \brief Fresh tuples drawn over the sampler's lifetime.

@@ -124,14 +124,20 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
 void BatchExecutor::AddQuery(const BoundQuery& query) {
   const size_t templates_before = templates_.size();
   QueryState qs(HistSimMachine(query.params, query.target));
+  qs.warm = query.stage1_warm != nullptr;
   const Status status = BindQuery(query, &qs);
-  if (!status.ok()) {
-    qs.status = status;
-    qs.active = false;
-    // Drop a template created for a query that then failed binding
-    // (index validation, machine Begin): it has no consumer and must not
-    // add per-chunk work.
-    if (templates_.size() > templates_before) templates_.pop_back();
+  // Drop a template created for a query that then failed binding (index
+  // validation, machine Begin, a malformed prior): it has no consumer and
+  // must not add per-chunk work.
+  if (!status.ok() && templates_.size() > templates_before) {
+    templates_.pop_back();
+  }
+  // A warm prior holding every row completes its query at bind, before
+  // the scan ever runs.
+  if (!status.ok() || qs.machine.done()) {
+    Retire(&qs, status);
+  } else {
+    qs.active = true;
   }
   queries_.push_back(std::move(qs));
 }
@@ -180,35 +186,42 @@ Status BatchExecutor::BindQuery(const BoundQuery& query, QueryState* qs) {
       return Status::InvalidArgument(
           "bitmap index was built for a different attribute");
     }
+    if (query.z_index->store_id() != store_->id()) {
+      return Status::InvalidArgument(
+          "bitmap index was built on a different store");
+    }
     if (ts.index == nullptr) ts.index = query.z_index;
   }
   qs->tmpl = t;
-  // Create admitted a warm prior only if it shares no row with this
-  // batch's scan.
-  Stage1Prior prior;
-  if (query.stage1_warm != nullptr) {
-    prior.counts = &query.stage1_warm->counts;
-    prior.rows_drawn = query.stage1_warm->rows_drawn;
+  const int candidates = ts.io->num_candidates();
+  const int groups = ts.io->num_groups();
+  FASTMATCH_RETURN_IF_ERROR(qs->machine.Begin(candidates, groups,
+                                              pin_.num_rows));
+  const Stage1Snapshot* warm = query.stage1_warm.get();
+  if (warm == nullptr) return Status::OK();
+  // A warm query's stage 1 is one ordinary Supply of its prior. Create
+  // admitted the prior only if it shares no row with this batch's scan,
+  // so it is the prefix of the query's own sample, and one holding every
+  // pinned row has enumerated every candidate. The prior is caller data:
+  // its checks are statuses, ahead of the machine's CHECKs.
+  if (warm->rows_drawn <= 0 || warm->counts.num_candidates() != candidates ||
+      warm->counts.num_groups() != groups) {
+    return Status::InvalidArgument(
+        "stage-1 prior has no rows or does not match the sampling domain");
   }
-  FASTMATCH_RETURN_IF_ERROR(qs->machine.Begin(
-      ts.io->num_candidates(), ts.io->num_groups(), pin_.num_rows,
-      query.stage1_warm != nullptr ? &prior : nullptr));
-  if (query.stage1_warm != nullptr) ++stats_.warm_queries;
+  FASTMATCH_RETURN_IF_ERROR(qs->machine.Supply(
+      warm->counts,
+      std::vector<bool>(static_cast<size_t>(candidates),
+                        warm->rows_drawn >= pin_.num_rows),
+      warm->rows_drawn));
+  ++stats_.warm_queries;
   // The template's `cum` is every query's pooled sample. A resumed
   // batch's queries are all warm from the one prior whose scan it
   // continues, so its pool starts at that prior (copied once, when the
   // first query accepts it); any other batch's starts at zero.
   if (options_.resume.has_value() && ts.rows_cum == 0) {
-    ts.cum = query.stage1_warm->counts;
-    ts.rows_cum = query.stage1_warm->rows_drawn;
-  }
-  if (qs->machine.done()) {
-    // Completed at bind (an all-consumed warm prior): the result exists
-    // before the scan ever runs.
-    qs->match = qs->machine.TakeResult();
-    qs->active = false;
-  } else {
-    qs->active = true;
+    ts.cum = warm->counts;
+    ts.rows_cum = warm->rows_drawn;
   }
   return Status::OK();
 }
@@ -220,11 +233,10 @@ bool BatchExecutor::AnyActive() const {
   return false;
 }
 
-bool BatchExecutor::DemandSatisfied(const QueryState& q,
-                                    bool all_consumed) const {
-  // Full consumption makes every cumulative count exact, which completes
-  // any phase (the machine observes all_consumed and finishes).
-  if (all_consumed) return true;
+bool BatchExecutor::DemandSatisfied(const QueryState& q) const {
+  // A consumed scan completes any phase: Settle has marked every
+  // candidate exhausted, and a rows demand has every row there is.
+  if (cursor_.AllConsumed()) return true;
   const TemplateState& ts = templates_[q.tmpl];
   const SampleDemand& demand = q.machine.demand();
   if (demand.kind == SampleDemand::Kind::kRows) {
@@ -246,24 +258,27 @@ bool BatchExecutor::Unmet(const QueryState& q, const TemplateState& ts,
   return ts.cum.RowTotal(c) - q.machine.held().RowTotal(c) < target;
 }
 
-void BatchExecutor::SupplyPhase(QueryState* q, bool all_consumed) {
+void BatchExecutor::SupplyPhase(QueryState* q) {
   TemplateState& ts = templates_[q->tmpl];
   const bool stage1_phase =
       q->machine.demand().kind == SampleDemand::Kind::kRows;
-  const Status status =
-      q->machine.Supply(ts.cum, ts.exhausted, all_consumed, ts.rows_cum);
+  const Status status = q->machine.Supply(ts.cum, ts.exhausted, ts.rows_cum);
   if (stage1_phase && options_.stage1_sink != nullptr && ts.rows_cum > 0) {
     ExportStage1(ts);
   }
-  if (!status.ok()) {
-    q->status = status;
-    q->active = false;
-    q->wall_seconds = timer_.Seconds();
-  } else if (q->machine.done()) {
+  if (!status.ok() || q->machine.done()) Retire(q, status);
+}
+
+void BatchExecutor::Retire(QueryState* q, Status status) {
+  if (status.ok()) {
     q->match = q->machine.TakeResult();
-    q->active = false;
-    q->wall_seconds = timer_.Seconds();
+    // The machine cannot tell a prior from a drawn sample; the batch can.
+    q->match.diag.stage1_warm = q->warm;
   }
+  q->status = std::move(status);
+  q->active = false;
+  // A query retired at bind completes before the batch starts.
+  q->wall_seconds = started_ ? timer_.Seconds() : 0;
 }
 
 void BatchExecutor::ExportStage1(const TemplateState& ts) {
@@ -288,15 +303,19 @@ void BatchExecutor::ExportStage1(const TemplateState& ts) {
 }
 
 void BatchExecutor::Settle() {
-  const bool all_consumed = cursor_.AllConsumed();
+  // A consumed scan has enumerated every candidate of every template.
+  // This is the one place the batch turns it into exactness.
+  if (cursor_.AllConsumed()) {
+    for (TemplateState& ts : templates_) {
+      ts.exhausted.assign(ts.exhausted.size(), true);
+    }
+  }
   for (QueryState& q : queries_) {
     // One supply may immediately issue a demand that is already satisfied
     // (exhausted candidates, zero targets): loop to fixpoint. Each pass
     // either finishes the machine or issues a demand needing fresh
     // samples of a non-exhausted candidate, so the loop terminates.
-    while (q.active && DemandSatisfied(q, all_consumed)) {
-      SupplyPhase(&q, all_consumed);
-    }
+    while (q.active && DemandSatisfied(q)) SupplyPhase(&q);
   }
 }
 
@@ -511,26 +530,21 @@ Status BatchExecutor::Remove(size_t index, bool harvest) {
     // against completion branch on this code and deliver it instead.
     return Status::FailedPrecondition("query already completed");
   }
+  // From the next ReadChunk on, the union demand no longer carries this
+  // query's unmet candidates (only active queries contribute), so
+  // blocks only it wanted stop being marked — a removed query stops
+  // consuming scan work at the next chunk boundary.
   if (harvest) {
     // Harvest the machine from the template's pool: it folds everything
     // pooled so far into a best-effort result with honest non-exact
     // error bars.
     const TemplateState& ts = templates_[q.tmpl];
-    const Status status = q.machine.HarvestBestEffort(
-        ts.cum, ts.exhausted, cursor_.AllConsumed(), ts.rows_cum);
-    if (status.ok()) q.match = q.machine.TakeResult();
-    q.status = status;
     ++stats_.harvested_queries;
+    Retire(&q, q.machine.HarvestBestEffort(ts.cum, ts.exhausted, ts.rows_cum));
   } else {
-    q.status = Status::Cancelled("evicted from running batch");
     ++stats_.evicted_queries;
+    Retire(&q, Status::Cancelled("evicted from running batch"));
   }
-  // From the next ReadChunk on, the union demand no longer carries this
-  // query's unmet candidates (only active queries contribute), so
-  // blocks only it wanted stop being marked — a removed query stops
-  // consuming scan work at the next chunk boundary.
-  q.active = false;
-  q.wall_seconds = timer_.Seconds();
   NotifyCompletions();
   return Status::OK();
 }

@@ -53,14 +53,15 @@
 // EXPORTS each stage-1 phase completed from the scan as a
 // Stage1Snapshot (BatchOptions::stage1_sink, typically the service
 // tier's Stage1Cache), and it CONSUMES a snapshot attached to a query
-// (BoundQuery::stage1_warm) by warm-starting that query's machine past
-// stage 1. A prior is accepted only when it shares no row with the
-// batch's scan, so it is the prefix of its query's own scan: either the
-// batch continues the prior's own scan (BatchOptions::resume =
-// snapshot.scan, every query warm from that one snapshot), which never
-// revisits the prior's blocks and is bit-for-bit identical to the cold
-// run that produced the snapshot, or the prior holds every pinned row
-// and its query completes at bind. Create refuses any other prior.
+// (BoundQuery::stage1_warm) by supplying that query's stage 1 from it,
+// one ordinary Supply at bind. A prior is accepted only when it shares
+// no row with the batch's scan, so it is the prefix of its query's own
+// scan: either the batch continues the prior's own scan
+// (BatchOptions::resume = snapshot.scan, every query warm from that one
+// snapshot), which never revisits the prior's blocks and is bit-for-bit
+// identical to the cold run that produced the snapshot, or the prior
+// holds every pinned row and its query completes at bind. Create
+// refuses any other prior.
 // Every query's sample is then one uniform without-replacement scan of
 // the pre-shuffled store, and an `exact` flag always covers the
 // relation.
@@ -116,7 +117,7 @@ struct ScanResume {
 
 /// \brief One completed stage-1 phase, exported by the batch executor
 /// at the chunk boundary that finished it and replayable as a warm
-/// start (core Stage1Prior) by any later query on the same (store,
+/// start (BoundQuery::stage1_warm) by any later query on the same (store,
 /// template) — stage 1 is target-independent, so the counts serve every
 /// future target.
 ///
@@ -377,7 +378,9 @@ class BatchExecutor {
     /// Every live query's pooled sample and the rows behind it.
     CountMatrix cum;
     int64_t rows_cum = 0;
-    std::vector<bool> exhausted;  // sticky: candidate fully enumerated
+    /// Sticky: candidate fully enumerated (every candidate once the scan
+    /// is consumed). The machines' only exactness signal.
+    std::vector<bool> exhausted;
     /// One shard matrix per worker slot: a slot writes only its own, so
     /// shards stay disjoint across workers and merges stay commutative
     /// integer sums.
@@ -392,6 +395,7 @@ class BatchExecutor {
     size_t tmpl = 0;
     bool active = false;
     bool notified = false;  // terminal callbacks already fired
+    bool warm = false;      // stage 1 supplied from BoundQuery::stage1_warm
     Status status;
     MatchResult match;
     double wall_seconds = 0;
@@ -403,12 +407,16 @@ class BatchExecutor {
   bool AnyActive() const;
   /// Completes every phase whose demand is satisfied, to fixpoint.
   void Settle();
-  bool DemandSatisfied(const QueryState& q, bool all_consumed) const;
+  bool DemandSatisfied(const QueryState& q) const;
   /// Candidate `i` of q's targets demand still wants fresh samples: it
   /// has a target, is not exhausted, and its fresh rows (the pool's
   /// minus the machine's held ones) fall short.
   static bool Unmet(const QueryState& q, const TemplateState& ts, size_t i);
-  void SupplyPhase(QueryState* q, bool all_consumed);
+  void SupplyPhase(QueryState* q);
+  /// Ends q with `status`: an OK one takes the machine's result (stamped
+  /// diag.stage1_warm for a warm query). Every way a query ends passes
+  /// here.
+  void Retire(QueryState* q, Status status);
   /// Marks and reads one shared-scan window.
   void ReadChunk();
   /// Publishes the template's pool as a completed stage-1 phase.

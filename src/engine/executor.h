@@ -39,9 +39,10 @@ struct Stage1Snapshot;  // engine/batch_executor.h
 struct BoundQuery {
   std::shared_ptr<const ColumnStore> store;
   /// Bitmap index on the candidate attribute; required by SyncMatch and
-  /// FastMatch, ignored by Scan and ScanMatch. Built once per (store,
-  /// attribute) and shared across runs — index construction is
-  /// preprocessing, not query time.
+  /// FastMatch, ignored by Scan and ScanMatch. Built on this query's own
+  /// `store` (an index built on another store is refused, whatever its
+  /// shape), once per (store, attribute) and shared across runs — index
+  /// construction is preprocessing, not query time.
   std::shared_ptr<const BitmapIndex> z_index;
   int z_attr = -1;
   std::vector<int> x_attrs;
@@ -50,9 +51,9 @@ struct BoundQuery {
   HistSimParams params;
   /// Lookahead batch size for FastMatch (paper default 1024).
   int lookahead = 1024;
-  /// Warm start for the batch executor: when set, the query's machine
-  /// begins past stage 1, seeded with this snapshot's counts (a stage-1
-  /// cache hit made explicit). Must be counted on the query's (store,
+  /// Warm start for the batch executor: when set, the query's stage 1 is
+  /// supplied from this snapshot's counts at bind (a stage-1 cache hit
+  /// made explicit). Must be counted on the query's (store,
   /// z_attr, x_attrs) template, and must share no row with the batch's
   /// scan: BatchExecutor::Create accepts it only in a batch that resumes
   /// the snapshot's own scan, or when it holds every pinned row. Ignored

@@ -1,7 +1,5 @@
 #include "engine/sampling_engine.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace fastmatch {
@@ -27,6 +25,10 @@ Result<std::unique_ptr<SamplingEngine>> SamplingEngine::Create(
     if (z_index->attribute() != z_attr) {
       return Status::InvalidArgument(
           "bitmap index was built for a different attribute");
+    }
+    if (z_index->store_id() != view.pin().store_id) {
+      return Status::InvalidArgument(
+          "bitmap index was built on a different store");
     }
     // Single-query runs demand an exactly matching index (the batch
     // executor's covered-prefix rule is for shared scans that outlive
@@ -67,10 +69,6 @@ int64_t SamplingEngine::ConsumeBlock(BlockId b, CountMatrix* out) {
   return rows;
 }
 
-void SamplingEngine::MarkAllExhausted() {
-  std::fill(exhausted_.begin(), exhausted_.end(), true);
-}
-
 int64_t SamplingEngine::SampleRows(int64_t m, CountMatrix* out) {
   // Stage-1 I/O: plain sequential consumption; the paper's block choice
   // for the pruning stage is "just scan each block sequentially".
@@ -78,7 +76,6 @@ int64_t SamplingEngine::SampleRows(int64_t m, CountMatrix* out) {
   while (drawn < m && !AllConsumed()) {
     drawn += ConsumeBlock(cursor_.NextUnconsumed(), out);
   }
-  if (AllConsumed()) MarkAllExhausted();
   return drawn;
 }
 
@@ -145,7 +142,8 @@ void SamplingEngine::SampleUntilTargets(const std::vector<int64_t>& targets,
     if (lookahead && !d.unmet.empty()) refresh_unmet();
   }
 
-  if (AllConsumed()) MarkAllExhausted();
+  // A consumed store has enumerated every candidate.
+  if (AllConsumed()) exhausted_.assign(exhausted_.size(), true);
   for (int i = 0; i < vz; ++i) {
     if (exhausted_[i]) (*exhausted)[i] = true;
     // Postcondition: every requested target is met or the candidate is

@@ -92,8 +92,6 @@ class SamplingEngine : public Sampler {
   /// Reads block b into `out`, maintaining consumption state and stats.
   int64_t ConsumeBlock(BlockId b, CountMatrix* out);
 
-  void MarkAllExhausted();
-
   std::shared_ptr<const ColumnStore> store_;
   std::shared_ptr<const BitmapIndex> index_;
   std::unique_ptr<IoManager> io_;

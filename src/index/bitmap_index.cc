@@ -34,6 +34,7 @@ Result<std::shared_ptr<BitmapIndex>> BitmapIndex::Build(
   const StoreView view = store.PinView();
   auto index = std::make_shared<BitmapIndex>();
   index->attr_ = attr;
+  index->store_id_ = view.pin().store_id;
   index->num_blocks_ = view.pin().num_blocks;
   index->num_rows_ = view.pin().num_rows;
   const uint32_t card = store.schema().attribute(attr).cardinality;

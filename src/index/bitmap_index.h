@@ -26,6 +26,10 @@ class BitmapIndex {
                                                     int attr);
 
   int attribute() const { return attr_; }
+  /// \brief ColumnStore::id() of the store the index was built on. Its
+  /// bits describe that store's blocks only, so the engines refuse it
+  /// for any other store, even one of the same shape.
+  uint64_t store_id() const { return store_id_; }
   int64_t num_blocks() const { return num_blocks_; }
 
   /// \brief Row count of the store AT BUILD TIME. A generation-pinned
@@ -55,6 +59,7 @@ class BitmapIndex {
 
  private:
   int attr_ = -1;
+  uint64_t store_id_ = 0;
   int64_t num_blocks_ = 0;
   int64_t num_rows_ = 0;
   std::vector<BitVector> bitmaps_;     // indexed by value

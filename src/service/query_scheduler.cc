@@ -18,6 +18,19 @@ std::chrono::steady_clock::duration FromSeconds(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
+/// `t` plus `seconds`, saturating at time_point::max(): a wait too long
+/// for the clock (1e10 s, +inf) never expires. Such a wait would
+/// overflow the clock's int64 ticks, so it is compared first, in
+/// seconds, with a second's margin for the double's rounding.
+std::chrono::steady_clock::time_point After(
+    std::chrono::steady_clock::time_point t, double seconds) {
+  using TimePoint = std::chrono::steady_clock::time_point;
+  if (!(seconds < ToSeconds(TimePoint::max() - t) - 1.0)) {
+    return TimePoint::max();
+  }
+  return t + FromSeconds(seconds);
+}
+
 /// The query's one progress consumer: publishes to `channel` (when
 /// tracked), then calls `hook`, so a hook that polls the handle sees the
 /// update it is handed. Empty when the query has neither.
@@ -126,7 +139,7 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
     ticket.enqueued = Clock::now();
     ticket.deadline =
         submit.deadline_seconds > 0
-            ? ticket.enqueued + FromSeconds(submit.deadline_seconds)
+            ? After(ticket.enqueued, submit.deadline_seconds)
             : Clock::time_point::max();
     ticket.budget_seconds = submit.budget_seconds;
     ticket.progress_sink = std::move(progress_sink);
@@ -250,9 +263,8 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
         // the oldest arrival waiting past max_queue_wait_seconds, wake
         // at the earliest queued deadline so expired queries are shed
         // on time, and drain immediately on shutdown.
-        const Clock::time_point flush =
-            pipeline->pending.front().enqueued +
-            FromSeconds(options_.max_queue_wait_seconds);
+        const Clock::time_point flush = After(
+            pipeline->pending.front().enqueued, options_.max_queue_wait_seconds);
         Clock::time_point wake = flush;
         for (const Ticket& ticket : pipeline->pending) {
           wake = std::min(wake, ticket.deadline);
@@ -354,7 +366,7 @@ void QueryScheduler::EvictAtBoundary(BatchExecutor* executor,
       const Status evicted = executor->Evict(i);
       FASTMATCH_CHECK(evicted.ok()) << evicted.ToString();
     } else if (ticket.budget_seconds > 0 &&
-               now >= ticket.admitted + FromSeconds(ticket.budget_seconds)) {
+               now >= After(ticket.admitted, ticket.budget_seconds)) {
       // The harvested item resolves OK, so Deliver() counts it as a
       // plain completion; budget_evicted is its only other counter,
       // counted before the harvest fulfils the future so a woken caller

@@ -148,7 +148,8 @@ struct SubmitOptions {
   /// Queue-time budget, relative to Submit. A query still queued when
   /// the budget elapses is shed with DeadlineExceeded; once admitted
   /// into a scan it runs to completion (subject to budget_seconds).
-  /// <= 0 means no deadline.
+  /// <= 0 means no deadline; one too long for the clock (+inf) never
+  /// expires.
   double deadline_seconds = 0;
   /// EXECUTION budget, relative to admission into a scan (where
   /// deadline_seconds stops). A query still running when the budget
@@ -157,7 +158,8 @@ struct SubmitOptions {
   /// MatchResult::best_effort = true, and honest non-exact error bars
   /// over the sample pooled so far — NOT DeadlineExceeded. A budget
   /// expiry that races the machine's own completion loses benignly:
-  /// the completed exact result is delivered. <= 0 means no budget.
+  /// the completed exact result is delivered. <= 0 means no budget; one
+  /// too long for the clock (+inf) never expires.
   double budget_seconds = 0;
   /// Allocate a poll channel for this query: QueryHandle::Progress()
   /// then returns the latest anytime snapshot (see ProgressUpdate)

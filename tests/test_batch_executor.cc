@@ -149,6 +149,30 @@ TEST(BatchExecutorTest, MalformedIndexRejectedRegardlessOfBatchOrder) {
   }
 }
 
+TEST(BatchExecutorTest, IndexBuiltOnAnotherStoreIsRefused) {
+  // Two stores of one schema and one shape: an index's bits describe its
+  // own store's blocks, so on the other store it would skip blocks that
+  // hold unmet candidates and flag partial counts exact. Both engines
+  // refuse it per query.
+  BatchFixture a = MakeBatchFixture(2000, 73);
+  BatchFixture b = MakeBatchFixture(2000, 74);
+  ASSERT_EQ(a.store->num_blocks(), b.store->num_blocks());
+  BoundQuery q = MakeQuery(a, a.target);
+  q.z_index = b.index;
+  auto exec = BatchExecutor::Create({q, MakeQuery(a, a.target, 2)},
+                                    Options(2))
+                  .value();
+  std::vector<BatchItem> items = exec->Run();
+  EXPECT_EQ(items[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(items[1].status.ok()) << items[1].status.ToString();
+  for (Approach approach : {Approach::kSyncMatch, Approach::kFastMatch}) {
+    EXPECT_EQ(RunQuery(q, approach).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  q.z_index = a.index;
+  EXPECT_TRUE(RunQuery(q, Approach::kFastMatch).ok());
+}
+
 TEST(BatchExecutorTest, SingleQueryFindsTopK) {
   BatchFixture f = MakeBatchFixture(20000, 3);
   auto executor =
@@ -841,9 +865,10 @@ TEST(BatchExecutorWarmTest, WarmQueriesMeetGuarantees) {
 }
 
 TEST(BatchExecutorWarmTest, MismatchedWarmSnapshotSurfacesAsItemStatus) {
-  // A warm snapshot whose domain does not match the query's template is
-  // a per-query error, never a structural one: the resumed batch is
-  // created and each of its items reports the mismatch.
+  // A warm snapshot whose counts do not fit the query's template (no
+  // counts, another domain) or that holds no rows is a per-query error,
+  // never a structural one: the resumed batch is created and each of its
+  // items reports it.
   BatchFixture f = MakeBatchFixture(2000, 63);
   Stage1Cache cache;
   BatchOptions donor_options = Options(2);
@@ -852,34 +877,45 @@ TEST(BatchExecutorWarmTest, MismatchedWarmSnapshotSurfacesAsItemStatus) {
                   .value()
                   ->Run()[0]
                   .status.ok());
-  auto bogus = std::make_shared<Stage1Snapshot>(
-      *cache
-           .Lookup(f.store->id(), kWholeStorePartition, 0, {1}, 3000,
-                   f.store->Pin().generation)
-           .snapshot);
-  bogus->counts = CountMatrix(5, 4);  // template is 12 x 8
-  BoundQuery first = MakeQuery(f, f.target, 1);
-  first.stage1_warm = bogus;
-  BoundQuery second = MakeQuery(f, f.exact.NormalizedRow(4), 2);
-  second.stage1_warm = bogus;
-  BatchOptions resumed = Options(2);
-  resumed.resume = bogus->scan;
+  const std::shared_ptr<const Stage1Snapshot> snapshot =
+      cache
+          .Lookup(f.store->id(), kWholeStorePartition, 0, {1}, 3000,
+                  f.store->Pin().generation)
+          .snapshot;
+  ASSERT_NE(snapshot, nullptr);
+  const auto no_counts = [](Stage1Snapshot* s) { s->counts = CountMatrix(); };
+  const auto wrong_shape = [](Stage1Snapshot* s) {
+    s->counts = CountMatrix(5, 4);  // template is 12 x 8
+  };
+  const auto no_rows = [](Stage1Snapshot* s) { s->rows_drawn = 0; };
+  const auto negative_rows = [](Stage1Snapshot* s) { s->rows_drawn = -1; };
+  for (void (*spoil)(Stage1Snapshot*) :
+       {+no_counts, +wrong_shape, +no_rows, +negative_rows}) {
+    auto bogus = std::make_shared<Stage1Snapshot>(*snapshot);
+    spoil(bogus.get());
+    BoundQuery first = MakeQuery(f, f.target, 1);
+    first.stage1_warm = bogus;
+    BoundQuery second = MakeQuery(f, f.exact.NormalizedRow(4), 2);
+    second.stage1_warm = bogus;
+    BatchOptions resumed = Options(2);
+    resumed.resume = bogus->scan;
 
-  auto exec = BatchExecutor::Create({first, second}, resumed).value();
-  std::vector<BatchItem> items = exec->Run();
-  ASSERT_EQ(items.size(), 2u);
-  for (const BatchItem& item : items) {
-    EXPECT_EQ(item.status.code(), StatusCode::kInvalidArgument);
+    auto exec = BatchExecutor::Create({first, second}, resumed).value();
+    std::vector<BatchItem> items = exec->Run();
+    ASSERT_EQ(items.size(), 2u);
+    for (const BatchItem& item : items) {
+      EXPECT_EQ(item.status.code(), StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(exec->stats().warm_queries, 0);
+    EXPECT_EQ(exec->stats().blocks_read, 0);
   }
-  EXPECT_EQ(exec->stats().warm_queries, 0);
-  EXPECT_EQ(exec->stats().blocks_read, 0);
 }
 
 TEST(BatchExecutorWarmTest, FullCoverageSnapshotCompletesAtBind) {
   // A snapshot spanning the whole relation carries exact counts: warm
-  // queries complete instantly with the exact result and the scan never
-  // starts. (Tiny store: the cold donor's stage-1 draw consumes
-  // everything.)
+  // queries complete at Start, before any Step, with the exact result,
+  // and the scan never reads a block. (Tiny store: the cold donor's
+  // stage-1 draw consumes everything.)
   BatchFixture f = MakeBatchFixture(200, 64, /*rows_per_block=*/25);
   Stage1Cache cache;
   BoundQuery donor = MakeQuery(f, f.target);
@@ -904,10 +940,20 @@ TEST(BatchExecutorWarmTest, FullCoverageSnapshotCompletesAtBind) {
   resumed.resume = snapshot->scan;
   for (const BatchOptions& options : {Options(2), resumed}) {
     auto exec = BatchExecutor::Create({warm}, options).value();
-    std::vector<BatchItem> items = exec->Run();
+    std::vector<BatchItem> items(1);
+    int delivered = 0;
+    exec->SetCompletionCallback([&](size_t index, BatchItem item) {
+      items[index] = std::move(item);
+      ++delivered;
+    });
+    exec->Start();
+    ASSERT_EQ(delivered, 1);
+    EXPECT_FALSE(exec->Step());
     ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
     EXPECT_EQ(exec->stats().blocks_read, 0);
+    EXPECT_EQ(exec->stats().warm_queries, 1);
     EXPECT_TRUE(items[0].match.diag.data_exhausted);
+    EXPECT_TRUE(items[0].match.diag.stage1_warm);
     for (int i = 0; i < 12; ++i) {
       EXPECT_TRUE(items[0].match.exact[i]);
       EXPECT_EQ(items[0].match.counts.RowTotal(i), f.exact.RowTotal(i));

@@ -295,10 +295,9 @@ TEST(HistSimMachineTest, DrivesToCompletionViaDemands) {
     } else {
       sampler->SampleUntilTargets(demand.targets, &pooled, &exhausted);
     }
-    ASSERT_TRUE(machine
-                    .Supply(pooled, exhausted, sampler->AllConsumed(),
-                            sampler->rows_consumed())
-                    .ok());
+    if (sampler->AllConsumed()) exhausted.assign(12, true);
+    ASSERT_TRUE(
+        machine.Supply(pooled, exhausted, sampler->rows_consumed()).ok());
   }
   MatchResult result = machine.TakeResult();
   std::set<int> got(result.topk.begin(), result.topk.end());
@@ -329,10 +328,8 @@ TEST(HistSimMachineTest, ManualDriveMatchesRunDriver) {
     } else {
       s2->SampleUntilTargets(demand.targets, &pooled, &exhausted);
     }
-    ASSERT_TRUE(machine
-                    .Supply(pooled, exhausted, s2->AllConsumed(),
-                            s2->rows_consumed())
-                    .ok());
+    if (s2->AllConsumed()) exhausted.assign(12, true);
+    ASSERT_TRUE(machine.Supply(pooled, exhausted, s2->rows_consumed()).ok());
   }
   MatchResult manual = machine.TakeResult();
   EXPECT_EQ(manual.topk, run_result->topk);
@@ -355,134 +352,6 @@ TEST(HistSimMachineTest, BeginRejectsProtocolViolations) {
   EXPECT_FALSE(m2.Begin(0, 8, 100).ok());
   HistSimMachine m3(TestParams(), s.target);
   EXPECT_EQ(m3.Begin(12, 8, 0).code(), StatusCode::kFailedPrecondition);
-}
-
-// ------------------------------------------------- warm stage-1 starts
-// Begin(..., Stage1Prior): the machine advances past stage 1 on a prior
-// sample. The contract is equivalence: a warm Begin must be
-// indistinguishable from a cold Begin followed by a Supply of the same
-// sample.
-
-TEST(HistSimMachineTest, WarmBeginMatchesColdSupplyBitForBit) {
-  Scenario s = MakeScenario(20000, 21);
-  HistSimParams p = TestParams();
-  auto s1 = RowSampler::Create(s.store, 0, {1}, 71).value();
-  auto s2 = RowSampler::Create(s.store, 0, {1}, 71).value();
-
-  // Cold: Begin, then satisfy the stage-1 demand from the sampler.
-  HistSimMachine cold(p, s.target);
-  ASSERT_TRUE(cold.Begin(12, 8, s.store->num_rows()).ok());
-  ASSERT_EQ(cold.demand().kind, SampleDemand::Kind::kRows);
-  CountMatrix stage1(12, 8);
-  const int64_t drawn = s1->SampleRows(cold.demand().rows, &stage1);
-  ASSERT_TRUE(cold.Supply(stage1, std::vector<bool>(12, false),
-                          s1->AllConsumed(), drawn)
-                  .ok());
-
-  // Warm: the identical stage-1 sample handed to Begin as a prior (s2
-  // shares s1's seed, so the two machines' sample streams line up).
-  CountMatrix stage1_again(12, 8);
-  const int64_t drawn_again = s2->SampleRows(p.stage1_samples, &stage1_again);
-  ASSERT_EQ(drawn_again, drawn);
-  Stage1Prior prior;
-  prior.counts = &stage1_again;
-  prior.rows_drawn = drawn_again;
-  HistSimMachine warm(p, s.target);
-  ASSERT_TRUE(warm.Begin(12, 8, s.store->num_rows(), &prior).ok());
-
-  // From here both machines must issue identical demands and, fed
-  // identical streams, produce identical results.
-  int phases = 0;
-  while (!cold.done() && !warm.done()) {
-    ASSERT_LT(phases++, 100) << "machines do not converge";
-    ASSERT_EQ(cold.demand().kind, warm.demand().kind);
-    ASSERT_EQ(cold.demand().rows, warm.demand().rows);
-    ASSERT_EQ(cold.demand().targets, warm.demand().targets);
-    for (RowSampler* sampler : {s1.get(), s2.get()}) {
-      // Each machine's pool starts at its stage-1 sample.
-      HistSimMachine& machine = sampler == s1.get() ? cold : warm;
-      CountMatrix& pooled = sampler == s1.get() ? stage1 : stage1_again;
-      std::vector<bool> exhausted(12, false);
-      sampler->SampleUntilTargets(machine.demand().targets, &pooled,
-                                  &exhausted);
-      ASSERT_TRUE(machine
-                      .Supply(pooled, exhausted, sampler->AllConsumed(),
-                              sampler->rows_consumed())
-                      .ok());
-    }
-  }
-  ASSERT_TRUE(cold.done());
-  ASSERT_TRUE(warm.done());
-  MatchResult cold_result = cold.TakeResult();
-  MatchResult warm_result = warm.TakeResult();
-  EXPECT_EQ(warm_result.topk, cold_result.topk);
-  EXPECT_EQ(warm_result.distances, cold_result.distances);
-  EXPECT_EQ(warm_result.exact, cold_result.exact);
-  for (int i = 0; i < 12; ++i) {
-    for (int g = 0; g < 8; ++g) {
-      ASSERT_EQ(warm_result.counts.At(i, g), cold_result.counts.At(i, g));
-    }
-  }
-  EXPECT_FALSE(cold_result.diag.stage1_warm);
-  EXPECT_TRUE(warm_result.diag.stage1_warm);
-  EXPECT_EQ(warm_result.diag.stage1_samples, cold_result.diag.stage1_samples);
-}
-
-TEST(HistSimMachineTest, WarmBeginValidation) {
-  Scenario s = MakeScenario(1000, 22);
-  CountMatrix counts(12, 8);
-
-  // Missing counts.
-  {
-    Stage1Prior prior;
-    prior.rows_drawn = 100;
-    HistSimMachine machine(TestParams(), s.target);
-    EXPECT_EQ(machine.Begin(12, 8, s.store->num_rows(), &prior).code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_TRUE(machine.failed());
-  }
-  // Non-positive row count.
-  {
-    Stage1Prior prior;
-    prior.counts = &counts;
-    prior.rows_drawn = 0;
-    HistSimMachine machine(TestParams(), s.target);
-    EXPECT_EQ(machine.Begin(12, 8, s.store->num_rows(), &prior).code(),
-              StatusCode::kInvalidArgument);
-  }
-  // Domain mismatch.
-  {
-    CountMatrix wrong(5, 8);
-    Stage1Prior prior;
-    prior.counts = &wrong;
-    prior.rows_drawn = 100;
-    HistSimMachine machine(TestParams(), s.target);
-    EXPECT_EQ(machine.Begin(12, 8, s.store->num_rows(), &prior).code(),
-              StatusCode::kInvalidArgument);
-  }
-}
-
-TEST(HistSimMachineTest, WarmBeginAllConsumedCompletesInstantly) {
-  // A prior covering the whole relation carries exact counts: the
-  // machine must finish at Begin with the ground-truth result, never
-  // issuing a demand.
-  Scenario s = MakeScenario(500, 23);
-  Stage1Prior prior;
-  prior.counts = &s.exact;
-  prior.rows_drawn = s.store->num_rows();
-  HistSimMachine machine(TestParams(), s.target);
-  ASSERT_TRUE(machine.Begin(12, 8, s.store->num_rows(), &prior).ok());
-  ASSERT_TRUE(machine.done());
-  EXPECT_EQ(machine.demand().kind, SampleDemand::Kind::kNone);
-  MatchResult result = machine.TakeResult();
-  std::set<int> got(result.topk.begin(), result.topk.end());
-  EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
-  EXPECT_TRUE(result.diag.data_exhausted);
-  EXPECT_TRUE(result.diag.stage1_warm);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(result.exact[i]);
-    EXPECT_EQ(result.counts.RowTotal(i), s.exact.RowTotal(i));
-  }
 }
 
 TEST(HistSimTest, DiagnosticsArePopulated) {

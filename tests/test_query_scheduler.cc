@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -310,6 +311,31 @@ TEST(QueryLifecycleTest, MixedDeadlinesShedOnlyTheExpired) {
   EXPECT_EQ(doomed->Get().status.code(), StatusCode::kDeadlineExceeded);
   ExpectTop3(fine->Get());
   EXPECT_EQ(scheduler.stats().deadline_exceeded, 1);
+}
+
+TEST(QueryLifecycleTest, UnboundedDeadlineAndBudgetNeverExpire) {
+  // A deadline or budget too long for the clock (1e10 s is past its
+  // int64 nanosecond range; +inf) saturates to "never" instead of
+  // wrapping into the past and expiring at once.
+  SchedFixture f = MakeSchedFixture(2000, 25);
+  QueryScheduler scheduler(FastOptions());
+  for (double seconds : {1e10, std::numeric_limits<double>::infinity()}) {
+    SubmitOptions deadline;
+    deadline.deadline_seconds = seconds;
+    SubmitOptions budget;
+    budget.budget_seconds = seconds;
+    SubmitOptions both = deadline;
+    both.budget_seconds = seconds;
+    for (const SubmitOptions& submit : {deadline, budget, both}) {
+      auto handle = scheduler.Submit(MakeQuery(f, 3), submit);
+      ASSERT_TRUE(handle.ok());
+      SchedulerItem item = handle->Get();
+      ExpectTop3(item);
+      EXPECT_FALSE(item.match.best_effort);
+    }
+  }
+  EXPECT_EQ(scheduler.stats().deadline_exceeded, 0);
+  EXPECT_EQ(scheduler.stats().budget_evicted, 0);
 }
 
 TEST(QueryLifecycleTest, CancelWhileQueuedShedsBeforeLaunch) {
