@@ -865,10 +865,46 @@ TEST(BatchExecutorWarmTest, WarmQueriesMeetGuarantees) {
 }
 
 TEST(BatchExecutorWarmTest, MismatchedWarmSnapshotSurfacesAsItemStatus) {
-  // A warm snapshot whose counts do not fit the query's template (no
-  // counts, another domain) or that holds no rows is a per-query error,
-  // never a structural one: the resumed batch is created and each of its
-  // items reports it.
+  // A warm snapshot whose domain does not match the query's template is
+  // a per-query error, never a structural one: the resumed batch is
+  // created and each of its items reports the mismatch.
+  BatchFixture f = MakeBatchFixture(2000, 63);
+  Stage1Cache cache;
+  BatchOptions donor_options = Options(2);
+  donor_options.stage1_sink = &cache;
+  ASSERT_TRUE(BatchExecutor::Create({MakeQuery(f, f.target)}, donor_options)
+                  .value()
+                  ->Run()[0]
+                  .status.ok());
+  auto bogus = std::make_shared<Stage1Snapshot>(
+      *cache
+           .Lookup(f.store->id(), kWholeStorePartition, 0, {1}, 3000,
+                   f.store->Pin().generation)
+           .snapshot);
+  bogus->counts = CountMatrix(5, 4);  // template is 12 x 8
+  BoundQuery first = MakeQuery(f, f.target, 1);
+  first.stage1_warm = bogus;
+  BoundQuery second = MakeQuery(f, f.exact.NormalizedRow(4), 2);
+  second.stage1_warm = bogus;
+  BatchOptions resumed = Options(2);
+  resumed.resume = bogus->scan;
+
+  auto exec = BatchExecutor::Create({first, second}, resumed).value();
+  std::vector<BatchItem> items = exec->Run();
+  ASSERT_EQ(items.size(), 2u);
+  for (const BatchItem& item : items) {
+    EXPECT_EQ(item.status.code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(exec->stats().warm_queries, 0);
+  EXPECT_EQ(exec->stats().blocks_read, 0);
+}
+
+TEST(BatchExecutorWarmTest, MalformedWarmPriorIsRefusedPerItem) {
+  // BindQuery checks a warm prior before handing it to the machine as
+  // its stage-1 Supply. Counts that do not fit the query's template (no
+  // counts, another domain) or a prior that holds no rows is a per-query
+  // error, never a structural one: the resumed batch is created and each
+  // of its items reports it.
   BatchFixture f = MakeBatchFixture(2000, 63);
   Stage1Cache cache;
   BatchOptions donor_options = Options(2);

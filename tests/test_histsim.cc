@@ -354,6 +354,33 @@ TEST(HistSimMachineTest, BeginRejectsProtocolViolations) {
   EXPECT_EQ(m3.Begin(12, 8, 0).code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(HistSimMachineTest, WarmBeginAllConsumedCompletesInstantly) {
+  // A warm start is Begin plus one ordinary stage-1 Supply of the prior.
+  // A prior covering the whole relation marks every candidate exhausted:
+  // the machine must finish at that Supply with the ground-truth result,
+  // never issuing a further demand. (diag.stage1_warm is stamped by the
+  // executor that owns the prior; the batch warm suite checks it.)
+  Scenario s = MakeScenario(500, 23);
+  HistSimMachine machine(TestParams(), s.target);
+  ASSERT_TRUE(machine.Begin(12, 8, s.store->num_rows()).ok());
+  ASSERT_EQ(machine.demand().kind, SampleDemand::Kind::kRows);
+  ASSERT_TRUE(machine
+                  .Supply(s.exact, std::vector<bool>(12, true),
+                          s.store->num_rows())
+                  .ok());
+  ASSERT_TRUE(machine.done());
+  EXPECT_EQ(machine.demand().kind, SampleDemand::Kind::kNone);
+  MatchResult result = machine.TakeResult();
+  std::set<int> got(result.topk.begin(), result.topk.end());
+  EXPECT_EQ(got, (std::set<int>{0, 1, 2}));
+  EXPECT_TRUE(result.diag.data_exhausted);
+  EXPECT_EQ(result.diag.stage1_samples, s.store->num_rows());
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_TRUE(result.exact[i]);
+    EXPECT_EQ(result.counts.RowTotal(i), s.exact.RowTotal(i));
+  }
+}
+
 TEST(HistSimTest, DiagnosticsArePopulated) {
   Scenario s = MakeScenario(20000, 15);
   auto sampler = RowSampler::Create(s.store, 0, {1}, 53).value();
