@@ -65,9 +65,6 @@ QueryScheduler::QueryScheduler(SchedulerOptions options)
       << "batch.resume must be unset: the scheduler resumes warm batches";
   FASTMATCH_CHECK(options_.batch.num_threads >= 1)
       << "batch.num_threads (the shared-pool quota) must be >= 1";
-  if (options_.idle_pipeline_timeout_seconds > 0) {
-    reaper_ = std::thread(&QueryScheduler::ReaperLoop, this);
-  }
 }
 
 QueryScheduler::~QueryScheduler() { Shutdown(); }
@@ -82,14 +79,13 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
         "warm priors come from the scheduler's stage-1 cache; submit the "
         "query without one");
   }
-  // The janitor's invalidation of a reaped pipeline's cache entries
-  // matches this same id.
   const uint64_t store_id = query.store->id();
-  // The enqueue happens under mu_ (order mu_ -> Pipeline::mu): the
-  // janitor claims pipelines under mu_ too, so it cannot reap the one
-  // found or created here before its first query is pending, and a
-  // Shutdown() cannot have flagged it yet.
+  // The enqueue happens under mu_ (order mu_ -> Pipeline::mu): a driver
+  // decides to exit under both, so the one found or started here cannot
+  // exit before this query is pending, and a Shutdown() cannot have
+  // flagged it yet.
   std::shared_ptr<Pipeline> pipeline;
+  std::vector<std::thread> exited;
   std::future<SchedulerItem> future;
   std::shared_ptr<CancelToken> cancel;
   std::shared_ptr<ProgressChannel> progress;
@@ -104,10 +100,8 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
     std::shared_ptr<Pipeline>& slot = pipelines_[store_id];
     if (slot == nullptr) {
       slot = std::make_shared<Pipeline>();
-      MutexLock slot_lock(&slot->mu);
-      slot->last_active = Clock::now();
       slot->thread =
-          std::thread(&QueryScheduler::PipelineLoop, this, slot.get());
+          std::thread(&QueryScheduler::PipelineLoop, this, slot, store_id);
       Count(&SchedulerStats::pipelines);
     }
     pipeline = slot;
@@ -123,8 +117,8 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
     ticket.query = std::move(query);
     // The doorbell rings the pipeline's cv so a Cancel() on a queued
     // query is shed immediately instead of at the next flush
-    // deadline; the weak_ptr keeps the ring safe after the pipeline
-    // is reaped (handles outlive pipelines). The flag is set outside
+    // deadline; the weak_ptr keeps the ring safe after the driver has
+    // exited (handles outlive pipelines). The flag is set outside
     // the pipeline lock, so the ring passes through the lock first:
     // a driver that checked the flag just before it was set is then
     // already waiting and gets the notify, instead of sleeping out
@@ -147,8 +141,11 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
     future = ticket.promise.get_future();
     pipeline->pending.push_back(std::move(ticket));
     Count(&SchedulerStats::submitted);
+    exited.swap(exited_);
   }
   pipeline->cv.NotifyAll();
+  // Drivers that exited since the last join have finished their work.
+  for (std::thread& thread : exited) thread.join();
   QueryHandle handle;
   handle.cancel_ = std::move(cancel);
   handle.future_ = std::move(future);
@@ -253,10 +250,6 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
     bool drained = false;
     {
       MutexLock lock(&pipeline->mu);
-      while (pipeline->pending.empty() && !pipeline->shutdown &&
-             !pipeline->retiring) {
-        pipeline->cv.Wait(&pipeline->mu);
-      }
       ShedLocked(pipeline, &shed);
       if (shed.empty() && !pipeline->pending.empty()) {
         // Batch-boundary policy: wait for a full batch, but never keep
@@ -280,8 +273,7 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
         while (!(pipeline->pending.size() != size_at_wait ||
                  static_cast<int>(pipeline->pending.size()) >=
                      options_.max_batch_queries ||
-                 pipeline->shutdown || pipeline->retiring ||
-                 HasCancelledLocked(pipeline))) {
+                 pipeline->shutdown || HasCancelledLocked(pipeline))) {
           if (pipeline->cv.WaitUntil(&pipeline->mu, wake) ==
               std::cv_status::timeout) {
             break;
@@ -291,7 +283,7 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
         if (shed.empty() && !pipeline->pending.empty()) {
           const bool full = static_cast<int>(pipeline->pending.size()) >=
                             options_.max_batch_queries;
-          const bool draining = pipeline->shutdown || pipeline->retiring;
+          const bool draining = pipeline->shutdown;
           // Launch on a full batch, a drain, or the flush deadline; a
           // wake before all three (new arrival, or a deadline/cancel
           // that shed nothing of ours) restarts the round to keep
@@ -308,20 +300,15 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
               batch->push_back(std::move(pipeline->pending.front()));
               pipeline->pending.pop_front();
             }
-            pipeline->busy = true;
-            pipeline->last_active = now;
             Count(&SchedulerStats::batches_launched);
             launch = true;
           }
         }
       }
-      if (!launch && shed.empty() && pipeline->pending.empty() &&
-          (pipeline->shutdown || pipeline->retiring)) {
-        // Exit on drain/retire with nothing left. A deadline alone
-        // never launches: the batch timer only starts once a query is
-        // pending, so an empty flush cannot launch an empty batch.
-        drained = true;
-      }
+      // Nothing left to launch. A deadline alone never launches: the
+      // batch timer only starts once a query is pending, so an empty
+      // flush cannot launch an empty batch.
+      drained = !launch && shed.empty() && pipeline->pending.empty();
     }
     FulfillShed(std::move(shed));
     if (launch) return true;
@@ -460,122 +447,50 @@ void QueryScheduler::RunBatch(Pipeline* pipeline, std::vector<Ticket> batch) {
   for (const Ticket& ticket : batch) FASTMATCH_CHECK(ticket.fulfilled);
 }
 
-void QueryScheduler::PipelineLoop(Pipeline* pipeline) {
+void QueryScheduler::PipelineLoop(std::shared_ptr<Pipeline> pipeline,
+                                  uint64_t store_id) {
   for (;;) {
     std::vector<Ticket> batch;
-    if (!GatherLaunchBatch(pipeline, &batch)) break;
-    RunBatch(pipeline, std::move(batch));
+    if (GatherLaunchBatch(pipeline.get(), &batch)) {
+      RunBatch(pipeline.get(), std::move(batch));
+      continue;
+    }
+    // The queue drained. Re-check it in Submit's lock order: a Submit
+    // that found this pipeline holds mu_ until its query is pending, so
+    // an empty deque here means no query is on its way to this driver.
+    MutexLock lock(&mu_);
     {
-      MutexLock lock(&pipeline->mu);
-      pipeline->busy = false;
-      pipeline->last_active = Clock::now();
+      MutexLock pipeline_lock(&pipeline->mu);
+      if (!pipeline->pending.empty()) continue;
     }
-  }
-  // Exit sweep. By the locking protocol nothing can be pending here
-  // (the drain gathers until empty, and shutdown/retiring block new
-  // enqueues first), but the exactly-once contract must survive
-  // refactors: anything still unanswered terminates Unavailable rather
-  // than leaking a never-ready future.
-  std::vector<Shed> orphans;
-  {
-    MutexLock lock(&pipeline->mu);
-    while (!pipeline->pending.empty()) {
-      orphans.emplace_back(
-          std::move(pipeline->pending.front()),
-          Status::Unavailable("scheduler shut down during drain"));
-      pipeline->pending.pop_front();
-    }
-  }
-  FulfillShed(std::move(orphans));
-}
-
-void QueryScheduler::ReaperLoop() {
-  const Clock::duration timeout =
-      FromSeconds(options_.idle_pipeline_timeout_seconds);
-  const Clock::duration period = FromSeconds(
-      std::max(options_.idle_pipeline_timeout_seconds / 4.0, 1e-3));
-  MutexLock lock(&mu_);
-  for (;;) {
-    const Clock::time_point tick = Clock::now() + period;
-    while (!shutdown_) {
-      if (reaper_cv_.WaitUntil(&mu_, tick) == std::cv_status::timeout) break;
-    }
-    if (shutdown_) return;
-    const Clock::time_point now = Clock::now();
-    std::vector<std::shared_ptr<Pipeline>> dead;
-    std::vector<uint64_t> dead_store_ids;
-    for (auto it = pipelines_.begin(); it != pipelines_.end();) {
-      Pipeline* pipeline = it->second.get();
-      bool reap = false;
-      {
-        MutexLock plock(&pipeline->mu);
-        if (!pipeline->busy && pipeline->pending.empty() &&
-            !pipeline->shutdown &&
-            now - pipeline->last_active >= timeout) {
-          // Claim it under both locks: Submit enqueues under mu_, so
-          // nothing can be enqueued here once this entry leaves the map.
-          pipeline->retiring = true;
-          reap = true;
-        }
-      }
-      if (reap) {
-        dead.push_back(std::move(it->second));
-        dead_store_ids.push_back(it->first);
-        it = pipelines_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (dead.empty()) continue;
-    // Join outside mu_ so Submits to other stores are never blocked on
-    // a dying driver.
-    lock.Unlock();
-    for (std::shared_ptr<Pipeline>& pipeline : dead) {
-      pipeline->cv.NotifyAll();
-      pipeline->thread.join();
-      Count(&SchedulerStats::pipelines_reaped);
-    }
-    dead.clear();
-    if (stage1_cache_ != nullptr) {
-      // The reap is the scheduler's "store id disappeared" signal:
-      // drop the store's warm entries so the cache cannot accumulate
-      // counts for stores nothing will query again. (ColumnStore ids
-      // are never reused, so this is hygiene, not aliasing defense; a
-      // store that merely idled re-warms on its next cold batch.)
-      for (uint64_t store_id : dead_store_ids) {
-        stage1_cache_->InvalidateStore(store_id);
-      }
-    }
-    lock.Lock();
+    const auto it = pipelines_.find(store_id);
+    FASTMATCH_CHECK(it != pipelines_.end() && it->second == pipeline);
+    exited_.push_back(std::move(pipeline->thread));
+    pipelines_.erase(it);
+    exit_cv_.NotifyAll();
+    return;
   }
 }
 
 void QueryScheduler::Shutdown() {
   MutexLock shutdown_lock(&shutdown_mu_);
+  std::vector<std::thread> exited;
   {
     MutexLock lock(&mu_);
-    shutdown_ = true;  // no new pipelines after this; janitor exits
-  }
-  reaper_cv_.NotifyAll();
-  if (reaper_.joinable()) reaper_.join();
-  // The janitor is gone: the pipeline map is stable from here on.
-  std::vector<std::shared_ptr<Pipeline>> pipelines;
-  {
-    MutexLock lock(&mu_);
-    for (auto& [store_id, pipeline] : pipelines_) {
-      pipelines.push_back(pipeline);
+    shutdown_ = true;  // no new pipelines after this
+    for (auto& entry : pipelines_) {
+      Pipeline* pipeline = entry.second.get();
+      {
+        MutexLock pipeline_lock(&pipeline->mu);
+        pipeline->shutdown = true;
+      }
+      pipeline->cv.NotifyAll();
     }
+    // Each driver drains its queue and leaves the map.
+    while (!pipelines_.empty()) exit_cv_.Wait(&mu_);
+    exited.swap(exited_);
   }
-  for (const std::shared_ptr<Pipeline>& pipeline : pipelines) {
-    {
-      MutexLock lock(&pipeline->mu);
-      pipeline->shutdown = true;
-    }
-    pipeline->cv.NotifyAll();
-  }
-  for (const std::shared_ptr<Pipeline>& pipeline : pipelines) {
-    if (pipeline->thread.joinable()) pipeline->thread.join();
-  }
+  for (std::thread& thread : exited) thread.join();
   // Every driver drained its queue and exited: each accepted query has
   // been delivered exactly once.
   const SchedulerStats drained = stats();

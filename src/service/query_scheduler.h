@@ -11,7 +11,7 @@
 //
 // One pipeline per store (keyed by the store's identity token,
 // ColumnStore::id(), never an address), each with its own driver
-// thread.
+// thread while the store has queued or running work.
 //
 //   Submit(query) ──► per-store pending queue (bounded: back-pressure)
 //                          │
@@ -75,9 +75,10 @@
 // pending deque is the sole shared state (one mutex per store). Block
 // reads run on one process-wide SharedWorkerPool with per-batch quotas,
 // so total worker threads stay bounded no matter how many stores are
-// live. Pipelines idle past idle_pipeline_timeout_seconds are reaped (a
-// janitor thread joins their drivers); a store seen again later simply
-// gets a fresh pipeline.
+// live. A driver exists only while its store has work: the Submit that
+// finds no pipeline for the store starts one, and the driver exits as
+// soon as its queue is empty after a batch, removing its own pipeline.
+// The next Submit (or Shutdown) joins the exited thread.
 
 #ifndef FASTMATCH_SERVICE_QUERY_SCHEDULER_H_
 #define FASTMATCH_SERVICE_QUERY_SCHEDULER_H_
@@ -122,20 +123,14 @@ struct SchedulerOptions {
   /// at launch. Kept only because the systems benchmark assigns it; it
   /// goes when the benchmark stops naming it (ROADMAP item 1).
   bool allow_joins = false;
-  /// Reap a store pipeline (join its driver thread, drop its queue)
-  /// once it has had no pending or running work for this long; <= 0
-  /// disables reaping. A reaped store transparently gets a fresh
-  /// pipeline on its next Submit.
-  double idle_pipeline_timeout_seconds = 30.0;
   /// Per-store stage-1 sample cache (service Stage1Cache): stage-1
   /// snapshots exported by running batches are served back to later
   /// queries on the same (store, template), which skip stage 1
   /// entirely: a batch whose every query hits one snapshot resumes that
-  /// snapshot's scan, and any other batch launches cold. Reaping a
-  /// store's pipeline invalidates its entries. The cache keeps
-  /// Stage1CacheOptions' default capacity. Off by default, so every
-  /// query pays its own stage 1 unless the caller opts in (perfbench's
-  /// dashboards run with it on).
+  /// snapshot's scan, and any other batch launches cold. Entries outlive
+  /// the store's driver; the cache keeps Stage1CacheOptions' default
+  /// capacity. Off by default, so every query pays its own stage 1
+  /// unless the caller opts in (perfbench's dashboards run with it on).
   bool stage1_cache = false;
   /// Worker pool for every batch's block reads. nullptr selects the
   /// process-wide SharedWorkerPool::Process(). A non-null pool must
@@ -187,7 +182,7 @@ struct SchedulerStats : Stage1CacheStats {
   int64_t completed = 0;          // futures fulfilled (any terminal state)
   int64_t batches_launched = 0;   // executors created
   int64_t timeout_flushes = 0;    // partial batches launched on deadline
-  int64_t pipelines = 0;          // pipelines ever created
+  int64_t pipelines = 0;          // driver threads started
   int64_t deadline_exceeded = 0;  // shed while queued, deadline passed
   int64_t cancelled = 0;          // terminal Cancelled (queued + evicted)
   int64_t evicted = 0;            // removed from a running batch (cancel)
@@ -198,7 +193,6 @@ struct SchedulerStats : Stage1CacheStats {
   // answer, not an error.
   int64_t budget_evicted = 0;
   int64_t unavailable = 0;        // shed by scheduler teardown
-  int64_t pipelines_reaped = 0;   // idle pipelines joined by the janitor
   // Warm-batch resume.
   int64_t warm_batches_resumed = 0;   // batches whose every query hit one
                                       // snapshot, launched warm with
@@ -369,7 +363,7 @@ class QueryHandle {
 
 /// \brief Routes a stream of BoundQuerys to per-store shared-scan
 /// pipelines with per-query lifecycle management (deadlines,
-/// cancellation, eager delivery, idle reaping).
+/// cancellation, eager delivery, on-demand drivers).
 class QueryScheduler {
  public:
   explicit QueryScheduler(SchedulerOptions options);
@@ -380,8 +374,8 @@ class QueryScheduler {
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
-  /// \brief Enqueues a query on its store's pipeline (created on first
-  /// use, recreated transparently after a reap) and returns its handle.
+  /// \brief Enqueues a query on its store's pipeline (created, with its
+  /// driver, whenever the store has none) and returns its handle.
   /// Fails fast with ResourceExhausted when the store's pending queue
   /// is full, with InvalidArgument for a query without a store or one
   /// that already carries a stage-1 prior (priors come from the
@@ -390,13 +384,13 @@ class QueryScheduler {
   /// problems are NOT Submit errors; they arrive as the future's item
   /// status. Every accepted Submit's future resolves exactly once with
   /// a result, DeadlineExceeded, Cancelled, or Unavailable — including
-  /// across Shutdown() and pipeline-reap races.
+  /// across Shutdown() and driver-exit races.
   Result<QueryHandle> Submit(BoundQuery query, SubmitOptions submit = {})
       FASTMATCH_EXCLUDES(mu_);
 
   /// \brief Stops accepting queries, drains every pending and running
-  /// batch (all outstanding futures resolve), and joins the pipeline
-  /// and janitor threads. Idempotent; called by the destructor.
+  /// batch (all outstanding futures resolve), and joins every driver
+  /// thread. Idempotent; called by the destructor.
   void Shutdown() FASTMATCH_EXCLUDES(mu_, shutdown_mu_);
 
   /// \brief One consistent snapshot of the behaviour counters. CHECKs
@@ -440,33 +434,32 @@ class QueryScheduler {
     bool fulfilled = false;
   };
 
-  /// Per-store pipeline: bounded pending queue + driver thread.
+  /// Per-store pipeline: bounded pending queue + driver thread. It
+  /// lives in the map exactly as long as its driver runs.
   /// `mu` sits below the scheduler's map lock mu_ in the hierarchy
-  /// (the janitor holds mu_ while claiming a pipeline) and above the
-  /// Stage1Cache/SharedWorkerPool/stats leaf locks.
+  /// (Submit enqueues and the driver decides to exit under both) and
+  /// above the Stage1Cache/SharedWorkerPool/stats leaf locks.
   struct Pipeline {
     Mutex mu;
     CondVar cv;
     std::deque<Ticket> pending FASTMATCH_GUARDED_BY(mu);
-    // global drain: finish the queue, then exit
+    // Shutdown drain: launch without waiting for a full batch
     bool shutdown FASTMATCH_GUARDED_BY(mu) = false;
-    // janitor claimed it: no new enqueues, exit
-    bool retiring FASTMATCH_GUARDED_BY(mu) = false;
-    bool busy FASTMATCH_GUARDED_BY(mu) = false;  // driver inside RunBatch
-    Clock::time_point last_active FASTMATCH_GUARDED_BY(mu);
-    /// Started under the scheduler map lock when the pipeline is
-    /// created; joined by exactly one of {janitor, Shutdown} after the
-    /// entry left the map — never concurrently, so no guard.
+    /// The driver. Guarded by the scheduler's mu_: Submit starts it
+    /// under mu_, and the driver moves it to exited_ under mu_ when it
+    /// leaves the map.
     std::thread thread;
   };
 
   /// A pending query shed before admission, with its terminal status.
   using Shed = std::pair<Ticket, Status>;
 
-  void PipelineLoop(Pipeline* pipeline) FASTMATCH_EXCLUDES(pipeline->mu);
+  /// The driver: runs batches until the queue is empty, then removes
+  /// the store's map entry and hands its own thread to exited_.
+  void PipelineLoop(std::shared_ptr<Pipeline> pipeline, uint64_t store_id)
+      FASTMATCH_EXCLUDES(mu_);
   /// Pops pending tickets into a full-or-flushed launch batch. Returns
-  /// false when the pipeline should exit (shutdown/retire, queue
-  /// drained).
+  /// false once the queue is empty (after shedding).
   bool GatherLaunchBatch(Pipeline* pipeline, std::vector<Ticket>* batch)
       FASTMATCH_EXCLUDES(pipeline->mu);
   /// Runs one executor to completion: sheds and evictions happen at
@@ -504,9 +497,6 @@ class QueryScheduler {
   /// a leaf: callers may hold a pipeline lock.
   std::shared_ptr<const Stage1Snapshot> SharedWarmSnapshot(
       const std::vector<BoundQuery>& queries);
-  /// Janitor: joins pipelines idle past the timeout.
-  void ReaperLoop() FASTMATCH_EXCLUDES(mu_);
-
   /// Adds `n` to `field`. stats_mu_ is a leaf: callers may hold any
   /// scheduler or pipeline lock.
   void Count(int64_t SchedulerStats::*field, int64_t n = 1)
@@ -526,29 +516,31 @@ class QueryScheduler {
   SharedWorkerPool* const pool_;  // options_.pool or the process pool
   /// Created when options_.stage1_cache; executors publish into it
   /// (BatchOptions::stage1_sink) and each launch Looks it up.
-  /// Internally locked (leaf) — safe from pipeline threads and the
-  /// janitor. The pointer itself is immutable after construction.
+  /// Internally locked (leaf) — safe from any pipeline thread. The
+  /// pointer itself is immutable after construction.
   const std::unique_ptr<Stage1Cache> stage1_cache_;
 
   /// Serializes Shutdown callers end to end; top of the lock hierarchy.
   Mutex shutdown_mu_;
-  /// Map lock: pipelines_ / shutdown_ / the janitor's wait. Acquired
-  /// after shutdown_mu_ and before any Pipeline::mu (the janitor claims
-  /// pipelines under both).
+  /// Map lock: pipelines_ / exited_ / shutdown_. Acquired after
+  /// shutdown_mu_ and before any Pipeline::mu (Submit enqueues and a
+  /// driver decides to exit under both).
   Mutex mu_ FASTMATCH_ACQUIRED_AFTER(shutdown_mu_);
-  CondVar reaper_cv_;
+  /// Notified when a driver leaves the map; Shutdown waits on it for
+  /// the map to empty.
+  CondVar exit_cv_;
   /// Keyed by ColumnStore::id(), NOT the store pointer: a freed store's
   /// address can be recycled for a new store, which must not alias the
-  /// dead store's pipeline. shared_ptr, not unique_ptr: the cancel
-  /// doorbell holds a weak_ptr to its pipeline (handles outlive
-  /// pipelines), and Submit rings the pipeline's cv after releasing
-  /// mu_, when the janitor may already have reaped the entry.
+  /// dead store's pipeline. shared_ptr, not unique_ptr: the driver owns
+  /// a reference past its map entry, the cancel doorbell holds a
+  /// weak_ptr (handles outlive pipelines), and Submit rings the
+  /// pipeline's cv after releasing mu_.
   std::map<uint64_t, std::shared_ptr<Pipeline>> pipelines_
       FASTMATCH_GUARDED_BY(mu_);
+  /// Threads of drivers that left the map. Each has finished its work
+  /// and is returning; the next Submit or Shutdown joins it.
+  std::vector<std::thread> exited_ FASTMATCH_GUARDED_BY(mu_);
   bool shutdown_ FASTMATCH_GUARDED_BY(mu_) = false;
-  /// Started in the constructor, joined in Shutdown (which serializes
-  /// via shutdown_mu_), never touched elsewhere.
-  std::thread reaper_;
   /// Leaf lock over the one counter record stats() copies whole.
   mutable Mutex stats_mu_;
   SchedulerStats stats_ FASTMATCH_GUARDED_BY(stats_mu_);

@@ -92,18 +92,6 @@ Stage1LookupResult Stage1Cache::Lookup(uint64_t store_id,
   return result;
 }
 
-void Stage1Cache::InvalidateStore(uint64_t store_id) {
-  MutexLock lock(&mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (std::get<0>(it->first) == store_id) {
-      it = entries_.erase(it);
-      ++stats_.stage1_store_invalidations;
-    } else {
-      ++it;
-    }
-  }
-}
-
 int64_t Stage1Cache::size() const {
   MutexLock lock(&mu_);
   return static_cast<int64_t>(entries_.size());

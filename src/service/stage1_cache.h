@@ -27,9 +27,7 @@
 // a batch scans one whole store, so nothing publishes under any other
 // sub-key. The dimension stays because the systems benchmark names
 // kWholeStorePartition in its Lookup calls; dropping it belongs with the
-// benchmark change that stops doing so. InvalidateStore() matches the
-// store id, which is what the scheduler's janitor needs when it reaps
-// the pipeline keyed on that id.
+// benchmark change that stops doing so.
 //
 // GENERATIONS (mutable stores): since stores grow via AppendBatch, a
 // prior drawn at generation g is a uniform sample of the generation-g
@@ -40,8 +38,9 @@
 // (snapshot->scan.generation); every other generation is a miss. The
 // querier's cold batch then publishes a fresh snapshot at its own
 // generation, which replaces the older entry. Memory is bounded by the
-// LRU capacity and by InvalidateStore when a store's pipeline is
-// reaped; neither is a correctness rule.
+// LRU capacity alone, which is not a correctness rule: entries outlive
+// the scheduler's store drivers (which exit whenever their queue
+// drains), and a dead store's entries simply age out of the LRU.
 
 #ifndef FASTMATCH_SERVICE_STAGE1_CACHE_H_
 #define FASTMATCH_SERVICE_STAGE1_CACHE_H_
@@ -76,8 +75,6 @@ struct Stage1CacheStats {
   int64_t stage1_inserts = 0;             // publishes that created/replaced
                                           // an entry
   int64_t stage1_capacity_evictions = 0;  // LRU evictions (at publish)
-  int64_t stage1_store_invalidations = 0; // entries dropped by
-                                          // InvalidateStore
   // Always 0: no path carries a prior across generations. The systems
   // benchmark still reports both as per-layer metrics, so they stay
   // until the benchmark drops them.
@@ -126,19 +123,13 @@ class Stage1Cache : public Stage1Sink {
                             int64_t min_rows, uint64_t generation)
       FASTMATCH_EXCLUDES(mu_);
 
-  /// \brief Drops every entry of one store (the store id disappeared:
-  /// janitor reap, store teardown). Matches the store id only, so the
-  /// entries vanish under every partition id at once.
-  void InvalidateStore(uint64_t store_id) FASTMATCH_EXCLUDES(mu_);
-
   /// \brief Live entries.
   int64_t size() const FASTMATCH_EXCLUDES(mu_);
 
   Stage1CacheStats stats() const FASTMATCH_EXCLUDES(mu_);
 
  private:
-  /// (store id, partition id, z_attr, x_attrs); the store id leads so
-  /// InvalidateStore can match on it alone.
+  /// (store id, partition id, z_attr, x_attrs).
   using Key = std::tuple<uint64_t, uint64_t, int, std::vector<int>>;
   struct Entry {
     std::shared_ptr<const Stage1Snapshot> snapshot;

@@ -3,7 +3,9 @@
 #ifndef FASTMATCH_TESTS_TEST_HELPERS_H_
 #define FASTMATCH_TESTS_TEST_HELPERS_H_
 
+#include <filesystem>
 #include <memory>
+#include <system_error>
 #include <vector>
 
 #include "core/histogram.h"
@@ -90,6 +92,20 @@ inline std::vector<Distribution> PlantedDistributions(
     dists.push_back(std::move(d));
   }
   return dists;
+}
+
+/// \brief Live threads of this process (Linux: /proc/self/task
+/// entries), or -1 where that interface is unavailable; callers skip
+/// then.
+inline int CountProcessThreads() {
+  int n = 0;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    (void)entry;
+    ++n;
+  }
+  return ec ? -1 : n;
 }
 
 }  // namespace testing_util

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "row_sampler.h"
@@ -392,6 +393,137 @@ TEST(HistSimTest, DiagnosticsArePopulated) {
   EXPECT_GE(result->diag.rounds, 1);
   EXPECT_GT(result->diag.stage2_samples, 0);
   EXPECT_EQ(result->diag.chosen_k, 3);
+}
+
+// ------------------------------------------------ delta accounting
+// The machine's levels recomputed from the paper's formulas, apart from
+// histsim.cc: a level spent at the wrong delta moves every target and
+// bar below, which the guarantee tests' tolerances would absorb.
+
+/// l1 distance of a count row, normalized, to `target`.
+double L1ToTarget(const CountMatrix& counts, int i, const Distribution& target) {
+  double d = 0;
+  for (int g = 0; g < counts.num_groups(); ++g) {
+    d += std::abs(static_cast<double>(counts.At(i, g)) /
+                      static_cast<double>(counts.RowTotal(i)) -
+                  target[static_cast<size_t>(g)]);
+  }
+  return d;
+}
+
+/// Theorem 1 at level `delta`: the l1 radius n samples reach w.p. 1 - delta.
+double Theorem1Radius(int64_t n, int vx, double delta) {
+  return std::sqrt(2.0 / static_cast<double>(n) *
+                   (vx * std::log(2.0) + std::log(1.0 / delta)));
+}
+
+TEST(HistSimMachineTest, FirstStage2TargetsAreEquation1AtDeltaSixth) {
+  // Round 1 of stage 2 tests at delta/3/2 (stage 2's third, halved for
+  // t = 1). Each candidate's target is Equation 1 for its margin eps'_i
+  // to the split point s (at least eps/2), times the documented 2x
+  // safety factor.
+  Scenario s = MakeScenario(20000, 24);
+  const HistSimParams p = TestParams();
+  auto sampler = RowSampler::Create(s.store, 0, {1}, 71).value();
+  CountMatrix pooled(12, 8);
+  sampler->SampleRows(p.stage1_samples, &pooled);
+
+  HistSimMachine machine(p, s.target);
+  ASSERT_TRUE(machine.Begin(12, 8, s.store->num_rows()).ok());
+  ASSERT_TRUE(machine
+                  .Supply(pooled, std::vector<bool>(12, false),
+                          sampler->rows_consumed())
+                  .ok());
+  ASSERT_EQ(machine.demand().kind, SampleDemand::Kind::kTargets);
+
+  std::vector<double> tau(12);
+  std::vector<int> order(12);
+  for (int i = 0; i < 12; ++i) {
+    tau[static_cast<size_t>(i)] = L1ToTarget(pooled, i, s.target);
+    order[static_cast<size_t>(i)] = i;
+  }
+  std::sort(order.begin(), order.end(), [&tau](int a, int b) {
+    return tau[static_cast<size_t>(a)] < tau[static_cast<size_t>(b)] ||
+           (tau[static_cast<size_t>(a)] == tau[static_cast<size_t>(b)] &&
+            a < b);
+  });
+  const double split = 0.5 * (tau[static_cast<size_t>(order[2])] +
+                              tau[static_cast<size_t>(order[3])]);
+  const double eps = p.epsilon;
+  const double delta_round = p.delta / 3.0 / 2.0;
+  for (int rank = 0; rank < 12; ++rank) {
+    const int i = order[static_cast<size_t>(rank)];
+    const double t = tau[static_cast<size_t>(i)];
+    const double margin =
+        std::max(rank < 3 ? split + eps / 2 - t : t - (split - eps / 2),
+                 eps / 2);
+    // Equation 1: n = 2 (|VX| log 2 + log(1/delta)) / eps^2, rounded up.
+    const double equation1 = std::ceil(
+        2.0 * (8 * std::log(2.0) + std::log(1.0 / delta_round)) /
+        (margin * margin));
+    // One count of rounding slack on each side of the 2x factor.
+    EXPECT_NEAR(static_cast<double>(
+                    machine.demand().targets[static_cast<size_t>(i)]),
+                2.0 * equation1, 2.0)
+        << "candidate " << i;
+  }
+}
+
+TEST(HistSimMachineTest, ErrorBarsAreTheorem1AtDeltaOverVz) {
+  // A finished run's non-exact bar is Theorem 1 at delta/|VZ| (a union
+  // bound over the candidates) on the candidate's pooled rows, clamped
+  // at MaxDistance (2 for l1); an exact candidate's bar is 0.
+  const HistSimParams p = TestParams();
+  const auto expect_bars = [&p](const MatchResult& result) {
+    int checked = 0;
+    for (int i = 0; i < 12; ++i) {
+      const double bar = result.error_bars[static_cast<size_t>(i)];
+      if (result.exact[static_cast<size_t>(i)]) {
+        EXPECT_EQ(bar, 0.0) << "candidate " << i;
+        continue;
+      }
+      const int64_t n = result.counts.RowTotal(i);
+      const double want =
+          n == 0 ? 2.0 : std::min(Theorem1Radius(n, 8, p.delta / 12), 2.0);
+      EXPECT_NEAR(bar, want, 1e-12) << "candidate " << i << ", n = " << n;
+      ++checked;
+    }
+    return checked;
+  };
+
+  // A full run that reads part of the relation: every non-exact bar
+  // below the clamp. (A looser epsilon keeps stage 2 from reading it
+  // all; the bars do not depend on epsilon.)
+  Scenario s = MakeScenario(50000, 25);
+  auto sampler = RowSampler::Create(s.store, 0, {1}, 73).value();
+  HistSimParams loose = p;
+  loose.epsilon = 0.1;
+  auto run = HistSim(loose, s.target).Run(sampler.get());
+  ASSERT_TRUE(run.ok());
+  EXPECT_GT(expect_bars(*run), 0);
+
+  // A harvest right after a hand-built stage 1 in which candidate 0
+  // holds 2 rows (Theorem 1 gives about 3.3, so the clamp bites) and
+  // candidate 1 none.
+  CountMatrix pooled(12, 8);
+  int64_t rows = 0;
+  for (int i = 2; i < 12; ++i) {
+    for (int r = 0; r < 300; ++r) pooled.Add(i, r % 8);
+  }
+  pooled.Add(0, 0);
+  pooled.Add(0, 1);
+  for (int i = 0; i < 12; ++i) rows += pooled.RowTotal(i);
+  HistSimMachine machine(p, s.target);
+  ASSERT_TRUE(machine.Begin(12, 8, s.store->num_rows()).ok());
+  ASSERT_TRUE(machine.Supply(pooled, std::vector<bool>(12, false), rows).ok());
+  ASSERT_TRUE(machine
+                  .HarvestBestEffort(pooled, std::vector<bool>(12, false),
+                                     rows)
+                  .ok());
+  const MatchResult harvested = machine.TakeResult();
+  EXPECT_EQ(expect_bars(harvested), 12);
+  EXPECT_EQ(harvested.error_bars[0], 2.0);
+  EXPECT_EQ(harvested.error_bars[1], 2.0);
 }
 
 }  // namespace

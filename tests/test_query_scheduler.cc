@@ -2,13 +2,15 @@
 // policy (timeout flush of partial batches, bounded-queue back-pressure),
 // late arrivals waiting for the next batch, drain-on-shutdown, and the
 // per-query lifecycle — deadlines, cancellation (queued and running),
-// abandoned handles, eager delivery, and idle-pipeline reaping. The
-// randomized concurrency torture test lives in test_lifecycle_stress.cc.
+// abandoned handles, eager delivery, and on-demand store drivers (started
+// by Submit, gone once their queue drains). The randomized concurrency
+// torture test lives in test_lifecycle_stress.cc.
 
 #include "service/query_scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
@@ -24,6 +26,7 @@
 namespace fastmatch {
 namespace {
 
+using testing_util::CountProcessThreads;
 using testing_util::MakeExactStore;
 using testing_util::PlantedDistributions;
 
@@ -82,6 +85,16 @@ SchedulerOptions FastOptions() {
   return o;
 }
 
+/// Bounded poll (about 5 s) until the process runs at most `want`
+/// threads: drained store drivers have exited.
+bool AwaitThreadCount(int want) {
+  for (int spin = 0; spin < 10000; ++spin) {
+    if (CountProcessThreads() <= want) return true;
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  return false;
+}
+
 void ExpectTop3(const SchedulerItem& item) {
   ASSERT_TRUE(item.status.ok()) << item.status.ToString();
   std::set<int> got(item.match.topk.begin(), item.match.topk.end());
@@ -91,7 +104,12 @@ void ExpectTop3(const SchedulerItem& item) {
 TEST(QuerySchedulerTest, CompletesQueriesAcrossStores) {
   SchedFixture f1 = MakeSchedFixture(8000, 1);
   SchedFixture f2 = MakeSchedFixture(8000, 2);
-  QueryScheduler scheduler(FastOptions());
+  // Each store's three queries fill exactly one batch, and only a full
+  // batch launches, so each store starts exactly one driver.
+  SchedulerOptions options = FastOptions();
+  options.max_batch_queries = 3;
+  options.max_queue_wait_seconds = 3600;
+  QueryScheduler scheduler(options);
 
   std::vector<QueryHandle> handles;
   for (int i = 0; i < 3; ++i) {
@@ -109,7 +127,7 @@ TEST(QuerySchedulerTest, CompletesQueriesAcrossStores) {
   EXPECT_EQ(stats.submitted, 6);
   EXPECT_EQ(stats.completed, 6);
   EXPECT_EQ(stats.rejected, 0);
-  EXPECT_GE(stats.batches_launched, 2);
+  EXPECT_EQ(stats.batches_launched, 2);
 }
 
 TEST(QuerySchedulerTest, TimeoutFlushLaunchesPartialBatch) {
@@ -136,7 +154,7 @@ TEST(QuerySchedulerTest, EmptyTimeoutNeverLaunchesABatch) {
   SchedulerOptions options = FastOptions();
   options.max_queue_wait_seconds = 0.001;
   QueryScheduler scheduler(options);
-  // Create the store's pipeline, drain it, then leave it idle.
+  // Start the store's driver, drain it, then leave the store idle.
   auto warm = scheduler.Submit(MakeQuery(f, 1));
   ASSERT_TRUE(warm.ok());
   ExpectTop3(warm->Get());
@@ -151,7 +169,7 @@ TEST(QuerySchedulerTest, EmptyTimeoutNeverLaunchesABatch) {
     ASSERT_EQ(scheduler.stats().batches_launched, batches_after_warm);
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
-  // And the pipeline still accepts work afterwards.
+  // And the store still accepts work afterwards.
   auto late = scheduler.Submit(MakeQuery(f, 2));
   ASSERT_TRUE(late.ok());
   ExpectTop3(late->Get());
@@ -479,24 +497,21 @@ TEST(QueryLifecycleTest, EagerDeliveryFulfillsBeforeBatchRetire) {
 }
 
 TEST(QueryLifecycleTest, IdlePipelineIsReapedAndStoreRecovers) {
-  // A pipeline idle past the timeout is reaped (driver joined, counter
-  // ticks); the same store transparently gets a fresh pipeline on its
-  // next Submit.
+  // A drained store's driver exits and leaves the pipeline map; the
+  // store's next Submit starts a fresh driver.
   SchedFixture f = MakeSchedFixture(2000, 27);
+  SharedWorkerPool pool(2);
+  const int baseline = CountProcessThreads();
+  if (baseline <= 0) GTEST_SKIP() << "/proc/self/task unavailable";
   SchedulerOptions options = FastOptions();
-  options.idle_pipeline_timeout_seconds = 0.02;
+  options.pool = &pool;
   QueryScheduler scheduler(options);
 
-  auto warm = scheduler.Submit(MakeQuery(f, 1));
-  ASSERT_TRUE(warm.ok());
-  ExpectTop3(warm->Get());
+  auto first = scheduler.Submit(MakeQuery(f, 1));
+  ASSERT_TRUE(first.ok());
+  ExpectTop3(first->Get());
+  ASSERT_TRUE(AwaitThreadCount(baseline)) << "the drained driver never exited";
   EXPECT_EQ(scheduler.stats().pipelines, 1);
-
-  for (int spin = 0; scheduler.stats().pipelines_reaped < 1 && spin < 10000;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
-  }
-  EXPECT_EQ(scheduler.stats().pipelines_reaped, 1);
 
   auto late = scheduler.Submit(MakeQuery(f, 2));
   ASSERT_TRUE(late.ok());
@@ -508,9 +523,7 @@ TEST(QueryLifecycleTest, FreedStoreAddressReuseDoesNotAliasDeadPipeline) {
   // Pipelines are keyed by ColumnStore::id(), not the store pointer:
   // even if a new store lands at a freed store's exact address, it must
   // get its own pipeline, not the dead store's.
-  SchedulerOptions options = FastOptions();
-  options.idle_pipeline_timeout_seconds = 0.02;
-  QueryScheduler scheduler(options);
+  QueryScheduler scheduler(FastOptions());
 
   const ColumnStore* first_address = nullptr;
   {
@@ -520,11 +533,6 @@ TEST(QueryLifecycleTest, FreedStoreAddressReuseDoesNotAliasDeadPipeline) {
     ASSERT_TRUE(handle.ok());
     ExpectTop3(handle->Get());
   }  // the store (and every query referencing it) is freed here
-  for (int spin = 0; scheduler.stats().pipelines_reaped < 1 && spin < 10000;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
-  }
-  ASSERT_EQ(scheduler.stats().pipelines_reaped, 1);
 
   // A new store — same address or not, its id() differs, so it must
   // route to a fresh pipeline and complete normally.
@@ -539,12 +547,13 @@ TEST(QueryLifecycleTest, FreedStoreAddressReuseDoesNotAliasDeadPipeline) {
 }
 
 TEST(QueryLifecycleTest, FreshPipelineIsNotReapedBeforeItsFirstQuery) {
-  // Submit enqueues under the scheduler lock the janitor claims
-  // pipelines under, so even a sub-millisecond idle timeout cannot reap
-  // a store's new pipeline before its first query is pending: one query
-  // on each of N fresh stores makes exactly N pipelines.
+  // A driver never exits with a query pending: Submit enqueues under
+  // the scheduler lock a driver decides to exit under, so a driver that
+  // launches at once and exits as soon as it drains still serves the
+  // query that started it. One query on each of N fresh stores makes
+  // exactly N driver starts.
   SchedulerOptions options = FastOptions();
-  options.idle_pipeline_timeout_seconds = 1e-4;
+  options.max_queue_wait_seconds = 0;
   QueryScheduler scheduler(options);
   constexpr int kStores = 16;
   std::vector<SchedFixture> stores;
@@ -562,6 +571,95 @@ TEST(QueryLifecycleTest, FreshPipelineIsNotReapedBeforeItsFirstQuery) {
     EXPECT_TRUE(handle.Get().status.ok());
   }
   EXPECT_EQ(scheduler.stats().pipelines, kStores);
+}
+
+TEST(QueryLifecycleTest, ConstructingASchedulerStartsNoThread) {
+  // Threads exist only for stores with work: a scheduler nobody has
+  // submitted to runs none.
+  SharedWorkerPool pool(2);
+  const int baseline = CountProcessThreads();
+  if (baseline <= 0) GTEST_SKIP() << "/proc/self/task unavailable";
+  SchedulerOptions options = FastOptions();
+  options.pool = &pool;
+  QueryScheduler scheduler(options);
+  EXPECT_EQ(CountProcessThreads(), baseline);
+  EXPECT_EQ(scheduler.stats().pipelines, 0);
+}
+
+TEST(QueryLifecycleTest, DriverExitsOnceItsQueueDrains) {
+  // After a burst's last result, every driver it started exits: the
+  // thread count returns to its pre-Submit baseline.
+  SchedFixture f = MakeSchedFixture(2000, 32);
+  SchedFixture g = MakeSchedFixture(2000, 33);
+  SharedWorkerPool pool(2);
+  const int baseline = CountProcessThreads();
+  if (baseline <= 0) GTEST_SKIP() << "/proc/self/task unavailable";
+  SchedulerOptions options = FastOptions();
+  options.pool = &pool;
+  QueryScheduler scheduler(options);
+
+  std::vector<QueryHandle> handles;
+  for (int i = 0; i < 4; ++i) {
+    for (const SchedFixture* fixture : {&f, &g}) {
+      auto handle = scheduler.Submit(MakeQuery(*fixture, 10 + i));
+      ASSERT_TRUE(handle.ok());
+      handles.push_back(std::move(*handle));
+    }
+  }
+  for (QueryHandle& handle : handles) ExpectTop3(handle.Get());
+  EXPECT_TRUE(AwaitThreadCount(baseline))
+      << CountProcessThreads() - baseline << " driver(s) outlived the burst";
+}
+
+TEST(QueryLifecycleTest, SubmitsRacingDriverExitsAllResolve) {
+  // Sequential and concurrent Submits on one store race its driver's
+  // exit: a driver launches at once and exits the moment its queue is
+  // empty, while the next query may be on its way. Every future must
+  // resolve OK, and Shutdown's submitted == completed CHECK must hold.
+  SchedFixture f = MakeSchedFixture(500, 34);
+  SharedWorkerPool pool(2);
+  const int baseline = CountProcessThreads();
+  if (baseline <= 0) GTEST_SKIP() << "/proc/self/task unavailable";
+  SchedulerOptions options = FastOptions();
+  options.pool = &pool;
+  options.max_queue_wait_seconds = 0;
+  QueryScheduler scheduler(options);
+
+  constexpr int kRounds = 20;
+  constexpr int kSubmitters = 3;
+  constexpr int kPerSubmitter = 2;
+  std::atomic<int> not_ok{0};
+  uint64_t seed = 1;
+  for (int round = 0; round < kRounds; ++round) {
+    auto handle = scheduler.Submit(MakeQuery(f, seed++));
+    ASSERT_TRUE(handle.ok());
+    if (!handle->Get().status.ok()) ++not_ok;
+    // Every other round waits for the driver to exit, so the Submits
+    // below must start a fresh one.
+    if (round % 2 == 0) {
+      ASSERT_TRUE(AwaitThreadCount(baseline))
+          << "round " << round << ": the drained driver never exited";
+    }
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+      const uint64_t base = seed;
+      seed += kPerSubmitter;
+      submitters.emplace_back([&scheduler, &f, &not_ok, base] {
+        for (int q = 0; q < kPerSubmitter; ++q) {
+          auto h = scheduler.Submit(
+              MakeQuery(f, base + static_cast<uint64_t>(q)));
+          if (!h.ok() || !h->Get().status.ok()) ++not_ok;
+        }
+      });
+    }
+    for (std::thread& submitter : submitters) submitter.join();
+  }
+  scheduler.Shutdown();
+  EXPECT_EQ(not_ok.load(), 0);
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted, kRounds * (1 + kSubmitters * kPerSubmitter));
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_GE(stats.pipelines, kRounds / 2);
 }
 
 TEST(QueryLifecycleTest, ShutdownResolvesEveryAcceptedQuery) {
@@ -619,8 +717,8 @@ TEST(QueryLifecycleTest, ShutdownResolvesEveryAcceptedQuery) {
 
 // ------------------------------------------------- stage-1 cache
 // Scheduler-level cache wiring: cold batches populate the per-store
-// cache, later launches are served warm, reaping a
-// pipeline invalidates its store's entries. Warm-start *correctness*
+// cache, later launches are served warm, and entries outlive the store's
+// driver. Warm-start *correctness*
 // (bit-for-bit equivalence) is proven in test_batch_executor.cc; these
 // assert the scheduler drives it.
 
@@ -831,35 +929,32 @@ TEST(Stage1CacheSchedulerTest, TwoTemplatesHitTwoSnapshotsAndLaunchCold) {
   EXPECT_EQ(stats.warm_batches_resumed, 0);
 }
 
-TEST(Stage1CacheSchedulerTest, ReapInvalidatesTheStoresEntries) {
+TEST(Stage1CacheSchedulerTest, EntriesOutliveTheStoresDriver) {
+  // A driver that exits leaves the cache alone: the store's next batch,
+  // on a fresh driver, is served warm from the entry the first left.
   SchedFixture f = MakeSchedFixture(4000, 43);
+  SharedWorkerPool pool(2);
+  const int baseline = CountProcessThreads();
+  if (baseline <= 0) GTEST_SKIP() << "/proc/self/task unavailable";
   SchedulerOptions options = FastOptions();
+  options.pool = &pool;
   options.stage1_cache = true;
-  options.idle_pipeline_timeout_seconds = 0.02;
   QueryScheduler scheduler(options);
 
   auto a = scheduler.Submit(MakeQuery(f, 1));
   ASSERT_TRUE(a.ok());
   ExpectTop3(a->Get());
-  ASSERT_GE(scheduler.stage1_cache()->size(), 1);
+  ASSERT_TRUE(AwaitThreadCount(baseline)) << "the drained driver never exited";
+  ASSERT_EQ(scheduler.stage1_cache()->size(), 1);
 
-  // Bounded poll: the janitor reaps the idle pipeline, then drops the
-  // store's cache entries.
-  for (int spin = 0;
-       scheduler.stats().stage1_store_invalidations < 1 && spin < 20000;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
-  }
-  SchedulerStats stats = scheduler.stats();
-  EXPECT_GE(stats.pipelines_reaped, 1);
-  EXPECT_GE(stats.stage1_store_invalidations, 1);
-  EXPECT_EQ(scheduler.stage1_cache()->size(), 0);
-
-  // The store recovers transparently — and re-warms on its next batch.
   auto b = scheduler.Submit(MakeQuery(f, 2));
   ASSERT_TRUE(b.ok());
-  ExpectTop3(b->Get());
-  EXPECT_GE(scheduler.stats().stage1_inserts, 2);
+  SchedulerItem item = b->Get();
+  ExpectTop3(item);
+  EXPECT_TRUE(item.match.diag.stage1_warm);
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.pipelines, 2);
+  EXPECT_EQ(stats.warm_batches_resumed, 1);
 }
 
 }  // namespace

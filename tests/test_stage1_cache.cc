@@ -1,12 +1,10 @@
 // Unit tests of the service tier's stage-1 sample cache: lookup/publish
 // policy (min-rows coverage, keep-the-bigger-sample), LRU capacity
-// eviction, per-store invalidation, partition-key isolation (a
-// partition's snapshot never serves another partition, and
-// invalidating the logical store drops every partition's entries),
-// generation matching (a hit only at the entry's own generation, a
-// miss with no LRU tick at any other), counter reconciliation
-// (lookups == hits + misses always), and a multi-threaded smoke for
-// the internal locking.
+// eviction, partition-key isolation (a partition's snapshot never
+// serves another partition), generation matching (a hit only at the
+// entry's own generation, a miss with no LRU tick at any other),
+// counter reconciliation (lookups == hits + misses always), and a
+// multi-threaded smoke for the internal locking.
 
 #include "service/stage1_cache.h"
 
@@ -103,27 +101,6 @@ TEST(Stage1CacheTest, PartitionKeysNeverCrossServe) {
   EXPECT_NE(cache.Lookup(9, 101, 0, {1}, 300, kGen).snapshot, nullptr);
 }
 
-TEST(Stage1CacheTest, InvalidateStoreDropsAllPartitions) {
-  // The janitor invalidates by the logical store id alone; every
-  // partition's entries (and the whole-store entry) must vanish
-  // together, leaving other stores untouched.
-  Stage1Cache cache;
-  cache.Publish(7, kWhole, 0, {1}, MakeSnapshot(100));
-  cache.Publish(7, /*partition_id=*/31, 0, {1}, MakeSnapshot(100));
-  cache.Publish(7, /*partition_id=*/32, 0, {1}, MakeSnapshot(100));
-  cache.Publish(7, /*partition_id=*/32, 5, {2}, MakeSnapshot(100));
-  cache.Publish(8, /*partition_id=*/31, 0, {1}, MakeSnapshot(100));
-  ASSERT_EQ(cache.size(), 5);
-  cache.InvalidateStore(7);
-  EXPECT_EQ(cache.size(), 1);
-  EXPECT_EQ(cache.Lookup(7, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.Lookup(7, 31, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.Lookup(7, 32, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.Lookup(7, 32, 5, {2}, 1, kGen).snapshot, nullptr);
-  EXPECT_NE(cache.Lookup(8, 31, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.stats().stage1_store_invalidations, 4);
-}
-
 TEST(Stage1CacheTest, EntrySmallerThanDemandIsAMiss) {
   Stage1Cache cache;
   cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(500));
@@ -179,19 +156,6 @@ TEST(Stage1CacheTest, CapacityEvictsLeastRecentlyUsed) {
             nullptr);  // evicted
   EXPECT_NE(cache.Lookup(3, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
   EXPECT_EQ(cache.stats().stage1_capacity_evictions, 1);
-}
-
-TEST(Stage1CacheTest, InvalidateStoreDropsOnlyThatStore) {
-  Stage1Cache cache;
-  cache.Publish(1, kWhole, 0, {1}, MakeSnapshot(100));
-  cache.Publish(1, kWhole, 0, {2}, MakeSnapshot(100));
-  cache.Publish(2, kWhole, 0, {1}, MakeSnapshot(100));
-  cache.InvalidateStore(1);
-  EXPECT_EQ(cache.size(), 1);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.Lookup(1, kWhole, 0, {2}, 1, kGen).snapshot, nullptr);
-  EXPECT_NE(cache.Lookup(2, kWhole, 0, {1}, 1, kGen).snapshot, nullptr);
-  EXPECT_EQ(cache.stats().stage1_store_invalidations, 2);
 }
 
 // ------------------------------------------------ generations
@@ -266,7 +230,7 @@ TEST(Stage1CacheGenerationTest, PublishPrefersNewerGenerations) {
 }
 
 TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
-  // Publishers, lookers, and invalidators hammer one cache; afterwards
+  // Publishers and lookers hammer one cache; afterwards
   // the books must balance: every lookup is a hit or a miss — nothing
   // double-counted. Stores 0-2 publish whole-store entries, stores 3-4
   // publish per-partition entries, so partitioned and unpartitioned
@@ -280,8 +244,8 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kOps; ++i) {
-        // One store per 5-op cycle (publish, lookups, invalidate all
-        // target it), cycling across stores — so hits and misses both
+        // One store per 5-op cycle (publish and lookups all target
+        // it), cycling across stores — so hits and misses both
         // occur even if the threads happen to run back-to-back instead
         // of interleaved.
         const uint64_t store = static_cast<uint64_t>((t + i / 5) % 5);
@@ -299,12 +263,8 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
             cache.Lookup(store, partition, 0, {1}, 50, generation);
             break;
           default:
-            if (i % 40 == 4) {
-              cache.InvalidateStore(store);
-            } else {
-              // Always a miss: no entry holds this many rows.
-              cache.Lookup(store, partition, 0, {1}, 1000000, kGen);
-            }
+            // Always a miss: no entry holds this many rows.
+            cache.Lookup(store, partition, 0, {1}, 1000000, kGen);
             break;
         }
       }
